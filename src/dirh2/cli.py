@@ -92,16 +92,18 @@ def _pipeline(level, kappa, eta1, eta2, leaf_size, parabolic):
 
 def relative_spectral_error(dense: np.ndarray, apply_approx, apply_approx_h, seed: int) -> float:
     n = dense.shape[0]
+    # A^H v as (v^H A)^H reads A in place; A.conj().T @ v copies all n^2 entries
+    dense_h = lambda v: (v.conj() @ dense).conj()
     err = power_iteration_norm(
         lambda v: dense @ v - apply_approx(v),
-        lambda v: dense.conj().T @ v - apply_approx_h(v),
+        lambda v: dense_h(v) - apply_approx_h(v),
         n,
         ERROR_POWER_ITERATIONS,
         seed,
     )
     ref = power_iteration_norm(
         lambda v: dense @ v,
-        lambda v: dense.conj().T @ v,
+        dense_h,
         n,
         ERROR_POWER_ITERATIONS,
         seed,

@@ -14,10 +14,14 @@ above each pair, calibrated so no block ever exceeds the requested
 accuracy; with block-relative weighting every column group is pre-divided
 by the spectral norm of the admissible block that contributed it.
 
-Each (cluster, direction) result slot is written exactly once and subtrees
-only read their own sons, so the recursion parallelizes over independent
-subtrees; results are deterministic regardless of schedule (and bitwise
-reproducible for a fixed seed).
+Each (cluster, direction) result slot is written exactly once and parents
+only read their own sons; clusters are visited sons first in descending id
+order, and results are bitwise reproducible for a fixed seed.
+
+The coupling and nearfield matrices are written straight into stacked
+storage allocated from the ranks and cluster sizes (see ``dh2core``), and
+the bases are stacked once the expanded bases of the projection are
+dropped, so the payload is held once.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .blocktree import BlockTree
 from .clustering import ClusterTree
-from .dh2core import DH2Matrix, DirectionalClusterBasis
+from .dh2core import DH2Matrix, DirectionalClusterBasis, apply_groups, run_offsets, stack_groups, stack_slots
 from .directions import DirectionHierarchy
 from .linalg import power_iteration_norm, svd, truncation_rank
 
@@ -320,23 +324,30 @@ def compress(
         expanded[key] = out
         return out
 
-    coupling = {}
+    coupling = stack_slots(
+        {
+            bid: (row_basis.rank[(bt[bid].t, bt[bid].c_index)], col_basis.rank[(bt[bid].s, bt[bid].c_index)])
+            for bid in bt.admissible_leaves
+        }
+    )
     for bid in bt.admissible_leaves:
         b = bt[bid]
         q = expand(row_basis, "r", b.t, b.c_index)
         p = expand(col_basis, "c", b.s, b.c_index)
         blk = access(tree[b.t].index_set, tree[b.s].index_set)
-        coupling[bid] = q.conj().T @ blk @ p
-    nearfield = {
-        bid: access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
-        for bid in bt.inadmissible_leaves
-    }
+        coupling[bid][...] = q.conj().T @ blk @ p
+    expanded.clear()
+    nearfield = stack_slots({bid: (tree[bt[bid].t].size, tree[bt[bid].s].size) for bid in bt.inadmissible_leaves})
+    for bid in bt.inadmissible_leaves:
+        nearfield[bid][...] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
     t3 = time.perf_counter()
     if timings is not None:
         timings["row"] = t1 - t0
         timings["col"] = t2 - t1
         timings["projection"] = t3 - t2
 
+    if not return_state:
+        row_state = col_state = None  # their q factors hold the unstacked bases
     a = DH2Matrix(
         tree=tree,
         directions=dirs,
@@ -392,40 +403,51 @@ def aca_approximate(block: np.ndarray, tolerance: float, max_rank: int) -> tuple
 @dataclass
 class AcaMatrix:
     """Blockwise low-rank approximation on the admissible leaves plus dense
-    nearfield; the comparison baseline."""
+    nearfield; the comparison baseline.
+
+    A block a b^H is applied as a (b^H x) through the grouped products of
+    ``dh2core``: the factors are stacked like the nested bases, with one run
+    of coefficients per block between the two factors."""
 
     tree: ClusterTree
     blocks: BlockTree
     factors: dict[int, tuple[np.ndarray, np.ndarray]]
     nearfield: dict[int, np.ndarray]
 
+    def __post_init__(self):
+        tree, blocks = self.tree, self.blocks
+        left = {bid: a for bid, (a, _) in self.factors.items()}
+        right = {bid: b for bid, (_, b) in self.factors.items()}
+        offsets, self._rank_total = run_offsets({bid: a.shape[1] for bid, a in left.items()})
+        coefficients = lambda bid: offsets[bid]
+        self._left = stack_groups(left, lambda bid: tree[blocks[bid].t].index_set, coefficients)
+        self._right = stack_groups(right, lambda bid: tree[blocks[bid].s].index_set, coefficients)
+        self.factors.update((bid, (left[bid], right[bid])) for bid in left)
+        self._nearfield = stack_groups(
+            self.nearfield,
+            lambda bid: tree[blocks[bid].t].index_set,
+            lambda bid: tree[blocks[bid].s].index_set,
+        )
+
     @property
     def n(self) -> int:
         return self.tree[self.tree.root].size
 
-    def matvec(self, x: np.ndarray) -> np.ndarray:
+    def _apply(self, x: np.ndarray, hermitian: bool) -> np.ndarray:
+        x = np.asarray(x, dtype=np.complex128)
+        src, dst = (self._left, self._right) if hermitian else (self._right, self._left)
+        coefficients = np.zeros(self._rank_total, dtype=np.complex128)
+        apply_groups(coefficients, x, src, True)
         y = np.zeros(self.n, dtype=np.complex128)
-        for bid in self.blocks.admissible_leaves:
-            b = self.blocks[bid]
-            a, bb = self.factors[bid]
-            y[self.tree[b.t].index_set] += a @ (bb.conj().T @ x[self.tree[b.s].index_set])
-        for bid in self.blocks.inadmissible_leaves:
-            b = self.blocks[bid]
-            y[self.tree[b.t].index_set] += self.nearfield[bid] @ x[self.tree[b.s].index_set]
+        apply_groups(y, coefficients, dst)
+        apply_groups(y, x, self._nearfield, hermitian)
         return y
 
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, False)
+
     def matvec_adjoint(self, x: np.ndarray) -> np.ndarray:
-        y = np.zeros(self.n, dtype=np.complex128)
-        for bid in self.blocks.admissible_leaves:
-            b = self.blocks[bid]
-            a, bb = self.factors[bid]
-            y[self.tree[b.s].index_set] += bb @ (a.conj().T @ x[self.tree[b.t].index_set])
-        for bid in self.blocks.inadmissible_leaves:
-            b = self.blocks[bid]
-            y[self.tree[b.s].index_set] += (
-                self.nearfield[bid].conj().T @ x[self.tree[b.t].index_set]
-            )
-        return y
+        return self._apply(x, True)
 
     def storage_entries(self) -> int:
         low_rank = sum(a.size + b.size for a, b in self.factors.values())

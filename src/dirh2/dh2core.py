@@ -7,19 +7,30 @@ The matrix is stored as
   * one small coupling matrix per admissible block,
   * one dense block per inadmissible block.
 
-A matvec runs in three phases: a bottom-up forward transformation of the
-input through the column basis, coupling products, and a top-down backward
-transformation scattering through the row basis; nearfield blocks multiply
-directly.  Every stored matrix is applied exactly once.
+Each category is held in stacks: one (G, r, c) complex array per shape (per
+level and shape for the transfer matrices), slots in ascending key order.
+The container's dicts keep their keys and hold the views ``stack[g]``, so
+the payload is held once.
+
+A matvec runs in phases: a bottom-up forward transformation of the input
+through the column basis (the leaf matrices, then the transfer matrices
+level by level from the deepest level up), the coupling products, a
+top-down backward transformation through the row basis (transfer matrices
+from the top level down, then the leaf matrices), and the nearfield blocks.
+Each phase runs one batched product per stack, and every stored matrix is
+applied exactly once.  The adjoint runs the same phases with the roles of
+the two bases swapped and reads every block in place as (x^H M)^H.
 
 The container is immutable after construction and matvecs keep all scratch
-per call, so concurrent reads are safe; coupling and nearfield sums run in
-ascending block order, which fixes the floating-point result.
+per call, so concurrent reads are safe.  Sums run in a fixed order: phase
+by phase, stacks in ascending (level and) shape order, and slots within a
+stack in ascending key order, which fixes the floating-point result.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -33,6 +44,10 @@ from .linalg import read_cmx, write_cmx
 __all__ = [
     "DirectionalClusterBasis",
     "DH2Matrix",
+    "stack_slots",
+    "stack_groups",
+    "apply_groups",
+    "run_offsets",
     "expand_factor",
     "expand_dense",
     "storage_report",
@@ -40,6 +55,102 @@ __all__ = [
     "save_dh2",
     "load_dh2",
 ]
+
+
+# -- stacked storage and the grouped apply -----------------------------------
+
+# A stack of G matrices and where they act: stack[g] maps the entries
+# cols[g] of an input vector to the entries rows[g] of an output vector.
+Group = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _group_keys(shapes: dict) -> dict:
+    groups: dict = {}
+    for key in sorted(shapes):
+        groups.setdefault(tuple(shapes[key]), []).append(key)
+    return dict(sorted(groups.items()))
+
+
+def stack_slots(shapes: dict) -> dict:
+    """Zeroed storage for one complex matrix per key of ``shapes``: one
+    (G, r, c) stack per shape, slots in ascending key order.  Returns each
+    key's slot, the view stack[g]."""
+    slots = {}
+    for shape, keys in _group_keys(shapes).items():
+        slots.update(zip(keys, np.zeros((len(keys), *shape), dtype=np.complex128)))
+    return slots
+
+
+def _stack_of(arrays: list):
+    """The stack whose slots, in order, are exactly ``arrays``, or None."""
+    stack = arrays[0].base
+    if stack is None or stack.dtype != np.complex128 or stack.shape != (len(arrays), *arrays[0].shape):
+        return None
+    start, step = stack.__array_interface__["data"][0], stack.strides[0]
+    for g, v in enumerate(arrays):
+        if (
+            v.base is not stack
+            or v.strides != stack.strides[1:]
+            or v.__array_interface__["data"][0] != start + g * step
+        ):
+            return None
+    return stack
+
+
+def _index(where: list, width: int) -> np.ndarray:
+    """(G, width) entries from G index arrays or G run offsets."""
+    if isinstance(where[0], int):
+        return np.array(where, dtype=np.int64)[:, None] + np.arange(width)
+    return np.array(where, dtype=np.int64)
+
+
+def stack_groups(d: dict, rows, cols) -> list[Group]:
+    """One Group per stack of ``d``'s matrices: d[key] maps the input
+    entries cols(key) to the output entries rows(key), each given as an index
+    array or as the int offset of a run as long as the matrix side.
+
+    Matrices that are already the slots of one stack per group (as
+    ``stack_slots`` lays them out) are used in place; any other group is
+    copied into a new stack and ``d`` is rebound to its slots, so the payload
+    is held once.  Nothing is checked against ranks or cluster sizes."""
+    groups = []
+    for keys in _group_keys({k: v.shape for k, v in d.items()}).values():
+        stack = _stack_of([d[k] for k in keys])
+        if stack is None:
+            stack = np.array([d[k] for k in keys], dtype=np.complex128)
+            d.update(zip(keys, stack))
+        r, c = stack.shape[1:]
+        groups.append((stack, _index([rows(k) for k in keys], r), _index([cols(k) for k in keys], c)))
+    return groups
+
+
+def apply_groups(out, inp, groups: list[Group], hermitian: bool = False, counter=None, name=None) -> None:
+    """out[rows] += M @ inp[cols] for every stacked matrix M of ``groups``,
+    or out[cols] += M^H @ inp[rows] when ``hermitian``: one batched product
+    per group, summed into ``out`` in slot order.  M^H v is formed as
+    (v^H M)^H, which reads M in place."""
+    for stack, rows, cols in groups:
+        if hermitian:
+            prod = np.matmul(inp[rows].conj()[:, None, :], stack)[:, 0, :].conj()
+            np.add.at(out, cols, prod)
+        else:
+            prod = np.matmul(stack, inp[cols][:, :, None])[:, :, 0]
+            np.add.at(out, rows, prod)
+        if counter is not None:
+            counter[name] += len(stack)
+
+
+def run_offsets(lengths: dict) -> tuple[dict, int]:
+    """Start of each key's run in a vector that holds the runs in ascending
+    key order, and the vector's length."""
+    offsets, size = {}, 0
+    for key in sorted(lengths):
+        offsets[key] = size
+        size += int(lengths[key])
+    return offsets, size
+
+
+# -- the container -----------------------------------------------------------
 
 
 @dataclass
@@ -61,6 +172,14 @@ class DirectionalClusterBasis:
 
 
 @dataclass
+class _BasisPlan:
+    size: int  # coefficients of all (cluster, direction) pairs
+    offsets: dict  # (cluster, direction) -> start of its coefficients
+    leaf: list[Group]  # rows: index-set entries, cols: coefficients
+    transfer: list[list[Group]]  # per son level; rows: son, cols: parent coefficients
+
+
+@dataclass
 class DH2Matrix:
     tree: ClusterTree
     directions: DirectionHierarchy
@@ -71,106 +190,69 @@ class DH2Matrix:
     nearfield: dict[int, np.ndarray]
 
     def __post_init__(self):
-        self._row_used = self.row_basis.used_by_cluster()
-        self._col_used = self.col_basis.used_by_cluster()
+        tree, blocks = self.tree, self.blocks
+        self._row = self._basis_plan(self.row_basis)
+        self._col = self._basis_plan(self.col_basis)
+        self._coupling = stack_groups(
+            self.coupling,
+            lambda bid: self._row.offsets[(blocks[bid].t, blocks[bid].c_index)],
+            lambda bid: self._col.offsets[(blocks[bid].s, blocks[bid].c_index)],
+        )
+        self._nearfield = stack_groups(
+            self.nearfield,
+            lambda bid: tree[blocks[bid].t].index_set,
+            lambda bid: tree[blocks[bid].s].index_set,
+        )
+
+    def _basis_plan(self, basis: DirectionalClusterBasis) -> _BasisPlan:
+        tree, dirs = self.tree, self.directions
+        offsets, size = run_offsets(basis.rank)
+        leaf = stack_groups(basis.leaf, lambda key: tree[key[0]].index_set, lambda key: offsets[key])
+
+        def son_coefficients(key):
+            son, c = key
+            return offsets[(son, dirs.son_index(tree[tree[son].parent].level, c))]
+
+        by_level: list[dict] = [{} for _ in range(tree.depth + 1)]
+        for key in basis.transfer:
+            by_level[tree[key[0]].level][key] = basis.transfer[key]
+        transfer = []
+        for part in by_level:
+            transfer.append(
+                stack_groups(part, son_coefficients, lambda key: offsets[(tree[key[0]].parent, key[1])])
+            )
+            basis.transfer.update(part)  # the slots of any part stacked anew
+        return _BasisPlan(size, offsets, leaf, transfer)
 
     @property
     def n(self) -> int:
         return self.tree[self.tree.root].size
 
-    # -- matvec ---------------------------------------------------------
-
-    def _forward(self, basis, used, x, counter=None) -> dict:
-        xhat: dict[tuple[int, int], np.ndarray] = {}
-        # clusters are stored parent-first, so descending ids visit sons first
-        for cid in range(len(self.tree) - 1, -1, -1):
-            dirs = used.get(cid)
-            if not dirs:
-                continue
-            cluster = self.tree[cid]
-            for c in dirs:
-                if cluster.is_leaf:
-                    xhat[(cid, c)] = basis.leaf[(cid, c)].conj().T @ x[cluster.index_set]
-                    if counter is not None:
-                        counter["leaf"] += 1
-                else:
-                    c2 = self.directions.son_index(cluster.level, c)
-                    acc = np.zeros(basis.rank[(cid, c)], dtype=np.complex128)
-                    for son in cluster.sons:
-                        acc += basis.transfer[(son, c)].conj().T @ xhat[(son, c2)]
-                        if counter is not None:
-                            counter["transfer"] += 1
-                    xhat[(cid, c)] = acc
-        return xhat
-
-    def _backward(self, basis, used, yhat, y, counter=None) -> None:
-        for cid in range(len(self.tree)):  # parent-first
-            dirs = used.get(cid)
-            if not dirs:
-                continue
-            cluster = self.tree[cid]
-            for c in dirs:
-                coeff = yhat[(cid, c)]
-                if cluster.is_leaf:
-                    y[cluster.index_set] += basis.leaf[(cid, c)] @ coeff
-                    if counter is not None:
-                        counter["leaf"] += 1
-                else:
-                    c2 = self.directions.son_index(cluster.level, c)
-                    for son in cluster.sons:
-                        yhat[(son, c2)] += basis.transfer[(son, c)] @ coeff
-                        if counter is not None:
-                            counter["transfer"] += 1
+    def _apply(self, x: np.ndarray, hermitian: bool, counter) -> np.ndarray:
+        """A x, or A^H x when ``hermitian``: the forward pass runs through the
+        basis on the input side, the backward pass through the other one."""
+        x = np.asarray(x, dtype=np.complex128)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}")
+        src, dst = (self._row, self._col) if hermitian else (self._col, self._row)
+        xhat = np.zeros(src.size, dtype=np.complex128)
+        apply_groups(xhat, x, src.leaf, True, counter, "leaf")
+        for groups in reversed(src.transfer):
+            apply_groups(xhat, xhat, groups, True, counter, "transfer")
+        yhat = np.zeros(dst.size, dtype=np.complex128)
+        apply_groups(yhat, xhat, self._coupling, hermitian, counter, "coupling")
+        for groups in dst.transfer:
+            apply_groups(yhat, yhat, groups, False, counter, "transfer")
+        y = np.zeros(self.n, dtype=np.complex128)
+        apply_groups(y, yhat, dst.leaf, False, counter, "leaf")
+        apply_groups(y, x, self._nearfield, hermitian, counter, "nearfield")
+        return y
 
     def matvec(self, x: np.ndarray, counter=None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}")
-        y = np.zeros(self.n, dtype=np.complex128)
-        xhat = self._forward(self.col_basis, self._col_used, x, counter)
-        yhat = {
-            (cid, c): np.zeros(self.row_basis.rank[(cid, c)], dtype=np.complex128)
-            for cid, dirs in self._row_used.items()
-            for c in dirs
-        }
-        for bid in self.blocks.admissible_leaves:
-            b = self.blocks[bid]
-            yhat[(b.t, b.c_index)] += self.coupling[bid] @ xhat[(b.s, b.c_index)]
-            if counter is not None:
-                counter["coupling"] += 1
-        self._backward(self.row_basis, self._row_used, yhat, y, counter)
-        for bid in self.blocks.inadmissible_leaves:
-            b = self.blocks[bid]
-            y[self.tree[b.t].index_set] += self.nearfield[bid] @ x[self.tree[b.s].index_set]
-            if counter is not None:
-                counter["nearfield"] += 1
-        return y
+        return self._apply(x, False, counter)
 
     def matvec_adjoint(self, x: np.ndarray, counter=None) -> np.ndarray:
-        x = np.asarray(x, dtype=np.complex128)
-        if x.shape != (self.n,):
-            raise ValueError(f"expected a vector of length {self.n}")
-        y = np.zeros(self.n, dtype=np.complex128)
-        xhat = self._forward(self.row_basis, self._row_used, x, counter)
-        yhat = {
-            (cid, c): np.zeros(self.col_basis.rank[(cid, c)], dtype=np.complex128)
-            for cid, dirs in self._col_used.items()
-            for c in dirs
-        }
-        for bid in self.blocks.admissible_leaves:
-            b = self.blocks[bid]
-            yhat[(b.s, b.c_index)] += self.coupling[bid].conj().T @ xhat[(b.t, b.c_index)]
-            if counter is not None:
-                counter["coupling"] += 1
-        self._backward(self.col_basis, self._col_used, yhat, y, counter)
-        for bid in self.blocks.inadmissible_leaves:
-            b = self.blocks[bid]
-            y[self.tree[b.s].index_set] += (
-                self.nearfield[bid].conj().T @ x[self.tree[b.t].index_set]
-            )
-            if counter is not None:
-                counter["nearfield"] += 1
-        return y
+        return self._apply(x, True, counter)
 
     def stored_matrix_count(self) -> int:
         return (
@@ -276,9 +358,15 @@ def _basis_manifest(basis: DirectionalClusterBasis, prefix: str, outdir: Path) -
 
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
     """Write the DH2v1 container: a JSON manifest plus one CMX1 file per
-    stored matrix."""
+    stored matrix.
+
+    An existing manifest is deleted before any payload file is written, CMX
+    files the new manifest does not name are removed, and the manifest is
+    written last through a temporary file, so an interrupted save leaves
+    nothing that loads and a finished one leaves no stale payload."""
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "manifest.json").unlink(missing_ok=True)
     manifest = {
         "version": "DH2v1",
         "n": a.n,
@@ -336,9 +424,15 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
         name = f"nf_{bid}.cmx"
         write_cmx(outdir / name, a.nearfield[bid])
         manifest["nearfield"].append([bid, name])
-    (outdir / "manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    )
+    named = {entry[-1] for entry in manifest["coupling"] + manifest["nearfield"]}
+    for side in ("row_basis", "col_basis"):
+        named.update(entry[-1] for part in ("leaf", "transfer") for entry in manifest[side][part])
+    for path in outdir.glob("*.cmx"):
+        if path.name not in named:
+            path.unlink()
+    tmp = outdir / "manifest.json.tmp"
+    tmp.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
+    os.replace(tmp, outdir / "manifest.json")
 
 
 def _load_basis(entry: dict, directory: Path) -> DirectionalClusterBasis:
@@ -358,6 +452,9 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
     if manifest.get("version") != "DH2v1":
         raise ValueError("not a DH2v1 container")
     tm = manifest["tree"]
+    for name in ("support_min", "support_max"):
+        if any(name not in c for c in tm["clusters"]):
+            raise ValueError(f"container lacks the cluster field {name!r}: written before support boxes were stored")
     clusters = [
         Cluster(
             id=c["id"],

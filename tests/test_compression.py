@@ -455,3 +455,18 @@ class TestAca:
         )
         assert aca.storage_entries() == entries
         assert aca.max_rank() >= 1
+
+    def test_aca_apply_matches_its_blocks(self, line256):
+        dense, tree, dirs, bt = line256
+        aca = aca_compress(dense_accessor(dense), tree, bt, 1e-8)
+        blockwise = np.zeros_like(dense)
+        for bid, (a_f, b_f) in aca.factors.items():
+            blockwise[np.ix_(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)] = a_f @ b_f.conj().T
+        for bid, m in aca.nearfield.items():
+            blockwise[np.ix_(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)] = m
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(256) + 1j * rng.standard_normal(256)
+        ref = blockwise @ x
+        assert np.linalg.norm(aca.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        refh = blockwise.conj().T @ x
+        assert np.linalg.norm(aca.matvec_adjoint(x) - refh) <= 1e-12 * np.linalg.norm(refh)

@@ -1,9 +1,13 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from dirh2.assembly import assemble_dh2_by_interpolation
 from dirh2.blocktree import build_block_tree
 from dirh2.clustering import build_cluster_tree, level_diameter
+from dirh2 import dh2core
 from dirh2.dh2core import expand_dense, load_dh2, save_dh2, storage_report
 from dirh2.directions import build_directions
 from dirh2.geometry import KernelSpec, build_sphere_mesh
@@ -140,6 +144,48 @@ class TestTransferPaths:
         assert sum(counter.values()) == a.stored_matrix_count()
 
 
+class TestStackedStorage:
+    @staticmethod
+    def assert_held_once(arrays: dict):
+        # every matrix is a slot of a 3-d stack, and the stacks hold nothing else
+        stacks = {id(v.base): v.base for v in arrays.values()}
+        assert all(v.base is not None and v.base.ndim == 3 for v in arrays.values())
+        assert all(np.shares_memory(v, v.base) for v in arrays.values())
+        assert sum(st.size for st in stacks.values()) == sum(v.size for v in arrays.values())
+
+    def test_compressed_payload_is_held_once(self, compressed_line):
+        a, _ = compressed_line
+        for arrays in (
+            a.coupling,
+            a.nearfield,
+            a.row_basis.leaf,
+            a.row_basis.transfer,
+            a.col_basis.leaf,
+            a.col_basis.transfer,
+        ):
+            self.assert_held_once(arrays)
+
+    def test_assembled_payload_is_stacked_on_construction(self, assembled):
+        for arrays in (assembled.coupling, assembled.nearfield, assembled.row_basis.leaf):
+            self.assert_held_once(arrays)
+
+    def test_replaced_block_is_applied(self, compressed_line):
+        a, _ = compressed_line
+        bid = max(a.coupling, key=lambda b: a.coupling[b].size)
+        b = dataclasses.replace(a, coupling={**a.coupling, bid: 2 * a.coupling[bid]})
+        expanded = expand_dense(b)
+        assert not np.array_equal(expanded, expand_dense(a))
+        rng = np.random.default_rng(7)
+        x = rand_vec(rng, a.n)
+        ref = expanded @ x
+        assert np.linalg.norm(b.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        refh = expanded.conj().T @ x
+        assert np.linalg.norm(b.matvec_adjoint(x) - refh) <= 1e-12 * np.linalg.norm(refh)
+        # the original container is left as it was
+        ref = expand_dense(a) @ x
+        assert np.linalg.norm(a.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
 class TestExpandDense:
     def test_single_inadmissible_root(self):
         mesh = build_sphere_mesh(0)
@@ -240,4 +286,45 @@ class TestContainer:
         manifest = where / "manifest.json"
         manifest.write_text(manifest.read_text().replace("DH2v1", "DH2v9", 1))
         with pytest.raises(ValueError):
+            load_dh2(where)
+
+    def test_resave_leaves_no_stale_payload(self, assembled, tmp_path):
+        where = tmp_path / "a"
+        save_dh2(assembled, where)
+        mesh = build_sphere_mesh(0)
+        tree = build_cluster_tree(mesh.midpoints, 16)
+        dirs = build_directions([level_diameter(tree, 0)], 0.0, 20.0)
+        bt = build_block_tree(tree, dirs, 0.0, 20.0, 5.0)
+        small = assemble_dh2_by_interpolation(mesh, KernelSpec("slp", 0.0), tree, dirs, bt, 2)
+        save_dh2(small, where)
+        assert sorted(p.name for p in where.iterdir()) == ["manifest.json", f"nf_{bt.root}.cmx"]
+        assert np.array_equal(load_dh2(where).nearfield[bt.root], small.nearfield[bt.root])
+
+    def test_interrupted_save_leaves_nothing_that_loads(self, assembled, tmp_path, monkeypatch):
+        where = tmp_path / "a"
+        save_dh2(assembled, where)
+        calls = []
+
+        def failing_write(path, a):
+            calls.append(path)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            return write_cmx(path, a)
+
+        write_cmx = dh2core.write_cmx
+        monkeypatch.setattr(dh2core, "write_cmx", failing_write)
+        with pytest.raises(OSError):
+            save_dh2(assembled, where)
+        with pytest.raises(FileNotFoundError):
+            load_dh2(where)
+
+    @pytest.mark.parametrize("missing", ["support_min", "support_max"])
+    def test_manifest_without_support_boxes_rejected(self, assembled, tmp_path, missing):
+        where = tmp_path / "a"
+        save_dh2(assembled, where)
+        manifest = json.loads((where / "manifest.json").read_text())
+        for cluster in manifest["tree"]["clusters"]:
+            del cluster[missing]
+        (where / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=missing):
             load_dh2(where)
