@@ -28,7 +28,6 @@ from .compression import (
     CompressionConfig,
     aca_approximate,
     aca_compress,
-    build_row_basis,
     compress,
     farfield_sets,
 )
@@ -81,7 +80,6 @@ __all__ = [
     "build_block_tree",
     "build_cluster_tree",
     "build_directions",
-    "build_row_basis",
     "build_sphere_mesh",
     "compress",
     "directional_kernel_value",

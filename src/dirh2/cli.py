@@ -14,7 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +42,6 @@ class ExperimentReport:
     eta1: float
     eta2: float
     zeta: float
-    order: int
     leaf_size: int
     kernel: str
     standard_admissibility: bool
@@ -118,7 +117,6 @@ def run_compression_experiment(
     eta1: float = 20.0,
     eta2: float = 5.0,
     zeta: float = 0.3,
-    order: int = 4,
     leaf_size: int = 16,
     kernel: str = "slp",
     standard_admissibility: bool = False,
@@ -129,6 +127,15 @@ def run_compression_experiment(
 
     Returns (report, dh2_matrix).
     """
+    system = _dense_system(level, kappa, eta1, eta2, leaf_size, kernel, standard_admissibility)
+    return _compression_run(
+        system, kappa, eps, eta1, eta2, zeta, leaf_size, kernel, standard_admissibility, seed, save_dir
+    )
+
+
+def _dense_system(level, kappa, eta1, eta2, leaf_size, kernel, standard_admissibility):
+    """The structures of ``_pipeline`` and the dense matrix, below the
+    dense-oracle cap."""
     mesh, tree, dirs, bt = _pipeline(
         level, kappa, eta1, eta2, leaf_size, parabolic=not standard_admissibility
     )
@@ -137,7 +144,14 @@ def run_compression_experiment(
         raise ValueError(
             f"n={n} exceeds the dense-oracle cap {DENSE_ORACLE_CAP}; use level <= 5"
         )
-    dense = assemble_dense_matrix(mesh, KernelSpec(kernel, kappa))
+    return mesh, tree, dirs, bt, assemble_dense_matrix(mesh, KernelSpec(kernel, kappa))
+
+
+def _compression_run(
+    system, kappa, eps, eta1, eta2, zeta, leaf_size, kernel, standard_admissibility, seed, save_dir=None
+):
+    mesh, tree, dirs, bt, dense = system
+    n = mesh.n_triangles
     access = lambda rows, cols: dense[np.ix_(rows, cols)]
 
     timings: dict[str, float] = {}
@@ -159,7 +173,6 @@ def run_compression_experiment(
         eta1=eta1,
         eta2=eta2,
         zeta=zeta,
-        order=order,
         leaf_size=leaf_size,
         kernel=kernel,
         standard_admissibility=standard_admissibility,
@@ -186,32 +199,22 @@ def run_aca_comparison(
     eta1: float = 20.0,
     eta2: float = 5.0,
     zeta: float = 0.3,
-    order: int = 4,
     leaf_size: int = 16,
     seed: int = 1,
 ):
     """Compress the single-layer matrix with the nested directional scheme and
     with blockwise cross approximation under the standard admissibility
-    condition.  Returns (dh2_report, aca_report)."""
-    report, a = run_compression_experiment(
-        level,
-        kappa,
-        eps,
-        eta1=eta1,
-        eta2=eta2,
-        zeta=zeta,
-        order=order,
-        leaf_size=leaf_size,
-        kernel="slp",
-        standard_admissibility=True,
-        seed=seed,
+    condition, both from one mesh, block tree and dense matrix.  Returns
+    (dh2_report, aca_report)."""
+    system = _dense_system(level, kappa, eta1, eta2, leaf_size, kernel="slp", standard_admissibility=True)
+    report, _ = _compression_run(
+        system, kappa, eps, eta1, eta2, zeta, leaf_size, kernel="slp", standard_admissibility=True, seed=seed
     )
-    mesh = build_sphere_mesh(level)
-    dense = assemble_dense_matrix(mesh, KernelSpec("slp", kappa))
+    mesh, tree, _, bt, dense = system
     access = lambda rows, cols: dense[np.ix_(rows, cols)]
 
     t0 = time.perf_counter()
-    aca = aca_compress(access, a.tree, a.blocks, eps)
+    aca = aca_compress(access, tree, bt, eps)
     t_aca = time.perf_counter() - t0
     n = mesh.n_triangles
     rng = np.random.default_rng(seed)
@@ -220,18 +223,8 @@ def run_aca_comparison(
     aca.matvec(x)
     t_mvm = time.perf_counter() - t1
     aca_error = relative_spectral_error(dense, aca.matvec, aca.matvec_adjoint, seed)
-    aca_report = ExperimentReport(
-        n=n,
-        kappa=kappa,
-        eps=eps,
-        eta1=eta1,
-        eta2=eta2,
-        zeta=zeta,
-        order=order,
-        leaf_size=leaf_size,
-        kernel="slp",
-        standard_admissibility=True,
-        seed=seed,
+    aca_report = replace(
+        report,
         t_row=0.0,
         t_col=0.0,
         t_proj=t_aca,
@@ -239,8 +232,6 @@ def run_aca_comparison(
         k_max=aca.max_rank(),
         mem_per_dof_kib=aca.storage_entries() * 16.0 / 1024.0 / n,
         rel_spectral_error=aca_error,
-        direction_counts=report.direction_counts,
-        sparsity_max=report.sparsity_max,
     )
     return report, aca_report
 
@@ -291,7 +282,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "level", "kappa", "eta", "order", "leaf",
     )
     pc = sub.add_parser("compress", help="compress the dense matrix, write a CSV report")
-    _add_common(pc, "level", "kappa", "eps", "eta", "zeta", "order", "leaf", "kernel", "std", "seed")
+    _add_common(pc, "level", "kappa", "eps", "eta", "zeta", "leaf", "kernel", "std", "seed")
     pc.add_argument("--save", type=str, default=None, help="also write the DH2v1 container here")
     pm = sub.add_parser("matvec", help="time a matvec of a stored DH2v1 container")
     pm.add_argument("container", type=str)
@@ -299,7 +290,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pm.add_argument("--out", type=str, default=None, help="write the result vector as CMX1")
     _add_common(
         sub.add_parser("compare-aca", help="cross approximation vs nested compression"),
-        "level", "kappa", "eps", "eta", "zeta", "order", "leaf", "seed",
+        "level", "kappa", "eps", "eta", "zeta", "leaf", "seed",
     )
     _add_common(
         sub.add_parser("stats", help="tree / block structure dumps"),
@@ -352,7 +343,6 @@ def _cmd_compress(args) -> None:
         eta1=args.eta1,
         eta2=args.eta2,
         zeta=args.zeta,
-        order=args.order,
         leaf_size=args.leaf_size,
         kernel=args.kernel,
         standard_admissibility=args.standard_admissibility,
@@ -387,7 +377,6 @@ def _cmd_compare_aca(args) -> None:
         eta1=args.eta1,
         eta2=args.eta2,
         zeta=args.zeta,
-        order=args.order,
         leaf_size=args.leaf_size,
         seed=args.seed,
     )

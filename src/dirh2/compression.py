@@ -5,8 +5,9 @@ The input matrix is only touched through an accessor ``access(rows, cols)``
 returning the corresponding sub-block, so dense arrays, lazily evaluated
 kernels and expanded nested representations all compress the same way.
 
-For every (cluster, direction) pair referenced by some admissible block the
-algorithm collects the farfield columns the basis has to serve.  Leaf
+For every (cluster, direction) pair referenced by some admissible block
+(the pairs of ``blocktree.used_directions``) the algorithm collects the
+farfield columns the basis has to serve.  Leaf
 clusters factor that strip directly; non-leaf clusters stack their sons'
 reduced rows, so each level works on small matrices only.  Truncation
 tolerances decay by zeta per level below the shallowest admissible block
@@ -20,8 +21,9 @@ order, and results are bitwise reproducible for a fixed seed.
 
 The coupling and nearfield matrices are written straight into stacked
 storage allocated from the ranks and cluster sizes (see ``dh2core``), and
-the bases are stacked once the expanded bases of the projection are
-dropped, so the payload is held once.
+the bases are stacked once the projection's basis expansions
+(``dh2core.expand_factor`` with a memo per basis) are dropped, so the
+payload is held once.
 """
 
 from __future__ import annotations
@@ -32,9 +34,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocktree import BlockTree
+from .blocktree import BlockTree, used_directions
 from .clustering import ClusterTree
-from .dh2core import DH2Matrix, DirectionalClusterBasis, apply_groups, run_offsets, stack_groups, stack_slots
+from .dh2core import (
+    DH2Matrix,
+    DirectionalClusterBasis,
+    apply_groups,
+    expand_factor,
+    run_offsets,
+    stack_groups,
+    stack_slots,
+)
 from .directions import DirectionHierarchy
 from .linalg import power_iteration_norm, svd, truncation_rank
 
@@ -43,7 +53,6 @@ __all__ = [
     "CompressionState",
     "farfield_sets",
     "compute_block_weights",
-    "build_row_basis",
     "build_basis",
     "compress",
     "subtree_tolerance_sq",
@@ -86,7 +95,6 @@ class CompressionState:
     realized_eps: dict = field(default_factory=dict)  # first discarded singular value
     target_eps: dict = field(default_factory=dict)  # truncation tolerance actually used
     block_weights: dict = field(default_factory=dict)
-    farfield_col_total: dict = field(default_factory=dict)  # per cluster, summed over directions
 
 
 def farfield_sets(
@@ -96,31 +104,25 @@ def farfield_sets(
 
     A source cluster s belongs to (t, c) when some ancestor-or-self of t has
     an admissible block against s whose direction chains down to c at t's
-    level.  Returns (groups, cols); groups values are (source id, block id)
-    pairs, cols values are sorted arrays of matrix column indices.
+    level.  The keys are the pairs of ``blocktree.used_directions``.  Returns
+    (groups, cols); groups values are (source id, block id) pairs, cols
+    values are sorted arrays of matrix column indices.
     """
-    if side not in ("row", "col"):
-        raise ValueError("side must be 'row' or 'col'")
+    used = used_directions(tree, dirs, bt, side)
     groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    per_cluster: dict[int, set[int]] = {}
-
-    def add(cid: int, c: int, items) -> None:
-        groups.setdefault((cid, c), []).extend(items)
-        per_cluster.setdefault(cid, set()).add(c)
-
     for bid in bt.admissible_leaves:
         b = bt[bid]
         cid, other = (b.t, b.s) if side == "row" else (b.s, b.t)
-        add(cid, b.c_index, [(other, bid)])
+        groups.setdefault((cid, b.c_index), []).append((other, bid))
 
     for cid in range(len(tree)):  # ids are parent-first
         cluster = tree[cid]
         if cluster.is_leaf:
             continue
-        for c in sorted(per_cluster.get(cid, ())):
+        for c in used.get(cid, ()):
             c2 = dirs.son_index(cluster.level, c)
             for son in cluster.sons:
-                add(son, c2, groups[(cid, c)])
+                groups.setdefault((son, c2), []).extend(groups[(cid, c)])
 
     cols = {
         key: np.sort(np.concatenate([tree[s].index_set for s, _ in items]))
@@ -181,9 +183,7 @@ def build_basis(
     groups, cols = farfield_sets(tree, dirs, bt, side)
     state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)
     basis = DirectionalClusterBasis()
-    used: dict[int, list[int]] = {}
-    for (cid, c) in groups:
-        used.setdefault(cid, []).append(c)
+    used = used_directions(tree, dirs, bt, side)
 
     # Per-pair truncation target: a block rooted at level l_t collects the
     # squared budget sum_{r in desc(t)} eps_r^2, which must stay within
@@ -195,11 +195,9 @@ def build_basis(
         shallowest = min(_root_level(tree, bt, bid, side) for _, bid in items)
         state.target_eps[key] = eps_base * cfg.zeta ** (tree[key[0]].level - shallowest)
 
-    for cid in range(len(tree) - 1, -1, -1):  # sons before parents
-        if cid not in used:
-            continue
+    for cid in sorted(used, reverse=True):  # sons before parents
         cluster = tree[cid]
-        for c in sorted(used[cid]):
+        for c in used[cid]:
             key = (cid, c)
             fcols = cols[key]
             if cluster.is_leaf:
@@ -251,13 +249,7 @@ def build_basis(
     if not keep_reduced:
         for c in used.get(tree.root, ()):
             state.r.pop((tree.root, c), None)
-    for cid in used:
-        state.farfield_col_total[cid] = int(sum(cols[(cid, c)].size for c in used[cid]))
     return basis, state
-
-
-def build_row_basis(access, tree, dirs, bt, cfg, **kwargs):
-    return build_basis(access, tree, dirs, bt, cfg, side="row", **kwargs)
 
 
 def subtree_tolerance_sq(
@@ -304,39 +296,21 @@ def compress(
     )
     t2 = time.perf_counter()
 
-    expanded: dict[tuple[str, int, int], np.ndarray] = {}
-
-    def expand(basis: DirectionalClusterBasis, tag: str, cid: int, c: int) -> np.ndarray:
-        key = (tag, cid, c)
-        hit = expanded.get(key)
-        if hit is not None:
-            return hit
-        cluster = tree[cid]
-        if cluster.is_leaf:
-            out = basis.leaf[(cid, c)]
-        else:
-            out = np.zeros((cluster.size, basis.rank[(cid, c)]), dtype=np.complex128)
-            c2 = dirs.son_index(cluster.level, c)
-            for son in cluster.sons:
-                sub = expand(basis, tag, son, c2)
-                pos = np.searchsorted(cluster.index_set, tree[son].index_set)
-                out[pos] = sub @ basis.transfer[(son, c)]
-        expanded[key] = out
-        return out
-
     coupling = stack_slots(
         {
             bid: (row_basis.rank[(bt[bid].t, bt[bid].c_index)], col_basis.rank[(bt[bid].s, bt[bid].c_index)])
             for bid in bt.admissible_leaves
         }
     )
+    row_memo: dict = {}
+    col_memo: dict = {}
     for bid in bt.admissible_leaves:
         b = bt[bid]
-        q = expand(row_basis, "r", b.t, b.c_index)
-        p = expand(col_basis, "c", b.s, b.c_index)
+        q = expand_factor(row_basis, tree, dirs, b.t, b.c_index, row_memo)
+        p = expand_factor(col_basis, tree, dirs, b.s, b.c_index, col_memo)
         blk = access(tree[b.t].index_set, tree[b.s].index_set)
         coupling[bid][...] = q.conj().T @ blk @ p
-    expanded.clear()
+    del row_memo, col_memo  # the basis expansions, dropped before the container stacks the factors
     nearfield = stack_slots({bid: (tree[bt[bid].t].size, tree[bt[bid].s].size) for bid in bt.inadmissible_leaves})
     for bid in bt.inadmissible_leaves:
         nearfield[bid][...] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
@@ -400,7 +374,7 @@ def aca_approximate(block: np.ndarray, tolerance: float, max_rank: int) -> tuple
     return np.stack(a_parts, axis=1), np.stack(b_parts, axis=1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class AcaMatrix:
     """Blockwise low-rank approximation on the admissible leaves plus dense
     nearfield; the comparison baseline.
@@ -418,16 +392,21 @@ class AcaMatrix:
         tree, blocks = self.tree, self.blocks
         left = {bid: a for bid, (a, _) in self.factors.items()}
         right = {bid: b for bid, (_, b) in self.factors.items()}
-        offsets, self._rank_total = run_offsets({bid: a.shape[1] for bid, a in left.items()})
+        offsets, rank_total = run_offsets({bid: a.shape[1] for bid, a in left.items()})
         coefficients = lambda bid: offsets[bid]
-        self._left = stack_groups(left, lambda bid: tree[blocks[bid].t].index_set, coefficients)
-        self._right = stack_groups(right, lambda bid: tree[blocks[bid].s].index_set, coefficients)
+        left_groups = stack_groups(left, lambda bid: tree[blocks[bid].t].index_set, coefficients)
+        right_groups = stack_groups(right, lambda bid: tree[blocks[bid].s].index_set, coefficients)
         self.factors.update((bid, (left[bid], right[bid])) for bid in left)
-        self._nearfield = stack_groups(
+        nearfield = stack_groups(
             self.nearfield,
             lambda bid: tree[blocks[bid].t].index_set,
             lambda bid: tree[blocks[bid].s].index_set,
         )
+        # the dataclass is frozen, so its private plans are set past it
+        object.__setattr__(self, "_rank_total", rank_total)
+        object.__setattr__(self, "_left", left_groups)
+        object.__setattr__(self, "_right", right_groups)
+        object.__setattr__(self, "_nearfield", nearfield)
 
     @property
     def n(self) -> int:

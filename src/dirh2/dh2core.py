@@ -21,10 +21,14 @@ Each phase runs one batched product per stack, and every stored matrix is
 applied exactly once.  The adjoint runs the same phases with the roles of
 the two bases swapped and reads every block in place as (x^H M)^H.
 
-The container is immutable after construction and matvecs keep all scratch
-per call, so concurrent reads are safe.  Sums run in a fixed order: phase
-by phase, stacks in ascending (level and) shape order, and slots within a
-stack in ascending key order, which fixes the floating-point result.
+The container is a frozen dataclass: construction stacks the payload, and
+its attributes cannot be reassigned afterwards.  A container with another
+payload is made with ``dataclasses.replace``, which stacks it anew; the
+dicts hold views of the stacks and must not be rebound key by key.  Matvecs
+keep all scratch per call, so concurrent reads are safe.  Sums run in a
+fixed order: phase by phase, stacks in ascending (level and) shape order,
+and slots within a stack in ascending key order, which fixes the
+floating-point result.
 """
 
 from __future__ import annotations
@@ -162,14 +166,6 @@ class DirectionalClusterBasis:
     transfer: dict[tuple[int, int], np.ndarray] = field(default_factory=dict)
     rank: dict[tuple[int, int], int] = field(default_factory=dict)
 
-    def used_by_cluster(self) -> dict[int, list[int]]:
-        used: dict[int, list[int]] = {}
-        for (cid, c) in self.rank:
-            used.setdefault(cid, []).append(c)
-        for cid in used:
-            used[cid].sort()
-        return used
-
 
 @dataclass
 class _BasisPlan:
@@ -179,7 +175,7 @@ class _BasisPlan:
     transfer: list[list[Group]]  # per son level; rows: son, cols: parent coefficients
 
 
-@dataclass
+@dataclass(frozen=True)
 class DH2Matrix:
     tree: ClusterTree
     directions: DirectionHierarchy
@@ -191,18 +187,22 @@ class DH2Matrix:
 
     def __post_init__(self):
         tree, blocks = self.tree, self.blocks
-        self._row = self._basis_plan(self.row_basis)
-        self._col = self._basis_plan(self.col_basis)
-        self._coupling = stack_groups(
+        row, col = self._basis_plan(self.row_basis), self._basis_plan(self.col_basis)
+        coupling = stack_groups(
             self.coupling,
-            lambda bid: self._row.offsets[(blocks[bid].t, blocks[bid].c_index)],
-            lambda bid: self._col.offsets[(blocks[bid].s, blocks[bid].c_index)],
+            lambda bid: row.offsets[(blocks[bid].t, blocks[bid].c_index)],
+            lambda bid: col.offsets[(blocks[bid].s, blocks[bid].c_index)],
         )
-        self._nearfield = stack_groups(
+        nearfield = stack_groups(
             self.nearfield,
             lambda bid: tree[blocks[bid].t].index_set,
             lambda bid: tree[blocks[bid].s].index_set,
         )
+        # the dataclass is frozen, so its private plans are set past it
+        object.__setattr__(self, "_row", row)
+        object.__setattr__(self, "_col", col)
+        object.__setattr__(self, "_coupling", coupling)
+        object.__setattr__(self, "_nearfield", nearfield)
 
     def _basis_plan(self, basis: DirectionalClusterBasis) -> _BasisPlan:
         tree, dirs = self.tree, self.directions
@@ -271,19 +271,26 @@ def expand_factor(
     dirs: DirectionHierarchy,
     cid: int,
     c: int,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """Explicit basis matrix of (cluster, direction), rows aligned with the
     cluster's sorted index set.  Non-leaf factors are expanded through the
-    transfer matrices."""
+    transfer matrices.  A ``memo`` dict, used for one basis only, keeps
+    every (cluster, direction) expansion so that later calls share them."""
+    if memo is not None and (cid, c) in memo:
+        return memo[(cid, c)]
     cluster = tree[cid]
     if cluster.is_leaf:
-        return basis.leaf[(cid, c)]
-    out = np.zeros((cluster.size, basis.rank[(cid, c)]), dtype=np.complex128)
-    c2 = dirs.son_index(cluster.level, c)
-    for son in cluster.sons:
-        sub = expand_factor(basis, tree, dirs, son, c2)
-        pos = np.searchsorted(cluster.index_set, tree[son].index_set)
-        out[pos] = sub @ basis.transfer[(son, c)]
+        out = basis.leaf[(cid, c)]
+    else:
+        out = np.zeros((cluster.size, basis.rank[(cid, c)]), dtype=np.complex128)
+        c2 = dirs.son_index(cluster.level, c)
+        for son in cluster.sons:
+            sub = expand_factor(basis, tree, dirs, son, c2, memo)
+            pos = np.searchsorted(cluster.index_set, tree[son].index_set)
+            out[pos] = sub @ basis.transfer[(son, c)]
+    if memo is not None:
+        memo[(cid, c)] = out
     return out
 
 
@@ -293,10 +300,12 @@ def expand_dense(a: DH2Matrix, cap: int = 4096) -> np.ndarray:
     if n > cap:
         raise ValueError(f"dense expansion capped at {cap} rows, matrix has {n}")
     out = np.zeros((n, n), dtype=np.complex128)
+    row_memo: dict = {}
+    col_memo: dict = {}
     for bid in a.blocks.admissible_leaves:
         b = a.blocks[bid]
-        v = expand_factor(a.row_basis, a.tree, a.directions, b.t, b.c_index)
-        w = expand_factor(a.col_basis, a.tree, a.directions, b.s, b.c_index)
+        v = expand_factor(a.row_basis, a.tree, a.directions, b.t, b.c_index, row_memo)
+        w = expand_factor(a.col_basis, a.tree, a.directions, b.s, b.c_index, col_memo)
         rows = a.tree[b.t].index_set
         cols = a.tree[b.s].index_set
         out[np.ix_(rows, cols)] = v @ a.coupling[bid] @ w.conj().T

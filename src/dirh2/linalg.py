@@ -18,11 +18,6 @@ __all__ = [
     "svd",
     "truncation_rank",
     "power_iteration_norm",
-    "multiply",
-    "adjoint_multiply",
-    "take_submatrix",
-    "vstack",
-    "qr_orthonormal",
     "write_cmx",
     "read_cmx",
 ]
@@ -118,28 +113,6 @@ def power_iteration_norm(apply_a, apply_ah, dim: int, iterations: int, seed: int
         if not dead:
             return float(np.linalg.norm(apply_a(v)))
     return 0.0
-
-
-def multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.asarray(a) @ np.asarray(x)
-
-
-def adjoint_multiply(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return np.asarray(a).conj().T @ np.asarray(x)
-
-
-def take_submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
-    return np.asarray(a)[np.ix_(np.asarray(rows, dtype=np.intp), np.asarray(cols, dtype=np.intp))]
-
-
-def vstack(blocks) -> np.ndarray:
-    return np.vstack([np.asarray(b) for b in blocks])
-
-
-def qr_orthonormal(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR factorization; q has orthonormal columns."""
-    q, r = np.linalg.qr(np.asarray(a, dtype=np.complex128))
-    return q, r
 
 
 def write_cmx(path: str | Path, a: np.ndarray) -> None:

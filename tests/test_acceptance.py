@@ -19,7 +19,7 @@ from dirh2.blocktree import box_diameter, build_block_tree, is_admissible, spars
 from dirh2.cli import main, run_aca_comparison, run_compression_experiment
 from dirh2.compression import (
     CompressionConfig,
-    build_row_basis,
+    build_basis,
     compress,
     subtree_tolerance_sq,
 )
@@ -202,7 +202,7 @@ class TestAcceptance:
     def test_criterion_04_pythagoras_split(self):
         def run_split_checks(dense, tree, dirs, bt, require_two_sons):
             cfg = CompressionConfig(eps=EPS)
-            basis, state = build_row_basis(dense_accessor(dense), tree, dirs, bt, cfg)
+            basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
             checked = 0
             worst = 0.0
             for key in state.q:
@@ -322,8 +322,8 @@ class TestAcceptance:
         dense = assemble_dense_matrix(mesh, KernelSpec("slp", 0.0))
         a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=EPS))
         single = all(
-            cs == [0] for cs in a.row_basis.used_by_cluster().values()
-        ) and all(cs == [0] for cs in a.col_basis.used_by_cluster().values())
+            c == 0 for _, c in a.row_basis.rank
+        ) and all(c == 0 for _, c in a.col_basis.rank)
         print(
             f"CRITERION 7: {'PASS' if same_structure and single else 'FAIL'} - "
             f"kappa=0: direction counts {counts}, per-cluster single zero-direction "

@@ -179,13 +179,7 @@ class TestAssembledStructure:
         # the stacked son expansions, by construction
         mesh, tree, dirs, bt = sphere_pipeline(4, 8.0)
         a = assemble_dh2_by_interpolation(mesh, KernelSpec("slp", 8.0), tree, dirs, bt, 2)
-        used = a.row_basis.used_by_cluster()
-        nonleaf = [
-            (cid, c)
-            for cid, cs in used.items()
-            if not tree[cid].is_leaf
-            for c in cs
-        ]
+        nonleaf = [(cid, c) for cid, c in a.row_basis.rank if not tree[cid].is_leaf]
         assert nonleaf
         for cid, c in nonleaf[:10]:
             v = expand_factor(a.row_basis, tree, dirs, cid, c)

@@ -1,15 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import dense_accessor, line_system, sphere_system
 
 from dirh2.assembly import assemble_dh2_by_interpolation
+from dirh2.blocktree import used_directions
 from dirh2.compression import (
     CompressionConfig,
     aca_approximate,
     aca_compress,
     build_basis,
-    build_row_basis,
     compress,
     compute_block_weights,
     farfield_sets,
@@ -128,6 +130,14 @@ class TestFarfieldSets:
         keyed = {cid for cid, _ in groups}
         assert tree.root not in keyed  # the root pair is never admissible
 
+    @pytest.mark.parametrize("system", ["sphere512", "line256"])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_keys_are_the_used_direction_pairs(self, system, side, request):
+        _, tree, dirs, bt = request.getfixturevalue(system)
+        groups, _ = farfield_sets(tree, dirs, bt, side)
+        used = used_directions(tree, dirs, bt, side)
+        assert set(groups) == {(cid, c) for cid, cs in used.items() for c in cs}
+
     def test_columns_disjoint_within_cluster(self, line256):
         # sources reached by one cluster are pairwise disjoint, across all
         # of its directions; the per-cluster column loads may thus be summed
@@ -145,7 +155,7 @@ class TestBuildBasis:
     def test_orthogonality_and_shapes(self, line256):
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-6)
-        basis, state = build_row_basis(dense_accessor(dense), tree, dirs, bt, cfg)
+        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
         assert state.q
         for key, q in state.q.items():
             k = basis.rank[key]
@@ -167,7 +177,7 @@ class TestBuildBasis:
         # truncation errors accumulated over its subtree
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_row_basis(dense_accessor(dense), tree, dirs, bt, cfg)
+        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
         for key in state.q:
             check_projection_bound(dense, tree, dirs, basis, state, key)
 
@@ -176,7 +186,7 @@ class TestBuildBasis:
         # line tree makes every non-leaf cluster a two-son cluster
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_row_basis(dense_accessor(dense), tree, dirs, bt, cfg)
+        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
         checked = 0
         for key in state.q:
             cid, c = key
@@ -210,7 +220,7 @@ class TestBuildBasis:
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-12, max_rank=1)
         with pytest.warns(UserWarning, match="rank cap"):
-            build_row_basis(dense_accessor(dense), tree, dirs, bt, cfg)
+            build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
 
     def test_config_validation(self, line256):
         dense, tree, dirs, bt = line256
@@ -372,10 +382,23 @@ class TestDirectionalRegime:
         err = np.linalg.norm(expand_dense(a) - dense, 2)
         assert err <= 5e-2 * np.linalg.norm(dense, 2)
 
+    def test_memoized_expansion_is_bitwise_equal(self, directional512):
+        _, dense, tree, dirs, bt = directional512
+        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        for basis, side in ((a.row_basis, "row"), (a.col_basis, "col")):
+            used = used_directions(tree, dirs, bt, side)
+            assert set(basis.rank) == {(cid, c) for cid, cs in used.items() for c in cs}
+            memo = {}
+            for key in basis.rank:  # sons first, so parents reuse their sons' entries
+                expand_factor(basis, tree, dirs, *key, memo)
+            assert set(memo) == set(basis.rank)
+            for key, q in memo.items():
+                assert np.array_equal(q, expand_factor(basis, tree, dirs, *key))
+
     def test_error_bound_sampled_with_direction_chains(self, directional512):
         _, dense, tree, dirs, bt = directional512
         cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_row_basis(dense_accessor(dense), tree, dirs, bt, cfg)
+        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
         keys = sorted(state.q)[:: max(1, len(state.q) // 150)]
         for key in keys:
             check_projection_bound(dense, tree, dirs, basis, state, key)
@@ -455,6 +478,12 @@ class TestAca:
         )
         assert aca.storage_entries() == entries
         assert aca.max_rank() >= 1
+
+    def test_aca_matrix_is_frozen(self, line256):
+        dense, tree, _, bt = line256
+        aca = aca_compress(dense_accessor(dense), tree, bt, 1e-8)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            aca.nearfield = {}
 
     def test_aca_apply_matches_its_blocks(self, line256):
         dense, tree, dirs, bt = line256

@@ -185,6 +185,17 @@ class TestStackedStorage:
         ref = expand_dense(a) @ x
         assert np.linalg.norm(a.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    def test_payload_cannot_be_reassigned(self, assembled):
+        zero = {k: np.zeros_like(v) for k, v in assembled.coupling.items()}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            assembled.coupling = zero
+        # a replaced container applies its new payload: the nearfield only
+        z = dataclasses.replace(assembled, coupling=zero)
+        x = rand_vec(np.random.default_rng(8), assembled.n)
+        ref = expand_dense(z) @ x
+        assert np.linalg.norm(z.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+        assert not np.allclose(z.matvec(x), assembled.matvec(x))
+
 
 class TestExpandDense:
     def test_single_inadmissible_root(self):
@@ -199,11 +210,11 @@ class TestExpandDense:
         assert np.array_equal(expand_dense(a), a.nearfield[bt.root])
 
     def test_zeroed_payload_expands_to_zero(self, assembled):
-        import copy
-
-        z = copy.copy(assembled)
-        z.coupling = {k: np.zeros_like(v) for k, v in assembled.coupling.items()}
-        z.nearfield = {k: np.zeros_like(v) for k, v in assembled.nearfield.items()}
+        z = dataclasses.replace(
+            assembled,
+            coupling={k: np.zeros_like(v) for k, v in assembled.coupling.items()},
+            nearfield={k: np.zeros_like(v) for k, v in assembled.nearfield.items()},
+        )
         assert not expand_dense(z).any()
 
     def test_cap(self, assembled):

@@ -2,15 +2,10 @@ import numpy as np
 import pytest
 
 from dirh2.linalg import (
-    adjoint_multiply,
-    multiply,
     power_iteration_norm,
-    qr_orthonormal,
     read_cmx,
     svd,
-    take_submatrix,
     truncation_rank,
-    vstack,
     write_cmx,
 )
 
@@ -167,29 +162,6 @@ class TestPowerIteration:
         a = random_complex(rng, 8, 8)
         args = (lambda v: a @ v, lambda v: a.conj().T @ v, 8, 20)
         assert power_iteration_norm(*args, seed=5) == power_iteration_norm(*args, seed=5)
-
-
-class TestHelpers:
-    def test_multiply_and_adjoint(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, 4, 3)
-        x = random_complex(rng, 3, 1)[:, 0]
-        y = random_complex(rng, 4, 1)[:, 0]
-        assert np.allclose(multiply(a, x), a @ x)
-        assert np.allclose(adjoint_multiply(a, y), a.conj().T @ y)
-
-    def test_submatrix_and_vstack(self):
-        a = np.arange(12, dtype=complex).reshape(3, 4)
-        sub = take_submatrix(a, [0, 2], [1, 3])
-        assert np.array_equal(sub, np.array([[1, 3], [9, 11]], dtype=complex))
-        assert np.array_equal(vstack([a[:1], a[1:]]), a)
-
-    def test_qr(self):
-        rng = np.random.default_rng(17)
-        a = random_complex(rng, 7, 4)
-        q, r = qr_orthonormal(a)
-        assert np.linalg.norm(q.conj().T @ q - np.eye(4)) < 1e-13
-        assert np.linalg.norm(q @ r - a) < 1e-13
 
 
 class TestCmx:
