@@ -6,6 +6,9 @@ smoothed kernel, and the dense matrix every approximation is measured
 against.
 """
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 
 from dirh2 import (
@@ -49,6 +52,8 @@ g_dlp = assemble_dense_matrix(mesh, KernelSpec("dlp", 8.0))
 print(f"combined double layer diagonal = areas/2: "
       f"{np.allclose(g_dlp.diagonal(), mesh.areas / 2)}")
 
-write_cmx("/tmp/dirh2_demo_dense.cmx", g)
-back = read_cmx("/tmp/dirh2_demo_dense.cmx")
+with tempfile.TemporaryDirectory() as tmp:
+    path = Path(tmp) / "dense.cmx"
+    write_cmx(path, g)
+    back = read_cmx(path)
 print(f"CMX1 roundtrip exact: {np.array_equal(back, g)}")

@@ -46,9 +46,9 @@ class ExperimentReport:
     kernel: str
     standard_admissibility: bool
     seed: int
-    t_row: float
-    t_col: float
-    t_proj: float
+    t_row: float  # row basis, with the couplings formed from its reduced rows
+    t_col: float  # column basis
+    t_proj: float  # nearfield reads (for the ACA baseline: the whole approximation)
     t_mvm: float
     k_max: int
     mem_per_dof_kib: float

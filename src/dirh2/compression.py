@@ -5,25 +5,29 @@ The input matrix is only touched through an accessor ``access(rows, cols)``
 returning the corresponding sub-block, so dense arrays, lazily evaluated
 kernels and expanded nested representations all compress the same way.
 
-For every (cluster, direction) pair referenced by some admissible block
-(the pairs of ``blocktree.used_directions``) the algorithm collects the
-farfield columns the basis has to serve.  Leaf
-clusters factor that strip directly; non-leaf clusters stack their sons'
-reduced rows, so each level works on small matrices only.  Truncation
-tolerances decay by zeta per level below the shallowest admissible block
-above each pair, calibrated so no block ever exceeds the requested
-accuracy; with block-relative weighting every column group is pre-divided
-by the spectral norm of the admissible block that contributed it.
+Every admissible block is weighted by its exact spectral norm, read once
+into a stack per block shape.  For every (cluster, direction) pair
+referenced by some admissible block (the pairs of
+``blocktree.used_directions``) the algorithm collects the farfield columns
+the basis has to serve.  Leaf clusters factor that strip directly; non-leaf
+clusters stack their sons' reduced rows, so each level works on small
+matrices only.  Truncation tolerances decay by zeta per level below the
+shallowest admissible block above each pair, calibrated so no block ever
+exceeds the requested accuracy; with block-relative weighting every column
+group is pre-divided by the spectral norm of the admissible block that
+contributed it.
+
+The column basis is built first.  The row pass then forms each coupling
+matrix while its pair's reduced rows are held: they are the row basis
+applied to the weighted strip, so a block's coupling is its columns of the
+reduced rows, times its weight, times the expanded column basis.  An
+admissible block is thus read three times (weight, row strip, column strip)
+and a nearfield block once.  ``DH2Matrix`` stacks the couplings once per
+shape.
 
 Each (cluster, direction) result slot is written exactly once and parents
 only read their own sons; clusters are visited sons first in descending id
-order, and results are bitwise reproducible for a fixed seed.
-
-The coupling and nearfield matrices are written straight into stacked
-storage allocated from the ranks and cluster sizes (see ``dh2core``), and
-the bases are stacked once the projection's basis expansions
-(``dh2core.expand_factor`` with a memo per basis) are dropped, so the
-payload is held once.
+order, and results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -46,7 +50,9 @@ from .dh2core import (
     stack_slots,
 )
 from .directions import DirectionHierarchy
-from .linalg import power_iteration_norm, svd, truncation_rank
+# power_iteration_norm is not called here; it is imported for callers that
+# look it up in this module, such as the benchmark's trace
+from .linalg import power_iteration_norm, svd, truncation_rank  # noqa: F401
 
 __all__ = [
     "CompressionConfig",
@@ -95,6 +101,7 @@ class CompressionState:
     realized_eps: dict = field(default_factory=dict)  # first discarded singular value
     target_eps: dict = field(default_factory=dict)  # truncation tolerance actually used
     block_weights: dict = field(default_factory=dict)
+    coupling: dict = field(default_factory=dict)  # block id -> coupling, from a row pass given the column basis
 
 
 def farfield_sets(
@@ -131,20 +138,24 @@ def farfield_sets(
     return groups, cols
 
 
-def compute_block_weights(access, tree: ClusterTree, bt: BlockTree, weighting: str, seed: int = 0) -> dict:
-    """Spectral-norm estimate (10 power-iteration steps) per admissible block,
-    or all ones for unweighted compression."""
-    weights: dict[int, float] = {}
+def compute_block_weights(access, tree: ClusterTree, bt: BlockTree, weighting: str) -> dict:
+    """Exact spectral norm per admissible block, or all ones for unweighted
+    compression.  The blocks are read once each into one stack per shape,
+    and each stack's norms come from one batched singular-value computation;
+    a zero block gets the weight 1."""
+    if weighting == "none":
+        return {bid: 1.0 for bid in bt.admissible_leaves}
+    by_shape: dict[tuple[int, int], list[int]] = {}
     for bid in bt.admissible_leaves:
-        if weighting == "none":
-            weights[bid] = 1.0
-            continue
         b = bt[bid]
-        blk = access(tree[b.t].index_set, tree[b.s].index_set)
-        omega = power_iteration_norm(
-            lambda v: blk @ v, lambda v: blk.conj().T @ v, blk.shape[1], 10, seed
-        )
-        weights[bid] = omega if omega > 0.0 else 1.0
+        by_shape.setdefault((tree[b.t].size, tree[b.s].size), []).append(bid)
+    weights: dict[int, float] = {}
+    for shape, bids in sorted(by_shape.items()):
+        stack = np.empty((len(bids), *shape), dtype=np.complex128)
+        for g, bid in enumerate(bids):
+            stack[g] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
+        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
+        weights.update((bid, float(w) if w > 0.0 else 1.0) for bid, w in zip(bids, norms))
     return weights
 
 
@@ -170,12 +181,22 @@ def build_basis(
     side: str = "row",
     block_weights: dict | None = None,
     keep_reduced: bool = True,
+    col_basis: DirectionalClusterBasis | None = None,
 ) -> tuple[DirectionalClusterBasis, CompressionState]:
     """Bottom-up construction of one orthogonal directional cluster basis.
 
     ``access`` must read sub-blocks of the matrix whose row space the basis
-    shall capture (pass an adjoint accessor for the column basis).
+    shall capture (pass an adjoint accessor for the column basis).  Without
+    ``keep_reduced`` every pair's reduced rows and farfield columns are
+    dropped once no parent pair reads them, so ``state.r`` ends empty.
+
+    Given the column basis, a row pass also forms the coupling matrix of
+    every admissible block b = (t, s, c) into ``state.coupling`` while the
+    reduced rows R of (t, c) are held: R is V_tc^H times the weighted strip,
+    so V_tc^H A_b W_sc = omega_b R[:, cols of s] W_sc.
     """
+    if col_basis is not None and side != "row":
+        raise ValueError("couplings are formed in the row pass")
     max_sons = max((len(c.sons) for c in tree.clusters if c.sons), default=1)
     cfg.validate(max_sons)
     if block_weights is None:
@@ -184,6 +205,10 @@ def build_basis(
     state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)
     basis = DirectionalClusterBasis()
     used = used_directions(tree, dirs, bt, side)
+    read_by_parent = {
+        (son, dirs.son_index(tree[cid].level, c)) for cid, cs in used.items() for c in cs for son in tree[cid].sons
+    }
+    col_memo: dict = {}
 
     # Per-pair truncation target: a block rooted at level l_t collects the
     # squared budget sum_{r in desc(t)} eps_r^2, which must stay within
@@ -228,10 +253,20 @@ def build_basis(
                         "the accuracy target is not certified",
                         stacklevel=2,
                     )
-                q = res.u[:, :k]
+                q = res.u[:, :k].copy()  # a view would keep all of u alive
                 state.realized_eps[key] = float(res.sigma[k]) if k < res.sigma.size else 0.0
             state.q[key] = q
-            state.r[key] = q.conj().T @ g
+            r = q.conj().T @ g
+            if col_basis is not None:
+                for s, bid in groups[key]:
+                    if bt[bid].t == cid:  # blocks owned by this pair, not by an ancestor
+                        w = expand_factor(col_basis, tree, dirs, s, c, col_memo)
+                        pos = np.searchsorted(fcols, tree[s].index_set)
+                        state.coupling[bid] = block_weights[bid] * (r[:, pos] @ w)
+            if keep_reduced or key in read_by_parent:
+                state.r[key] = r
+            else:
+                del cols[key]
             basis.rank[key] = k
             if cluster.is_leaf:
                 basis.leaf[key] = q
@@ -242,13 +277,11 @@ def build_basis(
                     ks = basis.rank[(son, c2)]
                     basis.transfer[(son, c)] = q[off : off + ks]
                     off += ks
-        if not keep_reduced and not cluster.is_leaf:
+        if not keep_reduced:
             for son in cluster.sons:
                 for c_son in used.get(son, ()):  # parents are done with these
                     state.r.pop((son, c_son), None)
-    if not keep_reduced:
-        for c in used.get(tree.root, ()):
-            state.r.pop((tree.root, c), None)
+                    cols.pop((son, c_son), None)
     return basis, state
 
 
@@ -280,48 +313,43 @@ def compress(
     return_state: bool = False,
     timings: dict | None = None,
 ):
-    """Full compression: row basis from the matrix, column basis from its
-    adjoint, best-approximation coupling matrices, verbatim nearfield."""
-    weights = compute_block_weights(access, tree, bt, cfg.weighting, seed=seed)
+    """Full compression: exact block norms as weights, the column basis from
+    the adjoint, then the row basis from the matrix, whose pass forms the
+    best-approximation coupling matrices from its reduced rows, and the
+    verbatim nearfield.  Each admissible block is read three times and each
+    nearfield block once.
+
+    The result does not depend on ``seed``, which is kept so that callers
+    passing one keep working.  ``timings`` receives the wall time of the
+    column pass ("col"), of the row pass with the couplings ("row") and of
+    the nearfield reads ("projection")."""
+    weights = compute_block_weights(access, tree, bt, cfg.weighting)
 
     t0 = time.perf_counter()
-    row_basis, row_state = build_basis(
-        access, tree, dirs, bt, cfg, side="row",
-        block_weights=weights, keep_reduced=return_state,
-    )
-    t1 = time.perf_counter()
     col_basis, col_state = build_basis(
         _adjoint_access(access), tree, dirs, bt, cfg, side="col",
         block_weights=weights, keep_reduced=return_state,
     )
-    t2 = time.perf_counter()
-
-    coupling = stack_slots(
-        {
-            bid: (row_basis.rank[(bt[bid].t, bt[bid].c_index)], col_basis.rank[(bt[bid].s, bt[bid].c_index)])
-            for bid in bt.admissible_leaves
-        }
+    if not return_state:
+        col_state = None
+    t1 = time.perf_counter()
+    row_basis, row_state = build_basis(
+        access, tree, dirs, bt, cfg, side="row",
+        block_weights=weights, keep_reduced=return_state, col_basis=col_basis,
     )
-    row_memo: dict = {}
-    col_memo: dict = {}
-    for bid in bt.admissible_leaves:
-        b = bt[bid]
-        q = expand_factor(row_basis, tree, dirs, b.t, b.c_index, row_memo)
-        p = expand_factor(col_basis, tree, dirs, b.s, b.c_index, col_memo)
-        blk = access(tree[b.t].index_set, tree[b.s].index_set)
-        coupling[bid][...] = q.conj().T @ blk @ p
-    del row_memo, col_memo  # the basis expansions, dropped before the container stacks the factors
+    coupling = row_state.coupling
+    if not return_state:
+        row_state = None
+    t2 = time.perf_counter()
     nearfield = stack_slots({bid: (tree[bt[bid].t].size, tree[bt[bid].s].size) for bid in bt.inadmissible_leaves})
     for bid in bt.inadmissible_leaves:
         nearfield[bid][...] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
     t3 = time.perf_counter()
     if timings is not None:
-        timings["row"] = t1 - t0
-        timings["col"] = t2 - t1
+        timings["row"] = t2 - t1
+        timings["col"] = t1 - t0
         timings["projection"] = t3 - t2
 
-    if not return_state:
-        row_state = col_state = None  # their q factors hold the unstacked bases
     a = DH2Matrix(
         tree=tree,
         directions=dirs,

@@ -216,6 +216,18 @@ class TestBuildBasis:
             checked += 1
         assert checked > 0
 
+    @pytest.mark.parametrize("system", ["sphere512", "directional512"])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_reduced_rows_dropped_without_keep_reduced(self, system, side, request):
+        *_, dense, tree, dirs, bt = request.getfixturevalue(system)
+        access = dense_accessor(dense if side == "row" else dense.conj().T)
+        basis, state = build_basis(
+            access, tree, dirs, bt, CompressionConfig(eps=1e-4), side=side, keep_reduced=False
+        )
+        assert basis.rank
+        assert state.r == {}
+        assert state.cols == {}
+
     def test_rank_cap_warns(self, line256):
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-12, max_rank=1)
@@ -309,17 +321,16 @@ class TestCompress:
         x = np.linspace(0, 1, 256) + 0j
         assert np.array_equal(a1.matvec(x), a2.matvec(x))
 
-    def test_weights_are_block_norm_estimates(self, line256):
-        dense, tree, dirs, bt = line256
-        weights = compute_block_weights(
-            dense_accessor(dense), tree, bt, "block-relative", seed=0
-        )
-        for bid in bt.admissible_leaves[:20]:
-            b = bt[bid]
-            blk = dense[np.ix_(tree[b.t].index_set, tree[b.s].index_set)]
-            exact = np.linalg.norm(blk, 2)
-            assert weights[bid] <= exact * (1 + 1e-12)
-            assert weights[bid] >= 0.5 * exact  # 10 steps get close enough
+    def test_weights_are_block_norm_estimates(self, request):
+        for system in ("line256", "sphere512"):
+            dense, tree, _, bt = request.getfixturevalue(system)
+            weights = compute_block_weights(dense_accessor(dense), tree, bt, "block-relative")
+            assert set(weights) == set(bt.admissible_leaves)
+            for bid in bt.admissible_leaves:
+                b = bt[bid]
+                blk = dense[np.ix_(tree[b.t].index_set, tree[b.s].index_set)]
+                exact = np.linalg.norm(blk, 2)
+                assert abs(weights[bid] - exact) <= 1e-12 * exact, (system, bid)
 
     def test_recompresses_stored_containers_and_cmx_files(self, sphere512, tmp_path):
         # both file formats feed the same accessor-based entry point
@@ -394,6 +405,32 @@ class TestDirectionalRegime:
             assert set(memo) == set(basis.rank)
             for key, q in memo.items():
                 assert np.array_equal(q, expand_factor(basis, tree, dirs, *key))
+
+    @pytest.mark.parametrize("weighting", ["block-relative", "none"])
+    def test_couplings_are_projections_of_the_blocks(self, directional512, weighting):
+        _, dense, tree, dirs, bt = directional512
+        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4, weighting=weighting))
+        assert set(a.coupling) == set(bt.admissible_leaves)
+        for bid in bt.admissible_leaves:
+            b = bt[bid]
+            q = expand_factor(a.row_basis, tree, dirs, b.t, b.c_index)
+            p = expand_factor(a.col_basis, tree, dirs, b.s, b.c_index)
+            ref = q.conj().T @ dense[np.ix_(tree[b.t].index_set, tree[b.s].index_set)] @ p
+            assert np.linalg.norm(a.coupling[bid] - ref) <= 1e-12 * np.linalg.norm(ref), bid
+
+    def test_reads_each_admissible_block_three_times(self, directional512):
+        # once for its weight, once in the row strips, once in the column
+        # strips; the nearfield once
+        _, dense, tree, dirs, bt = directional512
+        read = [0]
+
+        def counting(rows, cols):
+            read[0] += len(rows) * len(cols)
+            return dense[np.ix_(rows, cols)]
+
+        compress(counting, tree, dirs, bt, CompressionConfig(eps=1e-4))
+        area = lambda bids: sum(tree[bt[bid].t].size * tree[bt[bid].s].size for bid in bids)
+        assert read[0] == 3 * area(bt.admissible_leaves) + area(bt.inadmissible_leaves)
 
     def test_error_bound_sampled_with_direction_chains(self, directional512):
         _, dense, tree, dirs, bt = directional512
