@@ -81,17 +81,6 @@ class ClusterTree:
     def leaves(self) -> list[int]:
         return [c.id for c in self.clusters if c.is_leaf]
 
-    def postorder(self) -> list[int]:
-        out: list[int] = []
-
-        def walk(cid: int):
-            for s in self.clusters[cid].sons:
-                walk(s)
-            out.append(cid)
-
-        walk(self.root)
-        return out
-
 
 def _split_box(points, idx):
     """Bisect the bounding box of the points across its longest side, or

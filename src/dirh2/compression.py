@@ -9,13 +9,17 @@ Every admissible block is weighted by its exact spectral norm, read once
 into a stack per block shape.  For every (cluster, direction) pair
 referenced by some admissible block (the pairs of
 ``blocktree.used_directions``) the algorithm collects the farfield columns
-the basis has to serve.  Leaf clusters factor that strip directly; non-leaf
-clusters stack their sons' reduced rows, so each level works on small
-matrices only.  Truncation tolerances decay by zeta per level below the
-shallowest admissible block above each pair, calibrated so no block ever
-exceeds the requested accuracy; with block-relative weighting every column
-group is pre-divided by the spectral norm of the admissible block that
-contributed it.
+the basis has to serve.  Leaf clusters take that strip directly;
+non-leaf clusters stack their sons' reduced rows, so each level works on
+small matrices only.  Each strip g is reduced to its triangular factor L
+(g = L Q^H, from the QR factorization of g^H), which has g's singular values
+and left singular vectors and no more columns than g has rows; the basis
+comes from the SVD of L, and no right singular vectors of g are formed.
+Truncation tolerances decay by zeta per level below the shallowest
+admissible block above each pair, calibrated so no block ever exceeds the
+requested accuracy; with block-relative weighting every column group is
+pre-divided by the spectral norm of the admissible block that contributed
+it.
 
 The column basis is built first.  The row pass then forms each coupling
 matrix while its pair's reduced rows are held: they are the row basis
@@ -104,6 +108,47 @@ class CompressionState:
     coupling: dict = field(default_factory=dict)  # block id -> coupling, from a row pass given the column basis
 
 
+def _farfield_groups(
+    tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str, used: dict
+) -> tuple[dict, dict]:
+    """Farfield block lists per (cluster, direction) pair, and per pair the
+    level of the shallowest cluster that owns one of its blocks."""
+    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    shallowest: dict[tuple[int, int], int] = {}
+    for bid in bt.admissible_leaves:
+        b = bt[bid]
+        cid, other = (b.t, b.s) if side == "row" else (b.s, b.t)
+        groups.setdefault((cid, b.c_index), []).append((other, bid))
+        shallowest[(cid, b.c_index)] = tree[cid].level
+
+    for cid in range(len(tree)):  # ids are parent-first
+        cluster = tree[cid]
+        if cluster.is_leaf:
+            continue
+        for c in used.get(cid, ()):
+            c2 = dirs.son_index(cluster.level, c)
+            level = shallowest[(cid, c)]
+            for son in cluster.sons:
+                groups.setdefault((son, c2), []).extend(groups[(cid, c)])
+                shallowest[(son, c2)] = min(shallowest.get((son, c2), level), level)
+    return groups, shallowest
+
+
+def _sorted_columns(tree: ClusterTree, items: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted farfield columns of one pair, from one sort of its sources'
+    concatenated index sets.  The sets are disjoint, so ``inverse``, the
+    inverse of the sorting permutation, maps each concatenated index to its
+    position in the sorted columns: ``inverse[offsets[i]:offsets[i + 1]]``
+    are the positions of item i's source indices."""
+    sets = [tree[s].index_set for s, _ in items]
+    merged = np.concatenate(sets)
+    order = np.argsort(merged, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    offsets = np.cumsum([0] + [x.size for x in sets])
+    return merged[order], inverse, offsets
+
+
 def farfield_sets(
     tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str = "row"
 ) -> tuple[dict, dict]:
@@ -115,34 +160,18 @@ def farfield_sets(
     (groups, cols); groups values are (source id, block id) pairs, cols
     values are sorted arrays of matrix column indices.
     """
-    used = used_directions(tree, dirs, bt, side)
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for bid in bt.admissible_leaves:
-        b = bt[bid]
-        cid, other = (b.t, b.s) if side == "row" else (b.s, b.t)
-        groups.setdefault((cid, b.c_index), []).append((other, bid))
-
-    for cid in range(len(tree)):  # ids are parent-first
-        cluster = tree[cid]
-        if cluster.is_leaf:
-            continue
-        for c in used.get(cid, ()):
-            c2 = dirs.son_index(cluster.level, c)
-            for son in cluster.sons:
-                groups.setdefault((son, c2), []).extend(groups[(cid, c)])
-
-    cols = {
-        key: np.sort(np.concatenate([tree[s].index_set for s, _ in items]))
-        for key, items in groups.items()
-    }
+    groups, _ = _farfield_groups(tree, dirs, bt, side, used_directions(tree, dirs, bt, side))
+    cols = {key: _sorted_columns(tree, items)[0] for key, items in groups.items()}
     return groups, cols
 
 
 def compute_block_weights(access, tree: ClusterTree, bt: BlockTree, weighting: str) -> dict:
     """Exact spectral norm per admissible block, or all ones for unweighted
     compression.  The blocks are read once each into one stack per shape,
-    and each stack's norms come from one batched singular-value computation;
-    a zero block gets the weight 1."""
+    and each stack's norms come from one batched singular-value computation
+    without singular vectors; a zero block gets the weight 1.  The blocks
+    have at most a few dozen rows and columns, where reducing them by a
+    batched QR first costs more than it saves."""
     if weighting == "none":
         return {bid: 1.0 for bid in bt.admissible_leaves}
     by_shape: dict[tuple[int, int], list[int]] = {}
@@ -159,19 +188,6 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree, weighting: s
     return weights
 
 
-def _column_weights(tree, groups_entry, cols_entry, block_weights) -> np.ndarray:
-    w = np.ones(cols_entry.size)
-    for s, bid in groups_entry:
-        pos = np.searchsorted(cols_entry, tree[s].index_set)
-        w[pos] = 1.0 / block_weights[bid]
-    return w
-
-
-def _root_level(tree: ClusterTree, bt: BlockTree, bid: int, side: str) -> int:
-    b = bt[bid]
-    return tree[b.t if side == "row" else b.s].level
-
-
 def build_basis(
     access,
     tree: ClusterTree,
@@ -186,9 +202,14 @@ def build_basis(
     """Bottom-up construction of one orthogonal directional cluster basis.
 
     ``access`` must read sub-blocks of the matrix whose row space the basis
-    shall capture (pass an adjoint accessor for the column basis).  Without
-    ``keep_reduced`` every pair's reduced rows and farfield columns are
-    dropped once no parent pair reads them, so ``state.r`` ends empty.
+    shall capture (pass an adjoint accessor for the column basis).  Each
+    pair's weighted strip g is reduced to its triangular factor L = R^H,
+    where g^H = Q R, and truncated through one ``svd`` of L; the floor
+    sigma_1 max(g.shape) eps keeps g's shape, and the reduced rows are
+    q^H g.  A pair's sorted farfield columns, the positions of each source
+    cluster's indices in them and its column weights come from one sort.
+    Without ``keep_reduced`` every pair's reduced rows and farfield columns
+    are dropped once no parent pair reads them, so ``state.r`` ends empty.
 
     Given the column basis, a row pass also forms the coupling matrix of
     every admissible block b = (t, s, c) into ``state.coupling`` while the
@@ -201,10 +222,11 @@ def build_basis(
     cfg.validate(max_sons)
     if block_weights is None:
         block_weights = compute_block_weights(access, tree, bt, cfg.weighting)
-    groups, cols = farfield_sets(tree, dirs, bt, side)
+    used = used_directions(tree, dirs, bt, side)
+    groups, shallowest = _farfield_groups(tree, dirs, bt, side, used)
+    cols: dict = {}
     state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)
     basis = DirectionalClusterBasis()
-    used = used_directions(tree, dirs, bt, side)
     read_by_parent = {
         (son, dirs.son_index(tree[cid].level, c)) for cid, cs in used.items() for c in cs for son in tree[cid].sons
     }
@@ -216,25 +238,27 @@ def build_basis(
     # error at eps.  Each pair is governed by the shallowest admissible block
     # above it.
     eps_base = cfg.eps * float(np.sqrt((1.0 - max_sons * cfg.zeta**2) / 2.0))
-    for key, items in groups.items():
-        shallowest = min(_root_level(tree, bt, bid, side) for _, bid in items)
-        state.target_eps[key] = eps_base * cfg.zeta ** (tree[key[0]].level - shallowest)
+    for key, level in shallowest.items():
+        state.target_eps[key] = eps_base * cfg.zeta ** (tree[key[0]].level - level)
 
     for cid in sorted(used, reverse=True):  # sons before parents
         cluster = tree[cid]
         for c in used[cid]:
             key = (cid, c)
-            fcols = cols[key]
+            items = groups[key]
+            fcols, inverse, offsets = _sorted_columns(tree, items)
             if cluster.is_leaf:
                 g = access(cluster.index_set, fcols)
                 if cfg.weighting != "none":
-                    g = g * _column_weights(tree, groups[key], fcols, block_weights)[None, :]
+                    w = np.empty(fcols.size)
+                    w[inverse] = np.repeat([1.0 / block_weights[bid] for _, bid in items], np.diff(offsets))
+                    g = g * w[None, :]
             else:
                 c2 = dirs.son_index(cluster.level, c)
                 parts = []
                 for son in cluster.sons:
                     rs = state.r[(son, c2)]
-                    pos = np.searchsorted(state.cols[(son, c2)], fcols)
+                    pos = np.searchsorted(cols[(son, c2)], fcols)
                     parts.append(rs[:, pos])
                 g = np.vstack(parts)
             if g.shape[0] == 0:
@@ -242,7 +266,9 @@ def build_basis(
                 q = np.zeros((0, 0), dtype=np.complex128)
                 state.realized_eps[key] = 0.0
             else:
-                res = svd(g)
+                # g = L Q^H: L has g's singular values and left singular
+                # vectors, and at most as many columns as g has rows
+                res = svd(np.linalg.qr(g.conj().T, mode="r").conj().T)
                 tol = state.target_eps[key]
                 if res.sigma.size:
                     tol = max(tol, res.sigma[0] * max(g.shape) * _EPS)
@@ -258,15 +284,14 @@ def build_basis(
             state.q[key] = q
             r = q.conj().T @ g
             if col_basis is not None:
-                for s, bid in groups[key]:
+                for i, (s, bid) in enumerate(items):
                     if bt[bid].t == cid:  # blocks owned by this pair, not by an ancestor
                         w = expand_factor(col_basis, tree, dirs, s, c, col_memo)
-                        pos = np.searchsorted(fcols, tree[s].index_set)
+                        pos = inverse[offsets[i] : offsets[i + 1]]
                         state.coupling[bid] = block_weights[bid] * (r[:, pos] @ w)
             if keep_reduced or key in read_by_parent:
                 state.r[key] = r
-            else:
-                del cols[key]
+                cols[key] = fcols
             basis.rank[key] = k
             if cluster.is_leaf:
                 basis.leaf[key] = q

@@ -37,9 +37,6 @@ class SVDResult:
     sigma: np.ndarray
     v: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.sigma) @ self.v.conj().T
-
 
 def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Make the largest-magnitude entry of every left singular vector real

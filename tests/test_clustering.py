@@ -47,8 +47,9 @@ class TestBuild:
     def test_every_node_reached_once(self):
         mesh = build_sphere_mesh(2)
         tree = build_cluster_tree(mesh.midpoints, 8)
-        order = tree.postorder()
-        assert sorted(order) == list(range(len(tree)))
+        assert [c.id for c in tree.clusters] == list(range(len(tree)))
+        sons = sorted(s for c in tree.clusters for s in c.sons)
+        assert sons == [cid for cid in range(len(tree)) if cid != tree.root]
         for c in tree.clusters:
             for s in c.sons:
                 assert tree[s].parent == c.id

@@ -228,6 +228,68 @@ class TestBuildBasis:
         assert state.r == {}
         assert state.cols == {}
 
+    @pytest.mark.parametrize("system", ["sphere512", "directional512"])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_strip_reduction_matches_full_svd(self, system, side, request):
+        # every pair truncates its strip g through g's triangular factor;
+        # a full SVD of g itself must give the same ranks and errors
+        *_, dense, tree, dirs, bt = request.getfixturevalue(system)
+        mat = dense if side == "row" else dense.conj().T
+        cfg = CompressionConfig(eps=1e-4)
+        basis, state = build_basis(dense_accessor(mat), tree, dirs, bt, cfg, side=side)
+        max_sons = max(len(c.sons) for c in tree.clusters)
+        eps_base = cfg.eps * np.sqrt((1.0 - max_sons * cfg.zeta**2) / 2.0)
+        owner = lambda bid: bt[bid].t if side == "row" else bt[bid].s
+        for key, k in basis.rank.items():
+            cid, c = key
+            cluster = tree[cid]
+            if cluster.is_leaf:
+                g = weighted_strip(mat, tree, state, key)
+            else:
+                c2 = dirs.son_index(cluster.level, c)
+                g = np.vstack([
+                    state.r[(son, c2)][:, np.searchsorted(state.cols[(son, c2)], state.cols[key])]
+                    for son in cluster.sons
+                ])
+            _, sigma, _ = np.linalg.svd(g, full_matrices=False)
+            shallowest = min(tree[owner(bid)].level for _, bid in state.groups[key])
+            target = eps_base * cfg.zeta ** (cluster.level - shallowest)
+            tol = max(target, sigma[0] * max(g.shape) * np.finfo(float).eps)
+            k_ref = truncation_rank(sigma, tol, cfg.max_rank)
+            realized = sigma[k_ref] if k_ref < sigma.size else 0.0
+            assert k == k_ref, key
+            assert abs(state.target_eps[key] - target) <= 1e-12 * target, key
+            # singular values of a backward stable SVD are exact to roundoff
+            # relative to the largest one
+            assert abs(state.realized_eps[key] - realized) <= 1e-12 * sigma[0], key
+
+    @pytest.mark.parametrize("system", ["sphere512", "directional512"])
+    def test_one_svd_per_basis_pair_in_each_pass(self, system, request, monkeypatch):
+        # the benchmark traces compression.svd for its linalg.svd_* metrics;
+        # a pass that bypassed it would zero them without failing
+        import dirh2.compression
+
+        *_, dense, tree, dirs, bt = request.getfixturevalue(system)
+        calls = [0]
+        passes = {}
+
+        def counting_svd(a):
+            calls[0] += 1
+            return svd(a)
+
+        def counting_pass(*args, **kwargs):
+            before = calls[0]
+            basis, state = build_basis(*args, **kwargs)
+            passes[kwargs["side"]] = (calls[0] - before, len(basis.rank))
+            return basis, state
+
+        monkeypatch.setattr(dirh2.compression, "svd", counting_svd)
+        monkeypatch.setattr(dirh2.compression, "build_basis", counting_pass)
+        compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        assert set(passes) == {"row", "col"}
+        for svd_calls, pairs in passes.values():
+            assert svd_calls == pairs > 0
+
     def test_rank_cap_warns(self, line256):
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-12, max_rank=1)
