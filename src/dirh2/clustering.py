@@ -78,9 +78,6 @@ class ClusterTree:
         c = self.clusters[cid]
         return c.support_min, c.support_max
 
-    def leaves(self) -> list[int]:
-        return [c.id for c in self.clusters if c.is_leaf]
-
 
 def _split_box(points, idx):
     """Bisect the bounding box of the points across its longest side, or

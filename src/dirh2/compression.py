@@ -221,7 +221,8 @@ def build_basis(
     max_sons = max((len(c.sons) for c in tree.clusters if c.sons), default=1)
     cfg.validate(max_sons)
     if block_weights is None:
-        block_weights = compute_block_weights(access, tree, bt, cfg.weighting)
+        matrix = access if side == "row" else _adjoint_access(access)  # the weights are norms of A[t, s]
+        block_weights = compute_block_weights(matrix, tree, bt, cfg.weighting)
     used = used_directions(tree, dirs, bt, side)
     groups, shallowest = _farfield_groups(tree, dirs, bt, side, used)
     cols: dict = {}

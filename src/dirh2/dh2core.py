@@ -29,6 +29,9 @@ keep all scratch per call, so concurrent reads are safe.  Sums run in a
 fixed order: phase by phase, stacks in ascending (level and) shape order,
 and slots within a stack in ascending key order, which fixes the
 floating-point result.
+
+``save_dh2`` writes the stacks as they are into a DH2v2 container, and
+``load_dh2`` checks them and hands them to the loaded matrix in place.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ import numpy as np
 from .blocktree import ADMISSIBLE, INADMISSIBLE, Block, BlockTree
 from .clustering import Cluster, ClusterTree
 from .directions import DirectionHierarchy
-from .linalg import read_cmx, write_cmx
 
 __all__ = [
     "DirectionalClusterBasis",
@@ -108,24 +110,40 @@ def _index(where: list, width: int) -> np.ndarray:
     return np.array(where, dtype=np.int64)
 
 
-def stack_groups(d: dict, rows, cols) -> list[Group]:
-    """One Group per stack of ``d``'s matrices: d[key] maps the input
-    entries cols(key) to the output entries rows(key), each given as an index
-    array or as the int offset of a run as long as the matrix side.
-
-    Matrices that are already the slots of one stack per group (as
-    ``stack_slots`` lays them out) are used in place; any other group is
-    copied into a new stack and ``d`` is rebound to its slots, so the payload
-    is held once.  Nothing is checked against ranks or cluster sizes."""
-    groups = []
+def _stacks(d: dict) -> list[tuple[list, np.ndarray]]:
+    """``d``'s matrices as (keys, stack) pairs, one stack per shape with
+    slots in ascending key order.  Matrices that are already the slots of
+    such a stack (as ``stack_slots`` or ``load_dh2`` lay them out) are used
+    in place; any other group is copied into a new stack and ``d`` is
+    rebound to its slots, so the payload is held once."""
+    out = []
     for keys in _group_keys({k: v.shape for k, v in d.items()}).values():
         stack = _stack_of([d[k] for k in keys])
         if stack is None:
             stack = np.array([d[k] for k in keys], dtype=np.complex128)
             d.update(zip(keys, stack))
-        r, c = stack.shape[1:]
-        groups.append((stack, _index([rows(k) for k in keys], r), _index([cols(k) for k in keys], c)))
-    return groups
+        out.append((keys, stack))
+    return out
+
+
+def _levels(tree: ClusterTree, transfer: dict) -> list[dict]:
+    """The transfer matrices split by the level of their son cluster, the
+    parts that are stacked (and applied) one after another."""
+    by_level: list[dict] = [{} for _ in range(tree.depth + 1)]
+    for key, m in transfer.items():
+        by_level[tree[key[0]].level][key] = m
+    return by_level
+
+
+def stack_groups(d: dict, rows, cols) -> list[Group]:
+    """One Group per stack of ``d``'s matrices (see ``_stacks``): d[key] maps
+    the input entries cols(key) to the output entries rows(key), each given
+    as an index array or as the int offset of a run as long as the matrix
+    side.  Nothing is checked against ranks or cluster sizes."""
+    return [
+        (stack, _index([rows(k) for k in keys], stack.shape[1]), _index([cols(k) for k in keys], stack.shape[2]))
+        for keys, stack in _stacks(d)
+    ]
 
 
 def apply_groups(out, inp, groups: list[Group], hermitian: bool = False, counter=None, name=None) -> None:
@@ -213,11 +231,8 @@ class DH2Matrix:
             son, c = key
             return offsets[(son, dirs.son_index(tree[tree[son].parent].level, c))]
 
-        by_level: list[dict] = [{} for _ in range(tree.depth + 1)]
-        for key in basis.transfer:
-            by_level[tree[key[0]].level][key] = basis.transfer[key]
         transfer = []
-        for part in by_level:
+        for part in _levels(tree, basis.transfer):
             transfer.append(
                 stack_groups(part, son_coefficients, lambda key: offsets[(tree[key[0]].parent, key[1])])
             )
@@ -347,54 +362,55 @@ def storage_report(a: DH2Matrix) -> StorageReport:
     return StorageReport(leaf, transfer, coupling, nearfield)
 
 
-# -- DH2v1 container --------------------------------------------------------
+# -- DH2v2 container --------------------------------------------------------
+
+_C16 = np.dtype("<c16")
+_CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
+_BOXES = ("cell_min", "cell_max", "support_min", "support_max")
+_BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
 
 
-def _basis_manifest(basis: DirectionalClusterBasis, prefix: str, outdir: Path) -> dict:
-    leaf_entries = []
-    for (cid, c) in sorted(basis.leaf):
-        name = f"{prefix}_leaf_{cid}_{c}.cmx"
-        write_cmx(outdir / name, basis.leaf[(cid, c)])
-        leaf_entries.append([cid, c, name])
-    transfer_entries = []
-    for (cid, c) in sorted(basis.transfer):
-        name = f"{prefix}_tr_{cid}_{c}.cmx"
-        write_cmx(outdir / name, basis.transfer[(cid, c)])
-        transfer_entries.append([cid, c, name])
-    ranks = [[cid, c, int(basis.rank[(cid, c)])] for (cid, c) in sorted(basis.rank)]
-    return {"leaf": leaf_entries, "transfer": transfer_entries, "rank": ranks}
+def _payload(a: DH2Matrix):
+    """(category, keys, stack) for every stack of ``a`` in container order,
+    grouped as ``DH2Matrix`` stacks them: one stack per shape, the transfer
+    matrices per son level and shape."""
+    parts = []
+    for side, basis in (("row", a.row_basis), ("col", a.col_basis)):
+        parts.append((f"{side}_leaf", basis.leaf))
+        parts.extend((f"{side}_transfer", part) for part in _levels(a.tree, basis.transfer))
+    parts += [("coupling", a.coupling), ("nearfield", a.nearfield)]
+    for category, d in parts:
+        for keys, stack in _stacks(d):
+            yield category, keys, stack
 
 
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
-    """Write the DH2v1 container: a JSON manifest plus one CMX1 file per
-    stored matrix.
+    """Write the DH2v2 container: a directory holding ``manifest.json`` (tree
+    with cell and support boxes, directions, block structure, ranks, and a
+    table with one ``[category, [G, r, c], keys]`` entry per stack) and
+    ``payload.bin`` (every stack in table order, in C order, as ``<c16``).
 
-    An existing manifest is deleted before any payload file is written, CMX
-    files the new manifest does not name are removed, and the manifest is
-    written last through a temporary file, so an interrupted save leaves
-    nothing that loads and a finished one leaves no stale payload."""
+    The old manifest is deleted first, then the payload and the manifest are
+    each written to a temporary file and renamed, the manifest last, so an
+    interrupted save leaves nothing that loads.  Saves of one matrix are
+    byte-identical."""
     outdir = Path(directory)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "manifest.json").unlink(missing_ok=True)
+    table = []
+    with open(outdir / "payload.bin.tmp", "wb") as fh:
+        for category, keys, stack in _payload(a):
+            fh.write(np.ascontiguousarray(stack, dtype=_C16))
+            table.append([category, list(stack.shape), keys])
+    os.replace(outdir / "payload.bin.tmp", outdir / "payload.bin")
     manifest = {
-        "version": "DH2v1",
-        "n": a.n,
+        "version": "DH2v2",
         "tree": {
             "root": a.tree.root,
             "depth": a.tree.depth,
             "level_extents": a.tree.level_extents.tolist(),
             "clusters": [
-                {
-                    "id": c.id,
-                    "level": c.level,
-                    "parent": c.parent,
-                    "index_set": c.index_set.tolist(),
-                    "cell_min": c.cell_min.tolist(),
-                    "cell_max": c.cell_max.tolist(),
-                    "support_min": c.support_min.tolist(),
-                    "support_max": c.support_max.tolist(),
-                    "sons": list(c.sons),
-                }
+                {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(c).items()}
                 for c in a.tree.clusters
             ],
         },
@@ -404,119 +420,101 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
         },
         "blocks": {
             "root": a.blocks.root,
-            "kappa": a.blocks.kappa,
-            "eta1": a.blocks.eta1,
-            "eta2": a.blocks.eta2,
-            "parabolic": a.blocks.parabolic,
-            "nodes": [
-                {
-                    "id": b.id,
-                    "t": b.t,
-                    "s": b.s,
-                    "status": b.status,
-                    "c_index": b.c_index,
-                    "sons": list(b.sons),
-                }
-                for b in a.blocks.blocks
-            ],
+            **{k: getattr(a.blocks, k) for k in _BLOCK_PARAMETERS},
+            "nodes": [vars(b) for b in a.blocks.blocks],
         },
-        "row_basis": _basis_manifest(a.row_basis, "row", outdir),
-        "col_basis": _basis_manifest(a.col_basis, "col", outdir),
-        "coupling": [],
-        "nearfield": [],
+        "rank": {
+            side: [[cid, c, int(k)] for (cid, c), k in sorted(basis.rank.items())]
+            for side, basis in (("row", a.row_basis), ("col", a.col_basis))
+        },
+        "stacks": table,
     }
-    for bid in sorted(a.coupling):
-        name = f"s_{bid}.cmx"
-        write_cmx(outdir / name, a.coupling[bid])
-        manifest["coupling"].append([bid, name])
-    for bid in sorted(a.nearfield):
-        name = f"nf_{bid}.cmx"
-        write_cmx(outdir / name, a.nearfield[bid])
-        manifest["nearfield"].append([bid, name])
-    named = {entry[-1] for entry in manifest["coupling"] + manifest["nearfield"]}
-    for side in ("row_basis", "col_basis"):
-        named.update(entry[-1] for part in ("leaf", "transfer") for entry in manifest[side][part])
-    for path in outdir.glob("*.cmx"):
-        if path.name not in named:
-            path.unlink()
     tmp = outdir / "manifest.json.tmp"
     tmp.write_text(json.dumps(manifest, sort_keys=True, separators=(",", ":")))
     os.replace(tmp, outdir / "manifest.json")
 
 
-def _load_basis(entry: dict, directory: Path) -> DirectionalClusterBasis:
-    basis = DirectionalClusterBasis()
-    for cid, c, name in entry["leaf"]:
-        basis.leaf[(cid, c)] = read_cmx(directory / name)
-    for cid, c, name in entry["transfer"]:
-        basis.transfer[(cid, c)] = read_cmx(directory / name)
-    for cid, c, k in entry["rank"]:
-        basis.rank[(cid, c)] = k
-    return basis
+def _read_payload(path: Path, table: list) -> dict:
+    """Each category's matrices, keyed as in the manifest: every stack is
+    read into an array of its own, whose slots are the matrices."""
+    for i, (category, shape, keys) in enumerate(table):
+        if category not in _CATEGORIES:
+            raise ValueError(f"stack {i} has the unknown category {category!r}")
+        if len(shape) != 3 or not all(isinstance(x, int) and x >= 0 for x in shape) or shape[0] != len(keys):
+            raise ValueError(f"stack {i} has shape {shape} but {len(keys)} keys")
+    need = sum(16 * shape[0] * shape[1] * shape[2] for _, shape, _ in table)
+    payload: dict = {category: {} for category in _CATEGORIES}
+    with open(path, "rb") as fh:
+        have = os.fstat(fh.fileno()).st_size
+        if have != need:
+            raise ValueError(f"payload.bin holds {have} bytes, its stack table needs {need}")
+        for category, shape, keys in table:
+            stack = np.empty(shape, dtype=_C16)
+            fh.readinto(stack)
+            payload[category].update(zip((tuple(k) if isinstance(k, list) else k for k in keys), stack))
+    return payload
+
+
+def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
+    """Raise a one-line ValueError unless the leaf clusters partition 0..n-1
+    and the payload holds a matrix for every admissible block, inadmissible
+    block, leaf pair and transfer, each of the shape that the ranks and
+    cluster sizes give.  A matrix with no such place raises KeyError."""
+    leaves = [c.index_set for c in tree.clusters if c.is_leaf]
+    if not np.array_equal(np.sort(np.concatenate(leaves)), np.arange(tree[tree.root].size)):
+        raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
+    b, row, col = bt.blocks, ranks["row"], ranks["col"]
+    shapes = {
+        "coupling": {i: (row[(b[i].t, b[i].c_index)], col[(b[i].s, b[i].c_index)]) for i in bt.admissible_leaves},
+        "nearfield": {i: (tree[b[i].t].size, tree[b[i].s].size) for i in bt.inadmissible_leaves},
+    }
+    for side, rank in ranks.items():
+        shapes[f"{side}_leaf"] = {(cid, c): (tree[cid].size, k) for (cid, c), k in rank.items() if tree[cid].is_leaf}
+        shapes[f"{side}_transfer"] = {
+            (son, c): (rank[(son, dirs.son_index(tree[cid].level, c))], k)
+            for (cid, c), k in rank.items()
+            for son in tree[cid].sons
+        }
+    for category, d in payload.items():
+        want = shapes[category]
+        if want.keys() - d.keys():
+            raise ValueError(f"{category} {min(want.keys() - d.keys())} has no payload")
+        for key, m in d.items():
+            if m.shape != want[key]:
+                raise ValueError(f"{category} {key} has shape {m.shape}, its ranks and cluster sizes give {want[key]}")
 
 
 def load_dh2(directory: str | Path) -> DH2Matrix:
+    """Read a DH2v2 container (see ``save_dh2``).  The matrices are the slots
+    of the stacks as read, which the returned matrix uses in place; its index
+    plans are rebuilt.  A container whose payload length, stack table,
+    shapes, block payloads or leaf index sets do not fit is rejected with a
+    one-line ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("version") != "DH2v1":
-        raise ValueError("not a DH2v1 container")
+    if manifest.get("version") != "DH2v2":
+        raise ValueError("not a DH2v2 container")
     tm = manifest["tree"]
     for name in ("support_min", "support_max"):
         if any(name not in c for c in tm["clusters"]):
             raise ValueError(f"container lacks the cluster field {name!r}: written before support boxes were stored")
-    clusters = [
-        Cluster(
-            id=c["id"],
-            level=c["level"],
-            parent=c["parent"],
-            index_set=np.array(c["index_set"], dtype=np.int64),
-            cell_min=np.array(c["cell_min"]),
-            cell_max=np.array(c["cell_max"]),
-            support_min=np.array(c["support_min"]),
-            support_max=np.array(c["support_max"]),
-            sons=list(c["sons"]),
-        )
-        for c in tm["clusters"]
-    ]
-    tree = ClusterTree(
-        clusters=clusters,
-        root=tm["root"],
-        depth=tm["depth"],
-        level_extents=np.array(tm["level_extents"]),
-    )
+    for c in tm["clusters"]:
+        c.update({k: np.array(c[k], dtype=float) for k in _BOXES}, index_set=np.array(c["index_set"], dtype=np.int64))
+    tree = ClusterTree([Cluster(**c) for c in tm["clusters"]], tm["root"], tm["depth"], np.array(tm["level_extents"]))
     dm = manifest["directions"]
     dirs = DirectionHierarchy(
         levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
         son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
     )
     bm = manifest["blocks"]
-    blocks = [
-        Block(
-            id=b["id"],
-            t=b["t"],
-            s=b["s"],
-            status=b["status"],
-            c_index=b["c_index"],
-            sons=list(b["sons"]),
-        )
-        for b in bm["nodes"]
-    ]
-    bt = BlockTree(
-        blocks=blocks,
-        root=bm["root"],
-        admissible_leaves=[b.id for b in blocks if b.status == ADMISSIBLE],
-        inadmissible_leaves=[b.id for b in blocks if b.status == INADMISSIBLE],
-        kappa=bm["kappa"],
-        eta1=bm["eta1"],
-        eta2=bm["eta2"],
-        parabolic=bm["parabolic"],
-    )
-    return DH2Matrix(
-        tree=tree,
-        directions=dirs,
-        blocks=bt,
-        row_basis=_load_basis(manifest["row_basis"], directory),
-        col_basis=_load_basis(manifest["col_basis"], directory),
-        coupling={bid: read_cmx(directory / name) for bid, name in manifest["coupling"]},
-        nearfield={bid: read_cmx(directory / name) for bid, name in manifest["nearfield"]},
-    )
+    blocks = [Block(**b) for b in bm["nodes"]]
+    leaves = ([b.id for b in blocks if b.status == status] for status in (ADMISSIBLE, INADMISSIBLE))
+    bt = BlockTree(blocks, bm["root"], *leaves, **{k: bm[k] for k in _BLOCK_PARAMETERS})
+    ranks = {side: {(cid, c): k for cid, c, k in manifest["rank"][side]} for side in ("row", "col")}
+    payload = _read_payload(directory / "payload.bin", manifest["stacks"])
+    try:
+        _check(tree, dirs, bt, ranks, payload)
+    except (IndexError, KeyError) as exc:
+        raise ValueError(f"the container names a cluster, block or rank it lacks: {exc}") from None
+    bases = [DirectionalClusterBasis(payload[f"{s}_leaf"], payload[f"{s}_transfer"], ranks[s]) for s in ("row", "col")]
+    return DH2Matrix(tree, dirs, bt, *bases, payload["coupling"], payload["nearfield"])

@@ -82,7 +82,7 @@ def scaling_runs(slp_2048):
             for c in tree.clusters
             if kappa * box_diameter(*tree.box(c.id)) <= 1.0
         ]
-        leaf_rows = [int(stats.row_counts[cid]) for cid in tree.leaves()]
+        leaf_rows = [int(stats.row_counts[c.id]) for c in tree.clusters if c.is_leaf]
         return {
             "n": mesh.n_triangles,
             "k_max": k_max,
@@ -104,7 +104,7 @@ def scaling_runs(slp_2048):
         "k_max": report.k_max,
         "entries": int(report.mem_per_dof_kib * 64 * 2048),
         "lowfreq_rows": lowfreq,
-        "leaf_row_max": max(int(stats.row_counts[cid]) for cid in a.tree.leaves()),
+        "leaf_row_max": max(int(stats.row_counts[c.id]) for c in a.tree.clusters if c.is_leaf),
     }
     rows[8192] = measure(5, 16.0)
     rows["elapsed"] = time.time() - t0

@@ -134,7 +134,7 @@ class TestBuild:
                 assert b.t != b.s
                 assert box_distance(*tree.support_box(b.t), *tree.support_box(b.s)) > 0.0
             diagonal = [bt[bid] for bid in bt.inadmissible_leaves if bt[bid].t == bt[bid].s]
-            assert sorted(b.t for b in diagonal) == sorted(tree.leaves())
+            assert sorted(b.t for b in diagonal) == sorted(c.id for c in tree.clusters if c.is_leaf)
 
     def test_levels_match_in_every_block(self):
         _, tree, dirs, bt = sphere_setup(3, 4.0)

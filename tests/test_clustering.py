@@ -27,7 +27,7 @@ class TestBuild:
     def test_sphere_partition_exhaustive(self):
         mesh = build_sphere_mesh(4)
         tree = build_cluster_tree(mesh.midpoints, 16)
-        leaves = tree.leaves()
+        leaves = [c.id for c in tree.clusters if c.is_leaf]
         sizes = [tree[lid].size for lid in leaves]
         assert max(sizes) <= 16
         assert min(sizes) >= 1
@@ -74,7 +74,7 @@ class TestBuild:
             assert len(c.sons) != 1
             if c.is_leaf:
                 assert c.size <= 8 or np.all(pts[c.index_set] == pts[c.index_set][0])
-        merged = np.sort(np.concatenate([tree[l].index_set for l in tree.leaves()]))
+        merged = np.sort(np.concatenate([c.index_set for c in tree.clusters if c.is_leaf]))
         assert np.array_equal(merged, np.arange(41))
 
     def test_rejects_bad_input(self):

@@ -290,6 +290,23 @@ class TestBuildBasis:
         for svd_calls, pairs in passes.values():
             assert svd_calls == pairs > 0
 
+    def test_column_pass_weights_the_blocks_themselves(self):
+        # the column pass reads the adjoint; without given weights it must
+        # still weight each block by the norm of A[t, s], not of A[s, t]
+        # (the DLP matrix is not symmetric, so the two differ)
+        mesh, tree, dirs, bt = sphere_system(3, 4.0)
+        dense = assemble_dense_matrix(mesh, KernelSpec("dlp", 4.0))
+        access = dense_accessor(dense.conj().T)
+        cfg = CompressionConfig(eps=1e-4)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt, cfg.weighting)
+        default, _ = build_basis(access, tree, dirs, bt, cfg, side="col")
+        given, _ = build_basis(access, tree, dirs, bt, cfg, side="col", block_weights=weights)
+        assert default.rank == given.rank
+        for part in ("leaf", "transfer"):
+            mine, theirs = getattr(default, part), getattr(given, part)
+            assert mine.keys() == theirs.keys()
+            assert all(np.array_equal(mine[key], theirs[key]) for key in theirs), part
+
     def test_rank_cap_warns(self, line256):
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-12, max_rank=1)

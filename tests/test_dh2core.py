@@ -295,7 +295,7 @@ class TestContainer:
         where = tmp_path / "a"
         save_dh2(assembled, where)
         manifest = where / "manifest.json"
-        manifest.write_text(manifest.read_text().replace("DH2v1", "DH2v9", 1))
+        manifest.write_text(manifest.read_text().replace("DH2v2", "DH2v9", 1))
         with pytest.raises(ValueError):
             load_dh2(where)
 
@@ -308,22 +308,21 @@ class TestContainer:
         bt = build_block_tree(tree, dirs, 0.0, 20.0, 5.0)
         small = assemble_dh2_by_interpolation(mesh, KernelSpec("slp", 0.0), tree, dirs, bt, 2)
         save_dh2(small, where)
-        assert sorted(p.name for p in where.iterdir()) == ["manifest.json", f"nf_{bt.root}.cmx"]
+        assert sorted(p.name for p in where.iterdir()) == ["manifest.json", "payload.bin"]
         assert np.array_equal(load_dh2(where).nearfield[bt.root], small.nearfield[bt.root])
 
     def test_interrupted_save_leaves_nothing_that_loads(self, assembled, tmp_path, monkeypatch):
         where = tmp_path / "a"
         save_dh2(assembled, where)
-        calls = []
+        payload = dh2core._payload
 
-        def failing_write(path, a):
-            calls.append(path)
-            if len(calls) == 3:
-                raise OSError("disk full")
-            return write_cmx(path, a)
+        def failing_payload(a):
+            stacks = payload(a)
+            yield next(stacks)
+            yield next(stacks)
+            raise OSError("disk full")
 
-        write_cmx = dh2core.write_cmx
-        monkeypatch.setattr(dh2core, "write_cmx", failing_write)
+        monkeypatch.setattr(dh2core, "_payload", failing_payload)
         with pytest.raises(OSError):
             save_dh2(assembled, where)
         with pytest.raises(FileNotFoundError):
@@ -339,3 +338,107 @@ class TestContainer:
         (where / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=missing):
             load_dh2(where)
+
+    def test_loaded_stacks_are_used_in_place(self, compressed_line, tmp_path, monkeypatch):
+        a, _ = compressed_line
+        save_dh2(a, tmp_path / "a")
+        read = []
+        read_payload = dh2core._read_payload
+
+        def recording_read(path, table):
+            payload = read_payload(path, table)
+            read.extend(m.base for d in payload.values() for m in d.values())
+            return payload
+
+        monkeypatch.setattr(dh2core, "_read_payload", recording_read)
+        loaded = load_dh2(tmp_path / "a")
+        views = [*loaded.coupling.values(), *loaded.nearfield.values()]
+        for basis in (loaded.row_basis, loaded.col_basis):
+            views += [*basis.leaf.values(), *basis.transfer.values()]
+        table = json.loads((tmp_path / "a" / "manifest.json").read_text())["stacks"]
+        assert len({id(v.base) for v in views}) == len(table)
+        # the matrix holds the arrays that were read, not copies of them
+        assert {id(v.base) for v in views} == {id(base) for base in read}
+        assert all(base.flags.owndata for base in read)
+
+
+def assert_rejected(where, match):
+    with pytest.raises(ValueError, match=match) as info:
+        load_dh2(where)
+    assert "\n" not in str(info.value)
+
+
+def edit_manifest(where, edit):
+    manifest = json.loads((where / "manifest.json").read_text())
+    edit(manifest)
+    (where / "manifest.json").write_text(json.dumps(manifest))
+
+
+class TestContainerChecks:
+    @pytest.fixture
+    def saved(self, compressed_line, tmp_path):
+        save_dh2(compressed_line[0], tmp_path / "a")
+        return tmp_path / "a"
+
+    @pytest.mark.parametrize("change", [-16, 16])
+    def test_payload_length_must_match_table(self, saved, change):
+        data = (saved / "payload.bin").read_bytes()
+        (saved / "payload.bin").write_bytes(data[:change] if change < 0 else data + bytes(change))
+        assert_rejected(saved, "payload.bin holds")
+
+    def test_unknown_category_rejected(self, saved):
+        edit_manifest(saved, lambda m: m["stacks"][0].__setitem__(0, "bogus"))
+        assert_rejected(saved, "unknown category 'bogus'")
+
+    def test_key_count_must_match_stack(self, saved):
+        def drop_key(manifest):
+            entry = next(e for e in manifest["stacks"] if len(e[2]) > 1)
+            entry[2].pop()
+
+        edit_manifest(saved, drop_key)
+        assert_rejected(saved, "keys")
+
+    @pytest.mark.parametrize("category", ["row_leaf", "col_transfer", "coupling", "nearfield"])
+    def test_shapes_must_match_ranks_and_cluster_sizes(self, saved, category):
+        # the slots of one stack are reshaped: key count and payload length
+        # still fit, the shapes no longer do
+        def reshape(manifest):
+            entry = next(e for e in manifest["stacks"] if e[0] == category and e[1][1] * e[1][2] > 1)
+            g, r, c = entry[1]
+            entry[1] = [g, 1, r * c] if r != 1 else [g, r * c, 1]
+
+        edit_manifest(saved, reshape)
+        assert_rejected(saved, f"{category} .* has shape")
+
+    @pytest.mark.parametrize("category", ["coupling", "nearfield"])
+    def test_block_without_payload_rejected(self, compressed_line, tmp_path, category):
+        a, _ = compressed_line
+        d = getattr(a, category)
+        first = min(d)
+        save_dh2(dataclasses.replace(a, **{category: {k: v for k, v in d.items() if k != first}}), tmp_path / "a")
+        assert_rejected(tmp_path / "a", f"{category} {first} has no payload")
+
+    def test_payload_without_block_rejected(self, compressed_line, tmp_path):
+        # a nearfield matrix for an admissible block would be applied as well
+        a, _ = compressed_line
+        b = a.blocks[a.blocks.admissible_leaves[0]]
+        extra = np.zeros((a.tree[b.t].size, a.tree[b.s].size), dtype=complex)
+        save_dh2(dataclasses.replace(a, nearfield={**a.nearfield, b.id: extra}), tmp_path / "a")
+        assert_rejected(tmp_path / "a", f"lacks: {b.id}")
+
+    def test_leaf_index_sets_must_partition(self, saved):
+        def duplicate_index(manifest):
+            leaf = next(c for c in manifest["tree"]["clusters"] if not c["sons"])
+            leaf["index_set"][0] = leaf["index_set"][1]
+
+        edit_manifest(saved, duplicate_index)
+        assert_rejected(saved, "do not partition")
+
+    def test_matvec_command_rejects_truncated_payload(self, saved, capsys):
+        from dirh2.cli import main
+
+        (saved / "payload.bin").write_bytes((saved / "payload.bin").read_bytes()[:-1])
+        assert main(["matvec", str(saved)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: payload.bin holds")
