@@ -15,6 +15,11 @@ small matrices only.  Each strip g is reduced to its triangular factor L
 (g = L Q^H, from the QR factorization of g^H), which has g's singular values
 and left singular vectors and no more columns than g has rows; the basis
 comes from the SVD of L, and no right singular vectors of g are formed.
+Clusters are visited one at a time, and all of a cluster's direction pairs
+are handled together: a leaf cluster reads its farfield strips with one
+accessor call over the union of their columns (the sets are disjoint,
+because the leaf blocks partition the matrix), and the cluster's
+triangular factors go through one ``svd`` call per factor shape.
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
 requested accuracy; with block-relative weighting every column group is
@@ -31,7 +36,8 @@ shape.
 
 Each (cluster, direction) result slot is written exactly once and parents
 only read their own sons; clusters are visited sons first in descending id
-order, and results are bitwise reproducible.
+order, a cluster's pairs in the order of ``used_directions``, and results
+are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -188,6 +194,19 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree, weighting: s
     return weights
 
 
+def _svd_by_shape(factors: dict) -> dict:
+    """Left singular vectors and singular values of every factor, from one
+    ``svd`` call per factor shape on the stack of that shape's factors."""
+    by_shape: dict[tuple[int, int], list] = {}
+    for key, f in factors.items():
+        by_shape.setdefault(f.shape, []).append(key)
+    out = {}
+    for keys in by_shape.values():
+        res = svd(np.stack([factors[key] for key in keys]))
+        out.update((key, (res.u[i], res.sigma[i])) for i, key in enumerate(keys))
+    return out
+
+
 def build_basis(
     access,
     tree: ClusterTree,
@@ -202,12 +221,18 @@ def build_basis(
     """Bottom-up construction of one orthogonal directional cluster basis.
 
     ``access`` must read sub-blocks of the matrix whose row space the basis
-    shall capture (pass an adjoint accessor for the column basis).  Each
-    pair's weighted strip g is reduced to its triangular factor L = R^H,
-    where g^H = Q R, and truncated through one ``svd`` of L; the floor
-    sigma_1 max(g.shape) eps keeps g's shape, and the reduced rows are
-    q^H g.  A pair's sorted farfield columns, the positions of each source
-    cluster's indices in them and its column weights come from one sort.
+    shall capture (pass an adjoint accessor for the column basis).
+    Clusters are visited sons first, in descending id order, with all
+    their direction pairs together.  A leaf cluster reads its pairs' strips
+    with one accessor call over their farfield columns side by side, and
+    each pair's strip is a column slice of that read.
+    Each pair's weighted strip g is reduced to its triangular factor
+    L = R^H, where g^H = Q R; the cluster's factors are grouped by shape
+    and truncated through one ``svd`` call per shape on their stack.  The
+    floor sigma_1 max(g.shape) eps keeps g's shape, and the reduced rows
+    are q^H g.  A pair's sorted farfield columns, the positions of each
+    source cluster's indices in them and its column weights come from one
+    sort.
     Without ``keep_reduced`` every pair's reduced rows and farfield columns
     are dropped once no parent pair reads them, so ``state.r`` ends empty.
 
@@ -244,44 +269,60 @@ def build_basis(
 
     for cid in sorted(used, reverse=True):  # sons before parents
         cluster = tree[cid]
-        for c in used[cid]:
-            key = (cid, c)
+        keys = [(cid, c) for c in used[cid]]
+        columns = [_sorted_columns(tree, groups[key]) for key in keys]
+        if cluster.is_leaf:
+            # the leaf blocks partition the matrix, so the directions' column
+            # sets are disjoint and one read of them side by side serves all
+            read = access(cluster.index_set, np.concatenate([fcols for fcols, _, _ in columns]))
+        strips = []
+        start = 0
+        for key, (fcols, inverse, offsets) in zip(keys, columns):
             items = groups[key]
-            fcols, inverse, offsets = _sorted_columns(tree, items)
             if cluster.is_leaf:
-                g = access(cluster.index_set, fcols)
+                g = read[:, start : start + fcols.size]
+                start += fcols.size
                 if cfg.weighting != "none":
                     w = np.empty(fcols.size)
                     w[inverse] = np.repeat([1.0 / block_weights[bid] for _, bid in items], np.diff(offsets))
                     g = g * w[None, :]
             else:
-                c2 = dirs.son_index(cluster.level, c)
+                c2 = dirs.son_index(cluster.level, key[1])
                 parts = []
                 for son in cluster.sons:
                     rs = state.r[(son, c2)]
                     pos = np.searchsorted(cols[(son, c2)], fcols)
                     parts.append(rs[:, pos])
                 g = np.vstack(parts)
-            if g.shape[0] == 0:
+            strips.append(g)
+        # g = L Q^H: L has g's singular values and left singular vectors, and
+        # at most as many columns as g has rows
+        factors = {
+            key: np.linalg.qr(g.conj().T, mode="r").conj().T for key, g in zip(keys, strips) if g.shape[0]
+        }
+        svds = _svd_by_shape(factors)
+
+        for key, g, (fcols, inverse, offsets) in zip(keys, strips, columns):
+            c = key[1]
+            items = groups[key]
+            if key not in svds:
                 k = 0
                 q = np.zeros((0, 0), dtype=np.complex128)
                 state.realized_eps[key] = 0.0
             else:
-                # g = L Q^H: L has g's singular values and left singular
-                # vectors, and at most as many columns as g has rows
-                res = svd(np.linalg.qr(g.conj().T, mode="r").conj().T)
+                u, sigma = svds[key]
                 tol = state.target_eps[key]
-                if res.sigma.size:
-                    tol = max(tol, res.sigma[0] * max(g.shape) * _EPS)
-                k = truncation_rank(res.sigma, tol, cfg.max_rank)
-                if k == cfg.max_rank and res.sigma.size > k and res.sigma[k] > tol:
+                if sigma.size:
+                    tol = max(tol, sigma[0] * max(g.shape) * _EPS)
+                k = truncation_rank(sigma, tol, cfg.max_rank)
+                if k == cfg.max_rank and sigma.size > k and sigma[k] > tol:
                     warnings.warn(
                         f"rank cap {cfg.max_rank} binds for cluster {cid}; "
                         "the accuracy target is not certified",
                         stacklevel=2,
                     )
-                q = res.u[:, :k].copy()  # a view would keep all of u alive
-                state.realized_eps[key] = float(res.sigma[k]) if k < res.sigma.size else 0.0
+                q = u[:, :k].copy()  # a view would keep the whole stack alive
+                state.realized_eps[key] = float(sigma[k]) if k < sigma.size else 0.0
             state.q[key] = q
             r = q.conj().T @ g
             if col_basis is not None:

@@ -455,14 +455,49 @@ def _read_payload(path: Path, table: list) -> dict:
     return payload
 
 
+def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
+    """The leaf blocks tile n x n when every cluster holds its sons' indices
+    and every pair of leaf clusters lies below exactly one leaf block.
+    Leaves are numbered depth first, so those below a cluster are a range."""
+    spans: dict[int, tuple[int, int]] = {}
+    order: list[int] = []
+
+    def number(cid: int) -> None:
+        c, lo = tree[cid], len(order)
+        if c.is_leaf:
+            order.append(cid)
+        elif not np.array_equal(np.sort(c.index_set), np.sort(np.concatenate([tree[s].index_set for s in c.sons]))):
+            raise ValueError(f"cluster {cid}'s index set is not its sons' together")
+        for son in c.sons:
+            number(son)
+        spans[cid] = (lo, len(order))
+
+    number(tree.root)
+    bids = [*bt.admissible_leaves, *bt.inadmissible_leaves]
+    t0, t1 = np.array([spans[bt[bid].t] for bid in bids], dtype=np.int64).reshape(-1, 2).T
+    s0, s1 = np.array([spans[bt[bid].s] for bid in bids], dtype=np.int64).reshape(-1, 2).T
+    # a block adds one on its rectangle: +1 and -1 at its corners, summed up
+    corners = np.zeros((len(order) + 1, len(order) + 1), dtype=np.int64)
+    for rows, cols, sign in ((t0, s0, 1), (t0, s1, -1), (t1, s0, -1), (t1, s1, 1)):
+        np.add.at(corners, (rows, cols), sign)
+    cover = corners.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
+    if (cover != 1).any():
+        i, j = np.argwhere(cover != 1)[0]
+        raise ValueError(
+            f"the leaf blocks do not tile n x n: they cover leaf clusters ({order[i]}, {order[j]}) {cover[i, j]} times"
+        )
+
+
 def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
-    """Raise a one-line ValueError unless the leaf clusters partition 0..n-1
-    and the payload holds a matrix for every admissible block, inadmissible
+    """Raise a one-line ValueError unless the leaf clusters partition 0..n-1,
+    every cluster holds its sons' indices, the leaf blocks tile n x n, and
+    the payload holds a matrix for every admissible block, inadmissible
     block, leaf pair and transfer, each of the shape that the ranks and
     cluster sizes give.  A matrix with no such place raises KeyError."""
     leaves = [c.index_set for c in tree.clusters if c.is_leaf]
     if not np.array_equal(np.sort(np.concatenate(leaves)), np.arange(tree[tree.root].size)):
         raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
+    _check_tiling(tree, bt)
     b, row, col = bt.blocks, ranks["row"], ranks["col"]
     shapes = {
         "coupling": {i: (row[(b[i].t, b[i].c_index)], col[(b[i].s, b[i].c_index)]) for i in bt.admissible_leaves},
@@ -488,8 +523,8 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
     """Read a DH2v2 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its index
     plans are rebuilt.  A container whose payload length, stack table,
-    shapes, block payloads or leaf index sets do not fit is rejected with a
-    one-line ValueError."""
+    shapes, block payloads, leaf index sets or block tiling do not fit is
+    rejected with a one-line ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("version") != "DH2v2":

@@ -27,7 +27,7 @@ _CMX_MAGIC = b"CMX1"
 
 @dataclass
 class SVDResult:
-    """Factorization a = u @ diag(sigma) @ v.conj().T.
+    """Factorization a = u @ diag(sigma) @ v.conj().T, per slot for a stack.
 
     ``u`` and ``v`` have orthonormal columns, ``sigma`` is real,
     non-negative and non-increasing.
@@ -42,11 +42,11 @@ def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
     # Make the largest-magnitude entry of every left singular vector real
     # and positive; the compensating phase goes into v so the product is
     # unchanged.  Serialized bases then do not depend on LAPACK's phase
-    # choices.
-    if u.shape[1] == 0:
+    # choices.  Stacks are handled matrix by matrix along the leading axes.
+    if u.shape[-1] == 0:
         return u, v
-    idx = np.argmax(np.abs(u), axis=0)
-    lead = u[idx, np.arange(u.shape[1])]
+    idx = np.argmax(np.abs(u), axis=-2)
+    lead = np.take_along_axis(u, idx[..., None, :], axis=-2)
     mag = np.abs(lead)
     phase = np.where(mag > 0.0, lead / np.where(mag > 0.0, mag, 1.0), 1.0)
     return u * phase.conj(), v * phase.conj()
@@ -55,8 +55,11 @@ def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def svd(a: np.ndarray) -> SVDResult:
     """Singular value decomposition with a deterministic sign convention.
 
-    Raises ``numpy.linalg.LinAlgError`` if the underlying iteration does
-    not converge.
+    ``a`` is one matrix or a stack of matrices along its leading axes; a
+    stack gives stacked ``u``, ``sigma`` and ``v``, each slot bitwise the
+    result of a call on that slot alone.  Raises
+    ``numpy.linalg.LinAlgError`` if the underlying iteration does not
+    converge.
     """
     a = np.asarray(a, dtype=np.complex128)
     if a.size == 0:
@@ -64,7 +67,7 @@ def svd(a: np.ndarray) -> SVDResult:
     if not np.isfinite(a).all():
         raise ValueError("svd input contains non-finite entries")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u, v = _canonical_signs(u, vh.conj().T)
+    u, v = _canonical_signs(u, vh.conj().swapaxes(-1, -2))
     return SVDResult(u=u, sigma=s, v=v)
 
 

@@ -266,29 +266,30 @@ class TestBuildBasis:
     @pytest.mark.parametrize("system", ["sphere512", "directional512"])
     def test_one_svd_per_basis_pair_in_each_pass(self, system, request, monkeypatch):
         # the benchmark traces compression.svd for its linalg.svd_* metrics;
-        # a pass that bypassed it would zero them without failing
+        # a pass that bypassed it would zero them without failing.  A call
+        # takes one factor or a stack of them, so factors are counted.
         import dirh2.compression
 
         *_, dense, tree, dirs, bt = request.getfixturevalue(system)
-        calls = [0]
+        factors = [0]
         passes = {}
 
         def counting_svd(a):
-            calls[0] += 1
+            factors[0] += a.shape[0] if a.ndim == 3 else 1
             return svd(a)
 
         def counting_pass(*args, **kwargs):
-            before = calls[0]
+            before = factors[0]
             basis, state = build_basis(*args, **kwargs)
-            passes[kwargs["side"]] = (calls[0] - before, len(basis.rank))
+            passes[kwargs["side"]] = (factors[0] - before, len(basis.rank))
             return basis, state
 
         monkeypatch.setattr(dirh2.compression, "svd", counting_svd)
         monkeypatch.setattr(dirh2.compression, "build_basis", counting_pass)
         compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
         assert set(passes) == {"row", "col"}
-        for svd_calls, pairs in passes.values():
-            assert svd_calls == pairs > 0
+        for svd_factors, pairs in passes.values():
+            assert svd_factors == pairs > 0
 
     def test_column_pass_weights_the_blocks_themselves(self):
         # the column pass reads the adjoint; without given weights it must
@@ -499,17 +500,22 @@ class TestDirectionalRegime:
 
     def test_reads_each_admissible_block_three_times(self, directional512):
         # once for its weight, once in the row strips, once in the column
-        # strips; the nearfield once
+        # strips; the nearfield once.  A leaf cluster reads the strips of
+        # all its directions in one call.
         _, dense, tree, dirs, bt = directional512
         read = [0]
+        calls = [0]
 
         def counting(rows, cols):
             read[0] += len(rows) * len(cols)
+            calls[0] += 1
             return dense[np.ix_(rows, cols)]
 
         compress(counting, tree, dirs, bt, CompressionConfig(eps=1e-4))
         area = lambda bids: sum(tree[bt[bid].t].size * tree[bt[bid].s].size for bid in bids)
         assert read[0] == 3 * area(bt.admissible_leaves) + area(bt.inadmissible_leaves)
+        leaves = lambda side: sum(tree[cid].is_leaf for cid in used_directions(tree, dirs, bt, side))
+        assert calls[0] == len(bt.admissible_leaves) + leaves("row") + leaves("col") + len(bt.inadmissible_leaves)
 
     def test_error_bound_sampled_with_direction_chains(self, directional512):
         _, dense, tree, dirs, bt = directional512

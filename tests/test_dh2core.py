@@ -434,6 +434,36 @@ class TestContainerChecks:
         edit_manifest(saved, duplicate_index)
         assert_rejected(saved, "do not partition")
 
+    def test_cluster_must_hold_its_sons_indices(self, saved):
+        def move_index(manifest):
+            clusters = manifest["tree"]["clusters"]
+            n = len(clusters[manifest["tree"]["root"]]["index_set"])
+            inner = next(c for c in clusters if c["sons"] and c["parent"] >= 0)
+            inner["index_set"][0] = next(i for i in range(n) if i not in inner["index_set"])
+
+        edit_manifest(saved, move_index)
+        assert_rejected(saved, "is not its sons' together")
+
+    def test_leaf_blocks_must_not_overlap(self, saved):
+        def duplicate_son(manifest):
+            nodes = manifest["blocks"]["nodes"]
+            parent, son = next((b, i) for b in nodes for i in b["sons"] if not nodes[i]["sons"])
+            nodes.append({**nodes[son], "id": len(nodes)})
+            parent["sons"].append(len(nodes) - 1)
+
+        edit_manifest(saved, duplicate_son)
+        assert_rejected(saved, r"do not tile n x n: .* 2 times")
+
+    def test_leaf_blocks_must_leave_no_gap(self, saved):
+        def drop_son(manifest):
+            nodes = manifest["blocks"]["nodes"]
+            last = nodes.pop()  # created after its parent, so a leaf
+            assert not last["sons"]
+            next(b for b in nodes if last["id"] in b["sons"])["sons"].remove(last["id"])
+
+        edit_manifest(saved, drop_son)
+        assert_rejected(saved, r"do not tile n x n: .* 0 times")
+
     def test_matvec_command_rejects_truncated_payload(self, saved, capsys):
         from dirh2.cli import main
 

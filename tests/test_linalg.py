@@ -89,6 +89,19 @@ class TestSvd:
         assert np.all(np.abs(lead.imag) < 1e-14)
         assert np.all(lead.real > 0)
 
+    @pytest.mark.parametrize("shape", [(6, 4), (4, 6), (1, 1)])
+    def test_stack_equals_per_matrix_calls(self, shape):
+        # compression truncates a cluster's factors of one shape in one call
+        rng = np.random.default_rng(17)
+        stack = np.stack([random_complex(rng, *shape) for _ in range(5)])
+        stack[2, :, -1] = 0.0  # a zero column; for 1 x 1 a zero matrix
+        res = svd(stack)
+        for a, u, sigma, v in zip(stack, res.u, res.sigma, res.v):
+            one = svd(a)
+            assert np.array_equal(u, one.u)
+            assert np.array_equal(sigma, one.sigma)
+            assert np.array_equal(v, one.v)
+
     def test_rejects_empty_and_nonfinite(self):
         with pytest.raises(ValueError):
             svd(np.zeros((0, 3)))
