@@ -5,7 +5,7 @@ Typical pipeline::
     mesh  = build_sphere_mesh(level)
     spec  = KernelSpec("slp", kappa)
     g     = assemble_dense_matrix(mesh, spec)
-    tree  = build_cluster_tree(mesh.midpoints, 16, mesh.support_radii)
+    tree  = build_cluster_tree(mesh.midpoints, 16)
     dirs  = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)],
                              kappa, eta1=20.0)
     bt    = build_block_tree(tree, dirs, kappa, 20.0, 5.0)
@@ -42,7 +42,6 @@ from .dh2core import (
 from .directions import (
     DirectionHierarchy,
     build_directions,
-    nearest_direction,
     project_to_sphere,
 )
 from .geometry import (
@@ -89,7 +88,6 @@ __all__ = [
     "kernel_value",
     "level_diameter",
     "load_dh2",
-    "nearest_direction",
     "power_iteration_norm",
     "project_to_sphere",
     "read_cmx",

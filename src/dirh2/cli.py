@@ -155,7 +155,7 @@ def _compression_run(
     access = lambda rows, cols: dense[np.ix_(rows, cols)]
 
     timings: dict[str, float] = {}
-    cfg = CompressionConfig(eps=eps, zeta=zeta, weighting="block-relative")
+    cfg = CompressionConfig(eps=eps, zeta=zeta)
     a = compress(access, tree, dirs, bt, cfg, seed=seed, timings=timings)
 
     rng = np.random.default_rng(seed)

@@ -22,9 +22,9 @@ because the leaf blocks partition the matrix), and the cluster's
 triangular factors go through one ``svd`` call per factor shape.
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
-requested accuracy; with block-relative weighting every column group is
-pre-divided by the spectral norm of the admissible block that contributed
-it.
+requested accuracy relative to its norm: every column group is pre-divided
+by the spectral norm of the admissible block that contributed it.  There
+is no rank cap.
 
 The column basis is built first.  The row pass then forms each coupling
 matrix while its pair's reduced rows are held: they are the row basis
@@ -43,7 +43,6 @@ are bitwise reproducible.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,22 +81,21 @@ _EPS = np.finfo(float).eps
 
 @dataclass
 class CompressionConfig:
+    """The block-relative accuracy ``eps`` and the per-level decay ``zeta`` of
+    the truncation tolerances; there is no rank cap."""
+
     eps: float
     zeta: float = 0.3
-    max_rank: int = 10**9
-    weighting: str = "block-relative"  # or "none"
 
     def validate(self, max_sons: int) -> None:
+        if not (np.isfinite(self.eps) and np.isfinite(self.zeta)):
+            raise ValueError(f"eps={self.eps} and zeta={self.zeta} must be finite")
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
         if self.zeta <= 0.0 or self.zeta * self.zeta * max(max_sons, 1) >= 1.0:
             raise ValueError(
                 f"zeta={self.zeta} too large for trees with up to {max_sons} sons"
             )
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if self.weighting not in ("none", "block-relative"):
-            raise ValueError(f"unknown weighting {self.weighting!r}")
 
 
 @dataclass
@@ -171,15 +169,13 @@ def farfield_sets(
     return groups, cols
 
 
-def compute_block_weights(access, tree: ClusterTree, bt: BlockTree, weighting: str) -> dict:
-    """Exact spectral norm per admissible block, or all ones for unweighted
-    compression.  The blocks are read once each into one stack per shape,
-    and each stack's norms come from one batched singular-value computation
-    without singular vectors; a zero block gets the weight 1.  The blocks
-    have at most a few dozen rows and columns, where reducing them by a
-    batched QR first costs more than it saves."""
-    if weighting == "none":
-        return {bid: 1.0 for bid in bt.admissible_leaves}
+def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
+    """Exact spectral norm per admissible block.  The blocks are read once
+    each into one stack per shape, and each stack's norms come from one
+    batched singular-value computation without singular vectors; a zero
+    block gets the weight 1.  The blocks have at most a few dozen rows and
+    columns, where reducing them by a batched QR first costs more than it
+    saves."""
     by_shape: dict[tuple[int, int], list[int]] = {}
     for bid in bt.admissible_leaves:
         b = bt[bid]
@@ -247,7 +243,7 @@ def build_basis(
     cfg.validate(max_sons)
     if block_weights is None:
         matrix = access if side == "row" else _adjoint_access(access)  # the weights are norms of A[t, s]
-        block_weights = compute_block_weights(matrix, tree, bt, cfg.weighting)
+        block_weights = compute_block_weights(matrix, tree, bt)
     used = used_directions(tree, dirs, bt, side)
     groups, shallowest = _farfield_groups(tree, dirs, bt, side, used)
     cols: dict = {}
@@ -282,10 +278,9 @@ def build_basis(
             if cluster.is_leaf:
                 g = read[:, start : start + fcols.size]
                 start += fcols.size
-                if cfg.weighting != "none":
-                    w = np.empty(fcols.size)
-                    w[inverse] = np.repeat([1.0 / block_weights[bid] for _, bid in items], np.diff(offsets))
-                    g = g * w[None, :]
+                w = np.empty(fcols.size)
+                w[inverse] = np.repeat([1.0 / block_weights[bid] for _, bid in items], np.diff(offsets))
+                g = g * w[None, :]
             else:
                 c2 = dirs.son_index(cluster.level, key[1])
                 parts = []
@@ -314,13 +309,7 @@ def build_basis(
                 tol = state.target_eps[key]
                 if sigma.size:
                     tol = max(tol, sigma[0] * max(g.shape) * _EPS)
-                k = truncation_rank(sigma, tol, cfg.max_rank)
-                if k == cfg.max_rank and sigma.size > k and sigma[k] > tol:
-                    warnings.warn(
-                        f"rank cap {cfg.max_rank} binds for cluster {cid}; "
-                        "the accuracy target is not certified",
-                        stacklevel=2,
-                    )
+                k = truncation_rank(sigma, tol)
                 q = u[:, :k].copy()  # a view would keep the whole stack alive
                 state.realized_eps[key] = float(sigma[k]) if k < sigma.size else 0.0
             state.q[key] = q
@@ -390,7 +379,7 @@ def compress(
     passing one keep working.  ``timings`` receives the wall time of the
     column pass ("col"), of the row pass with the couplings ("row") and of
     the nearfield reads ("projection")."""
-    weights = compute_block_weights(access, tree, bt, cfg.weighting)
+    weights = compute_block_weights(access, tree, bt)
 
     t0 = time.perf_counter()
     col_basis, col_state = build_basis(
@@ -434,11 +423,11 @@ def compress(
 # -- cross approximation baseline -------------------------------------------
 
 
-def aca_approximate(block: np.ndarray, tolerance: float, max_rank: int) -> tuple[np.ndarray, np.ndarray]:
+def aca_approximate(block: np.ndarray, tolerance: float) -> tuple[np.ndarray, np.ndarray]:
     """Fully pivoted cross approximation of an explicit block.
 
     Returns (a, b) with block ~= a @ b.conj().T; stops when the pivot drops
-    below tolerance times the first pivot or the rank cap is reached.
+    below tolerance times the first pivot or the residual is zero.
     """
     block = np.asarray(block, dtype=np.complex128)
     rows, cols = block.shape
@@ -446,7 +435,7 @@ def aca_approximate(block: np.ndarray, tolerance: float, max_rank: int) -> tuple
     a_parts: list[np.ndarray] = []
     b_parts: list[np.ndarray] = []
     first = 0.0
-    for _ in range(min(max_rank, rows, cols)):
+    for _ in range(min(rows, cols)):
         i, j = np.unravel_index(np.argmax(np.abs(residual)), residual.shape)
         pivot = residual[i, j]
         mag = abs(pivot)
@@ -531,12 +520,12 @@ class AcaMatrix:
         return max((a.shape[1] for a, _ in self.factors.values()), default=0)
 
 
-def aca_compress(access, tree: ClusterTree, bt: BlockTree, tolerance: float, max_rank: int = 10**9) -> AcaMatrix:
+def aca_compress(access, tree: ClusterTree, bt: BlockTree, tolerance: float) -> AcaMatrix:
     factors = {}
     for bid in bt.admissible_leaves:
         b = bt[bid]
         blk = access(tree[b.t].index_set, tree[b.s].index_set)
-        factors[bid] = aca_approximate(blk, tolerance, max_rank)
+        factors[bid] = aca_approximate(blk, tolerance)
     nearfield = {
         bid: access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
         for bid in bt.inadmissible_leaves

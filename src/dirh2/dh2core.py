@@ -63,6 +63,9 @@ __all__ = [
 ]
 
 
+DENSE_EXPANSION_CAP = 4096  # rows of the largest matrix expand_dense assembles
+
+
 # -- stacked storage and the grouped apply -----------------------------------
 
 # A stack of G matrices and where they act: stack[g] maps the entries
@@ -146,11 +149,13 @@ def stack_groups(d: dict, rows, cols) -> list[Group]:
     ]
 
 
-def apply_groups(out, inp, groups: list[Group], hermitian: bool = False, counter=None, name=None) -> None:
+def apply_groups(out, inp, groups: list[Group], hermitian: bool = False) -> None:
     """out[rows] += M @ inp[cols] for every stacked matrix M of ``groups``,
     or out[cols] += M^H @ inp[rows] when ``hermitian``: one batched product
     per group, summed into ``out`` in slot order.  M^H v is formed as
-    (v^H M)^H, which reads M in place."""
+    (v^H M)^H, which reads M in place.  ``DH2Matrix`` applies every stored
+    matrix through one call of this function per phase and level, so the
+    matrices a matvec applies are the slots of the groups passed here."""
     for stack, rows, cols in groups:
         if hermitian:
             prod = np.matmul(inp[rows].conj()[:, None, :], stack)[:, 0, :].conj()
@@ -158,8 +163,6 @@ def apply_groups(out, inp, groups: list[Group], hermitian: bool = False, counter
         else:
             prod = np.matmul(stack, inp[cols][:, :, None])[:, :, 0]
             np.add.at(out, rows, prod)
-        if counter is not None:
-            counter[name] += len(stack)
 
 
 def run_offsets(lengths: dict) -> tuple[dict, int]:
@@ -243,7 +246,7 @@ class DH2Matrix:
     def n(self) -> int:
         return self.tree[self.tree.root].size
 
-    def _apply(self, x: np.ndarray, hermitian: bool, counter) -> np.ndarray:
+    def _apply(self, x: np.ndarray, hermitian: bool) -> np.ndarray:
         """A x, or A^H x when ``hermitian``: the forward pass runs through the
         basis on the input side, the backward pass through the other one."""
         x = np.asarray(x, dtype=np.complex128)
@@ -251,23 +254,23 @@ class DH2Matrix:
             raise ValueError(f"expected a vector of length {self.n}")
         src, dst = (self._row, self._col) if hermitian else (self._col, self._row)
         xhat = np.zeros(src.size, dtype=np.complex128)
-        apply_groups(xhat, x, src.leaf, True, counter, "leaf")
+        apply_groups(xhat, x, src.leaf, True)
         for groups in reversed(src.transfer):
-            apply_groups(xhat, xhat, groups, True, counter, "transfer")
+            apply_groups(xhat, xhat, groups, True)
         yhat = np.zeros(dst.size, dtype=np.complex128)
-        apply_groups(yhat, xhat, self._coupling, hermitian, counter, "coupling")
+        apply_groups(yhat, xhat, self._coupling, hermitian)
         for groups in dst.transfer:
-            apply_groups(yhat, yhat, groups, False, counter, "transfer")
+            apply_groups(yhat, yhat, groups, False)
         y = np.zeros(self.n, dtype=np.complex128)
-        apply_groups(y, yhat, dst.leaf, False, counter, "leaf")
-        apply_groups(y, x, self._nearfield, hermitian, counter, "nearfield")
+        apply_groups(y, yhat, dst.leaf, False)
+        apply_groups(y, x, self._nearfield, hermitian)
         return y
 
-    def matvec(self, x: np.ndarray, counter=None) -> np.ndarray:
-        return self._apply(x, False, counter)
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, False)
 
-    def matvec_adjoint(self, x: np.ndarray, counter=None) -> np.ndarray:
-        return self._apply(x, True, counter)
+    def matvec_adjoint(self, x: np.ndarray) -> np.ndarray:
+        return self._apply(x, True)
 
     def stored_matrix_count(self) -> int:
         return (
@@ -309,11 +312,12 @@ def expand_factor(
     return out
 
 
-def expand_dense(a: DH2Matrix, cap: int = 4096) -> np.ndarray:
-    """Assemble the represented matrix block by block (test oracle)."""
+def expand_dense(a: DH2Matrix) -> np.ndarray:
+    """Assemble the represented matrix block by block (test oracle), up to
+    ``DENSE_EXPANSION_CAP`` rows."""
     n = a.n
-    if n > cap:
-        raise ValueError(f"dense expansion capped at {cap} rows, matrix has {n}")
+    if n > DENSE_EXPANSION_CAP:
+        raise ValueError(f"dense expansion capped at {DENSE_EXPANSION_CAP} rows, matrix has {n}")
     out = np.zeros((n, n), dtype=np.complex128)
     row_memo: dict = {}
     col_memo: dict = {}
@@ -489,11 +493,22 @@ def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
 
 
 def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
-    """Raise a one-line ValueError unless the leaf clusters partition 0..n-1,
-    every cluster holds its sons' indices, the leaf blocks tile n x n, and
-    the payload holds a matrix for every admissible block, inadmissible
-    block, leaf pair and transfer, each of the shape that the ranks and
-    cluster sizes give.  A matrix with no such place raises KeyError."""
+    """Raise a one-line ValueError unless the tree's depth fits its level
+    extents and the direction levels and son maps, the leaf clusters
+    partition 0..n-1, every cluster holds its sons' indices, the leaf blocks
+    tile n x n, and the payload holds a matrix for every admissible block,
+    inadmissible block, leaf pair and transfer, each of the shape that the
+    ranks and cluster sizes give.  A matrix with no such place raises
+    KeyError."""
+    depth, extents = tree.depth, tree.level_extents
+    if extents.shape != (depth + 1, 3) or len(dirs.levels) != depth + 1 or len(dirs.son_maps) != depth:
+        raise ValueError(
+            f"the tree has depth {depth} but level extents of shape {extents.shape}, "
+            f"{len(dirs.levels)} direction levels and {len(dirs.son_maps)} son maps"
+        )
+    for level, son_map in enumerate(dirs.son_maps):
+        if son_map.shape != (dirs.count(level),) or ((son_map < 0) | (son_map >= dirs.count(level + 1))).any():
+            raise ValueError(f"the son map of direction level {level} does not map into level {level + 1}")
     leaves = [c.index_set for c in tree.clusters if c.is_leaf]
     if not np.array_equal(np.sort(np.concatenate(leaves)), np.arange(tree[tree.root].size)):
         raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
@@ -522,34 +537,32 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 def load_dh2(directory: str | Path) -> DH2Matrix:
     """Read a DH2v2 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its index
-    plans are rebuilt.  A container whose payload length, stack table,
-    shapes, block payloads, leaf index sets or block tiling do not fit is
-    rejected with a one-line ValueError."""
+    plans are rebuilt.  A container whose manifest fields, depth, payload
+    length, stack table, shapes, block payloads, leaf index sets or block
+    tiling do not fit is rejected with a one-line ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if manifest.get("version") != "DH2v2":
         raise ValueError("not a DH2v2 container")
-    tm = manifest["tree"]
-    for name in ("support_min", "support_max"):
-        if any(name not in c for c in tm["clusters"]):
-            raise ValueError(f"container lacks the cluster field {name!r}: written before support boxes were stored")
-    for c in tm["clusters"]:
-        c.update({k: np.array(c[k], dtype=float) for k in _BOXES}, index_set=np.array(c["index_set"], dtype=np.int64))
-    tree = ClusterTree([Cluster(**c) for c in tm["clusters"]], tm["root"], tm["depth"], np.array(tm["level_extents"]))
-    dm = manifest["directions"]
-    dirs = DirectionHierarchy(
-        levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
-        son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
-    )
-    bm = manifest["blocks"]
-    blocks = [Block(**b) for b in bm["nodes"]]
-    leaves = ([b.id for b in blocks if b.status == status] for status in (ADMISSIBLE, INADMISSIBLE))
-    bt = BlockTree(blocks, bm["root"], *leaves, **{k: bm[k] for k in _BLOCK_PARAMETERS})
-    ranks = {side: {(cid, c): k for cid, c, k in manifest["rank"][side]} for side in ("row", "col")}
-    payload = _read_payload(directory / "payload.bin", manifest["stacks"])
     try:
+        tm = manifest["tree"]
+        clusters = tm["clusters"]
+        for c in clusters:  # a missing field, such as a support box, is a KeyError
+            c.update({k: np.array(c[k], dtype=float) for k in _BOXES}, index_set=np.array(c["index_set"], np.int64))
+        tree = ClusterTree([Cluster(**c) for c in clusters], tm["root"], tm["depth"], np.array(tm["level_extents"]))
+        dm = manifest["directions"]
+        dirs = DirectionHierarchy(
+            levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
+            son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
+        )
+        bm = manifest["blocks"]
+        blocks = [Block(**b) for b in bm["nodes"]]
+        leaves = ([b.id for b in blocks if b.status == status] for status in (ADMISSIBLE, INADMISSIBLE))
+        bt = BlockTree(blocks, bm["root"], *leaves, **{k: bm[k] for k in _BLOCK_PARAMETERS})
+        ranks = {side: {(cid, c): k for cid, c, k in manifest["rank"][side]} for side in ("row", "col")}
+        payload = _read_payload(directory / "payload.bin", manifest["stacks"])
         _check(tree, dirs, bt, ranks, payload)
-    except (IndexError, KeyError) as exc:
-        raise ValueError(f"the container names a cluster, block or rank it lacks: {exc}") from None
+    except (IndexError, KeyError, TypeError) as exc:
+        raise ValueError(f"the container is malformed or names a cluster, block or rank it lacks: {exc}") from None
     bases = [DirectionalClusterBasis(payload[f"{s}_leaf"], payload[f"{s}_transfer"], ranks[s]) for s in ("row", "col")]
     return DH2Matrix(tree, dirs, bt, *bases, payload["coupling"], payload["nearfield"])

@@ -18,7 +18,6 @@ __all__ = [
     "build_directions",
     "cube_surface_directions",
     "project_to_sphere",
-    "nearest_direction",
     "nearest_direction_index",
 ]
 
@@ -122,7 +121,3 @@ def nearest_direction_index(dirs: np.ndarray, z) -> int:
         return int(best[0])
     order = np.lexsort((dirs[best, 2], dirs[best, 1], dirs[best, 0]))
     return int(best[order[0]])
-
-
-def nearest_direction(dirs: np.ndarray, z) -> np.ndarray:
-    return np.asarray(dirs, dtype=float)[nearest_direction_index(dirs, z)]

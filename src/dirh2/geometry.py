@@ -26,6 +26,8 @@ __all__ = [
     "write_off",
 ]
 
+ASSEMBLY_CHUNK = 512  # rows per dense_block call in assemble_dense_matrix
+
 _OCTAHEDRON_VERTICES = np.array(
     [
         [1.0, 0.0, 0.0],
@@ -204,13 +206,14 @@ def dense_block(mesh: SurfaceMesh, spec: KernelSpec, rows, cols) -> np.ndarray:
     return block
 
 
-def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec, chunk: int = 512) -> np.ndarray:
-    """Full n-by-n surrogate matrix, assembled in row chunks."""
+def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec) -> np.ndarray:
+    """Full n-by-n surrogate matrix, assembled in chunks of
+    ``ASSEMBLY_CHUNK`` rows."""
     n = mesh.n_triangles
     out = np.empty((n, n), dtype=np.complex128)
     cols = np.arange(n)
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
+    for start in range(0, n, ASSEMBLY_CHUNK):
+        stop = min(start + ASSEMBLY_CHUNK, n)
         out[start:stop] = dense_block(mesh, spec, np.arange(start, stop), cols)
     return out
 

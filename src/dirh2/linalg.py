@@ -71,19 +71,16 @@ def svd(a: np.ndarray) -> SVDResult:
     return SVDResult(u=u, sigma=s, v=v)
 
 
-def truncation_rank(singular_values: np.ndarray, tolerance: float, max_rank: int) -> int:
-    """Smallest k with sigma_{k+1} <= tolerance, at least 1 while sigma_1 > 0,
-    capped at ``max_rank``."""
+def truncation_rank(singular_values: np.ndarray, tolerance: float) -> int:
+    """Smallest k with sigma_{k+1} <= tolerance, at least 1 while sigma_1 > 0."""
     if tolerance < 0.0:
         raise ValueError("tolerance must be >= 0")
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
     s = np.asarray(singular_values, dtype=float)
     if s.size == 0 or s[0] == 0.0:
         return 0
     below = np.nonzero(s <= tolerance)[0]
     k = int(below[0]) if below.size else int(s.size)
-    return min(max(k, 1), int(max_rank))
+    return max(k, 1)
 
 
 def power_iteration_norm(apply_a, apply_ah, dim: int, iterations: int, seed: int) -> float:

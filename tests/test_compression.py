@@ -255,7 +255,7 @@ class TestBuildBasis:
             shallowest = min(tree[owner(bid)].level for _, bid in state.groups[key])
             target = eps_base * cfg.zeta ** (cluster.level - shallowest)
             tol = max(target, sigma[0] * max(g.shape) * np.finfo(float).eps)
-            k_ref = truncation_rank(sigma, tol, cfg.max_rank)
+            k_ref = truncation_rank(sigma, tol)
             realized = sigma[k_ref] if k_ref < sigma.size else 0.0
             assert k == k_ref, key
             assert abs(state.target_eps[key] - target) <= 1e-12 * target, key
@@ -299,7 +299,7 @@ class TestBuildBasis:
         dense = assemble_dense_matrix(mesh, KernelSpec("dlp", 4.0))
         access = dense_accessor(dense.conj().T)
         cfg = CompressionConfig(eps=1e-4)
-        weights = compute_block_weights(dense_accessor(dense), tree, bt, cfg.weighting)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
         default, _ = build_basis(access, tree, dirs, bt, cfg, side="col")
         given, _ = build_basis(access, tree, dirs, bt, cfg, side="col", block_weights=weights)
         assert default.rank == given.rank
@@ -308,12 +308,6 @@ class TestBuildBasis:
             assert mine.keys() == theirs.keys()
             assert all(np.array_equal(mine[key], theirs[key]) for key in theirs), part
 
-    def test_rank_cap_warns(self, line256):
-        dense, tree, dirs, bt = line256
-        cfg = CompressionConfig(eps=1e-12, max_rank=1)
-        with pytest.warns(UserWarning, match="rank cap"):
-            build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
-
     def test_config_validation(self, line256):
         dense, tree, dirs, bt = line256
         access = dense_accessor(dense)
@@ -321,10 +315,10 @@ class TestBuildBasis:
             compress(access, tree, dirs, bt, CompressionConfig(eps=0.0))
         with pytest.raises(ValueError):
             compress(access, tree, dirs, bt, CompressionConfig(eps=1e-4, zeta=0.8))
-        with pytest.raises(ValueError):
-            compress(
-                access, tree, dirs, bt, CompressionConfig(eps=1e-4, weighting="huh")
-            )
+        # NaN passes every comparison with False, so it needs its own check
+        for eps, zeta in [(np.nan, 0.3), (np.inf, 0.3), (1e-4, np.nan), (1e-4, np.inf)]:
+            with pytest.raises(ValueError, match="finite"):
+                compress(access, tree, dirs, bt, CompressionConfig(eps=eps, zeta=zeta))
 
 
 class TestCompress:
@@ -404,7 +398,7 @@ class TestCompress:
     def test_weights_are_block_norm_estimates(self, request):
         for system in ("line256", "sphere512"):
             dense, tree, _, bt = request.getfixturevalue(system)
-            weights = compute_block_weights(dense_accessor(dense), tree, bt, "block-relative")
+            weights = compute_block_weights(dense_accessor(dense), tree, bt)
             assert set(weights) == set(bt.admissible_leaves)
             for bid in bt.admissible_leaves:
                 b = bt[bid]
@@ -486,10 +480,9 @@ class TestDirectionalRegime:
             for key, q in memo.items():
                 assert np.array_equal(q, expand_factor(basis, tree, dirs, *key))
 
-    @pytest.mark.parametrize("weighting", ["block-relative", "none"])
-    def test_couplings_are_projections_of_the_blocks(self, directional512, weighting):
+    def test_couplings_are_projections_of_the_blocks(self, directional512):
         _, dense, tree, dirs, bt = directional512
-        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4, weighting=weighting))
+        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
         assert set(a.coupling) == set(bt.admissible_leaves)
         for bid in bt.admissible_leaves:
             b = bt[bid]
@@ -532,12 +525,12 @@ class TestAca:
         u = rng.standard_normal(12) + 1j * rng.standard_normal(12)
         v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
         block = np.outer(u, v.conj())
-        a, b = aca_approximate(block, 1e-10, 10)
+        a, b = aca_approximate(block, 1e-10)
         assert a.shape[1] == 1
         assert np.linalg.norm(block - a @ b.conj().T) <= 1e-12 * np.linalg.norm(block)
 
     def test_zero_block(self):
-        a, b = aca_approximate(np.zeros((5, 7), dtype=complex), 1e-6, 10)
+        a, b = aca_approximate(np.zeros((5, 7), dtype=complex), 1e-6)
         assert a.shape == (5, 0)
         assert b.shape == (7, 0)
 
@@ -547,10 +540,10 @@ class TestAca:
         q2, _ = np.linalg.qr(rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64)))
         sigma = 2.0 ** -np.arange(64.0)
         block = (q1 * sigma) @ q2.conj().T
-        a, b = aca_approximate(block, 1e-6, 64)
+        a, b = aca_approximate(block, 1e-6)
         k_aca = a.shape[1]
         residual = np.linalg.norm(block - a @ b.conj().T, 2)
-        k_svd = truncation_rank(svd(block).sigma, residual, 64)
+        k_svd = truncation_rank(svd(block).sigma, residual)
         assert k_aca >= k_svd
 
     def test_tolerance_controls_residual(self):
@@ -558,7 +551,7 @@ class TestAca:
         q1, _ = np.linalg.qr(rng.standard_normal((32, 32)))
         q2, _ = np.linalg.qr(rng.standard_normal((32, 32)))
         block = ((q1 * 3.0 ** -np.arange(32.0)) @ q2.T).astype(complex)
-        a, b = aca_approximate(block, 1e-8, 32)
+        a, b = aca_approximate(block, 1e-8)
         assert np.linalg.norm(block - a @ b.conj().T, 2) <= 1e-6 * np.linalg.norm(block, 2)
 
     def test_rank_one_global_matrix(self, line256):

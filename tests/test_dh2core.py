@@ -60,6 +60,31 @@ def compressed_line():
     return a, dense
 
 
+def applied_per_category(a, apply, monkeypatch):
+    """Run ``apply`` on a zero vector with ``dh2core.apply_groups`` wrapped,
+    and count the matrices it applies per payload category: a stack belongs
+    to the category whose dict holds its slots."""
+    category = {}
+    for name, d in [
+        ("leaf", a.row_basis.leaf), ("leaf", a.col_basis.leaf),
+        ("transfer", a.row_basis.transfer), ("transfer", a.col_basis.transfer),
+        ("coupling", a.coupling), ("nearfield", a.nearfield),
+    ]:
+        category.update((id(m.base), name) for m in d.values())
+    applied = dict.fromkeys(["leaf", "transfer", "coupling", "nearfield"], 0)
+    inner = dh2core.apply_groups
+
+    def counting(out, inp, groups, hermitian=False):
+        for stack, _, _ in groups:
+            applied[category[id(stack)]] += len(stack)
+        inner(out, inp, groups, hermitian)
+
+    with monkeypatch.context() as m:
+        m.setattr(dh2core, "apply_groups", counting)
+        apply(np.zeros(a.n, dtype=complex))
+    return applied
+
+
 def rand_vec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
@@ -111,13 +136,18 @@ class TestMatvec:
         with pytest.raises(ValueError):
             assembled.matvec(np.zeros(assembled.n + 1, dtype=complex))
 
-    def test_each_stored_matrix_used_once(self, assembled):
-        counter = {"leaf": 0, "transfer": 0, "coupling": 0, "nearfield": 0}
-        assembled.matvec(np.zeros(assembled.n, dtype=complex), counter=counter)
-        assert sum(counter.values()) == assembled.stored_matrix_count()
-        counter = {"leaf": 0, "transfer": 0, "coupling": 0, "nearfield": 0}
-        assembled.matvec_adjoint(np.zeros(assembled.n, dtype=complex), counter=counter)
-        assert sum(counter.values()) == assembled.stored_matrix_count()
+    def test_each_stored_matrix_used_once(self, assembled, monkeypatch):
+        a = assembled
+        stored = {
+            "leaf": len(a.row_basis.leaf) + len(a.col_basis.leaf),
+            "transfer": len(a.row_basis.transfer) + len(a.col_basis.transfer),
+            "coupling": len(a.coupling),
+            "nearfield": len(a.nearfield),
+        }
+        for apply in (a.matvec, a.matvec_adjoint):
+            applied = applied_per_category(a, apply, monkeypatch)
+            assert sum(applied.values()) == a.stored_matrix_count()
+            assert applied == stored
 
 
 class TestTransferPaths:
@@ -136,12 +166,11 @@ class TestTransferPaths:
         err = np.linalg.norm(expand_dense(a) - dense, 2)
         assert err <= 1e-7 * np.linalg.norm(dense, 2)
 
-    def test_counter_covers_transfers(self, compressed_line):
+    def test_counter_covers_transfers(self, compressed_line, monkeypatch):
         a, _ = compressed_line
-        counter = {"leaf": 0, "transfer": 0, "coupling": 0, "nearfield": 0}
-        a.matvec(np.zeros(a.n, dtype=complex), counter=counter)
-        assert counter["transfer"] > 0
-        assert sum(counter.values()) == a.stored_matrix_count()
+        applied = applied_per_category(a, a.matvec, monkeypatch)
+        assert applied["transfer"] > 0
+        assert sum(applied.values()) == a.stored_matrix_count()
 
 
 class TestStackedStorage:
@@ -217,9 +246,10 @@ class TestExpandDense:
         )
         assert not expand_dense(z).any()
 
-    def test_cap(self, assembled):
-        with pytest.raises(ValueError):
-            expand_dense(assembled, cap=assembled.n - 1)
+    def test_cap(self, assembled, monkeypatch):
+        monkeypatch.setattr(dh2core, "DENSE_EXPANSION_CAP", assembled.n - 1)
+        with pytest.raises(ValueError, match="capped"):
+            expand_dense(assembled)
 
 
 class TestStorage:
@@ -463,6 +493,30 @@ class TestContainerChecks:
 
         edit_manifest(saved, drop_son)
         assert_rejected(saved, r"do not tile n x n: .* 0 times")
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(lambda m: m.pop("tree"), "malformed.*'tree'", id="no-tree"),
+            pytest.param(lambda m: m.pop("blocks"), "malformed.*'blocks'", id="no-blocks"),
+            pytest.param(lambda m: m.pop("rank"), "malformed.*'rank'", id="no-rank"),
+            pytest.param(lambda m: m["tree"]["clusters"][0].pop("level"), "malformed.*'level'", id="cluster-no-level"),
+            pytest.param(
+                lambda m: m["tree"]["clusters"][0].update(bogus=1), "malformed.*'bogus'", id="cluster-unknown-field"
+            ),
+            pytest.param(lambda m: m["directions"]["levels"].pop(), "direction levels", id="directions-short"),
+            pytest.param(lambda m: m["directions"]["son_maps"].pop(), "son maps", id="son-maps-short"),
+            pytest.param(
+                lambda m: m["directions"]["son_maps"][0].__setitem__(0, len(m["directions"]["levels"][1])),
+                "does not map into level 1",
+                id="son-map-out-of-range",
+            ),
+            pytest.param(lambda m: m["tree"]["level_extents"].pop(), "level extents", id="extents-short"),
+        ],
+    )
+    def test_malformed_manifest_rejected(self, saved, edit, match):
+        edit_manifest(saved, edit)
+        assert_rejected(saved, match)
 
     def test_matvec_command_rejects_truncated_payload(self, saved, capsys):
         from dirh2.cli import main

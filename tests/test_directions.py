@@ -4,7 +4,6 @@ import pytest
 from dirh2.directions import (
     build_directions,
     cube_surface_directions,
-    nearest_direction,
     nearest_direction_index,
     project_to_sphere,
 )
@@ -115,12 +114,12 @@ class TestBuildDirections:
 class TestNearestDirection:
     def test_dominant_axis(self):
         dirs = cube_surface_directions(1)
-        assert np.array_equal(nearest_direction(dirs, [0.9, 0.1, 0.0]), [1.0, 0, 0])
+        assert np.array_equal(dirs[nearest_direction_index(dirs, [0.9, 0.1, 0.0])], [1.0, 0, 0])
 
     def test_zero_set_returns_zero(self):
         dirs = np.zeros((1, 3))
-        assert np.array_equal(nearest_direction(dirs, [0.3, -0.4, 0.1]), np.zeros(3))
-        assert np.array_equal(nearest_direction(dirs, np.zeros(3)), np.zeros(3))
+        assert nearest_direction_index(dirs, [0.3, -0.4, 0.1]) == 0
+        assert nearest_direction_index(dirs, np.zeros(3)) == 0
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):

@@ -203,10 +203,11 @@ class TestDenseMatrix:
         cols = np.array([0, 5, 9])
         assert np.array_equal(dense_block(mesh, spec, rows, cols), g[np.ix_(rows, cols)])
 
-    def test_chunked_assembly_identical(self):
+    def test_chunked_assembly_identical(self, monkeypatch):
+        import dirh2.geometry
+
         mesh = build_sphere_mesh(2)
         spec = KernelSpec("slp", 2.0)
-        assert np.array_equal(
-            assemble_dense_matrix(mesh, spec, chunk=7),
-            assemble_dense_matrix(mesh, spec, chunk=512),
-        )
+        whole = assemble_dense_matrix(mesh, spec)
+        monkeypatch.setattr(dirh2.geometry, "ASSEMBLY_CHUNK", 7)
+        assert np.array_equal(assemble_dense_matrix(mesh, spec), whole)

@@ -111,31 +111,26 @@ class TestSvd:
 
 class TestTruncationRank:
     def test_threshold_between_sigma2_and_sigma3(self):
-        assert truncation_rank(np.array([5.0, 0.3, 1e-9]), 1e-4, 10) == 2
+        assert truncation_rank(np.array([5.0, 0.3, 1e-9]), 1e-4) == 2
 
     def test_zero_matrix(self):
-        assert truncation_rank(np.array([0.0, 0.0]), 1e-4, 10) == 0
-
-    def test_cap_binds(self):
-        assert truncation_rank(np.array([1.0, 0.5, 0.25, 0.125]), 0.2, 2) == 2
+        assert truncation_rank(np.array([0.0, 0.0]), 1e-4) == 0
 
     def test_at_least_one_when_positive(self):
-        assert truncation_rank(np.array([1e-9]), 1e-4, 10) == 1
+        assert truncation_rank(np.array([1e-9]), 1e-4) == 1
 
     def test_monotone_in_tolerance(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             s = np.sort(rng.random(8))[::-1]
             tols = np.sort(rng.random(2))
-            k_small = truncation_rank(s, tols[0], 8)
-            k_large = truncation_rank(s, tols[1], 8)
+            k_small = truncation_rank(s, tols[0])
+            k_large = truncation_rank(s, tols[1])
             assert k_large <= k_small
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            truncation_rank(np.array([1.0]), -1.0, 3)
-        with pytest.raises(ValueError):
-            truncation_rank(np.array([1.0]), 0.1, 0)
+            truncation_rank(np.array([1.0]), -1.0)
 
 
 class TestPowerIteration:
