@@ -28,7 +28,7 @@ for level in range(tree.depth + 1):
     sizes = [tree[c].size for c in ids]
     print(
         f"level {level}: {len(ids):4d} clusters, sizes {min(sizes)}..{max(sizes)}, "
-        f"box diameter {level_diameter(tree, level):.3f}"
+        f"largest support-box diameter {level_diameter(tree, level):.3f}"
     )
 
 print()

@@ -9,7 +9,7 @@ the parabolic and standard conditions hold,
 
 an inadmissible leaf when either cluster cannot be subdivided further, and
 is split into all son pairs otherwise.  B_t is the cluster's support box,
-the smallest box holding its points, not the padded cell around it.
+the smallest box holding its points.
 Admissible leaves carry the index of the level direction closest to the
 line between the box centers.
 """

@@ -30,7 +30,7 @@ fixed order: phase by phase, stacks in ascending (level and) shape order,
 and slots within a stack in ascending key order, which fixes the
 floating-point result.
 
-``save_dh2`` writes the stacks as they are into a DH2v2 container, and
+``save_dh2`` writes the stacks as they are into a DH2v3 container, and
 ``load_dh2`` checks them and hands them to the loaded matrix in place.
 """
 
@@ -366,11 +366,11 @@ def storage_report(a: DH2Matrix) -> StorageReport:
     return StorageReport(leaf, transfer, coupling, nearfield)
 
 
-# -- DH2v2 container --------------------------------------------------------
+# -- DH2v3 container --------------------------------------------------------
 
 _C16 = np.dtype("<c16")
 _CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
-_BOXES = ("cell_min", "cell_max", "support_min", "support_max")
+_BOXES = ("support_min", "support_max")
 _BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
 
 
@@ -389,8 +389,8 @@ def _payload(a: DH2Matrix):
 
 
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
-    """Write the DH2v2 container: a directory holding ``manifest.json`` (tree
-    with cell and support boxes, directions, block structure, ranks, and a
+    """Write the DH2v3 container: a directory holding ``manifest.json`` (tree
+    with support boxes, directions, block structure, ranks, and a
     table with one ``[category, [G, r, c], keys]`` entry per stack) and
     ``payload.bin`` (every stack in table order, in C order, as ``<c16``).
 
@@ -408,11 +408,10 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
             table.append([category, list(stack.shape), keys])
     os.replace(outdir / "payload.bin.tmp", outdir / "payload.bin")
     manifest = {
-        "version": "DH2v2",
+        "version": "DH2v3",
         "tree": {
             "root": a.tree.root,
             "depth": a.tree.depth,
-            "level_extents": a.tree.level_extents.tolist(),
             "clusters": [
                 {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(c).items()}
                 for c in a.tree.clusters
@@ -493,18 +492,16 @@ def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
 
 
 def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
-    """Raise a one-line ValueError unless the tree's depth fits its level
-    extents and the direction levels and son maps, the leaf clusters
-    partition 0..n-1, every cluster holds its sons' indices, the leaf blocks
-    tile n x n, and the payload holds a matrix for every admissible block,
-    inadmissible block, leaf pair and transfer, each of the shape that the
-    ranks and cluster sizes give.  A matrix with no such place raises
-    KeyError."""
-    depth, extents = tree.depth, tree.level_extents
-    if extents.shape != (depth + 1, 3) or len(dirs.levels) != depth + 1 or len(dirs.son_maps) != depth:
+    """Raise a one-line ValueError unless the tree's depth fits the
+    direction levels and son maps, the leaf clusters partition 0..n-1,
+    every cluster holds its sons' indices, the leaf blocks tile n x n, and
+    the payload holds a matrix for every admissible block, inadmissible
+    block, leaf pair and transfer, each of the shape that the ranks and
+    cluster sizes give.  A matrix with no such place raises KeyError."""
+    depth = tree.depth
+    if len(dirs.levels) != depth + 1 or len(dirs.son_maps) != depth:
         raise ValueError(
-            f"the tree has depth {depth} but level extents of shape {extents.shape}, "
-            f"{len(dirs.levels)} direction levels and {len(dirs.son_maps)} son maps"
+            f"the tree has depth {depth} but {len(dirs.levels)} direction levels and {len(dirs.son_maps)} son maps"
         )
     for level, son_map in enumerate(dirs.son_maps):
         if son_map.shape != (dirs.count(level),) or ((son_map < 0) | (son_map >= dirs.count(level + 1))).any():
@@ -535,21 +532,21 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 
 
 def load_dh2(directory: str | Path) -> DH2Matrix:
-    """Read a DH2v2 container (see ``save_dh2``).  The matrices are the slots
+    """Read a DH2v3 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its index
     plans are rebuilt.  A container whose manifest fields, depth, payload
     length, stack table, shapes, block payloads, leaf index sets or block
     tiling do not fit is rejected with a one-line ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("version") != "DH2v2":
-        raise ValueError("not a DH2v2 container")
+    if manifest.get("version") != "DH2v3":
+        raise ValueError(f"not a DH2v3 container: its version is {manifest.get('version')!r}")
     try:
         tm = manifest["tree"]
         clusters = tm["clusters"]
         for c in clusters:  # a missing field, such as a support box, is a KeyError
             c.update({k: np.array(c[k], dtype=float) for k in _BOXES}, index_set=np.array(c["index_set"], np.int64))
-        tree = ClusterTree([Cluster(**c) for c in clusters], tm["root"], tm["depth"], np.array(tm["level_extents"]))
+        tree = ClusterTree([Cluster(**c) for c in clusters], tm["root"], tm["depth"])
         dm = manifest["directions"]
         dirs = DirectionHierarchy(
             levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],

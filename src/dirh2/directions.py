@@ -1,10 +1,10 @@
 """Per-level direction sets obtained by projecting cube-face grids to the sphere.
 
 Level l gets directions fine enough that every unit vector is within
-eta1 / (kappa * delta_l) of the set, where delta_l is the level's box
-diameter.  Coarse levels (large boxes) get many directions, deep levels
-degenerate to the single zero direction, which recovers the standard
-non-directional structure.
+eta1 / (kappa * delta_l) of the set, where delta_l is the largest
+support-box diameter on the level.  Coarse levels (large boxes) get many
+directions, deep levels degenerate to the single zero direction, which
+recovers the standard non-directional structure.
 """
 
 from __future__ import annotations
@@ -74,20 +74,21 @@ def build_directions(level_diameters, kappa: float, eta1: float) -> DirectionHie
     """Direction sets plus nearest-neighbor son maps for every level.
 
     A level degenerates to {0} once a single grid square of the admissible
-    diagonal 2*eta1/(kappa*delta) covers a whole cube face; otherwise the
-    faces are split into the smallest grid meeting that diagonal.
+    diagonal 2*eta1/(kappa*delta) covers a whole cube face, and so does a
+    level of diameter 0 (point-sized clusters); otherwise the faces are
+    split into the smallest grid meeting that diagonal.
     """
     if eta1 <= 0.0:
         raise ValueError("eta1 must be positive")
     if kappa < 0.0:
         raise ValueError("kappa must be >= 0")
     deltas = np.asarray(level_diameters, dtype=float)
-    if (deltas <= 0.0).any():
-        raise ValueError("level diameters must be positive")
+    if not np.isfinite(deltas).all() or (deltas < 0.0).any():
+        raise ValueError("level diameters must be finite and >= 0")
 
     levels = []
     for delta in deltas:
-        if kappa == 0.0 or 2.0 * eta1 / (kappa * delta) >= 2.0 * np.sqrt(2.0):
+        if kappa * delta == 0.0 or 2.0 * eta1 / (kappa * delta) >= 2.0 * np.sqrt(2.0):
             levels.append(_zero_set())
         else:
             m = int(np.ceil(np.sqrt(2.0) * kappa * delta / eta1))

@@ -59,7 +59,6 @@ class SurfaceMesh:
     midpoints: np.ndarray = field(init=False)
     areas: np.ndarray = field(init=False)
     normals: np.ndarray = field(init=False)
-    support_radii: np.ndarray = field(init=False)  # max midpoint-to-vertex distance
 
     def __post_init__(self):
         corners = self.vertices[self.triangles]  # (nt, 3, 3)
@@ -68,9 +67,6 @@ class SurfaceMesh:
         norms = np.linalg.norm(cross, axis=1)
         self.areas = 0.5 * norms
         self.normals = cross / norms[:, None]
-        self.support_radii = np.linalg.norm(
-            corners - self.midpoints[:, None, :], axis=2
-        ).max(axis=1)
 
     @property
     def n_triangles(self) -> int:

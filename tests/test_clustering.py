@@ -56,11 +56,14 @@ class TestBuild:
 
     def test_points_inside_boxes(self):
         mesh = build_sphere_mesh(3)
-        tree = build_cluster_tree(mesh.midpoints, 16, mesh.support_radii)
+        tree = build_cluster_tree(mesh.midpoints, 16)
         for c in tree.clusters:
-            bmin, bmax = tree.box(c.id)
+            bmin, bmax = tree.support_box(c.id)
             pts = mesh.midpoints[c.index_set]
-            assert (pts >= bmin - 1e-12).all() and (pts <= bmax + 1e-12).all()
+            assert (pts >= bmin).all() and (pts <= bmax).all()
+            for s in c.sons:
+                smin, smax = tree.support_box(s)
+                assert (bmin <= smin).all() and (smax <= bmax).all()
 
     def test_skip_generation_keeps_invariants(self):
         # one tight blob plus a far point: the blob is split on its own
@@ -87,51 +90,14 @@ class TestBuild:
 
 
 class TestBoxes:
-    def test_translation_equivalence_exact(self):
+    def test_support_boxes_enclose_points_tightly(self):
         mesh = build_sphere_mesh(3)
-        tree = build_cluster_tree(mesh.midpoints, 16, mesh.support_radii)
-        for level in range(tree.depth + 1):
-            extents = []
-            for cid in tree.level_ids(level):
-                bmin, bmax = tree.box(cid)
-                extents.append(bmax - bmin)
-            extents = np.array(extents)
-            assert np.abs(extents - extents[0]).max() <= 1e-12
-
-    def test_son_box_growth(self):
-        mesh = build_sphere_mesh(4)
-        tree = build_cluster_tree(mesh.midpoints, 16, mesh.support_radii)
+        tree = build_cluster_tree(mesh.midpoints, 16)
         for c in tree.clusters:
-            for s in c.sons:
-                assert box_diameter(*tree.box(c.id)) <= 2.01 * box_diameter(
-                    *tree.box(s)
-                )
-
-    @pytest.mark.parametrize("radii", [False, True])
-    def test_support_boxes_enclose_points_tightly(self, radii):
-        mesh = build_sphere_mesh(3)
-        r = mesh.support_radii if radii else np.zeros(mesh.n_triangles)
-        tree = build_cluster_tree(mesh.midpoints, 16, r if radii else None)
-        for c in tree.clusters:
-            smin, smax = tree.support_box(c.id)
             pts = mesh.midpoints[c.index_set]
-            rad = r[c.index_set][:, None]
-            assert ((pts - rad) >= smin).all() and ((pts + rad) <= smax).all()
-            # tight: every face touches a support
-            assert np.array_equal((pts - rad).min(axis=0), smin)
-            assert np.array_equal((pts + rad).max(axis=0), smax)
-            bmin, bmax = tree.box(c.id)
-            assert (bmin <= smin + 1e-12).all() and (smax <= bmax + 1e-12).all()
-
-    def test_radius_padding_widens_boxes(self):
-        mesh = build_sphere_mesh(2)
-        plain = build_cluster_tree(mesh.midpoints, 16)
-        padded = build_cluster_tree(mesh.midpoints, 16, mesh.support_radii)
-        for level in range(plain.depth + 1):
-            assert np.all(
-                padded.level_extents[level]
-                >= plain.level_extents[level] + 2 * mesh.support_radii.max() - 1e-12
-            ) or np.all(padded.level_extents[level] >= plain.level_extents[level])
+            # tight: every face touches a point
+            assert np.array_equal(pts.min(axis=0), c.support_min)
+            assert np.array_equal(pts.max(axis=0), c.support_max)
 
 
 class TestLevelDiameter:
@@ -148,6 +114,13 @@ class TestLevelDiameter:
         tree = build_cluster_tree(mesh.midpoints, 16)
         deltas = [level_diameter(tree, l) for l in range(tree.depth + 1)]
         assert all(a >= b for a, b in zip(deltas, deltas[1:]))
+
+    def test_largest_support_box_on_level(self):
+        mesh = build_sphere_mesh(4)
+        tree = build_cluster_tree(mesh.midpoints, 16)
+        for level in range(tree.depth + 1):
+            diameters = [box_diameter(*tree.support_box(cid)) for cid in tree.level_ids(level)]
+            assert level_diameter(tree, level) == max(diameters)
 
     def test_out_of_range(self):
         tree = build_cluster_tree(unit_cube_grid(), 27)
@@ -167,4 +140,6 @@ class TestDump:
         assert rec["id"] == 0
         assert rec["parent"] == -1
         assert rec["count"] == 32
-        assert len(rec["box_min"]) == 3
+        rec = json.loads(lines[-1])
+        bmin, bmax = tree.support_box(rec["id"])
+        assert rec["box_min"] == bmin.tolist() and rec["box_max"] == bmax.tolist()

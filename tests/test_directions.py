@@ -107,8 +107,12 @@ class TestBuildDirections:
             build_directions([1.0], 1.0, 0.0)
         with pytest.raises(ValueError):
             build_directions([1.0], -1.0, 20.0)
-        with pytest.raises(ValueError):
-            build_directions([0.0], 1.0, 20.0)
+        # a level of point-sized clusters gets the zero direction
+        hier = build_directions([0.0], 1.0, 20.0)
+        assert hier.count(0) == 1 and not hier.levels[0].any()
+        for bad in (-1.0, np.nan):
+            with pytest.raises(ValueError):
+                build_directions([bad], 1.0, 20.0)
 
 
 class TestNearestDirection:

@@ -51,12 +51,6 @@ class TestSphereMesh:
             assert 1.0 / 1.2 <= ratio <= 1.2
             prev = cur
 
-    def test_support_radii_cover_vertices(self):
-        mesh = build_sphere_mesh(2)
-        corners = mesh.vertices[mesh.triangles]
-        dist = np.linalg.norm(corners - mesh.midpoints[:, None, :], axis=2)
-        assert (dist <= mesh.support_radii[:, None] + 1e-15).all()
-
     def test_level_bounds(self):
         with pytest.raises(ValueError):
             build_sphere_mesh(-1)
