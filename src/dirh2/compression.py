@@ -463,7 +463,7 @@ class AcaMatrix:
     """Blockwise low-rank approximation on the admissible leaves plus dense
     nearfield; the comparison baseline.
 
-    A block a b^H is applied as a (b^H x) through the grouped products of
+    A block a b^H is applied as a (b^H x) through the phase plans of
     ``dh2core``: the factors are stacked like the nested bases, with one run
     of coefficients per block between the two factors."""
 

@@ -17,18 +17,27 @@ through the column basis (the leaf matrices, then the transfer matrices
 level by level from the deepest level up), the coupling products, a
 top-down backward transformation through the row basis (transfer matrices
 from the top level down, then the leaf matrices), and the nearfield blocks.
-Each phase runs one batched product per stack, and every stored matrix is
-applied exactly once.  The adjoint runs the same phases with the roles of
-the two bases swapped and reads every block in place as (x^H M)^H.
+Every stored matrix is applied exactly once.  The adjoint runs the same
+phases with the roles of the two bases swapped and reads every block in
+place as (x^H M)^H.
+
+Each phase has a plan, built once with the container by ``stack_groups``:
+its row and its column indices, each joined in stack, slot and entry order,
+and for each side the product positions split into rounds.  Round j holds
+every entry's (j + 1)-th product, so no entry repeats within a round.  A
+phase gathers its input once, runs one batched product per stack into one
+buffer, and adds the buffer into its output with one duplicate-free ``+=``
+per round (``apply_groups``).
 
 The container is a frozen dataclass: construction stacks the payload, and
 its attributes cannot be reassigned afterwards.  A container with another
 payload is made with ``dataclasses.replace``, which stacks it anew; the
 dicts hold views of the stacks and must not be rebound key by key.  Matvecs
 keep all scratch per call, so concurrent reads are safe.  Sums run in a
-fixed order: phase by phase, stacks in ascending (level and) shape order,
-and slots within a stack in ascending key order, which fixes the
-floating-point result.
+fixed order, which fixes the floating-point result: phase by phase, and
+within a phase each output entry adds its products in stack order
+(ascending level and shape), slot order (ascending key) and entry order,
+since the rounds take them in that order.
 
 ``save_dh2`` writes the stacks as they are into a DH2v3 container, and
 ``load_dh2`` checks them and hands them to the loaded matrix in place.
@@ -66,11 +75,7 @@ __all__ = [
 DENSE_EXPANSION_CAP = 4096  # rows of the largest matrix expand_dense assembles
 
 
-# -- stacked storage and the grouped apply -----------------------------------
-
-# A stack of G matrices and where they act: stack[g] maps the entries
-# cols[g] of an input vector to the entries rows[g] of an output vector.
-Group = tuple[np.ndarray, np.ndarray, np.ndarray]
+# -- stacked storage and the phase plans --------------------------------------
 
 
 def _group_keys(shapes: dict) -> dict:
@@ -138,31 +143,106 @@ def _levels(tree: ClusterTree, transfer: dict) -> list[dict]:
     return by_level
 
 
-def stack_groups(d: dict, rows, cols) -> list[Group]:
-    """One Group per stack of ``d``'s matrices (see ``_stacks``): d[key] maps
-    the input entries cols(key) to the output entries rows(key), each given
-    as an index array or as the int offset of a run as long as the matrix
-    side.  Nothing is checked against ranks or cluster sizes."""
-    return [
-        (stack, _index([rows(k) for k in keys], stack.shape[1]), _index([cols(k) for k in keys], stack.shape[2]))
-        for keys, stack in _stacks(d)
-    ]
+@dataclass(frozen=True)
+class _Entries:
+    """One side of a phase: the vector entry of each product position, with
+    the positions split into rounds for adding into that vector.  Round j
+    holds each entry's (j + 1)-th position in phase order, so no entry
+    repeats within a round, and adding the rounds in turn sums each entry's
+    products in phase order."""
+
+    index: np.ndarray  # the entry of each position, in phase order
+    # the positions in round order, None when phase order is round order;
+    # int32 halves its bytes, and each round widens its part once
+    order: np.ndarray | None
+    ends: list[int]  # where each round ends in round order
+
+    def add(self, out: np.ndarray, prod: np.ndarray) -> None:
+        """out[index] += prod, one duplicate-free add per round."""
+        start = 0
+        for end in self.ends:
+            at = slice(start, end) if self.order is None else self.order[start:end].astype(np.intp)
+            out[self.index[at]] += prod[at]
+            start = end
 
 
-def apply_groups(out, inp, groups: list[Group], hermitian: bool = False) -> None:
-    """out[rows] += M @ inp[cols] for every stacked matrix M of ``groups``,
-    or out[cols] += M^H @ inp[rows] when ``hermitian``: one batched product
-    per group, summed into ``out`` in slot order.  M^H v is formed as
-    (v^H M)^H, which reads M in place.  ``DH2Matrix`` applies every stored
-    matrix through one call of this function per phase and level, so the
-    matrices a matvec applies are the slots of the groups passed here."""
-    for stack, rows, cols in groups:
+def _entries(index: np.ndarray) -> _Entries:
+    """The rounds of the entries ``index``, given in phase order."""
+    p = len(index)
+    by_entry = np.argsort(index, kind="stable")
+    entries = index[by_entry]
+    starts = np.flatnonzero(np.r_[True, entries[1:] != entries[:-1]])  # where each entry begins in by_entry
+    del entries
+    # the rank of a position: how many earlier positions hold the same entry
+    ranked = np.arange(p, dtype=np.int32)
+    ranked -= np.repeat(starts.astype(np.int32), np.diff(starts, append=p))
+    rank = np.empty(p, dtype=np.int32)
+    rank[by_entry] = ranked
+    del by_entry, starts, ranked
+    order = None if (rank[1:] >= rank[:-1]).all() else np.argsort(rank, kind="stable").astype(np.int32)
+    return _Entries(index, order, np.cumsum(np.bincount(rank)).tolist())
+
+
+@dataclass(frozen=True)
+class Phase:
+    """The plan of one pass over stacked matrices: the slot stacks[i][g]
+    maps the input entries at its place in ``cols`` to the output entries
+    at its place in ``rows``.  Both sides are joined in stack, slot and
+    entry order, the order in which ``apply_groups`` forms the products;
+    A adds into ``rows`` and A^H into ``cols``."""
+
+    stacks: list[np.ndarray]
+    rows: _Entries
+    cols: _Entries
+
+
+def stack_groups(d: dict, rows, cols) -> Phase:
+    """The phase plan of ``d``'s matrices, one stack per shape (see
+    ``_stacks``): d[key] maps the input entries cols(key) to the output
+    entries rows(key), each given as an index array or as the int offset of
+    a run as long as the matrix side.  Nothing is checked against ranks or
+    cluster sizes."""
+    pairs = _stacks(d)
+
+    def side(where, axis: int) -> _Entries:
+        parts = [_index([where(k) for k in keys], stack.shape[axis]).ravel() for keys, stack in pairs]
+        return _entries(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
+
+    return Phase([stack for _, stack in pairs], side(rows, 1), side(cols, 2))
+
+
+def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
+    """out[rows] += M @ inp[cols] for every stacked matrix M of ``phase``,
+    or out[cols] += M^H @ inp[rows] when ``hermitian``.  The input is
+    gathered once, before any output is written; each stack forms its
+    products into its part of one buffer; and the buffer is added into
+    ``out`` round by round, so every output entry sums its terms in stack,
+    slot and entry order.  M^H v is formed as (v^H M)^H, which reads M in
+    place.  ``DH2Matrix`` applies every stored matrix through one call of
+    this function per phase and level, so the matrices a matvec applies are
+    the stacks of the phases passed here."""
+    src, dst = (phase.rows, phase.cols) if hermitian else (phase.cols, phase.rows)
+    # One buffer holds the gathered input and the products: with two buffers
+    # of about one size, glibc's malloc returns its heap top to the system
+    # after each call and faults it in again on the next.
+    work = np.empty(len(src.index) + len(dst.index), dtype=np.complex128)
+    gather, prod = work[: len(src.index)], work[len(src.index) :]
+    gather[:] = inp[src.index]
+    if hermitian:
+        np.conjugate(gather, out=gather)
+    i = j = 0
+    for stack in phase.stacks:
+        g, r, c = stack.shape
+        k, m = (r, c) if hermitian else (c, r)  # entries read and written per slot
+        v, p = gather[i : i + g * k].reshape(g, k), prod[j : j + g * m]
         if hermitian:
-            prod = np.matmul(inp[rows].conj()[:, None, :], stack)[:, 0, :].conj()
-            np.add.at(out, cols, prod)
+            np.matmul(v[:, None, :], stack, out=p.reshape(g, 1, m))
         else:
-            prod = np.matmul(stack, inp[cols][:, :, None])[:, :, 0]
-            np.add.at(out, rows, prod)
+            np.matmul(stack, v[:, :, None], out=p.reshape(g, m, 1))
+        i, j = i + g * k, j + g * m
+    if hermitian:
+        np.conjugate(prod, out=prod)
+    dst.add(out, prod)
 
 
 def run_offsets(lengths: dict) -> tuple[dict, int]:
@@ -192,8 +272,8 @@ class DirectionalClusterBasis:
 class _BasisPlan:
     size: int  # coefficients of all (cluster, direction) pairs
     offsets: dict  # (cluster, direction) -> start of its coefficients
-    leaf: list[Group]  # rows: index-set entries, cols: coefficients
-    transfer: list[list[Group]]  # per son level; rows: son, cols: parent coefficients
+    leaf: Phase  # rows: index-set entries, cols: coefficients
+    transfer: list[Phase]  # per son level; rows: son, cols: parent coefficients
 
 
 @dataclass(frozen=True)
@@ -255,12 +335,12 @@ class DH2Matrix:
         src, dst = (self._row, self._col) if hermitian else (self._col, self._row)
         xhat = np.zeros(src.size, dtype=np.complex128)
         apply_groups(xhat, x, src.leaf, True)
-        for groups in reversed(src.transfer):
-            apply_groups(xhat, xhat, groups, True)
+        for phase in reversed(src.transfer):
+            apply_groups(xhat, xhat, phase, True)
         yhat = np.zeros(dst.size, dtype=np.complex128)
         apply_groups(yhat, xhat, self._coupling, hermitian)
-        for groups in dst.transfer:
-            apply_groups(yhat, yhat, groups, False)
+        for phase in dst.transfer:
+            apply_groups(yhat, yhat, phase, False)
         y = np.zeros(self.n, dtype=np.complex128)
         apply_groups(y, yhat, dst.leaf, False)
         apply_groups(y, x, self._nearfield, hermitian)
@@ -533,12 +613,14 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 
 def load_dh2(directory: str | Path) -> DH2Matrix:
     """Read a DH2v3 container (see ``save_dh2``).  The matrices are the slots
-    of the stacks as read, which the returned matrix uses in place; its index
+    of the stacks as read, which the returned matrix uses in place; its phase
     plans are rebuilt.  A container whose manifest fields, depth, payload
     length, stack table, shapes, block payloads, leaf index sets or block
     tiling do not fit is rejected with a one-line ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
+    if not isinstance(manifest, dict):
+        raise ValueError("not a DH2v3 container: manifest.json holds no JSON object")
     if manifest.get("version") != "DH2v3":
         raise ValueError(f"not a DH2v3 container: its version is {manifest.get('version')!r}")
     try:

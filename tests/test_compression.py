@@ -3,8 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import dense_accessor, line_system, sphere_system
+from conftest import assert_applies_as_reference, check_rounds, dense_accessor, line_system, sphere_system
 
+import dirh2.compression
 from dirh2.assembly import assemble_dh2_by_interpolation
 from dirh2.blocktree import used_directions
 from dirh2.compression import (
@@ -614,3 +615,10 @@ class TestAca:
         assert np.linalg.norm(aca.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
         refh = blockwise.conj().T @ x
         assert np.linalg.norm(aca.matvec_adjoint(x) - refh) <= 1e-12 * np.linalg.norm(refh)
+
+    def test_aca_apply_bitwise_as_reference(self, line256, monkeypatch):
+        dense, tree, _, bt = line256
+        aca = aca_compress(dense_accessor(dense), tree, bt, 1e-8)
+        assert_applies_as_reference(aca, dirh2.compression, monkeypatch)
+        for phase in (aca._left, aca._right, aca._nearfield):
+            check_rounds(phase)

@@ -4,6 +4,8 @@ import json
 import numpy as np
 import pytest
 
+from conftest import assert_applies_as_reference, check_rounds
+
 from dirh2.assembly import assemble_dh2_by_interpolation
 from dirh2.blocktree import build_block_tree
 from dirh2.clustering import build_cluster_tree, level_diameter
@@ -62,8 +64,8 @@ def compressed_line():
 
 def applied_per_category(a, apply, monkeypatch):
     """Run ``apply`` on a zero vector with ``dh2core.apply_groups`` wrapped,
-    and count the matrices it applies per payload category: a stack belongs
-    to the category whose dict holds its slots."""
+    and count the matrices of the phases it applies per payload category: a
+    stack belongs to the category whose dict holds its slots."""
     category = {}
     for name, d in [
         ("leaf", a.row_basis.leaf), ("leaf", a.col_basis.leaf),
@@ -74,10 +76,10 @@ def applied_per_category(a, apply, monkeypatch):
     applied = dict.fromkeys(["leaf", "transfer", "coupling", "nearfield"], 0)
     inner = dh2core.apply_groups
 
-    def counting(out, inp, groups, hermitian=False):
-        for stack, _, _ in groups:
+    def counting(out, inp, phase, hermitian=False):
+        for stack in phase.stacks:
             applied[category[id(stack)]] += len(stack)
-        inner(out, inp, groups, hermitian)
+        inner(out, inp, phase, hermitian)
 
     with monkeypatch.context() as m:
         m.setattr(dh2core, "apply_groups", counting)
@@ -87,6 +89,47 @@ def applied_per_category(a, apply, monkeypatch):
 
 def rand_vec(rng, n):
     return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def phases(a):
+    """Every phase plan of ``a``, each with whether its input and its output
+    are one vector (the transfer phases)."""
+    for plan in (a._row, a._col):
+        yield plan.leaf, False
+        yield from ((phase, True) for phase in plan.transfer)
+    yield a._coupling, False
+    yield a._nearfield, False
+
+
+@pytest.fixture(scope="module")
+def loaded_line(compressed_line, tmp_path_factory):
+    where = tmp_path_factory.mktemp("loaded") / "a"
+    save_dh2(compressed_line[0], where)
+    return load_dh2(where)
+
+
+@pytest.fixture(params=["compressed_line", "assembled", "loaded_line"])
+def matrix(request):
+    a = request.getfixturevalue(request.param)
+    return a[0] if isinstance(a, tuple) else a
+
+
+class TestPhasePlans:
+    """The phase plans against the grouped apply they replaced, which summed
+    every stack's products with ``np.add.at`` in slot order."""
+
+    def test_applies_bitwise_as_reference(self, matrix, monkeypatch):
+        assert_applies_as_reference(matrix, dh2core, monkeypatch)
+
+    def test_rounds_repeat_no_entry(self, matrix):
+        for phase, _ in phases(matrix):
+            check_rounds(phase)
+
+    def test_transfer_phases_never_gather_what_they_scatter(self, matrix):
+        # compressed_line has transfer matrices (its fixture asserts it)
+        for phase, same_vector in phases(matrix):
+            if same_vector:
+                assert not np.intersect1d(phase.rows.index, phase.cols.index).size
 
 
 class TestMatvec:
@@ -320,6 +363,14 @@ class TestContainer:
         assert files1 == files2
         for name in files1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
+
+    @pytest.mark.parametrize("manifest", [[], "DH2v3", 3])
+    def test_manifest_must_be_an_object(self, assembled, tmp_path, manifest):
+        where = tmp_path / "a"
+        save_dh2(assembled, where)
+        (where / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=r"^not a DH2v3 container: manifest.json holds no JSON object$"):
+            load_dh2(where)
 
     def test_version_check(self, assembled, tmp_path):
         where = tmp_path / "a"
