@@ -11,7 +11,15 @@ an inadmissible leaf when either cluster cannot be subdivided further, and
 is split into all son pairs otherwise.  B_t is the cluster's support box,
 the smallest box holding its points.
 Admissible leaves carry the index of the level direction closest to the
-line between the box centers.
+line between the box centers, an exact tie going to the lexicographically
+smallest direction (``directions.nearest_direction_index``).
+
+``build_block_tree`` decides all pairs of one level at once: the box
+functions and ``is_admissible`` take arrays of boxes as well as single
+boxes, with one rule for both, and the directions of a level's admissible
+blocks come from one ``nearest_direction_index`` call.  Distances and
+diameters are the norms of ``directions.vector_norms``, which are those
+of ``np.linalg.norm`` on each single vector.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .clustering import ClusterTree
-from .directions import DirectionHierarchy, nearest_direction_index
+from .directions import DirectionHierarchy, nearest_direction_index, vector_norms
 
 __all__ = [
     "Block",
@@ -69,25 +77,28 @@ class BlockTree:
         return len(self.blocks)
 
 
-def box_distance(bmin_t, bmax_t, bmin_s, bmax_s) -> float:
-    gap = np.maximum(0.0, np.maximum(bmin_t - bmax_s, bmin_s - bmax_t))
-    return float(np.linalg.norm(gap))
+def box_distance(bmin_t, bmax_t, bmin_s, bmax_s):
+    """Euclidean distance of two boxes, over the leading axes of the corner
+    arrays (a float for single boxes)."""
+    gap = np.maximum(0.0, np.maximum(np.subtract(bmin_t, bmax_s), np.subtract(bmin_s, bmax_t)))
+    return vector_norms(gap)
 
 
-def box_diameter(bmin, bmax) -> float:
-    return float(np.linalg.norm(np.asarray(bmax) - np.asarray(bmin)))
+def box_diameter(bmin, bmax):
+    """Length of the box diagonal, over the leading axes of the corner arrays."""
+    return vector_norms(np.subtract(bmax, bmin))
 
 
-def is_admissible(box_t, box_s, kappa: float, eta2: float, parabolic: bool = True) -> bool:
+def is_admissible(box_t, box_s, kappa: float, eta2: float, parabolic: bool = True):
+    """Whether the boxes (bmin, bmax) meet the conditions of the module
+    docstring; a bool array over the leading axes of the corner arrays."""
     dist = box_distance(box_t[0], box_t[1], box_s[0], box_s[1])
-    if dist <= 0.0:  # touching boxes, even point-sized ones, share a singularity
-        return False
-    diam = max(box_diameter(*box_t), box_diameter(*box_s))
-    if diam > eta2 * dist:
-        return False
-    if parabolic and kappa * diam * diam > eta2 * dist:
-        return False
-    return True
+    diam = np.maximum(box_diameter(*box_t), box_diameter(*box_s))
+    # touching boxes, even point-sized ones, share a singularity
+    ok = (dist > 0.0) & (diam <= eta2 * dist)
+    if parabolic:
+        ok &= kappa * diam * diam <= eta2 * dist
+    return ok
 
 
 def build_block_tree(
@@ -98,41 +109,66 @@ def build_block_tree(
     eta2: float,
     parabolic: bool = True,
 ) -> BlockTree:
-    """Recursive descent from the root pair, subdividing only inadmissible
-    pairs whose clusters both have sons."""
+    """Descent from the root pair, subdividing only inadmissible pairs whose
+    clusters both have sons.
+
+    The pairs of one level are decided together, in arrays; son pairs
+    follow their parent in the order (sons of t) x (sons of s).  Blocks are
+    then numbered depth first: a block, then the blocks of its first son
+    pair, then those of the next."""
     if dirs.depth < tree.depth:
         raise ValueError("direction hierarchy is shallower than the cluster tree")
+    for name, value in (("eta1", eta1), ("eta2", eta2)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0")
+    if not (np.isfinite(kappa) and kappa >= 0.0):
+        raise ValueError("kappa must be finite and >= 0")
+
+    bmin = np.array([c.support_min for c in tree.clusters])
+    bmax = np.array([c.support_max for c in tree.clusters])
+    center = 0.5 * (bmin + bmax)
+    n_sons = np.array([len(c.sons) for c in tree.clusters])
+    first_son = np.cumsum(n_sons) - n_sons
+    sons = np.array([s for c in tree.clusters for s in c.sons], dtype=np.int64)
+
+    # per level, as lists: the pairs (t, s), their status and direction
+    # index, and where in the next level their son pairs start and how many
+    levels = []
+    t = s = np.array([tree.root])
+    while t.size:
+        admissible = is_admissible((bmin[t], bmax[t]), (bmin[s], bmax[s]), kappa, eta2, parabolic)
+        c_index = np.full(t.size, -1, dtype=np.int64)
+        if admissible.any():
+            c_index[admissible] = nearest_direction_index(
+                dirs.levels[len(levels)], center[t[admissible]] - center[s[admissible]]
+            )
+        split = ~admissible & (n_sons[t] > 0) & (n_sons[s] > 0)
+        status = np.where(admissible, ADMISSIBLE, np.where(split, SUBDIVIDED, INADMISSIBLE))
+        count = np.where(split, n_sons[t] * n_sons[s], 0)
+        first = np.cumsum(count) - count
+        levels.append([a.tolist() for a in (t, s, status, c_index, first, count)])
+        # son pair k of pair i: son k // n_s of t_i with son k % n_s of s_i
+        parent = np.repeat(np.arange(t.size), count)
+        k = np.arange(count.sum()) - first[parent]
+        n_s = n_sons[s[parent]]
+        t, s = sons[first_son[t[parent]] + k // n_s], sons[first_son[s[parent]] + k % n_s]
 
     blocks: list[Block] = []
-    admissible: list[int] = []
-    inadmissible: list[int] = []
 
-    def descend(t: int, s: int) -> int:
+    def number(level: int, i: int) -> int:
+        t, s, status, c_index, first, count = levels[level]
         bid = len(blocks)
-        blocks.append(Block(id=bid, t=t, s=s, status=SUBDIVIDED))
-        ct, cs = tree[t], tree[s]
-        if is_admissible(tree.support_box(t), tree.support_box(s), kappa, eta2, parabolic):
-            level_dirs = dirs.levels[ct.level]
-            blocks[bid].status = ADMISSIBLE
-            blocks[bid].c_index = nearest_direction_index(
-                level_dirs, tree.center(t) - tree.center(s)
-            )
-            admissible.append(bid)
-        elif ct.is_leaf or cs.is_leaf:
-            blocks[bid].status = INADMISSIBLE
-            inadmissible.append(bid)
-        else:
-            for t2 in ct.sons:
-                for s2 in cs.sons:
-                    blocks[bid].sons.append(descend(t2, s2))
+        blocks.append(None)
+        son_ids = [number(level + 1, k) for k in range(first[i], first[i] + count[i])]
+        blocks[bid] = Block(bid, t[i], s[i], status[i], c_index[i], son_ids)
         return bid
 
-    root = descend(tree.root, tree.root)
+    number(0, 0)
     return BlockTree(
         blocks=blocks,
-        root=root,
-        admissible_leaves=admissible,
-        inadmissible_leaves=inadmissible,
+        root=0,
+        admissible_leaves=[b.id for b in blocks if b.status == ADMISSIBLE],
+        inadmissible_leaves=[b.id for b in blocks if b.status == INADMISSIBLE],
         kappa=kappa,
         eta1=eta1,
         eta2=eta2,

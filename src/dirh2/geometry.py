@@ -4,7 +4,10 @@ The dense matrix built here is the reference object every approximation in
 this package is measured against.  It uses a one-point midpoint rule per
 triangle, so entries are cheap and fully reproducible; the diagonal uses an
 equivalent-disk rule for the single layer and a flat-panel limit for the
-double layer.
+double layer.  ``dense_block`` evaluates a block in real arithmetic on
+(rows, cols) arrays, one cos and one sin per entry, and its docstring fixes
+the order of every sum and product, so a block has the same bits however
+it is cut out of the matrix.
 """
 
 from __future__ import annotations
@@ -178,27 +181,63 @@ def dense_block(mesh: SurfaceMesh, spec: KernelSpec, rows, cols) -> np.ndarray:
     Off-diagonal: kernel(midpoint_i, midpoint_j) * area_i * area_j.
     Diagonal: the fixed self-term rules (slp) / flat-panel zero plus the
     lumped mass term (dlp).
+
+    The entries are computed in real arithmetic on (rows, cols) arrays, in
+    this order, which defines their bits.  With d = x_i - y_j,
+
+        r   = sqrt((dx*dx + dy*dy) + dz*dz)
+        g   = (cos(kappa*r) * s, sin(kappa*r) * s),  s = 1 / (4*pi*r)
+        dn  = (dx*nx + dz*nz) + dy*ny,                n the normal at y_j
+        dlp: g = ((g_r + (kappa*r)*g_i) * q * dn, (g_i - (kappa*r)*g_r) * q * dn),
+             q = 1 / (r*r)
+        entry = (g * area_i) * area_j,
+
+    each product taken left to right and applied to both parts of g.
+    These are the bits of the complex form exp(1j*kappa*r) / (4*pi*r) (slp)
+    and (1 - 1j*kappa*r) * g / r**2 * dn (dlp), because numpy divides and
+    multiplies a complex by a real number part by part, and dn is summed in
+    the order numpy 2.4's ``einsum("ijk,jk->ij")`` sums it.  Only the sign
+    of a zero imaginary part can differ from the complex form (dlp at
+    kappa = 0).
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    xm = mesh.midpoints[rows]
-    ym = mesh.midpoints[cols]
-    d = xm[:, None, :] - ym[None, :, :]
-    r = np.linalg.norm(d, axis=2)
-    same = rows[:, None] == cols[None, :]
-    r_safe = np.where(same, 1.0, r)
-    kappa = spec.kappa
-    g = np.exp(1j * kappa * r_safe) / (4.0 * np.pi * r_safe)
+    # d[k] is coordinate k of x_i - y_j, a contiguous (rows, cols) array;
+    # without order="C" numpy would keep the coordinate innermost, as in its inputs
+    d = np.subtract(mesh.midpoints[rows].T[:, :, None], mesh.midpoints[cols].T[:, None, :], order="C")
     if spec.kind == "dlp":
-        dn = np.einsum("ijk,jk->ij", d, mesh.normals[cols])
-        g = (1.0 - 1j * kappa * r_safe) * g / r_safe**2 * dn
-    block = g * mesh.areas[rows][:, None] * mesh.areas[cols][None, :]
-    if same.any():
-        if spec.kind == "slp":
-            diag = _slp_diagonal(mesh.areas[rows])
-        else:
-            diag = 0.5 * mesh.areas[rows]  # G_dlp self term is 0, M/2 remains
-        block[same] = np.broadcast_to(diag[:, None], block.shape)[same]
+        p = d * mesh.normals[cols].T[:, None, :]
+        dn = p[0] + p[2]
+        dn += p[1]
+    d *= d
+    r = d[0] + d[1]
+    r += d[2]
+    np.sqrt(r, out=r)
+    di, dj = np.nonzero(rows[:, None] == cols)
+    r[di, dj] = 1.0  # diagonal entries are set by their own rules below
+    kr = spec.kappa * r
+    g, s = d[:2], d[2]  # real and imaginary part, and a scale, in d's memory
+    np.cos(kr, out=g[0])
+    np.sin(kr, out=g[1])
+    np.multiply(4.0 * np.pi, r, out=s)
+    np.divide(1.0, s, out=s)
+    g *= s
+    if spec.kind == "dlp":
+        krg = kr * g[::-1]  # (kappa*r*g_i, kappa*r*g_r)
+        g[0] += krg[0]
+        g[1] -= krg[1]
+        np.multiply(r, r, out=s)
+        np.divide(1.0, s, out=s)
+        g *= s
+        g *= dn
+    g *= mesh.areas[rows][:, None]
+    areas = mesh.areas[cols]
+    block = np.empty(r.shape, dtype=np.complex128)
+    np.multiply(g[0], areas, out=block.real)
+    np.multiply(g[1], areas, out=block.imag)
+    if di.size:
+        areas = mesh.areas[rows[di]]
+        block[di, dj] = _slp_diagonal(areas) if spec.kind == "slp" else 0.5 * areas  # dlp: G's self term is 0, M/2 remains
     return block
 
 

@@ -1,6 +1,6 @@
 import numpy as np
 
-from dirh2.blocktree import build_block_tree
+from dirh2.blocktree import ADMISSIBLE, INADMISSIBLE, SUBDIVIDED, build_block_tree
 from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.directions import build_directions
 from dirh2.geometry import build_sphere_mesh
@@ -8,13 +8,13 @@ from dirh2.geometry import build_sphere_mesh
 ETA1, ETA2 = 20.0, 5.0
 
 
-def sphere_system(level, kappa, leaf_size=16, parabolic=True):
+def sphere_system(level, kappa, leaf_size=16, parabolic=True, eta1=ETA1):
     """Mesh, cluster tree, directions and block tree for the sphere setups."""
     mesh = build_sphere_mesh(level)
     tree = build_cluster_tree(mesh.midpoints, leaf_size)
     deltas = [level_diameter(tree, l) for l in range(tree.depth + 1)]
-    dirs = build_directions(deltas, kappa, ETA1)
-    bt = build_block_tree(tree, dirs, kappa, ETA1, ETA2, parabolic=parabolic)
+    dirs = build_directions(deltas, kappa, eta1)
+    bt = build_block_tree(tree, dirs, kappa, eta1, ETA2, parabolic=parabolic)
     return mesh, tree, dirs, bt
 
 
@@ -89,3 +89,79 @@ def check_rounds(phase):
         by_entry = np.argsort(entries, kind="stable")
         same = entries[by_entry][1:] == entries[by_entry][:-1]
         assert (order[by_entry][1:][same] > order[by_entry][:-1][same]).all()
+
+
+def reference_nearest_direction_index(dirs, z):
+    """``nearest_direction_index`` as it was before it took arrays: one
+    vector, normalized by ``np.linalg.norm``, one scan of the directions."""
+    if dirs.shape[0] == 1 and not dirs[0].any():
+        return 0
+    z = np.asarray(z, dtype=float)
+    dist = np.linalg.norm(dirs - z / np.linalg.norm(z), axis=1)
+    best = np.nonzero(dist == dist.min())[0]
+    if best.size == 1:
+        return int(best[0])
+    order = np.lexsort((dirs[best, 2], dirs[best, 1], dirs[best, 0]))
+    return int(best[order[0]])
+
+
+def is_exact_tie(dirs, z):
+    """Whether two or more directions are nearest to z/||z|| in the
+    distances of ``reference_nearest_direction_index``."""
+    dist = np.linalg.norm(dirs - z / np.linalg.norm(z), axis=1)
+    return bool(dirs.shape[0] > 1 and (dist == dist.min()).sum() > 1)
+
+
+def _reference_is_admissible(box_t, box_s, kappa, eta2, parabolic):
+    gap = np.maximum(0.0, np.maximum(box_t[0] - box_s[1], box_s[0] - box_t[1]))
+    dist = float(np.linalg.norm(gap))
+    if dist <= 0.0:
+        return False
+    diam = max(float(np.linalg.norm(box_t[1] - box_t[0])), float(np.linalg.norm(box_s[1] - box_s[0])))
+    if diam > eta2 * dist:
+        return False
+    return not (parabolic and kappa * diam * diam > eta2 * dist)
+
+
+def reference_block_tree(tree, dirs, kappa, eta2, parabolic=True):
+    """The block tree as ``build_block_tree`` built it before it decided a
+    level at once: a recursive descent that decides one pair at a time.
+    Returns (id, t, s, status, c_index, sons) per block."""
+    blocks = []
+
+    def descend(t, s):
+        bid = len(blocks)
+        block = [bid, t, s, SUBDIVIDED, -1, []]
+        blocks.append(block)
+        ct, cs = tree[t], tree[s]
+        if _reference_is_admissible(tree.support_box(t), tree.support_box(s), kappa, eta2, parabolic):
+            block[3] = ADMISSIBLE
+            block[4] = reference_nearest_direction_index(dirs.levels[ct.level], tree.center(t) - tree.center(s))
+        elif ct.is_leaf or cs.is_leaf:
+            block[3] = INADMISSIBLE
+        else:
+            block[5] = [descend(t2, s2) for t2 in ct.sons for s2 in cs.sons]
+        return bid
+
+    descend(tree.root, tree.root)
+    return [tuple(b) for b in blocks]
+
+
+def reference_dense_block(mesh, spec, rows, cols):
+    """``dense_block`` as it was before it worked in real arithmetic: a
+    (rows, cols, 3) difference array and complex arithmetic."""
+    rows = np.asarray(rows, dtype=np.intp)
+    cols = np.asarray(cols, dtype=np.intp)
+    d = mesh.midpoints[rows][:, None, :] - mesh.midpoints[cols][None, :, :]
+    r = np.linalg.norm(d, axis=2)
+    same = rows[:, None] == cols[None, :]
+    r_safe = np.where(same, 1.0, r)
+    kappa = spec.kappa
+    g = np.exp(1j * kappa * r_safe) / (4.0 * np.pi * r_safe)
+    if spec.kind == "dlp":
+        dn = np.einsum("ijk,jk->ij", d, mesh.normals[cols])
+        g = (1.0 - 1j * kappa * r_safe) * g / r_safe**2 * dn
+    block = g * mesh.areas[rows][:, None] * mesh.areas[cols][None, :]
+    diag = mesh.areas[rows] ** 1.5 / (2.0 * np.sqrt(np.pi)) if spec.kind == "slp" else 0.5 * mesh.areas[rows]
+    block[same] = np.broadcast_to(diag[:, None], block.shape)[same]
+    return block

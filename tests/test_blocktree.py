@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import is_exact_tie, reference_block_tree, sphere_system
+
 from dirh2.blocktree import (
     ADMISSIBLE,
     INADMISSIBLE,
@@ -60,6 +62,21 @@ class TestAdmissible:
             assert not is_admissible(point, point, kappa, ETA2, parabolic)
             assert not is_admissible(point, UNIT, kappa, ETA2, parabolic)
             assert not is_admissible(UNIT, corner, kappa, ETA2, parabolic)
+
+    def test_boxes_broadcast_over_leading_axes(self):
+        # each pair of an array of boxes is decided as that pair alone
+        rng = np.random.default_rng(4)
+        lo = rng.standard_normal((2, 50, 3))
+        hi = lo + rng.random((2, 50, 3))
+        for kappa, parabolic in ((0.0, True), (3.0, True), (3.0, False)):
+            got = is_admissible((lo[0], hi[0]), (lo[1], hi[1]), kappa, ETA2, parabolic)
+            assert got.shape == (50,)
+            for k in range(50):
+                assert got[k] == is_admissible((lo[0, k], hi[0, k]), (lo[1, k], hi[1, k]), kappa, ETA2, parabolic)
+        dist = box_distance(lo[0], hi[0], lo[1], hi[1])
+        assert np.array_equal(dist, [box_distance(lo[0, k], hi[0, k], lo[1, k], hi[1, k]) for k in range(50)])
+        # the bits of np.linalg.norm of each single vector
+        assert np.array_equal(box_diameter(lo[0], hi[0]), [np.linalg.norm(hi[0, k] - lo[0, k]) for k in range(50)])
 
     def test_box_helpers(self):
         assert box_diameter(np.zeros(3), np.ones(3)) == pytest.approx(np.sqrt(3.0))
@@ -171,6 +188,43 @@ class TestBuild:
                 dirs.levels[level], tree.center(b.t) - tree.center(b.s)
             )
             assert b.c_index == expected
+
+    @pytest.mark.parametrize("level, kappa, eta1", [(3, 4.0, 20.0), (3, 4.0, 2.0), (4, 8.0, 2.0)])
+    def test_blocks_equal_the_recursive_reference(self, level, kappa, eta1):
+        _, tree, dirs, bt = sphere_system(level, kappa, eta1=eta1)
+        want = reference_block_tree(tree, dirs, kappa, ETA2)
+        assert [(b.id, b.t, b.s, b.status, b.c_index, b.sons) for b in bt.blocks] == want
+        assert bt.root == 0
+        assert bt.admissible_leaves == [b[0] for b in want if b[3] == ADMISSIBLE]
+        assert bt.inadmissible_leaves == [b[0] for b in want if b[3] == INADMISSIBLE]
+        if eta1 == 2.0:
+            # the fixture holds exact ties, and the tie rule decides them
+            ties = [
+                b
+                for b in bt.blocks
+                if b.status == ADMISSIBLE
+                and is_exact_tie(dirs.levels[tree[b.t].level], tree.center(b.t) - tree.center(b.s))
+            ]
+            assert ties
+            plain_argmin = [
+                int(np.argmin(np.linalg.norm(dirs.levels[tree[b.t].level] - z / np.linalg.norm(z), axis=1)))
+                for b in ties
+                for z in [tree.center(b.t) - tree.center(b.s)]
+            ]
+            assert any(c != b.c_index for c, b in zip(plain_argmin, ties))
+
+    @pytest.mark.parametrize(
+        "name, value", [("eta1", np.nan), ("eta1", 0.0), ("eta1", np.inf), ("eta2", np.nan),
+                        ("eta2", -1.0), ("eta2", 0.0), ("eta2", np.inf), ("kappa", np.nan),
+                        ("kappa", -1.0), ("kappa", np.inf)]
+    )
+    def test_parameters_validated(self, name, value):
+        # eta2 = nan made 56 of 64 leaves admissible on this system, and
+        # kappa = nan dropped the parabolic condition
+        _, tree, dirs, _ = sphere_system(2, 4.0)
+        args = {"kappa": 4.0, "eta1": ETA1, "eta2": ETA2, name: value}
+        with pytest.raises(ValueError, match=name):
+            build_block_tree(tree, dirs, args["kappa"], args["eta1"], args["eta2"])
 
     def test_depth_mismatch_rejected(self):
         mesh = build_sphere_mesh(2)

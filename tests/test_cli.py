@@ -99,6 +99,14 @@ class TestSubcommands:
         assert len(err) == 1
         assert err[0].startswith("error: ")
 
+    @pytest.mark.parametrize("option, value", [("--eta2", "nan"), ("--eta2", "0"), ("--kappa", "nan")])
+    def test_stats_rejects_bad_parameters(self, tmp_path, capsys, option, value):
+        rc = main(["stats", "--level", "2", "--kappa", "4.0", option, value, "--out", str(tmp_path / "s")])
+        assert rc == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: ")
+
     def test_dense_cap(self, tmp_path, capsys):
         rc = main(["dense", "--level", "6", "--out", str(tmp_path / "g.cmx")])
         assert rc == 1

@@ -338,6 +338,22 @@ class TestCompress:
             err = np.linalg.norm(blk - proj, 2)
             assert err <= eps * np.linalg.norm(blk, 2) * (1 + 1e-6)
 
+    def test_inverse_of_the_second_kind_system(self):
+        # the abstract's "arbitrary matrix": A^-1 of M/2 + DLP, which no
+        # kernel generates, in the directional regime (eta1 = 2)
+        mesh, tree, dirs, bt = sphere_system(3, 4.0, eta1=2.0)
+        assert any(dirs.levels[tree[bt[bid].t].level][bt[bid].c_index].any() for bid in bt.admissible_leaves)
+        inverse = np.linalg.inv(assemble_dense_matrix(mesh, KernelSpec("dlp", 4.0)))
+        eps = 1e-4
+        a = compress(dense_accessor(inverse), tree, dirs, bt, CompressionConfig(eps=eps))
+        for bid in bt.admissible_leaves:
+            b = bt[bid]
+            blk = inverse[np.ix_(tree[b.t].index_set, tree[b.s].index_set)]
+            q = expand_factor(a.row_basis, tree, dirs, b.t, b.c_index)
+            p = expand_factor(a.col_basis, tree, dirs, b.s, b.c_index)
+            err = np.linalg.norm(blk - q @ (q.conj().T @ blk @ p) @ p.conj().T, 2)
+            assert err <= eps * np.linalg.norm(blk, 2) * (1 + 1e-6)
+
     def test_global_error_tracks_tolerance(self, sphere512):
         dense, tree, dirs, bt = sphere512
         a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))

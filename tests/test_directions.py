@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from conftest import is_exact_tie, reference_nearest_direction_index, sphere_system
+
+import dirh2.directions
 from dirh2.directions import (
     build_directions,
     cube_surface_directions,
     nearest_direction_index,
     project_to_sphere,
+    vector_norms,
 )
 
 
@@ -24,6 +28,22 @@ class TestProjection:
     def test_near_zero_rejected(self):
         with pytest.raises(ValueError):
             project_to_sphere([1e-13, 0, 0])
+        with pytest.raises(ValueError):
+            project_to_sphere([[1.0, 0, 0], [1e-13, 0, 0]])
+
+    def test_rows_as_single_vectors(self):
+        v = np.random.default_rng(5).standard_normal((300, 3))
+        want = [vi / np.linalg.norm(vi) for vi in v]
+        assert np.array_equal(project_to_sphere(v), want)
+        assert np.array_equal([project_to_sphere(vi) for vi in v], want)
+
+    def test_vector_norms_are_single_vector_norms(self):
+        # np.linalg.norm of one vector is a BLAS dot; over an axis it is a
+        # pairwise sum, which differs in the last bit for about 1 in 10
+        v = np.random.default_rng(6).standard_normal((4, 500, 3))
+        want = np.array([[np.linalg.norm(x) for x in block] for block in v])
+        assert np.array_equal(vector_norms(v), want)
+        assert vector_norms(v[0, 0]) == want[0, 0]
 
     def test_non_expansive(self):
         # projection to the sphere does not increase distances for
@@ -92,6 +112,18 @@ class TestBuildDirections:
         d2 = ((z[:, None, :] - hier.levels[0][None, :, :]) ** 2).sum(axis=2)
         assert np.sqrt(d2.min(axis=1)).max() <= eta1 / (kappa * delta)
 
+    @pytest.mark.parametrize("level, kappa, eta1", [(3, 4.0, 2.0), (4, 8.0, 2.0), (5, 16.0, 20.0)])
+    def test_son_maps_equal_the_per_vector_reference(self, level, kappa, eta1):
+        _, _, dirs, _ = sphere_system(level, kappa, eta1=eta1)
+        ties = 0
+        for l, son_map in enumerate(dirs.son_maps):
+            coarse, fine = dirs.levels[l], dirs.levels[l + 1]
+            assert son_map.dtype == np.int64
+            assert son_map.tolist() == [reference_nearest_direction_index(fine, c) for c in coarse]
+            ties += sum(is_exact_tie(fine, c) for c in coarse if c.any())
+        if eta1 == 2.0:
+            assert ties
+
     def test_son_map_compatibility_exhaustive(self):
         hier = build_directions([60.0, 30.0, 10.0], 1.0, 20.0)
         for level in range(2):
@@ -107,6 +139,9 @@ class TestBuildDirections:
             build_directions([1.0], 1.0, 0.0)
         with pytest.raises(ValueError):
             build_directions([1.0], -1.0, 20.0)
+        for kappa, eta1 in ((np.nan, 20.0), (np.inf, 20.0), (1.0, np.nan), (1.0, np.inf)):
+            with pytest.raises(ValueError, match="finite"):
+                build_directions([1.0], kappa, eta1)
         # a level of point-sized clusters gets the zero direction
         hier = build_directions([0.0], 1.0, 20.0)
         assert hier.count(0) == 1 and not hier.levels[0].any()
@@ -128,6 +163,40 @@ class TestNearestDirection:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             nearest_direction_index(cube_surface_directions(1), np.zeros(3))
+        with pytest.raises(ValueError):
+            nearest_direction_index(cube_surface_directions(1), [[1.0, 0, 0], [0, 0, 0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        dirs = cube_surface_directions(2)
+        for z in ([bad, 0.0, 0.0], [[1.0, 0, 0], [0.0, bad, 1.0]]):
+            for d in (dirs, np.zeros((1, 3))):
+                with pytest.raises(ValueError, match="non-finite"):
+                    nearest_direction_index(d, z)
+
+    def test_rows_as_single_vectors_with_ties(self, monkeypatch):
+        # random vectors, and vectors halfway between grid directions and
+        # on the grid's symmetry planes, which tie exactly
+        dirs = cube_surface_directions(4)
+        rng = np.random.default_rng(8)
+        i, j = rng.integers(0, len(dirs), (2, 300))
+        z = np.concatenate(
+            [
+                rng.standard_normal((300, 3)),
+                dirs[i] + dirs[j],
+                dirs[i] * [1.0, 1.0, 0.0],
+                np.round(rng.standard_normal((300, 3)), 1),
+            ]
+        )
+        z = z[np.linalg.norm(z, axis=1) > 0]
+        want = [reference_nearest_direction_index(dirs, v) for v in z]
+        assert sum(is_exact_tie(dirs, v) for v in z) > 10
+        got = nearest_direction_index(dirs, z)
+        assert got.dtype == np.int64 and got.tolist() == want
+        assert [nearest_direction_index(dirs, v) for v in z] == want
+        monkeypatch.setattr(dirh2.directions, "NEAREST_CHUNK", 100)  # one row per chunk
+        assert nearest_direction_index(dirs, z).tolist() == want
+        assert nearest_direction_index(np.zeros((1, 3)), z).tolist() == [0] * len(z)
 
     def test_matches_linear_scan(self):
         hier = build_directions([49.0], 1.0, 20.0)

@@ -1,5 +1,10 @@
+import cmath
+import math
+
 import numpy as np
 import pytest
+
+from conftest import reference_dense_block
 
 from dirh2.geometry import (
     KernelSpec,
@@ -205,3 +210,76 @@ class TestDenseMatrix:
         whole = assemble_dense_matrix(mesh, spec)
         monkeypatch.setattr(dirh2.geometry, "ASSEMBLY_CHUNK", 7)
         assert np.array_equal(assemble_dense_matrix(mesh, spec), whole)
+
+
+def entries_from_definition(mesh, spec, rows, cols):
+    """Each entry on its own, from the kernel's definition in complex
+    arithmetic: G(m_i, m_j) a_i a_j off the diagonal, and the self-term
+    rules on it."""
+    out = np.empty((len(rows), len(cols)), dtype=np.complex128)
+    for a, i in enumerate(rows):
+        for b, j in enumerate(cols):
+            ai, aj = mesh.areas[i], mesh.areas[j]
+            if i == j:
+                out[a, b] = ai**1.5 / (2.0 * math.sqrt(math.pi)) if spec.kind == "slp" else 0.5 * ai
+                continue
+            d = [float(p - q) for p, q in zip(mesh.midpoints[i], mesh.midpoints[j])]
+            r = math.sqrt(sum(x * x for x in d))
+            g = cmath.exp(1j * spec.kappa * r) / (4.0 * math.pi * r)
+            if spec.kind == "dlp":
+                dn = sum(x * n for x, n in zip(d, mesh.normals[j]))
+                g *= (1.0 - 1j * spec.kappa * r) / (r * r) * dn
+            out[a, b] = g * ai * aj
+    return out
+
+
+class TestDenseBlockArithmetic:
+    @pytest.fixture(scope="class")
+    def mesh(self):
+        return build_sphere_mesh(3)
+
+    def index_sets(self, n):
+        rng = np.random.default_rng(11)
+        rows = rng.permutation(n)[:40]  # unsorted
+        cols = np.concatenate([rows[5:25], rng.integers(0, n, 20), rows[:3], rows[:3]])  # diagonal, repeated
+        return [(rows, cols), (cols, rows), (np.arange(16), np.arange(16)), (rows[:1], rows[:1]), (rows[:7], cols[:0])]
+
+    @pytest.mark.parametrize("kind", ["slp", "dlp"])
+    @pytest.mark.parametrize("kappa", [0.0, 8.0])
+    def test_entries_match_the_definition(self, mesh, kind, kappa):
+        spec = KernelSpec(kind, kappa)
+        sets = self.index_sets(mesh.n_triangles)
+        assert (sets[0][0][:, None] == sets[0][1]).any()  # diagonal entries
+        for rows, cols in sets:
+            got = dense_block(mesh, spec, rows, cols)
+            want = entries_from_definition(mesh, spec, rows, cols)
+            assert got.shape == (len(rows), len(cols))
+            assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+    @pytest.mark.parametrize("kappa", [0.0, 2.5, 8.0])
+    def test_single_layer_bits_of_the_complex_form(self, mesh, kappa):
+        spec = KernelSpec("slp", kappa)
+        for rows, cols in self.index_sets(mesh.n_triangles):
+            got = dense_block(mesh, spec, rows, cols)
+            want = reference_dense_block(mesh, spec, rows, cols)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("kappa", [0.0, 8.0])
+    def test_double_layer_equals_the_complex_form(self, mesh, kappa):
+        # the bits follow the documented sums; the values are those of the
+        # complex form wherever einsum sums in that order
+        spec = KernelSpec("dlp", kappa)
+        for rows, cols in self.index_sets(mesh.n_triangles):
+            got = dense_block(mesh, spec, rows, cols)
+            want = reference_dense_block(mesh, spec, rows, cols)
+            assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
+
+    def test_block_bits_do_not_depend_on_the_cut(self, mesh):
+        for kind in ("slp", "dlp"):
+            spec = KernelSpec(kind, 8.0)
+            rows, cols = self.index_sets(mesh.n_triangles)[0]
+            whole = dense_block(mesh, spec, rows, cols)
+            for k in range(0, len(rows), 7):
+                part = dense_block(mesh, spec, rows[k : k + 7], cols[::-1])
+                same = np.ascontiguousarray(whole[k : k + 7, ::-1])
+                assert np.array_equal(part.view(np.uint64), same.view(np.uint64))
