@@ -170,23 +170,35 @@ def farfield_sets(
 
 
 def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
-    """Exact spectral norm per admissible block.  The blocks are read once
-    each into one stack per shape, and each stack's norms come from one
+    """Exact spectral norm per admissible block.  The blocks of one target
+    cluster are read with one accessor call over their column sets side by
+    side (the sets are disjoint, because the leaf blocks partition the
+    matrix), and each block is a column slice of that strip.  The blocks
+    go into one stack per shape, and each stack's norms come from one
     batched singular-value computation without singular vectors; a zero
     block gets the weight 1.  The blocks have at most a few dozen rows and
     columns, where reducing them by a batched QR first costs more than it
-    saves."""
-    by_shape: dict[tuple[int, int], list[int]] = {}
+    saves.  Targets are read one row count at a time, so the strips held
+    at once are the blocks of that row count, not all admissible blocks."""
+    by_rows: dict[int, list[int]] = {}
     for bid in bt.admissible_leaves:
-        b = bt[bid]
-        by_shape.setdefault((tree[b.t].size, tree[b.s].size), []).append(bid)
+        by_rows.setdefault(tree[bt[bid].t].size, []).append(bid)
     weights: dict[int, float] = {}
-    for shape, bids in sorted(by_shape.items()):
-        stack = np.empty((len(bids), *shape), dtype=np.complex128)
-        for g, bid in enumerate(bids):
-            stack[g] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
-        norms = np.linalg.svd(stack, compute_uv=False)[:, 0]
-        weights.update((bid, float(w) if w > 0.0 else 1.0) for bid, w in zip(bids, norms))
+    for _, group in sorted(by_rows.items()):
+        by_target: dict[int, list[int]] = {}
+        for bid in group:
+            by_target.setdefault(bt[bid].t, []).append(bid)
+        blocks: dict[int, np.ndarray] = {}
+        for t, bids in by_target.items():
+            sets = [tree[bt[bid].s].index_set for bid in bids]
+            strip = access(tree[t].index_set, np.concatenate(sets))
+            blocks.update(zip(bids, np.split(strip, np.cumsum([x.size for x in sets[:-1]]), axis=1)))
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for bid in group:
+            by_shape.setdefault(blocks[bid].shape, []).append(bid)
+        for bids in by_shape.values():
+            norms = np.linalg.svd(np.stack([blocks[bid] for bid in bids]), compute_uv=False)[:, 0]
+            weights.update((bid, float(w) if w > 0.0 else 1.0) for bid, w in zip(bids, norms))
     return weights
 
 

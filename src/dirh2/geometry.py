@@ -8,6 +8,14 @@ double layer.  ``dense_block`` evaluates a block in real arithmetic on
 (rows, cols) arrays, one cos and one sin per entry, and its docstring fixes
 the order of every sum and product, so a block has the same bits however
 it is cut out of the matrix.
+
+``dense_block`` runs two steps: the part of an entry that depends on r
+alone (r, cos and sin of kappa*r, 1/(4*pi*r) and the double layer's
+(1 - i*kappa*r)/r**2), then dn and the two area products.
+``assemble_dense_matrix`` runs the same steps on square tiles, the first
+once per unordered pair of tiles (I, J) for both (I, J) and (J, I).
+x_i - x_j is exactly -(x_j - x_i), so that part is bitwise symmetric, and
+the matrix has ``dense_block``'s bits.
 """
 
 from __future__ import annotations
@@ -29,7 +37,9 @@ __all__ = [
     "write_off",
 ]
 
-ASSEMBLY_CHUNK = 512  # rows per dense_block call in assemble_dense_matrix
+# side of assemble_dense_matrix's square tiles, in indices; the temporaries of
+# a tile pair are up to ten (side, side) float arrays, 20 MiB at 512
+ASSEMBLY_CHUNK = 512
 
 _OCTAHEDRON_VERTICES = np.array(
     [
@@ -187,10 +197,11 @@ def dense_block(mesh: SurfaceMesh, spec: KernelSpec, rows, cols) -> np.ndarray:
 
         r   = sqrt((dx*dx + dy*dy) + dz*dz)
         g   = (cos(kappa*r) * s, sin(kappa*r) * s),  s = 1 / (4*pi*r)
-        dn  = (dx*nx + dz*nz) + dy*ny,                n the normal at y_j
-        dlp: g = ((g_r + (kappa*r)*g_i) * q * dn, (g_i - (kappa*r)*g_r) * q * dn),
+        dlp: g = ((g_r + (kappa*r)*g_i) * q, (g_i - (kappa*r)*g_r) * q),
              q = 1 / (r*r)
-        entry = (g * area_i) * area_j,
+        dn  = (dx*nx + dz*nz) + dy*ny,                n the normal at y_j
+        entry = ((g * dn) * area_i) * area_j   (dlp)
+        entry = (g * area_i) * area_j          (slp),
 
     each product taken left to right and applied to both parts of g.
     These are the bits of the complex form exp(1j*kappa*r) / (4*pi*r) (slp)
@@ -202,19 +213,33 @@ def dense_block(mesh: SurfaceMesh, spec: KernelSpec, rows, cols) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
+    g, diagonal = _radial_part(mesh, spec, rows, cols)
+    block = np.empty((rows.size, cols.size), dtype=np.complex128)
+    _finish(mesh, spec, g, rows, cols, diagonal, block)
+    return block
+
+
+def _differences(mesh: SurfaceMesh, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     # d[k] is coordinate k of x_i - y_j, a contiguous (rows, cols) array;
     # without order="C" numpy would keep the coordinate innermost, as in its inputs
-    d = np.subtract(mesh.midpoints[rows].T[:, :, None], mesh.midpoints[cols].T[:, None, :], order="C")
-    if spec.kind == "dlp":
-        p = d * mesh.normals[cols].T[:, None, :]
-        dn = p[0] + p[2]
-        dn += p[1]
+    return np.subtract(mesh.midpoints[rows].T[:, :, None], mesh.midpoints[cols].T[:, None, :], order="C")
+
+
+def _radial_part(mesh: SurfaceMesh, spec: KernelSpec, rows: np.ndarray, cols: np.ndarray):
+    """The factor g of ``dense_block``'s entries, which depends on r alone,
+    as a (2, rows, cols) array of its real and imaginary parts, and the
+    positions (di, dj) of the diagonal entries, rows[di] == cols[dj], where
+    r is set to 1 and the entry is later set by its own rule.
+
+    x_i - y_j is exactly -(y_j - x_i), so r, and with it g, is bitwise
+    symmetric: the transpose of g for (rows, cols) is g for (cols, rows)."""
+    d = _differences(mesh, rows, cols)
     d *= d
     r = d[0] + d[1]
     r += d[2]
     np.sqrt(r, out=r)
     di, dj = np.nonzero(rows[:, None] == cols)
-    r[di, dj] = 1.0  # diagonal entries are set by their own rules below
+    r[di, dj] = 1.0
     kr = spec.kappa * r
     g, s = d[:2], d[2]  # real and imaginary part, and a scale, in d's memory
     np.cos(kr, out=g[0])
@@ -229,27 +254,56 @@ def dense_block(mesh: SurfaceMesh, spec: KernelSpec, rows, cols) -> np.ndarray:
         np.multiply(r, r, out=s)
         np.divide(1.0, s, out=s)
         g *= s
-        g *= dn
-    g *= mesh.areas[rows][:, None]
-    areas = mesh.areas[cols]
-    block = np.empty(r.shape, dtype=np.complex128)
-    np.multiply(g[0], areas, out=block.real)
-    np.multiply(g[1], areas, out=block.imag)
+    return g, (di, dj)
+
+
+def _finish(mesh: SurfaceMesh, spec: KernelSpec, g, rows, cols, diagonal, out: np.ndarray) -> None:
+    """Write the rows x cols entries into the complex array ``out`` from
+    their radial part g, which is only read: the parts that depend on the
+    orientation, dn with the normal at y_j and the two area products, and
+    the diagonal rules."""
+    row_areas, col_areas = mesh.areas[rows][:, None], mesh.areas[cols]
+    if spec.kind == "dlp":
+        p = _differences(mesh, rows, cols)
+        p *= mesh.normals[cols].T[:, None, :]
+        dn = p[0] + p[2]
+        dn += p[1]
+    for part, gp in ((out.real, g[0]), (out.imag, g[1])):
+        if spec.kind == "dlp":
+            np.multiply(gp, dn, out=part)
+            part *= row_areas
+        else:
+            np.multiply(gp, row_areas, out=part)
+        part *= col_areas
+    di, dj = diagonal
     if di.size:
         areas = mesh.areas[rows[di]]
-        block[di, dj] = _slp_diagonal(areas) if spec.kind == "slp" else 0.5 * areas  # dlp: G's self term is 0, M/2 remains
-    return block
+        out[di, dj] = _slp_diagonal(areas) if spec.kind == "slp" else 0.5 * areas  # dlp: G's self term is 0, M/2 remains
 
 
 def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec) -> np.ndarray:
-    """Full n-by-n surrogate matrix, assembled in chunks of
-    ``ASSEMBLY_CHUNK`` rows."""
+    """Full n-by-n surrogate matrix, with ``dense_block``'s bits, assembled
+    in square tiles of ``ASSEMBLY_CHUNK`` indices.
+
+    Each unordered pair of tiles (I, J), J >= I, is visited once: the radial
+    part g (r, cos and sin of kappa*r, 1/(4*pi*r) and the double layer's
+    (1 - i*kappa*r)/r**2) is computed once for (I, J), and its transpose
+    serves the (J, I) tile.  The transpose holds the same bits, because
+    x_i - y_j is exactly -(y_j - x_i), so r and everything formed from it is
+    bitwise symmetric.  Only dn, with the normal at the column point, and
+    the two area products are formed once per orientation."""
     n = mesh.n_triangles
     out = np.empty((n, n), dtype=np.complex128)
-    cols = np.arange(n)
-    for start in range(0, n, ASSEMBLY_CHUNK):
-        stop = min(start + ASSEMBLY_CHUNK, n)
-        out[start:stop] = dense_block(mesh, spec, np.arange(start, stop), cols)
+    for i0 in range(0, n, ASSEMBLY_CHUNK):
+        i1 = min(i0 + ASSEMBLY_CHUNK, n)
+        rows = np.arange(i0, i1)
+        for j0 in range(i0, n, ASSEMBLY_CHUNK):
+            j1 = min(j0 + ASSEMBLY_CHUNK, n)
+            cols = np.arange(j0, j1)
+            g, diagonal = _radial_part(mesh, spec, rows, cols)
+            _finish(mesh, spec, g, rows, cols, diagonal, out[i0:i1, j0:j1])
+            if j0 != i0:
+                _finish(mesh, spec, g.transpose(0, 2, 1), cols, rows, diagonal[::-1], out[j0:j1, i0:i1])
     return out
 
 

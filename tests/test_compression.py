@@ -412,6 +412,23 @@ class TestCompress:
         x = np.linspace(0, 1, 256) + 0j
         assert np.array_equal(a1.matvec(x), a2.matvec(x))
 
+    @pytest.mark.parametrize("kind, eta1", [("slp", 20.0), ("dlp", 2.0)])
+    def test_memory_order_of_the_reads_does_not_matter(self, kind, eta1, tmp_path):
+        # the same entries in C and in Fortran order compress to the same bytes
+        from dirh2.dh2core import save_dh2
+
+        mesh, tree, dirs, bt = sphere_system(3, 4.0, eta1=eta1)
+        dense = assemble_dense_matrix(mesh, KernelSpec(kind, 4.0))
+        cfg = CompressionConfig(eps=1e-4)
+        readers = {
+            "c": lambda rows, cols: np.ascontiguousarray(dense[np.ix_(rows, cols)]),
+            "f": lambda rows, cols: np.asfortranarray(dense[np.ix_(rows, cols)]),
+        }
+        for order, read in readers.items():
+            save_dh2(compress(read, tree, dirs, bt, cfg), tmp_path / order)
+        for name in ("manifest.json", "payload.bin"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "f" / name).read_bytes(), name
+
     def test_weights_are_block_norm_estimates(self, request):
         for system in ("line256", "sphere512"):
             dense, tree, _, bt = request.getfixturevalue(system)
@@ -510,8 +527,9 @@ class TestDirectionalRegime:
 
     def test_reads_each_admissible_block_three_times(self, directional512):
         # once for its weight, once in the row strips, once in the column
-        # strips; the nearfield once.  A leaf cluster reads the strips of
-        # all its directions in one call.
+        # strips; the nearfield once.  A target cluster reads the blocks
+        # weighed against it in one call, and a leaf cluster the strips of
+        # all its directions.
         _, dense, tree, dirs, bt = directional512
         read = [0]
         calls = [0]
@@ -525,7 +543,8 @@ class TestDirectionalRegime:
         area = lambda bids: sum(tree[bt[bid].t].size * tree[bt[bid].s].size for bid in bids)
         assert read[0] == 3 * area(bt.admissible_leaves) + area(bt.inadmissible_leaves)
         leaves = lambda side: sum(tree[cid].is_leaf for cid in used_directions(tree, dirs, bt, side))
-        assert calls[0] == len(bt.admissible_leaves) + leaves("row") + leaves("col") + len(bt.inadmissible_leaves)
+        targets = len({bt[bid].t for bid in bt.admissible_leaves})
+        assert calls[0] == targets + leaves("row") + leaves("col") + len(bt.inadmissible_leaves)
 
     def test_error_bound_sampled_with_direction_chains(self, directional512):
         _, dense, tree, dirs, bt = directional512

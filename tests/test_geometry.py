@@ -203,13 +203,22 @@ class TestDenseMatrix:
         assert np.array_equal(dense_block(mesh, spec, rows, cols), g[np.ix_(rows, cols)])
 
     def test_chunked_assembly_identical(self, monkeypatch):
+        # the assembly has dense_block's bits, signed zeros included; tiles of
+        # 7 and 96 indices mirror off-diagonal tiles and leave ragged edges,
+        # and at the default side of 512 the matrix is a single tile
         import dirh2.geometry
 
-        mesh = build_sphere_mesh(2)
-        spec = KernelSpec("slp", 2.0)
-        whole = assemble_dense_matrix(mesh, spec)
-        monkeypatch.setattr(dirh2.geometry, "ASSEMBLY_CHUNK", 7)
-        assert np.array_equal(assemble_dense_matrix(mesh, spec), whole)
+        mesh = build_sphere_mesh(3)
+        everything = np.arange(mesh.n_triangles)
+        chunks = (7, 96, dirh2.geometry.ASSEMBLY_CHUNK)
+        for kind in ("slp", "dlp"):
+            for kappa in (0.0, 8.0):
+                spec = KernelSpec(kind, kappa)
+                want = dense_block(mesh, spec, everything, everything).view(np.uint64)
+                for chunk in chunks:
+                    monkeypatch.setattr(dirh2.geometry, "ASSEMBLY_CHUNK", chunk)
+                    got = assemble_dense_matrix(mesh, spec).view(np.uint64)
+                    assert np.array_equal(got, want), (kind, kappa, chunk)
 
 
 def entries_from_definition(mesh, spec, rows, cols):
