@@ -22,12 +22,11 @@ phases with the roles of the two bases swapped and reads every block in
 place as (x^H M)^H.
 
 Each phase has a plan, built once with the container by ``stack_groups``:
-its row and its column indices, each joined in stack, slot and entry order,
-and for each side the product positions split into rounds.  Round j holds
-every entry's (j + 1)-th product, so no entry repeats within a round.  A
-phase gathers its input once, runs one batched product per stack into one
-buffer, and adds the buffer into its output with one duplicate-free ``+=``
-per round (``apply_groups``).
+its row and its column indices, each one 1-D ``np.intp`` array joined in
+stack, slot and entry order.  A phase gathers its input once, runs one
+batched product per stack into one buffer, and adds the buffer into its
+output with one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run
+that call on a fast loop; older numpy gives the same result more slowly.
 
 The container is a frozen dataclass: construction stacks the payload, and
 its attributes cannot be reassigned afterwards.  A container with another
@@ -37,7 +36,8 @@ keep all scratch per call, so concurrent reads are safe.  Sums run in a
 fixed order, which fixes the floating-point result: phase by phase, and
 within a phase each output entry adds its products in stack order
 (ascending level and shape), slot order (ascending key) and entry order,
-since the rounds take them in that order.
+since ``np.add.at`` is unbuffered and adds the positions one by one in that
+order: ((out[e] + p1) + p2) + ...
 
 ``save_dh2`` writes the stacks as they are into a DH2v3 container, and
 ``load_dh2`` checks them and hands them to the loaded matrix in place.
@@ -114,8 +114,8 @@ def _stack_of(arrays: list):
 def _index(where: list, width: int) -> np.ndarray:
     """(G, width) entries from G index arrays or G run offsets."""
     if isinstance(where[0], int):
-        return np.array(where, dtype=np.int64)[:, None] + np.arange(width)
-    return np.array(where, dtype=np.int64)
+        return np.array(where, dtype=np.intp)[:, None] + np.arange(width, dtype=np.intp)
+    return np.array(where, dtype=np.intp)
 
 
 def _stacks(d: dict) -> list[tuple[list, np.ndarray]]:
@@ -144,56 +144,17 @@ def _levels(tree: ClusterTree, transfer: dict) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class _Entries:
-    """One side of a phase: the vector entry of each product position, with
-    the positions split into rounds for adding into that vector.  Round j
-    holds each entry's (j + 1)-th position in phase order, so no entry
-    repeats within a round, and adding the rounds in turn sums each entry's
-    products in phase order."""
-
-    index: np.ndarray  # the entry of each position, in phase order
-    # the positions in round order, None when phase order is round order;
-    # int32 halves its bytes, and each round widens its part once
-    order: np.ndarray | None
-    ends: list[int]  # where each round ends in round order
-
-    def add(self, out: np.ndarray, prod: np.ndarray) -> None:
-        """out[index] += prod, one duplicate-free add per round."""
-        start = 0
-        for end in self.ends:
-            at = slice(start, end) if self.order is None else self.order[start:end].astype(np.intp)
-            out[self.index[at]] += prod[at]
-            start = end
-
-
-def _entries(index: np.ndarray) -> _Entries:
-    """The rounds of the entries ``index``, given in phase order."""
-    p = len(index)
-    by_entry = np.argsort(index, kind="stable")
-    entries = index[by_entry]
-    starts = np.flatnonzero(np.r_[True, entries[1:] != entries[:-1]])  # where each entry begins in by_entry
-    del entries
-    # the rank of a position: how many earlier positions hold the same entry
-    ranked = np.arange(p, dtype=np.int32)
-    ranked -= np.repeat(starts.astype(np.int32), np.diff(starts, append=p))
-    rank = np.empty(p, dtype=np.int32)
-    rank[by_entry] = ranked
-    del by_entry, starts, ranked
-    order = None if (rank[1:] >= rank[:-1]).all() else np.argsort(rank, kind="stable").astype(np.int32)
-    return _Entries(index, order, np.cumsum(np.bincount(rank)).tolist())
-
-
-@dataclass(frozen=True)
 class Phase:
     """The plan of one pass over stacked matrices: the slot stacks[i][g]
     maps the input entries at its place in ``cols`` to the output entries
-    at its place in ``rows``.  Both sides are joined in stack, slot and
-    entry order, the order in which ``apply_groups`` forms the products;
-    A adds into ``rows`` and A^H into ``cols``."""
+    at its place in ``rows``.  Each side is one 1-D ``np.intp`` array, the
+    vector entry of every product position joined in stack, slot and entry
+    order, the order in which ``apply_groups`` forms the products; A adds
+    into ``rows`` and A^H into ``cols``."""
 
     stacks: list[np.ndarray]
-    rows: _Entries
-    cols: _Entries
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def stack_groups(d: dict, rows, cols) -> Phase:
@@ -204,9 +165,9 @@ def stack_groups(d: dict, rows, cols) -> Phase:
     cluster sizes."""
     pairs = _stacks(d)
 
-    def side(where, axis: int) -> _Entries:
+    def side(where, axis: int) -> np.ndarray:
         parts = [_index([where(k) for k in keys], stack.shape[axis]).ravel() for keys, stack in pairs]
-        return _entries(np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64))
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=np.intp)
 
     return Phase([stack for _, stack in pairs], side(rows, 1), side(cols, 2))
 
@@ -215,19 +176,20 @@ def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
     """out[rows] += M @ inp[cols] for every stacked matrix M of ``phase``,
     or out[cols] += M^H @ inp[rows] when ``hermitian``.  The input is
     gathered once, before any output is written; each stack forms its
-    products into its part of one buffer; and the buffer is added into
-    ``out`` round by round, so every output entry sums its terms in stack,
-    slot and entry order.  M^H v is formed as (v^H M)^H, which reads M in
-    place.  ``DH2Matrix`` applies every stored matrix through one call of
-    this function per phase and level, so the matrices a matvec applies are
-    the stacks of the phases passed here."""
+    products into its part of one buffer; and one ``np.add.at`` adds the
+    buffer into ``out``.  It is unbuffered and walks the positions in order,
+    so every output entry sums its terms in stack, slot and entry order.
+    M^H v is formed as (v^H M)^H, which reads M in place.  ``DH2Matrix``
+    applies every stored matrix through one call of this function per phase
+    and level, so the matrices a matvec applies are the stacks of the phases
+    passed here."""
     src, dst = (phase.rows, phase.cols) if hermitian else (phase.cols, phase.rows)
     # One buffer holds the gathered input and the products: with two buffers
     # of about one size, glibc's malloc returns its heap top to the system
     # after each call and faults it in again on the next.
-    work = np.empty(len(src.index) + len(dst.index), dtype=np.complex128)
-    gather, prod = work[: len(src.index)], work[len(src.index) :]
-    gather[:] = inp[src.index]
+    work = np.empty(len(src) + len(dst), dtype=np.complex128)
+    gather, prod = work[: len(src)], work[len(src) :]
+    gather[:] = inp[src]
     if hermitian:
         np.conjugate(gather, out=gather)
     i = j = 0
@@ -242,7 +204,9 @@ def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
         i, j = i + g * k, j + g * m
     if hermitian:
         np.conjugate(prod, out=prod)
-    dst.add(out, prod)
+    # numpy >= 1.25 runs this on its fast path: a 1-D intp index and complex
+    # values into a complex vector, with no cast
+    np.add.at(out, dst, prod)
 
 
 def run_offsets(lengths: dict) -> tuple[dict, int]:

@@ -38,8 +38,8 @@ __all__ = [
 ]
 
 # side of assemble_dense_matrix's square tiles, in indices; the temporaries of
-# a tile pair are up to ten (side, side) float arrays, 20 MiB at 512
-ASSEMBLY_CHUNK = 512
+# a tile pair are up to ten (side, side) float arrays, 1.25 MiB at 128
+ASSEMBLY_CHUNK = 128
 
 _OCTAHEDRON_VERTICES = np.array(
     [

@@ -45,8 +45,8 @@ def reference_apply(out, inp, phase, hermitian=False):
     r0 = c0 = 0
     for stack in phase.stacks:
         g, r, c = stack.shape
-        rows = phase.rows.index[r0 : r0 + g * r].reshape(g, r)
-        cols = phase.cols.index[c0 : c0 + g * c].reshape(g, c)
+        rows = phase.rows[r0 : r0 + g * r].reshape(g, r)
+        cols = phase.cols[c0 : c0 + g * c].reshape(g, c)
         r0, c0 = r0 + g * r, c0 + g * c
         if hermitian:
             np.add.at(out, cols, np.matmul(inp[rows].conj()[:, None, :], stack)[:, 0, :].conj())
@@ -74,21 +74,14 @@ def assert_applies_as_reference(a, module, monkeypatch):
     assert np.array_equal(got[1], want[1])
 
 
-def check_rounds(phase):
-    """On each side of ``phase`` the rounds hold every product position once,
-    no round repeats an entry, and each entry takes its positions in phase
-    order."""
-    for side in (phase.rows, phase.cols):
-        p = len(side.index)
-        order = np.arange(p) if side.order is None else side.order
-        assert np.array_equal(np.sort(order), np.arange(p))
-        assert side.ends == sorted(set(side.ends)) and side.ends[-1:] == ([p] if p else [])
-        for positions in np.split(order, side.ends[:-1]):
-            assert len(np.unique(side.index[positions])) == len(positions)
-        entries = side.index[order]
-        by_entry = np.argsort(entries, kind="stable")
-        same = entries[by_entry][1:] == entries[by_entry][:-1]
-        assert (order[by_entry][1:][same] > order[by_entry][:-1][same]).all()
+def check_plan(phase, rows, cols):
+    """Each side of ``phase`` is one 1-D ``np.intp`` array that holds an
+    entry for every product position (G r rows and G c columns per stack)
+    and lies in its vector: ``rows`` or ``cols`` entries long."""
+    for side, axis, size in ((phase.rows, 1, rows), (phase.cols, 2, cols)):
+        assert isinstance(side, np.ndarray) and side.dtype == np.intp and side.ndim == 1
+        assert len(side) == sum(stack.shape[0] * stack.shape[axis] for stack in phase.stacks)
+        assert ((side >= 0) & (side < size)).all()
 
 
 def reference_nearest_direction_index(dirs, z):

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_applies_as_reference, check_rounds, dense_accessor, line_system, sphere_system
+from conftest import assert_applies_as_reference, check_plan, dense_accessor, line_system, sphere_system
 
 import dirh2.compression
 from dirh2.assembly import assemble_dh2_by_interpolation
@@ -655,5 +655,5 @@ class TestAca:
         dense, tree, _, bt = line256
         aca = aca_compress(dense_accessor(dense), tree, bt, 1e-8)
         assert_applies_as_reference(aca, dirh2.compression, monkeypatch)
-        for phase in (aca._left, aca._right, aca._nearfield):
-            check_rounds(phase)
+        for phase, cols in ((aca._left, aca._rank_total), (aca._right, aca._rank_total), (aca._nearfield, aca.n)):
+            check_plan(phase, aca.n, cols)

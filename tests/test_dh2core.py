@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import assert_applies_as_reference, check_rounds
+from conftest import assert_applies_as_reference, check_plan
 
 from dirh2.assembly import assemble_dh2_by_interpolation
 from dirh2.blocktree import build_block_tree
@@ -92,13 +92,13 @@ def rand_vec(rng, n):
 
 
 def phases(a):
-    """Every phase plan of ``a``, each with whether its input and its output
-    are one vector (the transfer phases)."""
+    """Every phase plan of ``a``, each with the lengths of its row and its
+    column vector, and whether they are one vector (the transfer phases)."""
     for plan in (a._row, a._col):
-        yield plan.leaf, False
-        yield from ((phase, True) for phase in plan.transfer)
-    yield a._coupling, False
-    yield a._nearfield, False
+        yield plan.leaf, (a.n, plan.size), False
+        yield from ((phase, (plan.size, plan.size), True) for phase in plan.transfer)
+    yield a._coupling, (a._row.size, a._col.size), False
+    yield a._nearfield, (a.n, a.n), False
 
 
 @pytest.fixture(scope="module")
@@ -121,15 +121,39 @@ class TestPhasePlans:
     def test_applies_bitwise_as_reference(self, matrix, monkeypatch):
         assert_applies_as_reference(matrix, dh2core, monkeypatch)
 
-    def test_rounds_repeat_no_entry(self, matrix):
-        for phase, _ in phases(matrix):
-            check_rounds(phase)
+    def test_plan_sides_index_every_product_in_range(self, matrix):
+        for phase, sizes, _ in phases(matrix):
+            check_plan(phase, *sizes)
 
     def test_transfer_phases_never_gather_what_they_scatter(self, matrix):
         # compressed_line has transfer matrices (its fixture asserts it)
-        for phase, same_vector in phases(matrix):
+        for phase, _, same_vector in phases(matrix):
             if same_vector:
-                assert not np.intersect1d(phase.rows.index, phase.cols.index).size
+                assert not np.intersect1d(phase.rows, phase.cols).size
+
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["A", "AH"])
+    def test_each_entry_sums_in_stack_slot_entry_order(self, hermitian):
+        # Entry 0 of the output gets three products, from the two slots of
+        # the first stack and the one slot of the second, on both sides.
+        # The values cancel, so the sums in reverse order, or a stack's
+        # products summed apart first, give other bits; the products
+        # themselves are exact.
+        a, b, c = 1e16 * (1 + 1j), -1e16 * (1 + 1j), 1 + 1j
+        first = np.array([[[a], [0]], [[0], [b]]])  # (2, 2, 1)
+        second = np.array([[[c, 0]]])  # (1, 1, 2)
+        phase = dh2core.Phase(
+            [first, second],
+            rows=np.array([0, 1, 2, 0, 0], dtype=np.intp),
+            cols=np.array([0, 0, 0, 1], dtype=np.intp),
+        )
+        x = np.array([1j, 1.0, -1.0])
+        out = np.array([1 + 1j, 2 - 1j, -3 + 2j])
+        p1, p2, p3 = (m.conjugate() * x[0] if hermitian else m * x[0] for m in (a, b, c))
+        want = out.copy()
+        want[0] = ((out[0] + p1) + p2) + p3
+        assert want[0] != ((out[0] + p3) + p2) + p1
+        dh2core.apply_groups(out, x, phase, hermitian)
+        assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 class TestMatvec:
