@@ -164,6 +164,7 @@ def build_block_tree(
         return bid
 
     number(0, 0)
+    del number  # a recursive closure refers to itself; unbound, it frees `levels` on return, not at a later GC
     return BlockTree(
         blocks=blocks,
         root=0,

@@ -6,38 +6,34 @@ returning the corresponding sub-block, so dense arrays, lazily evaluated
 kernels and expanded nested representations all compress the same way.
 
 Every admissible block is weighted by its exact spectral norm, read once
-into a stack per block shape.  For every (cluster, direction) pair
-referenced by some admissible block (the pairs of
-``blocktree.used_directions``) the algorithm collects the farfield columns
-the basis has to serve.  Leaf clusters take that strip directly;
-non-leaf clusters stack their sons' reduced rows, so each level works on
-small matrices only.  Each strip g is reduced to its triangular factor L
-(g = L Q^H, from the QR factorization of g^H), which has g's singular values
-and left singular vectors and no more columns than g has rows; the basis
-comes from the SVD of L, and no right singular vectors of g are formed.
-Clusters are visited one at a time, and all of a cluster's direction pairs
-are handled together: a leaf cluster reads its farfield strips with one
-accessor call over the union of their columns (the sets are disjoint,
-because the leaf blocks partition the matrix), and the cluster's
-triangular factors go through one ``svd`` call per factor shape.
+into a stack per block shape.  A basis serves the (cluster, direction)
+pairs of ``blocktree.used_directions``: pair (t, c) captures the farfield
+columns of every admissible block on t or an ancestor of t whose direction
+chains down to c, each column divided by its block's weight.  A pass keeps
+this bookkeeping in index arrays, built once per side and level by level
+from the parent level's with one stable sort: per level, its pairs in
+(cluster, direction) order, each pair's blocks, the pairs' sorted farfield
+columns one pair after the other (the order of the keys pair * n +
+column), and the position of each block's columns among them.
+
+Clusters are visited sons first in descending id order, each with all its
+pairs, whose columns are one run.  A leaf's are disjoint (the leaf
+blocks partition the matrix): one accessor call reads them, scaled by one
+vector of 1/weight.  A non-leaf pair stacks its sons' reduced rows at its
+columns, found by one ``searchsorted`` per cluster in its sons' keys.
+Each strip g is reduced to its triangular factor L (g = L Q^H, from the QR
+factorization of g^H), which has g's singular values and left singular
+vectors and no more columns than g has rows.  A cluster's factors go
+through one ``svd`` call per factor shape and one ``truncation_rank`` call.
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
-requested accuracy relative to its norm: every column group is pre-divided
-by the spectral norm of the admissible block that contributed it.  There
-is no rank cap.
+requested accuracy relative to its norm.  There is no rank cap.
 
-The column basis is built first.  The row pass then forms each coupling
-matrix while its pair's reduced rows are held: they are the row basis
-applied to the weighted strip, so a block's coupling is its columns of the
-reduced rows, times its weight, times the expanded column basis.  An
-admissible block is thus read three times (weight, row strip, column strip)
-and a nearfield block once.  ``DH2Matrix`` stacks the couplings once per
-shape.
-
-Each (cluster, direction) result slot is written exactly once and parents
-only read their own sons; clusters are visited sons first in descending id
-order, a cluster's pairs in the order of ``used_directions``, and results
-are bitwise reproducible.
+The column basis is built first.  The row pass forms each block's coupling
+while its pair's reduced rows (the row basis applied to the weighted strip)
+are held: the block's columns of them, times its weight, times the expanded
+column basis.  An admissible block is read three times (weight, row strip,
+column strip) and a nearfield block once.  Results are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocktree import BlockTree, used_directions
+from .blocktree import BlockTree
 from .clustering import ClusterTree
 from .dh2core import (
     DH2Matrix,
@@ -93,9 +89,7 @@ class CompressionConfig:
         if self.eps <= 0.0:
             raise ValueError("eps must be positive")
         if self.zeta <= 0.0 or self.zeta * self.zeta * max(max_sons, 1) >= 1.0:
-            raise ValueError(
-                f"zeta={self.zeta} too large for trees with up to {max_sons} sons"
-            )
+            raise ValueError(f"zeta={self.zeta} too large for trees with up to {max_sons} sons")
 
 
 @dataclass
@@ -112,60 +106,100 @@ class CompressionState:
     coupling: dict = field(default_factory=dict)  # block id -> coupling, from a row pass given the column basis
 
 
-def _farfield_groups(
-    tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str, used: dict
-) -> tuple[dict, dict]:
-    """Farfield block lists per (cluster, direction) pair, and per pair the
-    level of the shallowest cluster that owns one of its blocks."""
-    groups: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    shallowest: dict[tuple[int, int], int] = {}
-    for bid in bt.admissible_leaves:
-        b = bt[bid]
-        cid, other = (b.t, b.s) if side == "row" else (b.s, b.t)
-        groups.setdefault((cid, b.c_index), []).append((other, bid))
-        shallowest[(cid, b.c_index)] = tree[cid].level
+@dataclass
+class _Level:
+    """One side's farfield bookkeeping for the pairs of one cluster level.
+    Pair p's blocks, its items, are item_ptr[p]:item_ptr[p + 1] in the order
+    of ``farfield_sets``.  Pair p's sorted farfield columns are the run
+    columns[cols[item_ptr[p]]:cols[item_ptr[p + 1]]], and item j's columns
+    are at the positions pos[cols[j]:cols[j + 1]] of ``columns``."""
 
-    for cid in range(len(tree)):  # ids are parent-first
-        cluster = tree[cid]
-        if cluster.is_leaf:
-            continue
-        for c in used.get(cid, ()):
-            c2 = dirs.son_index(cluster.level, c)
-            level = shallowest[(cid, c)]
-            for son in cluster.sons:
-                groups.setdefault((son, c2), []).extend(groups[(cid, c)])
-                shallowest[(son, c2)] = min(shallowest.get((son, c2), level), level)
-    return groups, shallowest
+    cid: np.ndarray  # each pair's cluster
+    c: np.ndarray  # and direction
+    below: np.ndarray  # levels between the pair and the shallowest block over it
+    item_ptr: np.ndarray
+    bid: np.ndarray  # each item's block
+    src: np.ndarray  # its cluster on the other side
+    via: np.ndarray  # the parent direction it came through; -1 for the pair's own blocks, which come first
+    cols: np.ndarray
+    columns: np.ndarray  # int32, in the order of the keys pair * n + column
+    pos: np.ndarray  # int32
 
 
-def _sorted_columns(tree: ClusterTree, items: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted farfield columns of one pair, from one sort of its sources'
-    concatenated index sets.  The sets are disjoint, so ``inverse``, the
-    inverse of the sorting permutation, maps each concatenated index to its
-    position in the sorted columns: ``inverse[offsets[i]:offsets[i + 1]]``
-    are the positions of item i's source indices."""
-    sets = [tree[s].index_set for s, _ in items]
-    merged = np.concatenate(sets)
-    order = np.argsort(merged, kind="stable")
-    inverse = np.empty_like(order)
-    inverse[order] = np.arange(order.size)
-    offsets = np.cumsum([0] + [x.size for x in sets])
-    return merged[order], inverse, offsets
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[i], ..., starts[i] + counts[i] - 1, side by side."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
-def farfield_sets(
-    tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str = "row"
-) -> tuple[dict, dict]:
+def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str) -> tuple[list, dict]:
+    """One side's ``_Level`` per cluster level, and each cluster's level and
+    pair range.  Level l's pairs own the blocks on its clusters, and for
+    every pair of level l - 1 and every son of its cluster, the son with the
+    chained direction inherits the pair's blocks.  A pair lists its own
+    blocks in id order, then the inherited ones by parent direction and
+    position in the parent's list."""
+    if side not in ("row", "col"):
+        raise ValueError("side must be 'row' or 'col'")
+    level, n_sons = (np.array([f(x) for x in tree.clusters]) for f in (lambda x: x.level, lambda x: len(x.sons)))
+    sons = np.array([s for x in tree.clusters for s in x.sons], dtype=np.intp)
+    set_ptr = np.cumsum([0] + [x.size for x in tree.clusters])
+    sets = np.concatenate([x.index_set for x in tree.clusters])
+    blocks = [bt[b] for b in bt.admissible_leaves]
+    t, s, c = (np.array([getattr(b, a) for b in blocks], dtype=np.intp) for a in ("t", "s", "c_index"))
+    owner, src = (t, s) if side == "row" else (s, t)
+    bid, n = np.array(bt.admissible_leaves, dtype=np.intp), tree[tree.root].size
+    home = np.zeros(len(bt), dtype=np.intp)  # the level of each block's cluster on this side
+    home[bid] = level[owner]
+    levels, where = [], {}
+    for l in range(tree.depth + 1):
+        mine = np.nonzero(level[owner] == l)[0]
+        cid, cc, b, sr = owner[mine], c[mine], bid[mine], src[mine]
+        via, rank = np.full(mine.size, -1), np.arange(mine.size)
+        if levels:
+            up = levels[-1]
+            parent = np.repeat(np.arange(up.cid.size), np.diff(up.item_ptr))  # each parent item's pair
+            copies = n_sons[up.cid[parent]]
+            k = np.repeat(np.arange(parent.size), copies)  # the parent item of each inherited one
+            cid = np.concatenate([cid, sons[_ranges(np.cumsum(n_sons)[up.cid[parent]] - copies, copies)]])
+            cc = np.concatenate([cc, dirs.son_maps[l - 1][up.c[parent[k]]]])
+            b, sr = np.concatenate([b, up.bid[k]]), np.concatenate([sr, up.src[k]])
+            via, rank = np.concatenate([via, up.c[parent[k]]]), np.concatenate([rank, k - up.item_ptr[parent[k]]])
+        width = dirs.count(l)
+        pairs, pair = np.unique(cid * width + cc, return_inverse=True)
+        order = np.lexsort((rank, via, pair))
+        pair, b, sr, via = pair[order], b[order], sr[order], via[order]
+        item_ptr = np.searchsorted(pair, np.arange(pairs.size + 1))
+        sizes = np.diff(set_ptr)[sr]
+        column = sets[_ranges(set_ptr[sr], sizes)]
+        order = np.argsort(np.repeat(pair, sizes) * n + column, kind="stable")
+        pos = np.empty(order.size, dtype=np.int32)
+        pos[order] = np.arange(order.size)
+        below = l - (np.minimum.reduceat(home[b], item_ptr[:-1]) if b.size else np.zeros(0, np.intp))
+        cols = np.concatenate([[0], np.cumsum(sizes)])
+        column = column[order].astype(np.int32)
+        levels.append(_Level(pairs // width, pairs % width, below, item_ptr, b, sr, via, cols, column, pos))
+        ids, first, count = np.unique(pairs // width, return_index=True, return_counts=True)
+        where.update((i, (l, f, f + m)) for i, f, m in zip(ids.tolist(), first.tolist(), count.tolist()))
+    return levels, where
+
+
+def farfield_sets(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str = "row") -> tuple[dict, dict]:
     """Farfield block lists and column index sets per (cluster, direction).
 
     A source cluster s belongs to (t, c) when some ancestor-or-self of t has
     an admissible block against s whose direction chains down to c at t's
     level.  The keys are the pairs of ``blocktree.used_directions``.  Returns
-    (groups, cols); groups values are (source id, block id) pairs, cols
-    values are sorted arrays of matrix column indices.
+    (groups, cols); groups values are (source id, block id) pairs, the
+    pair's own blocks first, cols values are sorted arrays of matrix column
+    indices.
     """
-    groups, _ = _farfield_groups(tree, dirs, bt, side, used_directions(tree, dirs, bt, side))
-    cols = {key: _sorted_columns(tree, items)[0] for key, items in groups.items()}
+    groups, cols = {}, {}
+    for lv in _farfield(tree, dirs, bt, side)[0]:
+        for p, key in enumerate(zip(lv.cid.tolist(), lv.c.tolist())):
+            items = slice(lv.item_ptr[p], lv.item_ptr[p + 1])
+            groups[key] = list(zip(lv.src[items].tolist(), lv.bid[items].tolist()))
+            cols[key] = lv.columns[lv.cols[items.start] : lv.cols[items.stop]].astype(np.intp)
     return groups, cols
 
 
@@ -202,19 +236,6 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
     return weights
 
 
-def _svd_by_shape(factors: dict) -> dict:
-    """Left singular vectors and singular values of every factor, from one
-    ``svd`` call per factor shape on the stack of that shape's factors."""
-    by_shape: dict[tuple[int, int], list] = {}
-    for key, f in factors.items():
-        by_shape.setdefault(f.shape, []).append(key)
-    out = {}
-    for keys in by_shape.values():
-        res = svd(np.stack([factors[key] for key in keys]))
-        out.update((key, (res.u[i], res.sigma[i])) for i, key in enumerate(keys))
-    return out
-
-
 def build_basis(
     access,
     tree: ClusterTree,
@@ -226,28 +247,21 @@ def build_basis(
     keep_reduced: bool = True,
     col_basis: DirectionalClusterBasis | None = None,
 ) -> tuple[DirectionalClusterBasis, CompressionState]:
-    """Bottom-up construction of one orthogonal directional cluster basis.
-
-    ``access`` must read sub-blocks of the matrix whose row space the basis
-    shall capture (pass an adjoint accessor for the column basis).
-    Clusters are visited sons first, in descending id order, with all
-    their direction pairs together.  A leaf cluster reads its pairs' strips
-    with one accessor call over their farfield columns side by side, and
-    each pair's strip is a column slice of that read.
-    Each pair's weighted strip g is reduced to its triangular factor
-    L = R^H, where g^H = Q R; the cluster's factors are grouped by shape
-    and truncated through one ``svd`` call per shape on their stack.  The
-    floor sigma_1 max(g.shape) eps keeps g's shape, and the reduced rows
-    are q^H g.  A pair's sorted farfield columns, the positions of each
-    source cluster's indices in them and its column weights come from one
-    sort.
-    Without ``keep_reduced`` every pair's reduced rows and farfield columns
-    are dropped once no parent pair reads them, so ``state.r`` ends empty.
+    """Bottom-up construction of one orthogonal directional cluster basis
+    from sub-blocks of the matrix whose row space it shall capture (pass an
+    adjoint accessor for the column basis), as the module docstring says.
+    Each strip g is reduced by one ``np.linalg.qr`` of g^H per pair, the
+    floor sigma_1 max(g.shape) eps keeps g's shape, and the reduced rows are
+    q^H g.  With ``keep_reduced`` the state holds every pair's reduced rows
+    and the values of ``farfield_sets`` (``groups``, ``cols``); without it
+    these end empty, and reduced rows are dropped once no parent reads them.
 
     Given the column basis, a row pass also forms the coupling matrix of
-    every admissible block b = (t, s, c) into ``state.coupling`` while the
-    reduced rows R of (t, c) are held: R is V_tc^H times the weighted strip,
-    so V_tc^H A_b W_sc = omega_b R[:, cols of s] W_sc.
+    every admissible block b = (t, s, c) into ``state.coupling``: the reduced
+    rows R of (t, c) are V_tc^H times the weighted strip, so V_tc^H A_b W_sc
+    = omega_b R[:, cols of s] W_sc, with the columns of s found through the
+    index arrays.  Each product is formed on its own: batching the few
+    blocks of one shape cost more than it saved.
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
@@ -256,100 +270,108 @@ def build_basis(
     if block_weights is None:
         matrix = access if side == "row" else _adjoint_access(access)  # the weights are norms of A[t, s]
         block_weights = compute_block_weights(matrix, tree, bt)
-    used = used_directions(tree, dirs, bt, side)
-    groups, shallowest = _farfield_groups(tree, dirs, bt, side, used)
-    cols: dict = {}
-    state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)
+    levels, where = _farfield(tree, dirs, bt, side)
+    n, inverse = tree[tree.root].size, np.ones(len(bt))  # 1/weight per block
+    inverse[bt.admissible_leaves] = [1.0 / block_weights[bid] for bid in bt.admissible_leaves]
+    state = CompressionState(block_weights=block_weights)
+    if keep_reduced:
+        state.groups, state.cols = farfield_sets(tree, dirs, bt, side)
     basis = DirectionalClusterBasis()
-    read_by_parent = {
-        (son, dirs.son_index(tree[cid].level, c)) for cid, cs in used.items() for c in cs for son in tree[cid].sons
-    }
     col_memo: dict = {}
 
     # Per-pair truncation target: a block rooted at level l_t collects the
     # squared budget sum_{r in desc(t)} eps_r^2, which must stay within
     # (eps/sqrt(2))**2 per side so the row/column split keeps the total block
-    # error at eps.  Each pair is governed by the shallowest admissible block
-    # above it.
+    # error at eps.  The shallowest admissible block above a pair governs it.
     eps_base = cfg.eps * float(np.sqrt((1.0 - max_sons * cfg.zeta**2) / 2.0))
-    for key, level in shallowest.items():
-        state.target_eps[key] = eps_base * cfg.zeta ** (tree[key[0]].level - level)
+    tolerance = np.array([eps_base * cfg.zeta**d for d in range(tree.depth + 1)])
+    for lv in levels:
+        state.target_eps.update(zip(zip(lv.cid.tolist(), lv.c.tolist()), tolerance[lv.below].tolist()))
 
-    for cid in sorted(used, reverse=True):  # sons before parents
-        cluster = tree[cid]
-        keys = [(cid, c) for c in used[cid]]
-        columns = [_sorted_columns(tree, groups[key]) for key in keys]
+    for cid in sorted(where, reverse=True):  # sons before parents
+        cluster, (l, p0, p1) = tree[cid], where[cid]
+        lv, sons, cs = levels[l], cluster.sons, levels[l].c[p0:p1].tolist()
+        i0, i1 = lv.item_ptr[p0], lv.item_ptr[p1]
+        span = lv.cols[lv.item_ptr[p0 : p1 + 1]]
+        cols = lv.columns[span[0] : span[-1]].astype(np.intp)
+        bounds = (span - span[0]).tolist()
+        at = lv.pos[span[0] : span[-1]] - span[0]  # each item's columns in the cluster's run
         if cluster.is_leaf:
-            # the leaf blocks partition the matrix, so the directions' column
-            # sets are disjoint and one read of them side by side serves all
-            read = access(cluster.index_set, np.concatenate([fcols for fcols, _, _ in columns]))
-        strips = []
-        start = 0
-        for key, (fcols, inverse, offsets) in zip(keys, columns):
-            items = groups[key]
-            if cluster.is_leaf:
-                g = read[:, start : start + fcols.size]
-                start += fcols.size
-                w = np.empty(fcols.size)
-                w[inverse] = np.repeat([1.0 / block_weights[bid] for _, bid in items], np.diff(offsets))
-                g = g * w[None, :]
-            else:
-                c2 = dirs.son_index(cluster.level, key[1])
-                parts = []
-                for son in cluster.sons:
-                    rs = state.r[(son, c2)]
-                    pos = np.searchsorted(cols[(son, c2)], fcols)
-                    parts.append(rs[:, pos])
-                g = np.vstack(parts)
-            strips.append(g)
-        # g = L Q^H: L has g's singular values and left singular vectors, and
-        # at most as many columns as g has rows
-        factors = {
-            key: np.linalg.qr(g.conj().T, mode="r").conj().T for key, g in zip(keys, strips) if g.shape[0]
-        }
-        svds = _svd_by_shape(factors)
+            w = np.empty(cols.size)  # 1/weight of each column's block
+            w[at] = np.repeat(inverse[lv.bid[i0:i1]], np.diff(lv.cols[i0 : i1 + 1]))
+            read = access(cluster.index_set, cols)
+            # scaled pair by pair: BLAS may round q^H g differently for a strided g
+            strips = [read[:, a:b] * w[a:b] for a, b in zip(bounds, bounds[1:])]
+        else:
+            # pair i's columns in the pairs of son j with the chained direction,
+            # found among the keys of the sons' pairs, which are one run
+            chained, nxt = dirs.son_maps[l][lv.c[p0:p1]], levels[l + 1]
+            son_pair = np.stack([q0 + np.searchsorted(nxt.c[q0:q1], chained) for _, q0, q1 in map(where.get, sons)], 1)
+            q0, q1 = where[sons[0]][1], where[sons[-1]][2]
+            run = nxt.cols[nxt.item_ptr[q0 : q1 + 1]]
+            keys = np.repeat(np.arange(q0, q1) * n, np.diff(run)) + nxt.columns[run[0] : run[-1]]
+            runs = np.repeat(np.diff(span), len(sons))
+            son_pair = np.repeat(son_pair.ravel(), runs)
+            pos = np.searchsorted(keys, son_pair * n + cols[_ranges(np.repeat(span[:-1] - span[0], len(sons)), runs)])
+            pos -= run[son_pair - q0] - run[0]
+            ends = np.cumsum(runs).tolist()
+            parts = [pos[a:b] for a, b in zip([0] + ends, ends)]
+            strips = [
+                np.concatenate([state.r[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
+                for i, c2 in enumerate(chained.tolist())
+            ]
 
-        for key, g, (fcols, inverse, offsets) in zip(keys, strips, columns):
-            c = key[1]
-            items = groups[key]
-            if key not in svds:
-                k = 0
-                q = np.zeros((0, 0), dtype=np.complex128)
-                state.realized_eps[key] = 0.0
-            else:
-                u, sigma = svds[key]
-                tol = state.target_eps[key]
-                if sigma.size:
-                    tol = max(tol, sigma[0] * max(g.shape) * _EPS)
-                k = truncation_rank(sigma, tol)
-                q = u[:, :k].copy()  # a view would keep the whole stack alive
-                state.realized_eps[key] = float(sigma[k]) if k < sigma.size else 0.0
-            state.q[key] = q
+        # g = L Q^H: L has g's singular values and left singular vectors, and
+        # at most as many columns as g has rows.  Each pair's singular values
+        # are padded with zeros: a pair without rows has rank 0, and one
+        # that keeps all m values discards sigma[m] = 0.
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, g in enumerate(strips):
+            if g.shape[0]:
+                by_shape.setdefault((g.shape[0], min(g.shape)), []).append(i)
+        u = [np.zeros((0, 0), dtype=np.complex128)] * len(strips)
+        sigma = np.zeros((len(strips), max((m for _, m in by_shape), default=0) + 1))
+        for (rows, m), idx in by_shape.items():
+            factors, lower = np.zeros((len(idx), rows, m), dtype=np.complex128), np.tri(rows, m, dtype=bool)
+            for factor, i in zip(factors, idx):
+                h, _ = np.linalg.qr(strips[i].conj().T, mode="raw")  # R is the upper triangle of h^T
+                np.conjugate(h[:, :m], out=factor, where=lower)
+            res = svd(factors)
+            sigma[idx, :m] = res.sigma
+            for i, ui in zip(idx, res.u):
+                u[i] = ui
+        floor = sigma[:, 0] * np.array([max(g.shape) for g in strips]) * _EPS
+        ranks = truncation_rank(sigma, np.maximum(tolerance[lv.below[p0:p1]], floor))
+        realized = sigma[np.arange(len(strips)), ranks].tolist()
+
+        reduced = []
+        read_by_parent = (lv.via[lv.item_ptr[p0 + 1 : p1 + 1] - 1] >= 0).tolist()  # an inherited block comes last
+        for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
+            key = (cid, c)
+            state.realized_eps[key], basis.rank[key] = realized[i], k
+            q = state.q[key] = u[i][:, :k].copy()  # a view would keep the whole stack alive
             r = q.conj().T @ g
-            if col_basis is not None:
-                for i, (s, bid) in enumerate(items):
-                    if bt[bid].t == cid:  # blocks owned by this pair, not by an ancestor
-                        w = expand_factor(col_basis, tree, dirs, s, c, col_memo)
-                        pos = inverse[offsets[i] : offsets[i + 1]]
-                        state.coupling[bid] = block_weights[bid] * (r[:, pos] @ w)
-            if keep_reduced or key in read_by_parent:
+            reduced.append(r)
+            if keep_reduced or read_by_parent[i]:
                 state.r[key] = r
-                cols[key] = fcols
-            basis.rank[key] = k
             if cluster.is_leaf:
                 basis.leaf[key] = q
             else:
-                off = 0
-                c2 = dirs.son_index(cluster.level, c)
-                for son in cluster.sons:
+                off, c2 = 0, dirs.son_index(l, c)
+                for son in sons:
                     ks = basis.rank[(son, c2)]
                     basis.transfer[(son, c)] = q[off : off + ks]
                     off += ks
-        if not keep_reduced:
-            for son in cluster.sons:
-                for c_son in used.get(son, ()):  # parents are done with these
-                    state.r.pop((son, c_son), None)
-                    cols.pop((son, c_son), None)
+        if col_basis is not None:  # the cluster's own blocks lead each pair's items
+            own = i0 + np.nonzero(lv.via[i0:i1] < 0)[0]
+            pair = np.searchsorted(lv.item_ptr, own, side="right") - 1 - p0
+            starts, ends = (lv.cols[own] - span[0]).tolist(), (lv.cols[own + 1] - span[0]).tolist()
+            for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
+                w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
+                state.coupling[bid] = block_weights[bid] * (reduced[i][:, at[a:b] - bounds[i]] @ w)
+        if not keep_reduced and sons:  # the sons' reduced rows have been read
+            for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
+                state.r.pop(key)
     return basis, state
 
 
@@ -394,39 +416,21 @@ def compress(
     weights = compute_block_weights(access, tree, bt)
 
     t0 = time.perf_counter()
-    col_basis, col_state = build_basis(
-        _adjoint_access(access), tree, dirs, bt, cfg, side="col",
-        block_weights=weights, keep_reduced=return_state,
-    )
-    if not return_state:
-        col_state = None
+    kwargs = dict(block_weights=weights, keep_reduced=return_state)
+    col_basis, col_state = build_basis(_adjoint_access(access), tree, dirs, bt, cfg, side="col", **kwargs)
+    col_state = col_state if return_state else None  # a state holds several dict entries per pair
     t1 = time.perf_counter()
-    row_basis, row_state = build_basis(
-        access, tree, dirs, bt, cfg, side="row",
-        block_weights=weights, keep_reduced=return_state, col_basis=col_basis,
-    )
-    coupling = row_state.coupling
-    if not return_state:
-        row_state = None
+    row_basis, row_state = build_basis(access, tree, dirs, bt, cfg, side="row", col_basis=col_basis, **kwargs)
+    coupling, row_state = row_state.coupling, row_state if return_state else None
     t2 = time.perf_counter()
     nearfield = stack_slots({bid: (tree[bt[bid].t].size, tree[bt[bid].s].size) for bid in bt.inadmissible_leaves})
     for bid in bt.inadmissible_leaves:
         nearfield[bid][...] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
     t3 = time.perf_counter()
     if timings is not None:
-        timings["row"] = t2 - t1
-        timings["col"] = t1 - t0
-        timings["projection"] = t3 - t2
+        timings.update(row=t2 - t1, col=t1 - t0, projection=t3 - t2)
 
-    a = DH2Matrix(
-        tree=tree,
-        directions=dirs,
-        blocks=bt,
-        row_basis=row_basis,
-        col_basis=col_basis,
-        coupling=coupling,
-        nearfield=nearfield,
-    )
+    a = DH2Matrix(tree, dirs, bt, row_basis, col_basis, coupling, nearfield)
     if return_state:
         return a, row_state, col_state
     return a
@@ -533,13 +537,7 @@ class AcaMatrix:
 
 
 def aca_compress(access, tree: ClusterTree, bt: BlockTree, tolerance: float) -> AcaMatrix:
-    factors = {}
-    for bid in bt.admissible_leaves:
-        b = bt[bid]
-        blk = access(tree[b.t].index_set, tree[b.s].index_set)
-        factors[bid] = aca_approximate(blk, tolerance)
-    nearfield = {
-        bid: access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
-        for bid in bt.inadmissible_leaves
-    }
+    read = lambda bid: access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
+    factors = {bid: aca_approximate(read(bid), tolerance) for bid in bt.admissible_leaves}
+    nearfield = {bid: read(bid) for bid in bt.inadmissible_leaves}
     return AcaMatrix(tree=tree, blocks=bt, factors=factors, nearfield=nearfield)

@@ -213,9 +213,9 @@ def dense_block(mesh: SurfaceMesh, spec: KernelSpec, rows, cols) -> np.ndarray:
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    g, diagonal = _radial_part(mesh, spec, rows, cols)
+    g, diagonal, (dn, _) = _radial_part(mesh, spec, rows, cols)
     block = np.empty((rows.size, cols.size), dtype=np.complex128)
-    _finish(mesh, spec, g, rows, cols, diagonal, block)
+    _finish(mesh, spec, g, dn, rows, cols, diagonal, block)
     return block
 
 
@@ -225,15 +225,23 @@ def _differences(mesh: SurfaceMesh, rows: np.ndarray, cols: np.ndarray) -> np.nd
     return np.subtract(mesh.midpoints[rows].T[:, :, None], mesh.midpoints[cols].T[:, None, :], order="C")
 
 
-def _radial_part(mesh: SurfaceMesh, spec: KernelSpec, rows: np.ndarray, cols: np.ndarray):
+def _radial_part(mesh: SurfaceMesh, spec: KernelSpec, rows: np.ndarray, cols: np.ndarray, back: bool = False):
     """The factor g of ``dense_block``'s entries, which depends on r alone,
     as a (2, rows, cols) array of its real and imaginary parts, and the
     positions (di, dj) of the diagonal entries, rows[di] == cols[dj], where
-    r is set to 1 and the entry is later set by its own rule.
+    r is set to 1 and the entry is later set by its own rule.  Also, from
+    the same differences d = x_i - y_j, the double layer's dn = d . n_j for
+    (rows, cols) and, with ``back``, its dn for (cols, rows), -(d . n_i)
+    transposed (each dot product summed as (dx*nx + dz*nz) + dy*ny).
 
     x_i - y_j is exactly -(y_j - x_i), so r, and with it g, is bitwise
     symmetric: the transpose of g for (rows, cols) is g for (cols, rows)."""
     d = _differences(mesh, rows, cols)
+    dot = lambda n: (d[0] * n[0] + d[2] * n[2]) + d[1] * n[1]
+    dn = (None, None)
+    if spec.kind == "dlp":
+        back_dn = np.negative(dot(mesh.normals[rows].T[:, :, None])).T if back else None
+        dn = dot(mesh.normals[cols].T[:, None, :]), back_dn
     d *= d
     r = d[0] + d[1]
     r += d[2]
@@ -254,20 +262,14 @@ def _radial_part(mesh: SurfaceMesh, spec: KernelSpec, rows: np.ndarray, cols: np
         np.multiply(r, r, out=s)
         np.divide(1.0, s, out=s)
         g *= s
-    return g, (di, dj)
+    return g, (di, dj), dn
 
 
-def _finish(mesh: SurfaceMesh, spec: KernelSpec, g, rows, cols, diagonal, out: np.ndarray) -> None:
+def _finish(mesh: SurfaceMesh, spec: KernelSpec, g, dn, rows, cols, diagonal, out: np.ndarray) -> None:
     """Write the rows x cols entries into the complex array ``out`` from
-    their radial part g, which is only read: the parts that depend on the
-    orientation, dn with the normal at y_j and the two area products, and
-    the diagonal rules."""
+    their radial part g and, for the double layer, dn (both only read): the
+    area products and the diagonal rules."""
     row_areas, col_areas = mesh.areas[rows][:, None], mesh.areas[cols]
-    if spec.kind == "dlp":
-        p = _differences(mesh, rows, cols)
-        p *= mesh.normals[cols].T[:, None, :]
-        dn = p[0] + p[2]
-        dn += p[1]
     for part, gp in ((out.real, g[0]), (out.imag, g[1])):
         if spec.kind == "dlp":
             np.multiply(gp, dn, out=part)
@@ -290,8 +292,9 @@ def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec) -> np.ndarray:
     (1 - i*kappa*r)/r**2) is computed once for (I, J), and its transpose
     serves the (J, I) tile.  The transpose holds the same bits, because
     x_i - y_j is exactly -(y_j - x_i), so r and everything formed from it is
-    bitwise symmetric.  Only dn, with the normal at the column point, and
-    the two area products are formed once per orientation."""
+    bitwise symmetric.  The differences serve both tiles as well: the (J, I)
+    tile's dn, with the normal at x_i, is -((x_i - y_j) . n_i) transposed,
+    as a negation is exact.  Only the area products are formed per tile."""
     n = mesh.n_triangles
     out = np.empty((n, n), dtype=np.complex128)
     for i0 in range(0, n, ASSEMBLY_CHUNK):
@@ -300,10 +303,10 @@ def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec) -> np.ndarray:
         for j0 in range(i0, n, ASSEMBLY_CHUNK):
             j1 = min(j0 + ASSEMBLY_CHUNK, n)
             cols = np.arange(j0, j1)
-            g, diagonal = _radial_part(mesh, spec, rows, cols)
-            _finish(mesh, spec, g, rows, cols, diagonal, out[i0:i1, j0:j1])
+            g, diagonal, (dn, dn_back) = _radial_part(mesh, spec, rows, cols, back=j0 != i0)
+            _finish(mesh, spec, g, dn, rows, cols, diagonal, out[i0:i1, j0:j1])
             if j0 != i0:
-                _finish(mesh, spec, g.transpose(0, 2, 1), cols, rows, diagonal[::-1], out[j0:j1, i0:i1])
+                _finish(mesh, spec, g.transpose(0, 2, 1), dn_back, cols, rows, diagonal[::-1], out[j0:j1, i0:i1])
     return out
 
 

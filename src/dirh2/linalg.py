@@ -38,26 +38,16 @@ class SVDResult:
     v: np.ndarray
 
 
-def _canonical_signs(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Make the largest-magnitude entry of every left singular vector real
-    # and positive; the compensating phase goes into v so the product is
-    # unchanged.  Serialized bases then do not depend on LAPACK's phase
-    # choices.  Stacks are handled matrix by matrix along the leading axes.
-    if u.shape[-1] == 0:
-        return u, v
-    idx = np.argmax(np.abs(u), axis=-2)
-    lead = np.take_along_axis(u, idx[..., None, :], axis=-2)
-    mag = np.abs(lead)
-    phase = np.where(mag > 0.0, lead / np.where(mag > 0.0, mag, 1.0), 1.0)
-    return u * phase.conj(), v * phase.conj()
-
-
 def svd(a: np.ndarray) -> SVDResult:
     """Singular value decomposition with a deterministic sign convention.
 
     ``a`` is one matrix or a stack of matrices along its leading axes; a
     stack gives stacked ``u``, ``sigma`` and ``v``, each slot bitwise the
-    result of a call on that slot alone.  Raises
+    result of a call on that slot alone.  The largest-magnitude entry of
+    every left singular vector is made real and positive, and the
+    compensating phase goes into v, so the product is unchanged and
+    serialized bases do not depend on LAPACK's phase choices.  Raises
+    ``ValueError`` on an empty or non-finite ``a``, and
     ``numpy.linalg.LinAlgError`` if the underlying iteration does not
     converge.
     """
@@ -67,20 +57,28 @@ def svd(a: np.ndarray) -> SVDResult:
     if not np.isfinite(a).all():
         raise ValueError("svd input contains non-finite entries")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u, v = _canonical_signs(u, vh.conj().swapaxes(-1, -2))
-    return SVDResult(u=u, sigma=s, v=v)
+    # each column's leading entry, gathered from a (matrices, rows, columns) view
+    flat = u.reshape(-1, *u.shape[-2:])
+    idx = np.argmax(np.abs(flat), axis=1)
+    lead = flat[np.arange(flat.shape[0])[:, None], idx, np.arange(flat.shape[2])].reshape(*u.shape[:-2], 1, -1)
+    mag = np.abs(lead)  # zero only for a zero column, whose phase stays 1
+    phase = (lead / mag if mag.all() else np.where(mag > 0.0, lead / np.where(mag > 0.0, mag, 1.0), 1.0)).conj()
+    return SVDResult(u=u * phase, sigma=s, v=vh.conj().swapaxes(-1, -2) * phase)
 
 
-def truncation_rank(singular_values: np.ndarray, tolerance: float) -> int:
-    """Smallest k with sigma_{k+1} <= tolerance, at least 1 while sigma_1 > 0."""
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be >= 0")
+def truncation_rank(singular_values: np.ndarray, tolerance):
+    """Smallest k with sigma_{k+1} <= tolerance, at least 1 while sigma_1 > 0.
+
+    ``singular_values`` may also be a stack of non-increasing rows (..., m)
+    with one tolerance per row (or one for all); the ranks are then an
+    integer array over the leading axes."""
     s = np.asarray(singular_values, dtype=float)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    below = np.nonzero(s <= tolerance)[0]
-    k = int(below[0]) if below.size else int(s.size)
-    return max(k, 1)
+    tol = np.asarray(tolerance, dtype=float)
+    if not (tol >= 0.0).all():
+        raise ValueError("tolerance must be >= 0")
+    s = np.concatenate([s, np.zeros((*s.shape[:-1], 1))], axis=-1)  # sigma_{m+1} = 0 <= tolerance
+    k = np.where(s[..., 0] == 0.0, 0, np.maximum((s <= tol[..., None]).argmax(axis=-1), 1))
+    return int(k) if s.ndim == 1 else k
 
 
 def power_iteration_norm(apply_a, apply_ah, dim: int, iterations: int, seed: int) -> float:

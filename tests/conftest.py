@@ -1,6 +1,6 @@
 import numpy as np
 
-from dirh2.blocktree import ADMISSIBLE, INADMISSIBLE, SUBDIVIDED, build_block_tree
+from dirh2.blocktree import ADMISSIBLE, INADMISSIBLE, SUBDIVIDED, build_block_tree, used_directions
 from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.directions import build_directions
 from dirh2.geometry import build_sphere_mesh
@@ -158,3 +158,165 @@ def reference_dense_block(mesh, spec, rows, cols):
     diag = mesh.areas[rows] ** 1.5 / (2.0 * np.sqrt(np.pi)) if spec.kind == "slp" else 0.5 * mesh.areas[rows]
     block[same] = np.broadcast_to(diag[:, None], block.shape)[same]
     return block
+
+
+def reference_svd(a):
+    """``linalg.svd`` as it was before its per-call overhead was cut: the
+    finiteness check on the input, ``np.take_along_axis`` and two
+    ``np.where`` for the phases.  Returns (u, sigma, v)."""
+    a = np.asarray(a, dtype=np.complex128)
+    if not np.isfinite(a).all():
+        raise ValueError("svd input contains non-finite entries")
+    u, s, vh = np.linalg.svd(a, full_matrices=False)
+    v = vh.conj().swapaxes(-1, -2)
+    if u.shape[-1] == 0:
+        return u, s, v
+    idx = np.argmax(np.abs(u), axis=-2)
+    lead = np.take_along_axis(u, idx[..., None, :], axis=-2)
+    mag = np.abs(lead)
+    phase = np.where(mag > 0.0, lead / np.where(mag > 0.0, mag, 1.0), 1.0)
+    return u * phase.conj(), s, v * phase.conj()
+
+
+def _reference_farfield_groups(tree, dirs, bt, side, used):
+    groups, shallowest = {}, {}
+    for bid in bt.admissible_leaves:
+        b = bt[bid]
+        cid, other = (b.t, b.s) if side == "row" else (b.s, b.t)
+        groups.setdefault((cid, b.c_index), []).append((other, bid))
+        shallowest[(cid, b.c_index)] = tree[cid].level
+    for cid in range(len(tree)):  # ids are parent-first
+        cluster = tree[cid]
+        if cluster.is_leaf:
+            continue
+        for c in used.get(cid, ()):
+            c2 = dirs.son_index(cluster.level, c)
+            level = shallowest[(cid, c)]
+            for son in cluster.sons:
+                groups.setdefault((son, c2), []).extend(groups[(cid, c)])
+                shallowest[(son, c2)] = min(shallowest.get((son, c2), level), level)
+    return groups, shallowest
+
+
+def _reference_sorted_columns(tree, items):
+    sets = [tree[s].index_set for s, _ in items]
+    merged = np.concatenate(sets)
+    order = np.argsort(merged, kind="stable")
+    inverse = np.empty_like(order)
+    inverse[order] = np.arange(order.size)
+    offsets = np.cumsum([0] + [x.size for x in sets])
+    return merged[order], inverse, offsets
+
+
+def reference_farfield_sets(tree, dirs, bt, side="row"):
+    """``farfield_sets`` as it was before the index arrays: groups built
+    by walking the blocks and the clusters, one sort per pair."""
+    groups, _ = _reference_farfield_groups(tree, dirs, bt, side, used_directions(tree, dirs, bt, side))
+    return groups, {key: _reference_sorted_columns(tree, items)[0] for key, items in groups.items()}
+
+
+def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights=None, keep_reduced=True, col_basis=None):
+    """``compression.build_basis`` as it was before the index arrays: one
+    Python pass per (cluster, direction) pair, one ``_sorted_columns`` sort
+    per pair, one ``np.linalg.qr(mode="r")`` per pair, and one coupling
+    product per block, with ``reference_svd``."""
+    from dirh2.compression import CompressionState, _adjoint_access, compute_block_weights
+    from dirh2.dh2core import DirectionalClusterBasis, expand_factor
+    from dirh2.linalg import truncation_rank
+
+    max_sons = max((len(c.sons) for c in tree.clusters if c.sons), default=1)
+    cfg.validate(max_sons)
+    if block_weights is None:
+        matrix = access if side == "row" else _adjoint_access(access)
+        block_weights = compute_block_weights(matrix, tree, bt)
+    used = used_directions(tree, dirs, bt, side)
+    groups, shallowest = _reference_farfield_groups(tree, dirs, bt, side, used)
+    cols = {}
+    state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)
+    basis = DirectionalClusterBasis()
+    read_by_parent = {
+        (son, dirs.son_index(tree[cid].level, c)) for cid, cs in used.items() for c in cs for son in tree[cid].sons
+    }
+    col_memo = {}
+    eps_base = cfg.eps * float(np.sqrt((1.0 - max_sons * cfg.zeta**2) / 2.0))
+    for key, level in shallowest.items():
+        state.target_eps[key] = eps_base * cfg.zeta ** (tree[key[0]].level - level)
+
+    for cid in sorted(used, reverse=True):
+        cluster = tree[cid]
+        keys = [(cid, c) for c in used[cid]]
+        columns = [_reference_sorted_columns(tree, groups[key]) for key in keys]
+        if cluster.is_leaf:
+            read = access(cluster.index_set, np.concatenate([fcols for fcols, _, _ in columns]))
+        strips = []
+        start = 0
+        for key, (fcols, inverse, offsets) in zip(keys, columns):
+            items = groups[key]
+            if cluster.is_leaf:
+                g = read[:, start : start + fcols.size]
+                start += fcols.size
+                w = np.empty(fcols.size)
+                w[inverse] = np.repeat([1.0 / block_weights[bid] for _, bid in items], np.diff(offsets))
+                g = g * w[None, :]
+            else:
+                c2 = dirs.son_index(cluster.level, key[1])
+                parts = []
+                for son in cluster.sons:
+                    rs = state.r[(son, c2)]
+                    pos = np.searchsorted(cols[(son, c2)], fcols)
+                    parts.append(rs[:, pos])
+                g = np.vstack(parts)
+            strips.append(g)
+        factors = {
+            key: np.linalg.qr(g.conj().T, mode="r").conj().T for key, g in zip(keys, strips) if g.shape[0]
+        }
+        by_shape = {}
+        for key, f in factors.items():
+            by_shape.setdefault(f.shape, []).append(key)
+        svds = {}
+        for shape_keys in by_shape.values():
+            u, sigma, _ = reference_svd(np.stack([factors[key] for key in shape_keys]))
+            svds.update((key, (u[i], sigma[i])) for i, key in enumerate(shape_keys))
+
+        for key, g, (fcols, inverse, offsets) in zip(keys, strips, columns):
+            c = key[1]
+            items = groups[key]
+            if key not in svds:
+                k = 0
+                q = np.zeros((0, 0), dtype=np.complex128)
+                state.realized_eps[key] = 0.0
+            else:
+                u, sigma = svds[key]
+                tol = state.target_eps[key]
+                if sigma.size:
+                    tol = max(tol, sigma[0] * max(g.shape) * np.finfo(float).eps)
+                k = truncation_rank(sigma, tol)
+                q = u[:, :k].copy()
+                state.realized_eps[key] = float(sigma[k]) if k < sigma.size else 0.0
+            state.q[key] = q
+            r = q.conj().T @ g
+            if col_basis is not None:
+                for i, (s, bid) in enumerate(items):
+                    if bt[bid].t == cid:
+                        w = expand_factor(col_basis, tree, dirs, s, c, col_memo)
+                        pos = inverse[offsets[i] : offsets[i + 1]]
+                        state.coupling[bid] = block_weights[bid] * (r[:, pos] @ w)
+            if keep_reduced or key in read_by_parent:
+                state.r[key] = r
+                cols[key] = fcols
+            basis.rank[key] = k
+            if cluster.is_leaf:
+                basis.leaf[key] = q
+            else:
+                off = 0
+                c2 = dirs.son_index(cluster.level, c)
+                for son in cluster.sons:
+                    ks = basis.rank[(son, c2)]
+                    basis.transfer[(son, c)] = q[off : off + ks]
+                    off += ks
+        if not keep_reduced:
+            for son in cluster.sons:
+                for c_son in used.get(son, ()):
+                    state.r.pop((son, c_son), None)
+                    cols.pop((son, c_son), None)
+    return basis, state

@@ -3,7 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import assert_applies_as_reference, check_plan, dense_accessor, line_system, sphere_system
+from conftest import (
+    assert_applies_as_reference,
+    check_plan,
+    dense_accessor,
+    line_system,
+    reference_build_basis,
+    reference_farfield_sets,
+    sphere_system,
+)
 
 import dirh2.compression
 from dirh2.assembly import assemble_dh2_by_interpolation
@@ -52,6 +60,15 @@ def weighted_strip(dense, tree, state, key):
     return strip * w[None, :]
 
 
+def assert_same_bits(got: dict, want: dict) -> None:
+    """The same keys, and byte for byte the same array or float per key."""
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        a, b = np.ascontiguousarray(got[key]), np.ascontiguousarray(value)
+        assert a.dtype == b.dtype and a.shape == b.shape, key
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), key
+
+
 def check_projection_bound(dense, tree, dirs, basis, state, key):
     """Projection error of one pair against its realized subtree budget,
     with roundoff slack proportional to the strip size."""
@@ -95,6 +112,28 @@ def directional512():
     )
     assert nonzero == len(bt.admissible_leaves) > 0
     return mesh, dense, tree, dirs, bt
+
+
+@pytest.fixture(scope="module")
+def cube_and_points():
+    """Sixteen grid points in a unit cube and three single points about ten
+    away in three directions: the cube is a leaf whose read holds three
+    single-column strips, one per direction.  A product with such a column
+    taken as a strided view of the read rounds differently from one with a
+    contiguous copy."""
+    from dirh2.blocktree import build_block_tree
+    from dirh2.clustering import build_cluster_tree, level_diameter
+    from dirh2.directions import build_directions
+
+    grid = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1 / 3, 2 / 3, 1.0)]
+    pts = np.array(grid + [[10.0, 0.0, 0.5], [0.0, 10.0, 0.5], [10.0, 10.0, 0.5]])
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(d, 1.0)
+    dense = np.exp(10j * d) / (4 * np.pi * d)
+    tree = build_cluster_tree(pts, 16)
+    dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], 10.0, 2.0)
+    bt = build_block_tree(tree, dirs, 10.0, 2.0, 5.0)
+    return dense, tree, dirs, bt
 
 
 @pytest.fixture(scope="module")
@@ -151,8 +190,52 @@ class TestFarfieldSets:
             merged = np.concatenate(arrays)
             assert merged.size == np.unique(merged).size
 
+    @pytest.mark.parametrize("system", ["line256", "sphere512", "directional512", "cube_and_points"])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    def test_equal_to_the_per_pair_reference(self, system, side, request):
+        # the index arrays give the lists in the order the per-pair walk made them
+        *_, tree, dirs, bt = request.getfixturevalue(system)
+        groups, cols = farfield_sets(tree, dirs, bt, side)
+        want_groups, want_cols = reference_farfield_sets(tree, dirs, bt, side)
+        assert groups == want_groups
+        assert cols.keys() == want_cols.keys()
+        assert all(cols[key].dtype == want_cols[key].dtype for key in cols)
+        assert all(np.array_equal(cols[key], want_cols[key]) for key in cols)
+
 
 class TestBuildBasis:
+    @pytest.mark.parametrize("system", ["sphere512", "directional512", "cube_and_points"])
+    @pytest.mark.parametrize("side", ["row", "col"])
+    @pytest.mark.parametrize("keep_reduced", [True, False])
+    def test_same_bits_as_the_per_pair_reference(self, system, side, keep_reduced, request):
+        # ranks, bases, transfers, couplings and the two error dicts, byte
+        # for byte; the row pass forms couplings against one column basis
+        *_, dense, tree, dirs, bt = request.getfixturevalue(system)
+        dense = dense.astype(complex)
+        cfg = CompressionConfig(eps=1e-4)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
+        access = dense_accessor(dense if side == "row" else dense.conj().T)
+        col_basis = None
+        if side == "row":
+            col_basis, _ = build_basis(
+                dense_accessor(dense.conj().T), tree, dirs, bt, cfg, side="col", block_weights=weights
+            )
+        runs = [
+            fn(access, tree, dirs, bt, cfg, side=side, block_weights=weights, keep_reduced=keep_reduced, col_basis=col_basis)
+            for fn in (build_basis, reference_build_basis)
+        ]
+        (basis, state), (want, want_state) = runs
+        assert basis.rank == want.rank and basis.rank
+        assert_same_bits(basis.leaf, want.leaf)
+        assert_same_bits(basis.transfer, want.transfer)
+        assert_same_bits(state.coupling, want_state.coupling)
+        assert (side == "row") == bool(state.coupling)
+        for name in ("realized_eps", "target_eps"):
+            got, ref = getattr(state, name), getattr(want_state, name)
+            assert_same_bits({k: np.float64(v) for k, v in got.items()}, {k: np.float64(v) for k, v in ref.items()})
+        assert_same_bits(state.q, want_state.q)
+        assert_same_bits(state.r, want_state.r)
+
     def test_orthogonality_and_shapes(self, line256):
         dense, tree, dirs, bt = line256
         cfg = CompressionConfig(eps=1e-6)
@@ -291,6 +374,26 @@ class TestBuildBasis:
         assert set(passes) == {"row", "col"}
         for svd_factors, pairs in passes.values():
             assert svd_factors == pairs > 0
+
+    def test_compress_calls_the_traced_functions(self, sphere512, monkeypatch):
+        # the benchmark's per-layer metrics wrap these module-level names; a
+        # compress that inlined them would zero those metrics without failing
+        dense, tree, dirs, bt = sphere512
+        calls = {"weights": 0, "sides": []}
+
+        def counting_weights(*args, **kwargs):
+            calls["weights"] += 1
+            return compute_block_weights(*args, **kwargs)
+
+        def counting_pass(*args, **kwargs):
+            calls["sides"].append(kwargs.get("side"))
+            return build_basis(*args, **kwargs)
+
+        monkeypatch.setattr(dirh2.compression, "compute_block_weights", counting_weights)
+        monkeypatch.setattr(dirh2.compression, "build_basis", counting_pass)
+        compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        assert calls["weights"] == 1
+        assert sorted(calls["sides"]) == ["col", "row"]
 
     def test_column_pass_weights_the_blocks_themselves(self):
         # the column pass reads the adjoint; without given weights it must

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import reference_svd
 from dirh2.linalg import (
     power_iteration_norm,
     read_cmx,
@@ -109,6 +110,17 @@ class TestSvd:
             svd(np.array([[np.nan + 0j]]))
 
 
+    @pytest.mark.parametrize("shape", [(1, 1), (10, 10), (16, 7), (7, 16), (5, 24, 12), (2, 3, 6, 6)])
+    def test_same_bits_as_the_reference(self, shape):
+        # the per-call overhead was cut; u, sigma and v keep their bytes
+        rng = np.random.default_rng(11)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = svd(a)
+        for mine, want in zip((got.u, got.sigma, got.v), reference_svd(a)):
+            assert mine.shape == want.shape and mine.dtype == want.dtype
+            assert np.array_equal(np.ascontiguousarray(mine).view(np.uint64), np.ascontiguousarray(want).view(np.uint64))
+
+
 class TestTruncationRank:
     def test_threshold_between_sigma2_and_sigma3(self):
         assert truncation_rank(np.array([5.0, 0.3, 1e-9]), 1e-4) == 2
@@ -127,6 +139,24 @@ class TestTruncationRank:
             k_small = truncation_rank(s, tols[0])
             k_large = truncation_rank(s, tols[1])
             assert k_large <= k_small
+
+    def test_stack_follows_the_rule_row_by_row(self):
+        def rule(s, tol):
+            if s[0] == 0.0:
+                return 0
+            below = np.nonzero(s <= tol)[0]
+            return max(int(below[0]) if below.size else s.size, 1)
+
+        rng = np.random.default_rng(4)
+        s = -np.sort(-rng.random((30, 6)), axis=1)
+        s[3] = 0.0
+        s[4, 2:] = 0.0
+        tols = rng.random(30) * 0.5
+        tols[5] = s[5, 2]  # sigma_3 equal to the tolerance is discarded
+        ranks = truncation_rank(s, tols)
+        assert ranks.tolist() == [rule(row, tol) for row, tol in zip(s, tols)]
+        assert [truncation_rank(row, tol) for row, tol in zip(s, tols)] == ranks.tolist()
+        assert truncation_rank(np.zeros((2, 0)), 0.1).tolist() == [0, 0]
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
