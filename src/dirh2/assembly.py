@@ -97,11 +97,10 @@ def _transfer_matrix(tree, dirs, kappa, son_id, parent_id, c_idx, m):
     return basis * _plane_wave(kappa, son_pts, c - c2)[:, None]
 
 
-def _coupling_matrix(tree, dirs, kappa, block, m):
-    level = tree[block.t].level
-    c = dirs.levels[level][block.c_index]
-    xt = tensor_points(*tree.support_box(block.t), m)
-    ys = tensor_points(*tree.support_box(block.s), m)
+def _coupling_matrix(tree, dirs, kappa, t, s, c_idx, m):
+    c = dirs.levels[tree[t].level][c_idx]
+    xt = tensor_points(*tree.support_box(t), m)
+    ys = tensor_points(*tree.support_box(s), m)
     d = xt[:, None, :] - ys[None, :, :]
     r = np.linalg.norm(d, axis=2)
     if not (r > 0.0).all():
@@ -149,12 +148,11 @@ def assemble_dh2_by_interpolation(
         return basis
 
     coupling = {
-        bid: _coupling_matrix(tree, dirs, kappa, bt[bid], m)
-        for bid in bt.admissible_leaves
+        bid: _coupling_matrix(tree, dirs, kappa, t, s, c, m) for bid, t, s, c in bt.entries(bt.admissible_leaves)
     }
     nearfield = {
-        bid: dense_block(mesh, spec, tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
-        for bid in bt.inadmissible_leaves
+        bid: dense_block(mesh, spec, tree[t].index_set, tree[s].index_set)
+        for bid, t, s, _ in bt.entries(bt.inadmissible_leaves)
     }
     return DH2Matrix(
         tree=tree,

@@ -1,4 +1,4 @@
-"""Minimal admissible block trees and their sparsity statistics.
+"""Minimal admissible block trees, held in arrays, and their sparsity statistics.
 
 A block pairs two same-level clusters.  It becomes an admissible leaf when
 the parabolic and standard conditions hold,
@@ -20,11 +20,21 @@ boxes, with one rule for both, and the directions of a level's admissible
 blocks come from one ``nearest_direction_index`` call.  Distances and
 diameters are the norms of ``directions.vector_norms``, which are those
 of ``np.linalg.norm`` on each single vector.
+
+A ``BlockTree`` holds per-block arrays (clusters t and s, status code,
+direction index or -1, level), the son lists as one CSR pair (block b's
+sons are ``sons[son_ptr[b]:son_ptr[b + 1]]``) and the ascending ids of the
+admissible and inadmissible leaves.  Blocks are numbered depth first (a
+block, then the blocks of its first son pair, then of the next) without
+recursion: subtree sizes bottom-up, then ids top-down.  ``bt[bid]`` and
+``bt.blocks`` make read-only ``Block`` records of Python values when they
+are read; the library reads the arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,34 +57,63 @@ __all__ = [
 ADMISSIBLE = "admissible"
 INADMISSIBLE = "inadmissible"
 SUBDIVIDED = "subdivided"
+STATUSES = (ADMISSIBLE, INADMISSIBLE, SUBDIVIDED)  # the names of the status codes
+_ADMISSIBLE, _INADMISSIBLE, _SUBDIVIDED = range(3)
 
 
-@dataclass
-class Block:
+class Block(NamedTuple):
+    """One block of a ``BlockTree`` as Python values."""
+
     id: int
     t: int
     s: int
     status: str
-    c_index: int = -1  # direction index at the block's level; -1 unless admissible
-    sons: list[int] = field(default_factory=list)
+    c_index: int  # direction index at the block's level; -1 unless admissible
+    sons: list[int]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BlockTree:
-    blocks: list[Block]
-    root: int
-    admissible_leaves: list[int]
-    inadmissible_leaves: list[int]
+    """The blocks as read-only arrays in depth-first id order; see the module docstring."""
+
+    t: np.ndarray
+    s: np.ndarray
+    status: np.ndarray
+    c_index: np.ndarray
+    level: np.ndarray
+    son_ptr: np.ndarray
+    sons: np.ndarray
     kappa: float
     eta1: float
     eta2: float
     parabolic: bool
+    root: int = 0
+    admissible_leaves: np.ndarray = field(init=False)
+    inadmissible_leaves: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "admissible_leaves", np.flatnonzero(self.status == _ADMISSIBLE))
+        object.__setattr__(self, "inadmissible_leaves", np.flatnonzero(self.status == _INADMISSIBLE))
+        for a in vars(self).values():
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
 
     def __getitem__(self, bid: int) -> Block:
-        return self.blocks[bid]
+        bid = range(len(self))[bid]
+        sons = self.sons[self.son_ptr[bid] : self.son_ptr[bid + 1]].tolist()
+        return Block(bid, int(self.t[bid]), int(self.s[bid]), STATUSES[self.status[bid]], int(self.c_index[bid]), sons)
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.t)
+
+    def entries(self, ids: np.ndarray):
+        """(id, t, s, c_index) of each block of ``ids``, as Python ints."""
+        return zip(ids.tolist(), self.t[ids].tolist(), self.s[ids].tolist(), self.c_index[ids].tolist())
+
+    @property
+    def blocks(self) -> list[Block]:
+        """Every block's record, made anew on each access."""
+        return [self[bid] for bid in range(len(self))]
 
 
 def box_distance(bmin_t, bmax_t, bmin_s, bmax_s):
@@ -101,6 +140,18 @@ def is_admissible(box_t, box_s, kappa: float, eta2: float, parabolic: bool = Tru
     return ok
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The runs starts[i], ..., starts[i] + counts[i] - 1, side by side."""
+    ends = np.cumsum(counts)
+    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
+
+
+def _cluster_sons(tree: ClusterTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each cluster's son count and first son's place, and the son lists side by side."""
+    n_sons = np.array([len(c.sons) for c in tree.clusters])
+    return n_sons, np.cumsum(n_sons) - n_sons, np.array([s for c in tree.clusters for s in c.sons], dtype=np.int64)
+
+
 def build_block_tree(
     tree: ClusterTree,
     dirs: DirectionHierarchy,
@@ -110,12 +161,8 @@ def build_block_tree(
     parabolic: bool = True,
 ) -> BlockTree:
     """Descent from the root pair, subdividing only inadmissible pairs whose
-    clusters both have sons.
-
-    The pairs of one level are decided together, in arrays; son pairs
-    follow their parent in the order (sons of t) x (sons of s).  Blocks are
-    then numbered depth first: a block, then the blocks of its first son
-    pair, then those of the next."""
+    clusters both have sons.  The pairs of one level are decided together,
+    son pairs following their parent as (sons of t) x (sons of s)."""
     if dirs.depth < tree.depth:
         raise ValueError("direction hierarchy is shallower than the cluster tree")
     for name, value in (("eta1", eta1), ("eta2", eta2)):
@@ -127,14 +174,12 @@ def build_block_tree(
     bmin = np.array([c.support_min for c in tree.clusters])
     bmax = np.array([c.support_max for c in tree.clusters])
     center = 0.5 * (bmin + bmax)
-    n_sons = np.array([len(c.sons) for c in tree.clusters])
-    first_son = np.cumsum(n_sons) - n_sons
-    sons = np.array([s for c in tree.clusters for s in c.sons], dtype=np.int64)
+    n_sons, first_son, sons = _cluster_sons(tree)
 
-    # per level, as lists: the pairs (t, s), their status and direction
-    # index, and where in the next level their son pairs start and how many
+    # per level: the pairs (t, s), their status code and direction index, and
+    # how many son pairs each has in the next level, where they lie side by side
     levels = []
-    t = s = np.array([tree.root])
+    t = s = np.array([tree.root], dtype=np.int64)
     while t.size:
         admissible = is_admissible((bmin[t], bmax[t]), (bmin[s], bmax[s]), kappa, eta2, parabolic)
         c_index = np.full(t.size, -1, dtype=np.int64)
@@ -143,38 +188,35 @@ def build_block_tree(
                 dirs.levels[len(levels)], center[t[admissible]] - center[s[admissible]]
             )
         split = ~admissible & (n_sons[t] > 0) & (n_sons[s] > 0)
-        status = np.where(admissible, ADMISSIBLE, np.where(split, SUBDIVIDED, INADMISSIBLE))
+        status = np.where(admissible, _ADMISSIBLE, np.where(split, _SUBDIVIDED, _INADMISSIBLE)).astype(np.int8)
         count = np.where(split, n_sons[t] * n_sons[s], 0)
-        first = np.cumsum(count) - count
-        levels.append([a.tolist() for a in (t, s, status, c_index, first, count)])
+        levels.append((t, s, status, c_index, count))
         # son pair k of pair i: son k // n_s of t_i with son k % n_s of s_i
         parent = np.repeat(np.arange(t.size), count)
-        k = np.arange(count.sum()) - first[parent]
+        k = _ranges(np.zeros(t.size, dtype=np.int64), count)
         n_s = n_sons[s[parent]]
         t, s = sons[first_son[t[parent]] + k // n_s], sons[first_son[s[parent]] + k % n_s]
 
-    blocks: list[Block] = []
+    # below[l][i]: blocks in the subtrees of level l's pairs before pair i; a
+    # son pair's id is its parent's + 1 + the subtrees of the son pairs before it
+    below = [np.zeros(1, dtype=np.int64)]
+    for *_, count in reversed(levels):
+        end = np.cumsum(count)
+        below.insert(0, np.concatenate([[0], np.cumsum(1 + below[0][end] - below[0][end - count])]))
+    ids = [np.zeros(1, dtype=np.int64)]
+    for (*_, count), before in zip(levels, below[1:]):
+        ids.append(np.repeat(ids[-1] + 1 - before[np.cumsum(count) - count], count) + before[:-1])
 
-    def number(level: int, i: int) -> int:
-        t, s, status, c_index, first, count = levels[level]
-        bid = len(blocks)
-        blocks.append(None)
-        son_ids = [number(level + 1, k) for k in range(first[i], first[i] + count[i])]
-        blocks[bid] = Block(bid, t[i], s[i], status[i], c_index[i], son_ids)
-        return bid
-
-    number(0, 0)
-    del number  # a recursive closure refers to itself; unbound, it frees `levels` on return, not at a later GC
-    return BlockTree(
-        blocks=blocks,
-        root=0,
-        admissible_leaves=[b.id for b in blocks if b.status == ADMISSIBLE],
-        inadmissible_leaves=[b.id for b in blocks if b.status == INADMISSIBLE],
-        kappa=kappa,
-        eta1=eta1,
-        eta2=eta2,
-        parabolic=parabolic,
-    )
+    arrays = [np.empty(below[0][-1], dtype=x.dtype) for x in (*levels[0], below[0])]  # and int64 levels
+    for l, (bid, pairs) in enumerate(zip(ids, levels)):
+        for out, values in zip(arrays, (*pairs, l)):
+            out[bid] = values
+    t, s, status, c_index, count, level = arrays
+    son_ptr = np.concatenate([[0], np.cumsum(count)])
+    son_ids = np.empty(son_ptr[-1], dtype=np.int64)
+    for bid, son, (*_, count) in zip(ids, ids[1:], levels):
+        son_ids[_ranges(son_ptr[bid], count)] = son
+    return BlockTree(t, s, status, c_index, level, son_ptr, son_ids, kappa, eta1, eta2, parabolic)
 
 
 def used_directions(
@@ -184,20 +226,21 @@ def used_directions(
     admissible blocks plus the chained-down directions of its ancestors'."""
     if side not in ("row", "col"):
         raise ValueError("side must be 'row' or 'col'")
-    used: dict[int, set[int]] = {}
-    for bid in bt.admissible_leaves:
-        b = bt[bid]
-        cid = b.t if side == "row" else b.s
-        used.setdefault(cid, set()).add(b.c_index)
-    for cid in range(len(tree)):  # parent-first ids, chains propagate down
-        cluster = tree[cid]
-        if cluster.is_leaf or cid not in used:
-            continue
-        for c in used[cid]:
-            c2 = dirs.son_index(cluster.level, c)
-            for son in cluster.sons:
-                used.setdefault(son, set()).add(c2)
-    return {cid: sorted(cs) for cid, cs in used.items()}
+    adm = bt.admissible_leaves
+    owner, c, level = (bt.t if side == "row" else bt.s)[adm], bt.c_index[adm], bt.level[adm]
+    n_sons, first_son, sons = _cluster_sons(tree)
+    used: dict[int, list[int]] = {}
+    cid = cc = np.zeros(0, dtype=np.int64)
+    for l in range(tree.depth + 1):
+        if l:  # every son of a pair's cluster, with the chained direction
+            cc = np.repeat(dirs.son_maps[l - 1][cc], n_sons[cid])
+            cid = sons[_ranges(first_son[cid], n_sons[cid])]
+        width = dirs.count(l)
+        keys = np.unique(np.concatenate([cid * width + cc, owner[level == l] * width + c[level == l]]))
+        cid, cc = keys // width, keys % width
+        for i, k in zip(cid.tolist(), cc.tolist()):
+            used.setdefault(i, []).append(k)
+    return used
 
 
 @dataclass
@@ -211,39 +254,27 @@ class SparsityStats:
 
 
 def sparsity_stats(tree: ClusterTree, bt: BlockTree) -> SparsityStats:
-    n = len(tree)
-    row = np.zeros(n, dtype=np.int64)
-    col = np.zeros(n, dtype=np.int64)
-    row_dirs: list[set] = [set() for _ in range(n)]
-    col_dirs: list[set] = [set() for _ in range(n)]
-    for b in bt.blocks:
-        row[b.t] += 1
-        col[b.s] += 1
-        if b.status == ADMISSIBLE:
-            row_dirs[b.t].add(b.c_index)
-            col_dirs[b.s].add(b.c_index)
-    level_max = []
-    level_mean = []
-    for level in range(tree.depth + 1):
-        ids = tree.level_ids(level)
-        counts = row[ids]
-        level_max.append(int(counts.max()) if len(ids) else 0)
-        level_mean.append(float(counts.mean()) if len(ids) else 0.0)
+    n, adm, width = len(tree), bt.admissible_leaves, int(bt.c_index.max(initial=0)) + 1
+
+    def directions(cid: np.ndarray) -> np.ndarray:  # distinct directions per cluster
+        return np.bincount(np.unique(cid[adm] * width + bt.c_index[adm]) // width, minlength=n)
+
+    row, level = np.bincount(bt.t, minlength=n), np.array([c.level for c in tree.clusters])
+    per_level = [row[level == l] for l in range(tree.depth + 1)]
     return SparsityStats(
         row_counts=row,
-        col_counts=col,
-        level_max_row=level_max,
-        level_mean_row=level_mean,
-        row_directions=np.array([len(d) for d in row_dirs], dtype=np.int64),
-        col_directions=np.array([len(d) for d in col_dirs], dtype=np.int64),
+        col_counts=np.bincount(bt.s, minlength=n),
+        level_max_row=[int(x.max(initial=0)) for x in per_level],
+        level_mean_row=[float(x.mean()) if x.size else 0.0 for x in per_level],
+        row_directions=directions(bt.t),
+        col_directions=directions(bt.s),
     )
 
 
 def blocks_to_csv(tree: ClusterTree, bt: BlockTree) -> str:
     """Leaf structure dump: tLevel, tId, sId, status, directionIndex."""
+    leaves = np.flatnonzero(bt.status != _SUBDIVIDED)
+    rows = zip(*(x[leaves].tolist() for x in (bt.level, bt.t, bt.s, bt.status, bt.c_index)))
     lines = ["tLevel,tId,sId,status,directionIndex"]
-    for b in bt.blocks:
-        if b.status == SUBDIVIDED:
-            continue
-        lines.append(f"{tree[b.t].level},{b.t},{b.s},{b.status},{b.c_index}")
+    lines += [f"{level},{t},{s},{STATUSES[k]},{c}" for level, t, s, k, c in rows]
     return "\n".join(lines) + "\n"

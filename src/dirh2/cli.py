@@ -55,13 +55,16 @@ class ExperimentReport:
     rel_spectral_error: float | None
     direction_counts: list[int]
     sparsity_max: list[int]
+    # the block weights' time (0 for the ACA baseline); the last field, and not a CSV column,
+    # since reruns compare the CSV with only the four timing columns above masked
+    t_weights: float = 0.0
 
     @staticmethod
     def header() -> str:
-        return ",".join(f.name for f in fields(ExperimentReport))
+        return ",".join(f.name for f in fields(ExperimentReport)[:-1])
 
     def row(self) -> str:
-        return ",".join(_format_field(f.name, getattr(self, f.name)) for f in fields(self))
+        return ",".join(_format_field(f.name, getattr(self, f.name)) for f in fields(self)[:-1])
 
 
 def _format_field(name: str, value) -> str:
@@ -186,6 +189,7 @@ def _compression_run(
         rel_spectral_error=error,
         direction_counts=[dirs.count(l) for l in range(tree.depth + 1)],
         sparsity_max=stats.level_max_row,
+        t_weights=timings["weights"],
     )
     if save_dir is not None:
         save_dh2(a, save_dir)
@@ -225,6 +229,7 @@ def run_aca_comparison(
     aca_error = relative_spectral_error(dense, aca.matvec, aca.matvec_adjoint, seed)
     aca_report = replace(
         report,
+        t_weights=0.0,
         t_row=0.0,
         t_col=0.0,
         t_proj=t_aca,
@@ -353,7 +358,7 @@ def _cmd_compress(args) -> None:
     _write_text(args.out, text)
     print(
         f"compress n={report.n} kappa={args.kappa:g} error={report.rel_spectral_error:.6e} "
-        f"k_max={report.k_max} mem_per_dof_kib={report.mem_per_dof_kib:.6g}"
+        f"k_max={report.k_max} mem_per_dof_kib={report.mem_per_dof_kib:.6g} t_weights={report.t_weights:.6g}"
     )
 
 

@@ -88,7 +88,7 @@ def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
     Unless the points coincide, the lowest and highest points on a longest
     side land in different parts, so no cluster ever has exactly one son;
     clusters whose points cannot be separated become leaves regardless of
-    size.
+    size.  Clusters are numbered depth first, a cluster before its sons.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2 or points.shape[1] != 3 or points.shape[0] == 0:
@@ -97,31 +97,17 @@ def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
         raise ValueError("leaf_size must be >= 1")
 
     clusters: list[Cluster] = []
-
-    def build(level, parent, idx) -> int:
-        cid = len(clusters)
-        pts = points[idx]
-        clusters.append(
-            Cluster(
-                id=cid,
-                level=level,
-                parent=parent,
-                index_set=np.sort(idx),
-                support_min=pts.min(axis=0),
-                support_max=pts.max(axis=0),
-            )
-        )
-        if idx.size <= leaf_size:
-            return cid
-        parts = _split_box(points, idx)
-        if len(parts) < 2:
-            return cid  # coinciding points cannot be separated
-        for sub in parts:
-            clusters[cid].sons.append(build(level + 1, cid, sub))
-        return cid
-
-    root = build(0, -1, np.arange(points.shape[0], dtype=np.int64))
-    return ClusterTree(clusters=clusters, root=root, depth=max(c.level for c in clusters))
+    todo = [(0, -1, np.arange(points.shape[0], dtype=np.int64))]  # (level, parent, indices), next last
+    while todo:
+        level, parent, idx = todo.pop()
+        cid, pts = len(clusters), points[idx]
+        clusters.append(Cluster(cid, level, parent, np.sort(idx), pts.min(axis=0), pts.max(axis=0)))
+        if parent >= 0:
+            clusters[parent].sons.append(cid)
+        parts = _split_box(points, idx) if idx.size > leaf_size else []
+        if len(parts) > 1:  # coinciding points cannot be separated
+            todo.extend((level + 1, cid, sub) for sub in reversed(parts))
+    return ClusterTree(clusters=clusters, root=0, depth=max(c.level for c in clusters))
 
 
 def level_diameter(tree: ClusterTree, level: int) -> float:

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocktree import BlockTree
+from .blocktree import BlockTree, _cluster_sons, _ranges
 from .clustering import ClusterTree
 from .dh2core import (
     DH2Matrix,
@@ -126,12 +126,6 @@ class _Level:
     pos: np.ndarray  # int32
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The runs starts[i], ..., starts[i] + counts[i] - 1, side by side."""
-    ends = np.cumsum(counts)
-    return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
-
-
 def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str) -> tuple[list, dict]:
     """One side's ``_Level`` per cluster level, and each cluster's level and
     pair range.  Level l's pairs own the blocks on its clusters, and for
@@ -141,19 +135,15 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
     position in the parent's list."""
     if side not in ("row", "col"):
         raise ValueError("side must be 'row' or 'col'")
-    level, n_sons = (np.array([f(x) for x in tree.clusters]) for f in (lambda x: x.level, lambda x: len(x.sons)))
-    sons = np.array([s for x in tree.clusters for s in x.sons], dtype=np.intp)
+    n_sons, first_son, sons = _cluster_sons(tree)
     set_ptr = np.cumsum([0] + [x.size for x in tree.clusters])
     sets = np.concatenate([x.index_set for x in tree.clusters])
-    blocks = [bt[b] for b in bt.admissible_leaves]
-    t, s, c = (np.array([getattr(b, a) for b in blocks], dtype=np.intp) for a in ("t", "s", "c_index"))
-    owner, src = (t, s) if side == "row" else (s, t)
-    bid, n = np.array(bt.admissible_leaves, dtype=np.intp), tree[tree.root].size
-    home = np.zeros(len(bt), dtype=np.intp)  # the level of each block's cluster on this side
-    home[bid] = level[owner]
+    bid, n = bt.admissible_leaves, tree[tree.root].size
+    owner, src = (bt.t[bid], bt.s[bid]) if side == "row" else (bt.s[bid], bt.t[bid])
+    c = bt.c_index[bid]
     levels, where = [], {}
     for l in range(tree.depth + 1):
-        mine = np.nonzero(level[owner] == l)[0]
+        mine = np.nonzero(bt.level[bid] == l)[0]
         cid, cc, b, sr = owner[mine], c[mine], bid[mine], src[mine]
         via, rank = np.full(mine.size, -1), np.arange(mine.size)
         if levels:
@@ -161,7 +151,7 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
             parent = np.repeat(np.arange(up.cid.size), np.diff(up.item_ptr))  # each parent item's pair
             copies = n_sons[up.cid[parent]]
             k = np.repeat(np.arange(parent.size), copies)  # the parent item of each inherited one
-            cid = np.concatenate([cid, sons[_ranges(np.cumsum(n_sons)[up.cid[parent]] - copies, copies)]])
+            cid = np.concatenate([cid, sons[_ranges(first_son[up.cid[parent]], copies)]])
             cc = np.concatenate([cc, dirs.son_maps[l - 1][up.c[parent[k]]]])
             b, sr = np.concatenate([b, up.bid[k]]), np.concatenate([sr, up.src[k]])
             via, rank = np.concatenate([via, up.c[parent[k]]]), np.concatenate([rank, k - up.item_ptr[parent[k]]])
@@ -175,7 +165,7 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
         order = np.argsort(np.repeat(pair, sizes) * n + column, kind="stable")
         pos = np.empty(order.size, dtype=np.int32)
         pos[order] = np.arange(order.size)
-        below = l - (np.minimum.reduceat(home[b], item_ptr[:-1]) if b.size else np.zeros(0, np.intp))
+        below = l - (np.minimum.reduceat(bt.level[b], item_ptr[:-1]) if b.size else np.zeros(0, np.intp))
         cols = np.concatenate([[0], np.cumsum(sizes)])
         column = column[order].astype(np.int32)
         levels.append(_Level(pairs // width, pairs % width, below, item_ptr, b, sr, via, cols, column, pos))
@@ -206,33 +196,33 @@ def farfield_sets(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, si
 def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
     """Exact spectral norm per admissible block.  The blocks of one target
     cluster are read with one accessor call over their column sets side by
-    side (the sets are disjoint, because the leaf blocks partition the
-    matrix), and each block is a column slice of that strip.  The blocks
-    go into one stack per shape, and each stack's norms come from one
-    batched singular-value computation without singular vectors; a zero
-    block gets the weight 1.  The blocks have at most a few dozen rows and
-    columns, where reducing them by a batched QR first costs more than it
-    saves.  Targets are read one row count at a time, so the strips held
-    at once are the blocks of that row count, not all admissible blocks."""
-    by_rows: dict[int, list[int]] = {}
-    for bid in bt.admissible_leaves:
-        by_rows.setdefault(tree[bt[bid].t].size, []).append(bid)
+    side (disjoint, since the leaf blocks partition the matrix).  Sorted by
+    row count and target, the blocks of one row count are read into one
+    array and go into one stack per column count, whose norms come from one
+    batched singular-value computation without singular vectors (a zero
+    block gets the weight 1; for blocks of a few dozen rows and columns, a
+    batched QR first costs more than it saves)."""
+    sizes = np.array([c.size for c in tree.clusters])
+    sets = np.concatenate([c.index_set for c in tree.clusters])
+    t = bt.t[bt.admissible_leaves]
+    bid = bt.admissible_leaves[np.lexsort((t, sizes[t]))]  # a target's blocks stay in id order
+    t, width, start = bt.t[bid], sizes[bt.s[bid]], (np.cumsum(sizes) - sizes)[bt.s[bid]]
+    column = np.concatenate([[0], np.cumsum(width)])  # each block's first column, counted over all blocks
+    cut = [*np.flatnonzero(np.diff(sizes[t], prepend=-1)).tolist(), bid.size]  # each row count's first block
     weights: dict[int, float] = {}
-    for _, group in sorted(by_rows.items()):
-        by_target: dict[int, list[int]] = {}
-        for bid in group:
-            by_target.setdefault(bt[bid].t, []).append(bid)
-        blocks: dict[int, np.ndarray] = {}
-        for t, bids in by_target.items():
-            sets = [tree[bt[bid].s].index_set for bid in bids]
-            strip = access(tree[t].index_set, np.concatenate(sets))
-            blocks.update(zip(bids, np.split(strip, np.cumsum([x.size for x in sets[:-1]]), axis=1)))
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for bid in group:
-            by_shape.setdefault(blocks[bid].shape, []).append(bid)
-        for bids in by_shape.values():
-            norms = np.linalg.svd(np.stack([blocks[bid] for bid in bids]), compute_uv=False)[:, 0]
-            weights.update((bid, float(w) if w > 0.0 else 1.0) for bid, w in zip(bids, norms))
+    for b0, b1 in zip(cut, cut[1:]):
+        read = None
+        first = [*(b0 + np.flatnonzero(np.diff(t[b0:b1], prepend=-1))).tolist(), b1]  # each target's first block
+        for i, j in zip(first, first[1:]):
+            strip = access(tree[t[i]].index_set, sets[_ranges(start[i:j], width[i:j])])
+            if read is None:
+                read = np.empty((len(strip), column[b1] - column[b0]), dtype=strip.dtype)
+            read[:, column[i] - column[b0] : column[j] - column[b0]] = strip
+        for c in np.unique(width[b0:b1]).tolist():
+            mine = b0 + np.flatnonzero(width[b0:b1] == c)
+            stack = read[:, _ranges(column[mine] - column[b0], width[mine])].reshape(len(read), mine.size, c)
+            norms = np.linalg.svd(stack.transpose(1, 0, 2), compute_uv=False)[:, 0]
+            weights.update(zip(bid[mine].tolist(), np.where(norms > 0.0, norms, 1.0).tolist()))
     return weights
 
 
@@ -272,7 +262,7 @@ def build_basis(
         block_weights = compute_block_weights(matrix, tree, bt)
     levels, where = _farfield(tree, dirs, bt, side)
     n, inverse = tree[tree.root].size, np.ones(len(bt))  # 1/weight per block
-    inverse[bt.admissible_leaves] = [1.0 / block_weights[bid] for bid in bt.admissible_leaves]
+    inverse[bt.admissible_leaves] = [1.0 / block_weights[bid] for bid in bt.admissible_leaves.tolist()]
     state = CompressionState(block_weights=block_weights)
     if keep_reduced:
         state.groups, state.cols = farfield_sets(tree, dirs, bt, side)
@@ -411,8 +401,9 @@ def compress(
 
     The result does not depend on ``seed``, which is kept so that callers
     passing one keep working.  ``timings`` receives the wall time of the
-    column pass ("col"), of the row pass with the couplings ("row") and of
-    the nearfield reads ("projection")."""
+    block weights ("weights"), of the column pass ("col"), of the row pass
+    with the couplings ("row") and of the nearfield reads ("projection")."""
+    start = time.perf_counter()
     weights = compute_block_weights(access, tree, bt)
 
     t0 = time.perf_counter()
@@ -423,12 +414,13 @@ def compress(
     row_basis, row_state = build_basis(access, tree, dirs, bt, cfg, side="row", col_basis=col_basis, **kwargs)
     coupling, row_state = row_state.coupling, row_state if return_state else None
     t2 = time.perf_counter()
-    nearfield = stack_slots({bid: (tree[bt[bid].t].size, tree[bt[bid].s].size) for bid in bt.inadmissible_leaves})
-    for bid in bt.inadmissible_leaves:
-        nearfield[bid][...] = access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
+    near = [(bid, tree[t], tree[s]) for bid, t, s, _ in bt.entries(bt.inadmissible_leaves)]
+    nearfield = stack_slots({bid: (t.size, s.size) for bid, t, s in near})
+    for bid, t, s in near:
+        nearfield[bid][...] = access(t.index_set, s.index_set)
     t3 = time.perf_counter()
     if timings is not None:
-        timings.update(row=t2 - t1, col=t1 - t0, projection=t3 - t2)
+        timings.update(weights=t0 - start, row=t2 - t1, col=t1 - t0, projection=t3 - t2)
 
     a = DH2Matrix(tree, dirs, bt, row_basis, col_basis, coupling, nearfield)
     if return_state:
@@ -489,19 +481,15 @@ class AcaMatrix:
     nearfield: dict[int, np.ndarray]
 
     def __post_init__(self):
-        tree, blocks = self.tree, self.blocks
+        tree, t, s = self.tree, self.blocks.t.tolist(), self.blocks.s.tolist()
         left = {bid: a for bid, (a, _) in self.factors.items()}
         right = {bid: b for bid, (_, b) in self.factors.items()}
         offsets, rank_total = run_offsets({bid: a.shape[1] for bid, a in left.items()})
         coefficients = lambda bid: offsets[bid]
-        left_groups = stack_groups(left, lambda bid: tree[blocks[bid].t].index_set, coefficients)
-        right_groups = stack_groups(right, lambda bid: tree[blocks[bid].s].index_set, coefficients)
+        left_groups = stack_groups(left, lambda bid: tree[t[bid]].index_set, coefficients)
+        right_groups = stack_groups(right, lambda bid: tree[s[bid]].index_set, coefficients)
         self.factors.update((bid, (left[bid], right[bid])) for bid in left)
-        nearfield = stack_groups(
-            self.nearfield,
-            lambda bid: tree[blocks[bid].t].index_set,
-            lambda bid: tree[blocks[bid].s].index_set,
-        )
+        nearfield = stack_groups(self.nearfield, lambda bid: tree[t[bid]].index_set, lambda bid: tree[s[bid]].index_set)
         # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_rank_total", rank_total)
         object.__setattr__(self, "_left", left_groups)
@@ -537,7 +525,8 @@ class AcaMatrix:
 
 
 def aca_compress(access, tree: ClusterTree, bt: BlockTree, tolerance: float) -> AcaMatrix:
-    read = lambda bid: access(tree[bt[bid].t].index_set, tree[bt[bid].s].index_set)
-    factors = {bid: aca_approximate(read(bid), tolerance) for bid in bt.admissible_leaves}
-    nearfield = {bid: read(bid) for bid in bt.inadmissible_leaves}
+    t, s = bt.t.tolist(), bt.s.tolist()
+    read = lambda bid: access(tree[t[bid]].index_set, tree[s[bid]].index_set)
+    factors = {bid: aca_approximate(read(bid), tolerance) for bid in bt.admissible_leaves.tolist()}
+    nearfield = {bid: read(bid) for bid in bt.inadmissible_leaves.tolist()}
     return AcaMatrix(tree=tree, blocks=bt, factors=factors, nearfield=nearfield)

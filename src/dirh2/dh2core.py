@@ -45,6 +45,7 @@ order: ((out[e] + p1) + p2) + ...
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 from dataclasses import dataclass, field
@@ -52,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocktree import ADMISSIBLE, INADMISSIBLE, Block, BlockTree
+from .blocktree import STATUSES, BlockTree
 from .clustering import Cluster, ClusterTree
 from .directions import DirectionHierarchy
 
@@ -96,19 +97,20 @@ def stack_slots(shapes: dict) -> dict:
 
 
 def _stack_of(arrays: list):
-    """The stack whose slots, in order, are exactly ``arrays``, or None."""
+    """The stack whose slots, in order, are exactly ``arrays``, or None.  ctypes
+    reads where a writable C-contiguous array's data start several times
+    faster than ``__array_interface__``, which serves any other array."""
     stack = arrays[0].base
     if stack is None or stack.dtype != np.complex128 or stack.shape != (len(arrays), *arrays[0].shape):
         return None
+    if any(v.base is not stack for v in arrays) or {v.strides for v in arrays} != {stack.strides[1:]}:
+        return None
+    try:
+        starts = [ctypes.addressof(ctypes.c_char.from_buffer(v)) for v in arrays]
+    except (TypeError, ValueError):  # read-only, not C-contiguous or empty
+        starts = [v.__array_interface__["data"][0] for v in arrays]
     start, step = stack.__array_interface__["data"][0], stack.strides[0]
-    for g, v in enumerate(arrays):
-        if (
-            v.base is not stack
-            or v.strides != stack.strides[1:]
-            or v.__array_interface__["data"][0] != start + g * step
-        ):
-            return None
-    return stack
+    return stack if starts == [start + g * step for g in range(len(arrays))] else None
 
 
 def _index(where: list, width: int) -> np.ndarray:
@@ -251,18 +253,12 @@ class DH2Matrix:
     nearfield: dict[int, np.ndarray]
 
     def __post_init__(self):
-        tree, blocks = self.tree, self.blocks
+        tree, (t, s, c) = self.tree, (x.tolist() for x in (self.blocks.t, self.blocks.s, self.blocks.c_index))
         row, col = self._basis_plan(self.row_basis), self._basis_plan(self.col_basis)
         coupling = stack_groups(
-            self.coupling,
-            lambda bid: row.offsets[(blocks[bid].t, blocks[bid].c_index)],
-            lambda bid: col.offsets[(blocks[bid].s, blocks[bid].c_index)],
+            self.coupling, lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
         )
-        nearfield = stack_groups(
-            self.nearfield,
-            lambda bid: tree[blocks[bid].t].index_set,
-            lambda bid: tree[blocks[bid].s].index_set,
-        )
+        nearfield = stack_groups(self.nearfield, lambda bid: tree[t[bid]].index_set, lambda bid: tree[s[bid]].index_set)
         # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_col", col)
@@ -365,18 +361,12 @@ def expand_dense(a: DH2Matrix) -> np.ndarray:
     out = np.zeros((n, n), dtype=np.complex128)
     row_memo: dict = {}
     col_memo: dict = {}
-    for bid in a.blocks.admissible_leaves:
-        b = a.blocks[bid]
-        v = expand_factor(a.row_basis, a.tree, a.directions, b.t, b.c_index, row_memo)
-        w = expand_factor(a.col_basis, a.tree, a.directions, b.s, b.c_index, col_memo)
-        rows = a.tree[b.t].index_set
-        cols = a.tree[b.s].index_set
-        out[np.ix_(rows, cols)] = v @ a.coupling[bid] @ w.conj().T
-    for bid in a.blocks.inadmissible_leaves:
-        b = a.blocks[bid]
-        rows = a.tree[b.t].index_set
-        cols = a.tree[b.s].index_set
-        out[np.ix_(rows, cols)] = a.nearfield[bid]
+    for bid, t, s, c in a.blocks.entries(a.blocks.admissible_leaves):
+        v = expand_factor(a.row_basis, a.tree, a.directions, t, c, row_memo)
+        w = expand_factor(a.col_basis, a.tree, a.directions, s, c, col_memo)
+        out[np.ix_(a.tree[t].index_set, a.tree[s].index_set)] = v @ a.coupling[bid] @ w.conj().T
+    for bid, t, s, _ in a.blocks.entries(a.blocks.inadmissible_leaves):
+        out[np.ix_(a.tree[t].index_set, a.tree[s].index_set)] = a.nearfield[bid]
     return out
 
 
@@ -416,6 +406,30 @@ _C16 = np.dtype("<c16")
 _CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
 _BOXES = ("support_min", "support_max")
 _BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
+_NODE_FIELDS = ("c_index", "id", "s", "sons", "status", "t")  # a manifest block node's keys
+
+
+def _nodes(bt: BlockTree) -> list[dict]:
+    """The manifest's block nodes, one dict of Python values per block."""
+    sons = bt.sons.tolist()
+    columns = zip(*(x.tolist() for x in (bt.c_index, bt.s, bt.son_ptr, bt.son_ptr[1:], bt.status, bt.t)))
+    return [
+        dict(zip(_NODE_FIELDS, (c, i, s, sons[a:b], STATUSES[k], t))) for i, (c, s, a, b, k, t) in enumerate(columns)
+    ]
+
+
+def _block_tree(tree: ClusterTree, bm: dict) -> BlockTree:
+    """The block tree of the manifest's "blocks" entry, as ``_nodes`` wrote
+    it; a missing field or an unknown status is a KeyError."""
+    c_index, ids, s, sons, status, t = ([node[k] for node in bm["nodes"]] for k in _NODE_FIELDS)
+    if ids != list(range(len(ids))) or sum(map(len, bm["nodes"])) != len(_NODE_FIELDS) * len(ids):
+        raise ValueError("the block nodes are not numbered 0, 1, ... in order, or have unknown fields")
+    code = {name: k for k, name in enumerate(STATUSES)}
+    t, s, c_index = (np.array(x, dtype=np.int64) for x in (t, s, c_index))
+    status, level = np.array([code[x] for x in status], dtype=np.int8), np.array([c.level for c in tree.clusters])[t]
+    son_ptr, sons = np.cumsum([0] + [len(x) for x in sons]), np.array([i for x in sons for i in x], dtype=np.int64)
+    parameters = {k: bm[k] for k in _BLOCK_PARAMETERS}
+    return BlockTree(t, s, status, c_index, level, son_ptr, sons, root=bm["root"], **parameters)
 
 
 def _payload(a: DH2Matrix):
@@ -468,7 +482,7 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
         "blocks": {
             "root": a.blocks.root,
             **{k: getattr(a.blocks, k) for k in _BLOCK_PARAMETERS},
-            "nodes": [vars(b) for b in a.blocks.blocks],
+            "nodes": _nodes(a.blocks),
         },
         "rank": {
             side: [[cid, c, int(k)] for (cid, c), k in sorted(basis.rank.items())]
@@ -520,9 +534,9 @@ def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
         spans[cid] = (lo, len(order))
 
     number(tree.root)
-    bids = [*bt.admissible_leaves, *bt.inadmissible_leaves]
-    t0, t1 = np.array([spans[bt[bid].t] for bid in bids], dtype=np.int64).reshape(-1, 2).T
-    s0, s1 = np.array([spans[bt[bid].s] for bid in bids], dtype=np.int64).reshape(-1, 2).T
+    bids = np.concatenate([bt.admissible_leaves, bt.inadmissible_leaves])
+    t0, t1 = np.array([spans[t] for t in bt.t[bids].tolist()], dtype=np.int64).reshape(-1, 2).T
+    s0, s1 = np.array([spans[s] for s in bt.s[bids].tolist()], dtype=np.int64).reshape(-1, 2).T
     # a block adds one on its rectangle: +1 and -1 at its corners, summed up
     corners = np.zeros((len(order) + 1, len(order) + 1), dtype=np.int64)
     for rows, cols, sign in ((t0, s0, 1), (t0, s1, -1), (t1, s0, -1), (t1, s1, 1)):
@@ -554,10 +568,10 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
     if not np.array_equal(np.sort(np.concatenate(leaves)), np.arange(tree[tree.root].size)):
         raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
     _check_tiling(tree, bt)
-    b, row, col = bt.blocks, ranks["row"], ranks["col"]
+    row, col = ranks["row"], ranks["col"]
     shapes = {
-        "coupling": {i: (row[(b[i].t, b[i].c_index)], col[(b[i].s, b[i].c_index)]) for i in bt.admissible_leaves},
-        "nearfield": {i: (tree[b[i].t].size, tree[b[i].s].size) for i in bt.inadmissible_leaves},
+        "coupling": {i: (row[(t, c)], col[(s, c)]) for i, t, s, c in bt.entries(bt.admissible_leaves)},
+        "nearfield": {i: (tree[t].size, tree[s].size) for i, t, s, _ in bt.entries(bt.inadmissible_leaves)},
     }
     for side, rank in ranks.items():
         shapes[f"{side}_leaf"] = {(cid, c): (tree[cid].size, k) for (cid, c), k in rank.items() if tree[cid].is_leaf}
@@ -598,10 +612,7 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
             levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
             son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
         )
-        bm = manifest["blocks"]
-        blocks = [Block(**b) for b in bm["nodes"]]
-        leaves = ([b.id for b in blocks if b.status == status] for status in (ADMISSIBLE, INADMISSIBLE))
-        bt = BlockTree(blocks, bm["root"], *leaves, **{k: bm[k] for k in _BLOCK_PARAMETERS})
+        bt = _block_tree(tree, manifest["blocks"])
         ranks = {side: {(cid, c): k for cid, c, k in manifest["rank"][side]} for side in ("row", "col")}
         payload = _read_payload(directory / "payload.bin", manifest["stacks"])
         _check(tree, dirs, bt, ranks, payload)

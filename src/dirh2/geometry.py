@@ -104,48 +104,28 @@ def build_sphere_mesh(level: int) -> SurfaceMesh:
     """Octahedron refined ``level`` times by midpoint subdivision, vertices
     shifted to the unit sphere.  Yields 8 * 4**level triangles.
 
-    Faces are refined depth-first with children ordered
-    (corner0, corner1, corner2, center), which fixes the triangle indexing.
+    Triangles are indexed in depth-first order with children ordered
+    (corner0, corner1, corner2, center), and vertices by first use; the
+    faces of a level are refined at once, each face's children side by side.
     """
     if level < 0 or level > 8:
         raise ValueError("level must be in 0..8")
-
-    vertex_index: dict[tuple, int] = {}
-    vertices: list[tuple] = []
-    triangles: list[tuple[int, int, int]] = []
-
-    def intern(p) -> int:
-        key = (p[0], p[1], p[2])
-        idx = vertex_index.get(key)
-        if idx is None:
-            idx = len(vertices)
-            vertex_index[key] = idx
-            vertices.append(key)
-        return idx
-
-    def refine(a, b, c, depth):
-        if depth == 0:
-            triangles.append((intern(a), intern(b), intern(c)))
-            return
-        ab = (a + b) / 2.0
-        bc = (b + c) / 2.0
-        ac = (a + c) / 2.0
-        refine(a, ab, ac, depth - 1)
-        refine(ab, b, bc, depth - 1)
-        refine(ac, bc, c, depth - 1)
-        refine(ab, bc, ac, depth - 1)
-
-    for i, j, k in _OCTAHEDRON_FACES:
-        refine(
-            _OCTAHEDRON_VERTICES[i],
-            _OCTAHEDRON_VERTICES[j],
-            _OCTAHEDRON_VERTICES[k],
-            level,
-        )
-
-    verts = np.array(vertices)
+    corners = _OCTAHEDRON_VERTICES[np.array(_OCTAHEDRON_FACES)]  # (faces, 3, 3)
+    for _ in range(level):
+        a, b, c = corners[:, 0], corners[:, 1], corners[:, 2]
+        ab, bc, ac = (a + b) / 2.0, (b + c) / 2.0, (a + c) / 2.0
+        corners = np.stack([a, ab, ac, ab, b, bc, ac, bc, c, ab, bc, ac], axis=1).reshape(-1, 3, 3)
+    points = corners.reshape(-1, 3)
+    order = np.lexsort(points.T[::-1])  # stable: equal points in the order of their use
+    start = np.concatenate([[True], (points[order[1:]] != points[order[:-1]]).any(axis=1)])
+    first = order[start]  # each distinct point's first use
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    index = np.empty(len(points), dtype=np.int64)
+    index[order] = rank[np.cumsum(start) - 1]
+    verts = points[np.sort(first)]
     verts /= np.linalg.norm(verts, axis=1)[:, None]
-    return SurfaceMesh(vertices=verts, triangles=np.array(triangles, dtype=np.int64))
+    return SurfaceMesh(vertices=verts, triangles=index.reshape(-1, 3))
 
 
 def kernel_value(spec: KernelSpec, x, y, normal_y=None) -> complex:

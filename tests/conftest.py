@@ -35,6 +35,23 @@ def line_system(n, kappa, leaf_size=16):
     return dense, tree, dirs, bt
 
 
+def cube_and_points_system():
+    """Sixteen grid points in a unit cube and three single points about ten
+    away in three directions: the cube is a leaf whose read holds three
+    single-column strips, one per direction.  A product with such a column
+    taken as a strided view of the read rounds differently from one with a
+    contiguous copy."""
+    grid = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1 / 3, 2 / 3, 1.0)]
+    pts = np.array(grid + [[10.0, 0.0, 0.5], [0.0, 10.0, 0.5], [10.0, 10.0, 0.5]])
+    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+    np.fill_diagonal(d, 1.0)
+    dense = np.exp(10j * d) / (4 * np.pi * d)
+    tree = build_cluster_tree(pts, 16)
+    dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], 10.0, 2.0)
+    bt = build_block_tree(tree, dirs, 10.0, 2.0, 5.0)
+    return dense, tree, dirs, bt
+
+
 def dense_accessor(dense):
     return lambda rows, cols: dense[np.ix_(rows, cols)]
 
@@ -138,6 +155,49 @@ def reference_block_tree(tree, dirs, kappa, eta2, parabolic=True):
 
     descend(tree.root, tree.root)
     return [tuple(b) for b in blocks]
+
+
+def reference_sphere_mesh(level):
+    """``build_sphere_mesh`` as it was before it refined a level at once: a
+    recursive depth-first refinement that numbers each corner when it first
+    reaches it.  Returns (vertices, triangles)."""
+    from dirh2.geometry import _OCTAHEDRON_FACES, _OCTAHEDRON_VERTICES
+
+    vertex_index, triangles = {}, []
+
+    def refine(a, b, c, depth):
+        if depth == 0:
+            triangles.append(tuple(vertex_index.setdefault((p[0], p[1], p[2]), len(vertex_index)) for p in (a, b, c)))
+            return
+        ab, bc, ac = (a + b) / 2.0, (b + c) / 2.0, (a + c) / 2.0
+        for child in ((a, ab, ac), (ab, b, bc), (ac, bc, c), (ab, bc, ac)):
+            refine(*child, depth - 1)
+
+    for face in _OCTAHEDRON_FACES:
+        refine(*_OCTAHEDRON_VERTICES[list(face)], level)
+    vertices = np.array(list(vertex_index))
+    vertices /= np.linalg.norm(vertices, axis=1)[:, None]
+    return vertices, np.array(triangles, dtype=np.int64)
+
+
+def reference_cluster_tree(points, leaf_size):
+    """``build_cluster_tree`` as it was before it kept a list of clusters to
+    visit: a recursive descent.  Returns (id, level, parent, index set,
+    support box corners, sons) per cluster."""
+    from dirh2.clustering import _split_box
+
+    clusters = []
+
+    def build(level, parent, idx):
+        cid = len(clusters)
+        clusters.append([cid, level, parent, np.sort(idx), points[idx].min(axis=0), points[idx].max(axis=0), []])
+        parts = _split_box(points, idx) if idx.size > leaf_size else []
+        if len(parts) > 1:
+            clusters[cid][6] = [build(level + 1, cid, sub) for sub in parts]
+        return cid
+
+    build(0, -1, np.arange(len(points), dtype=np.int64))
+    return clusters
 
 
 def reference_dense_block(mesh, spec, rows, cols):

@@ -99,7 +99,7 @@ class TestAssembledStructure:
     def test_laplace_order_one_is_rank_one_multipole(self):
         mesh, tree, dirs, bt = sphere_pipeline(3, 0.0)
         a = assemble_dh2_by_interpolation(mesh, KernelSpec("slp", 0.0), tree, dirs, bt, 1)
-        assert bt.admissible_leaves
+        assert bt.admissible_leaves.size
         for bid in bt.admissible_leaves[:50]:
             b = bt[bid]
             s = a.coupling[bid]

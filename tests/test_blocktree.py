@@ -1,12 +1,15 @@
+import gc
+
 import numpy as np
 import pytest
 
-from conftest import is_exact_tie, reference_block_tree, sphere_system
+from conftest import cube_and_points_system, is_exact_tie, reference_block_tree, sphere_system
 
 from dirh2.blocktree import (
     ADMISSIBLE,
     INADMISSIBLE,
     SUBDIVIDED,
+    Block,
     blocks_to_csv,
     box_diameter,
     box_distance,
@@ -17,7 +20,7 @@ from dirh2.blocktree import (
 )
 from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.directions import build_directions
-from dirh2.geometry import build_sphere_mesh
+from dirh2.geometry import SurfaceMesh, build_sphere_mesh
 
 ETA1, ETA2 = 20.0, 5.0
 
@@ -93,14 +96,14 @@ class TestBuild:
         bt = build_block_tree(tree, dirs, 0.0, ETA1, ETA2)
         assert len(bt) == 1
         assert bt[bt.root].status == INADMISSIBLE
-        assert bt.admissible_leaves == []
+        assert bt.admissible_leaves.size == 0
 
     @pytest.mark.parametrize("kappa", [0.0, 4.0])
     def test_leaves_tile_product_exhaustively(self, kappa):
         mesh, tree, dirs, bt = sphere_setup(3, kappa)
         n = mesh.n_triangles
         cover = np.zeros((n, n), dtype=np.int8)
-        for bid in bt.admissible_leaves + bt.inadmissible_leaves:
+        for bid in np.concatenate([bt.admissible_leaves, bt.inadmissible_leaves]):
             b = bt[bid]
             cover[np.ix_(tree[b.t].index_set, tree[b.s].index_set)] += 1
         assert (cover == 1).all()
@@ -109,7 +112,7 @@ class TestBuild:
         mesh, tree, dirs, bt = sphere_setup(4, 8.0)
         n = mesh.n_triangles
         cover = np.zeros((n, n), dtype=np.int8)
-        for bid in bt.admissible_leaves + bt.inadmissible_leaves:
+        for bid in np.concatenate([bt.admissible_leaves, bt.inadmissible_leaves]):
             b = bt[bid]
             cover[np.ix_(tree[b.t].index_set, tree[b.s].index_set)] += 1
         assert (cover == 1).all()
@@ -117,7 +120,7 @@ class TestBuild:
     @pytest.mark.parametrize("kappa", [0.0, 8.0])
     def test_admissibility_decided_on_support_boxes(self, kappa):
         _, tree, dirs, bt = sphere_setup(4, kappa)
-        assert bt.admissible_leaves
+        assert bt.admissible_leaves.size
         for bid in bt.admissible_leaves:
             b = bt[bid]
             box_t, box_s = tree.support_box(b.t), tree.support_box(b.s)
@@ -167,7 +170,7 @@ class TestBuild:
         # admissible leaves carry the nearest level direction, as close as
         # the covering of the level's largest support-box diameter guarantees
         mesh, tree, dirs, bt = sphere_setup(4, 8.0)
-        assert bt.admissible_leaves
+        assert bt.admissible_leaves.size
         for bid in bt.admissible_leaves:
             b = bt[bid]
             level = tree[b.t].level
@@ -195,8 +198,8 @@ class TestBuild:
         want = reference_block_tree(tree, dirs, kappa, ETA2)
         assert [(b.id, b.t, b.s, b.status, b.c_index, b.sons) for b in bt.blocks] == want
         assert bt.root == 0
-        assert bt.admissible_leaves == [b[0] for b in want if b[3] == ADMISSIBLE]
-        assert bt.inadmissible_leaves == [b[0] for b in want if b[3] == INADMISSIBLE]
+        assert bt.admissible_leaves.tolist() == [b[0] for b in want if b[3] == ADMISSIBLE]
+        assert bt.inadmissible_leaves.tolist() == [b[0] for b in want if b[3] == INADMISSIBLE]
         if eta1 == 2.0:
             # the fixture holds exact ties, and the tie rule decides them
             ties = [
@@ -283,3 +286,106 @@ class TestStats:
         for line in lines[1:]:
             fields = line.split(",")
             assert fields[3] in (ADMISSIBLE, INADMISSIBLE)
+
+
+def ellipsoid_system(kappa, eta1, parabolic):
+    """The n = 2048 sphere mesh stretched to a 4:1:1 ellipsoid along x,
+    whose cluster tree has seven levels below the root."""
+    sphere = build_sphere_mesh(4)
+    mesh = SurfaceMesh(sphere.vertices * [4.0, 1.0, 1.0], sphere.triangles)
+    tree = build_cluster_tree(mesh.midpoints, 16)
+    dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], kappa, eta1)
+    return tree, dirs, build_block_tree(tree, dirs, kappa, eta1, ETA2, parabolic=parabolic)
+
+
+def reference_used_directions(tree, dirs, blocks, side):
+    """``used_directions`` from the reference tuples, walking the clusters
+    parent first."""
+    used = {}
+    for _, t, s, status, c, _ in blocks:
+        if status == ADMISSIBLE:
+            used.setdefault(t if side == "row" else s, set()).add(c)
+    for cid in range(len(tree)):
+        for c in used.get(cid, ()) if tree[cid].sons else ():
+            for son in tree[cid].sons:
+                used.setdefault(son, set()).add(dirs.son_index(tree[cid].level, c))
+    return {cid: sorted(cs) for cid, cs in used.items()}
+
+
+class TestArrays:
+    """The array tree holds the blocks of the recursive reference, and the
+    functions that read its arrays give what the reference tuples give."""
+
+    @staticmethod
+    def assert_equals_reference(tree, dirs, bt, kappa, parabolic=True):
+        want = reference_block_tree(tree, dirs, kappa, ETA2, parabolic)
+        assert [(b.id, b.t, b.s, b.status, b.c_index, b.sons) for b in bt.blocks] == want
+        assert np.array_equal(bt.level, [tree[t].level for _, t, *_ in want])
+        assert bt.admissible_leaves.tolist() == [b[0] for b in want if b[3] == ADMISSIBLE]
+        assert bt.inadmissible_leaves.tolist() == [b[0] for b in want if b[3] == INADMISSIBLE]
+        assert bt.son_ptr.tolist() == np.cumsum([0] + [len(b[5]) for b in want]).tolist()
+
+    def test_cube_and_points(self):
+        _, tree, dirs, bt = cube_and_points_system()
+        assert len(bt) > 1 and bt.admissible_leaves.size
+        self.assert_equals_reference(tree, dirs, bt, 10.0)
+
+    @pytest.mark.parametrize("kappa, eta1, parabolic", [(8.0, 2.0, True), (8.0, 2.0, False), (0.0, 20.0, True)])
+    def test_ellipsoid(self, kappa, eta1, parabolic):
+        tree, dirs, bt = ellipsoid_system(kappa, eta1, parabolic)
+        assert tree.depth == 7
+        assert len(set(bt.level[bt.admissible_leaves].tolist())) > 1
+        self.assert_equals_reference(tree, dirs, bt, kappa, parabolic)
+
+    @pytest.mark.parametrize("system", ["ellipsoid", "cube"])
+    def test_statistics_equal_those_of_the_reference(self, system):
+        if system == "ellipsoid":
+            tree, dirs, bt = ellipsoid_system(8.0, 2.0, True)
+            kappa = 8.0
+        else:
+            _, tree, dirs, bt = cube_and_points_system()
+            kappa = 10.0
+        blocks = reference_block_tree(tree, dirs, kappa, ETA2)
+        for side in ("row", "col"):
+            assert used_directions(tree, dirs, bt, side) == reference_used_directions(tree, dirs, blocks, side)
+        stats = sparsity_stats(tree, bt)
+        sides = ((stats.row_counts, stats.row_directions, 1), (stats.col_counts, stats.col_directions, 2))
+        for counts, directions, k in sides:  # k: the place of the cluster in a reference tuple
+            assert counts.tolist() == [sum(b[k] == cid for b in blocks) for cid in range(len(tree))]
+            assert directions.tolist() == [
+                len({b[4] for b in blocks if b[k] == cid and b[3] == ADMISSIBLE}) for cid in range(len(tree))
+            ]
+        lines = [f"{tree[t].level},{t},{s},{status},{c}" for _, t, s, status, c, _ in blocks if status != SUBDIVIDED]
+        assert blocks_to_csv(tree, bt) == "\n".join(["tLevel,tId,sId,status,directionIndex", *lines]) + "\n"
+
+    def test_records_are_python_values_and_arrays_read_only(self):
+        _, tree, dirs, bt = sphere_system(3, 4.0)
+        b = bt[bt.admissible_leaves[0]]
+        assert isinstance(b, Block)
+        assert all(type(getattr(b, f)) is int for f in ("id", "t", "s", "c_index"))
+        assert type(b.status) is str and type(b.sons) is list
+        assert bt[-1] == bt.blocks[-1] == bt[len(bt) - 1]
+        with pytest.raises(IndexError):
+            bt[len(bt)]
+        with pytest.raises(AttributeError):
+            b.t = 0
+        for a in (bt.t, bt.s, bt.status, bt.c_index, bt.level, bt.son_ptr, bt.sons, bt.admissible_leaves):
+            with pytest.raises(ValueError):
+                a[0] = a[0]
+
+    def test_n8192_block_counts(self):
+        # table A of ROADMAP.md: SLP, kappa = 16, eta1 = 20, leaf size 16
+        _, _, _, bt = sphere_system(5, 16.0)
+        assert (bt.admissible_leaves.size, bt.inadmissible_leaves.size) == (75_712, 11_432)
+
+
+def test_set_up_leaves_no_reference_cycles():
+    # the recursive closures that built the mesh, the cluster tree and the
+    # block tree kept their working lists alive until the next collection
+    gc.collect()
+    gc.disable()
+    try:
+        sphere_system(3, 4.0)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

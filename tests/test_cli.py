@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dirh2.cli import ExperimentReport, main, run_compression_experiment
+from dirh2.cli import ExperimentReport, main, run_aca_comparison, run_compression_experiment
 from dirh2.geometry import KernelSpec, assemble_dense_matrix, build_sphere_mesh
 from dirh2.linalg import read_cmx
 
@@ -150,6 +150,15 @@ class TestReportApi:
         assert report.k_max == max(
             [*a.row_basis.rank.values(), *a.col_basis.rank.values()], default=0
         )
+
+    def test_block_weights_timed_but_not_a_csv_column(self):
+        # a wall-clock column past the four that criterion 10 masks would
+        # make reruns differ
+        dh2, aca = run_aca_comparison(2, 2.0, 1e-4, seed=5)
+        assert dh2.t_weights > 0.0
+        assert aca.t_weights == 0.0
+        assert "t_weights" not in ExperimentReport.header().split(",")
+        assert len(dh2.row().split(",")) == len(ExperimentReport.header().split(","))
 
     def test_kappa_zero_single_direction_everywhere(self):
         report, _ = run_compression_experiment(2, 0.0, 1e-4, seed=5)

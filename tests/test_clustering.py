@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import reference_cluster_tree
+
 from dirh2.blocktree import box_diameter
 from dirh2.clustering import build_cluster_tree, level_diameter, tree_to_jsonl
 from dirh2.geometry import build_sphere_mesh
@@ -23,6 +25,22 @@ class TestBuild:
         tree = build_cluster_tree(np.tile([0.3, -0.2, 0.9], (20, 1)), 4)
         assert len(tree) == 1
         assert tree.depth == 0
+
+    @pytest.mark.parametrize("points, leaf_size", [("sphere", 16), ("sphere", 1), ("random", 3), ("repeated", 2)])
+    def test_equal_to_the_recursive_reference(self, points, leaf_size):
+        rng = np.random.default_rng(2)
+        pts = {
+            "sphere": lambda: build_sphere_mesh(4).midpoints,
+            "random": lambda: rng.standard_normal((300, 3)),
+            "repeated": lambda: np.repeat(rng.standard_normal((40, 3)), 3, axis=0),  # points that cannot be split
+        }[points]()
+        tree = build_cluster_tree(pts, leaf_size)
+        want = reference_cluster_tree(pts, leaf_size)
+        assert len(tree) == len(want) and tree.root == 0
+        for c, (cid, level, parent, index_set, bmin, bmax, sons) in zip(tree.clusters, want):
+            assert (c.id, c.level, c.parent, c.sons) == (cid, level, parent, sons)
+            assert c.index_set.dtype == index_set.dtype and np.array_equal(c.index_set, index_set)
+            assert c.support_min.tobytes() == bmin.tobytes() and c.support_max.tobytes() == bmax.tobytes()
 
     def test_sphere_partition_exhaustive(self):
         mesh = build_sphere_mesh(4)

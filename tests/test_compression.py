@@ -6,6 +6,7 @@ import pytest
 from conftest import (
     assert_applies_as_reference,
     check_plan,
+    cube_and_points_system,
     dense_accessor,
     line_system,
     reference_build_basis,
@@ -116,24 +117,7 @@ def directional512():
 
 @pytest.fixture(scope="module")
 def cube_and_points():
-    """Sixteen grid points in a unit cube and three single points about ten
-    away in three directions: the cube is a leaf whose read holds three
-    single-column strips, one per direction.  A product with such a column
-    taken as a strided view of the read rounds differently from one with a
-    contiguous copy."""
-    from dirh2.blocktree import build_block_tree
-    from dirh2.clustering import build_cluster_tree, level_diameter
-    from dirh2.directions import build_directions
-
-    grid = [[x, y, z] for x in (0.0, 1.0) for y in (0.0, 1.0) for z in (0.0, 1 / 3, 2 / 3, 1.0)]
-    pts = np.array(grid + [[10.0, 0.0, 0.5], [0.0, 10.0, 0.5], [10.0, 10.0, 0.5]])
-    d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
-    np.fill_diagonal(d, 1.0)
-    dense = np.exp(10j * d) / (4 * np.pi * d)
-    tree = build_cluster_tree(pts, 16)
-    dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], 10.0, 2.0)
-    bt = build_block_tree(tree, dirs, 10.0, 2.0, 5.0)
-    return dense, tree, dirs, bt
+    return cube_and_points_system()
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +379,13 @@ class TestBuildBasis:
         assert calls["weights"] == 1
         assert sorted(calls["sides"]) == ["col", "row"]
 
+    def test_timings_cover_every_phase(self, sphere512):
+        dense, tree, dirs, bt = sphere512
+        timings = {}
+        compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4), timings=timings)
+        assert sorted(timings) == ["col", "projection", "row", "weights"]
+        assert all(t > 0.0 for t in timings.values())
+
     def test_column_pass_weights_the_blocks_themselves(self):
         # the column pass reads the adjoint; without given weights it must
         # still weight each block by the norm of A[t, s], not of A[s, t]
@@ -430,7 +421,7 @@ class TestCompress:
         dense, tree, dirs, bt = sphere512
         eps = 1e-4
         a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=eps))
-        assert bt.admissible_leaves
+        assert bt.admissible_leaves.size
         for bid in bt.admissible_leaves:
             b = bt[bid]
             rows, cols = tree[b.t].index_set, tree[b.s].index_set
@@ -466,7 +457,7 @@ class TestCompress:
     def test_pure_nearfield_is_exact(self):
         mesh, tree, dirs, bt = sphere_system(0, 0.0)
         dense = assemble_dense_matrix(mesh, KernelSpec("slp", 0.0))
-        assert not bt.admissible_leaves
+        assert bt.admissible_leaves.size == 0
         a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
         assert np.array_equal(expand_dense(a), dense)
 

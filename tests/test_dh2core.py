@@ -25,7 +25,7 @@ def assembled():
     dirs = build_directions(deltas, spec.kappa, 20.0)
     bt = build_block_tree(tree, dirs, spec.kappa, 20.0, 5.0)
     a = assemble_dh2_by_interpolation(mesh, spec, tree, dirs, bt, 3)
-    assert bt.admissible_leaves, "setup must produce admissible blocks"
+    assert bt.admissible_leaves.size, "setup must produce admissible blocks"
     return a
 
 
@@ -248,6 +248,28 @@ class TestStackedStorage:
         assert all(v.base is not None and v.base.ndim == 3 for v in arrays.values())
         assert all(np.shares_memory(v, v.base) for v in arrays.values())
         assert sum(st.size for st in stacks.values()) == sum(v.size for v in arrays.values())
+
+    @pytest.mark.parametrize("shape, writeable", [((2, 3), True), ((2, 3), False), ((2, 0), True)])
+    def test_only_the_slots_of_a_stack_in_order_are_used_in_place(self, shape, writeable):
+        # read-only and empty slots give their start through another way;
+        # empty slots all start at the stack's start, so any order is in place
+        stack = np.zeros((4, *shape), dtype=complex)
+        stack.real = np.arange(stack.size).reshape(stack.shape)
+        stack.flags.writeable = writeable
+        slots, empty = list(stack), stack.size == 0
+        shifted = stack.reshape(-1)[1 : 1 + slots[0].size].reshape(shape)  # base and strides of a slot
+        cases = {
+            "in order": (slots, True),
+            "out of order": ([slots[1], slots[0], *slots[2:]], empty),
+            "one slot copied": ([*slots[:3], slots[3].copy()], False),
+            "one slot shifted": ([*slots[:3], shifted], False),
+        }
+        for name, (arrays, in_place) in cases.items():
+            d = dict(enumerate(arrays))
+            phase = dh2core.stack_groups(d, lambda k: np.arange(shape[0]), lambda k: np.arange(shape[1]))
+            assert (phase.stacks[0] is stack) == in_place, name
+            assert np.array_equal(phase.stacks[0], np.array(arrays)), name
+            assert all(d[g].base is phase.stacks[0] for g in d), name
 
     def test_compressed_payload_is_held_once(self, compressed_line):
         a, _ = compressed_line
@@ -578,6 +600,14 @@ class TestContainerChecks:
             pytest.param(lambda m: m["tree"]["clusters"][0].pop("level"), "malformed.*'level'", id="cluster-no-level"),
             pytest.param(
                 lambda m: m["tree"]["clusters"][0].update(bogus=1), "malformed.*'bogus'", id="cluster-unknown-field"
+            ),
+            pytest.param(lambda m: m["blocks"]["nodes"][0].pop("sons"), "malformed.*'sons'", id="block-no-sons"),
+            pytest.param(lambda m: m["blocks"]["nodes"][1].update(bogus=1), "unknown fields", id="block-unknown-field"),
+            pytest.param(lambda m: m["blocks"]["nodes"][1].update(id=2), "not numbered", id="block-misnumbered"),
+            pytest.param(
+                lambda m: m["blocks"]["nodes"][0].update(status="split"),
+                "malformed.*'split'",
+                id="block-unknown-status",
             ),
             pytest.param(lambda m: m["directions"]["levels"].pop(), "direction levels", id="directions-short"),
             pytest.param(lambda m: m["directions"]["son_maps"].pop(), "son maps", id="son-maps-short"),

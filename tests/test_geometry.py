@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_dense_block
+from conftest import reference_dense_block, reference_sphere_mesh
 
 from dirh2.geometry import (
     KernelSpec,
@@ -55,6 +55,14 @@ class TestSphereMesh:
             ratio = max_edge(prev) / (2.0 * max_edge(cur))
             assert 1.0 / 1.2 <= ratio <= 1.2
             prev = cur
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 3, 4, 5])
+    def test_equal_to_the_recursive_reference(self, level):
+        mesh = build_sphere_mesh(level)
+        vertices, triangles = reference_sphere_mesh(level)
+        assert mesh.vertices.tobytes() == vertices.tobytes()
+        assert mesh.triangles.dtype == triangles.dtype
+        assert np.array_equal(mesh.triangles, triangles)
 
     def test_level_bounds(self):
         with pytest.raises(ValueError):
