@@ -23,21 +23,30 @@ place as (x^H M)^H.
 
 Each phase has a plan, built once with the container by ``stack_groups``:
 its row and its column indices, each one 1-D ``np.intp`` array joined in
-stack, slot and entry order.  A phase gathers its input once, runs one
-batched product per stack into one buffer, and adds the buffer into its
-output with one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run
-that call on a fast loop; older numpy gives the same result more slowly.
+stack, slot and entry order.  A phase gathers its input, runs one batched
+product per stack into one buffer, and adds the buffer into its output with
+one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run that call on
+a fast loop; older numpy gives the same result more slowly.
+
+A phase of at least ``TWO_PART_MIN_ENTRIES`` matrix entries is cut in two
+parts of about equal entry count.  The caller gathers and multiplies the
+first, and a worker thread the second, on a second CPU, since numpy
+releases the GIL in those calls.  The one ``np.add.at`` runs after both, so
+a matvec has the same bits in one part or two.  The worker is one daemon
+thread, started on first use and again in a child made by ``os.fork``.  A
+process that may use only one CPU runs every phase in one part.
 
 The container is a frozen dataclass: construction stacks the payload, and
 its attributes cannot be reassigned afterwards.  A container with another
 payload is made with ``dataclasses.replace``, which stacks it anew; the
 dicts hold views of the stacks and must not be rebound key by key.  Matvecs
-keep all scratch per call, so concurrent reads are safe.  Sums run in a
-fixed order, which fixes the floating-point result: phase by phase, and
-within a phase each output entry adds its products in stack order
-(ascending level and shape), slot order (ascending key) and entry order,
-since ``np.add.at`` is unbuffered and adds the positions one by one in that
-order: ((out[e] + p1) + p2) + ...
+keep all scratch per call, and each waits for its own parts, so concurrent
+matvecs are safe; the worker runs their second parts one after another.
+Sums run in a fixed order, which fixes the floating-point result: phase by
+phase, and within a phase each output entry adds its products in stack
+order (ascending level and shape), slot order (ascending key) and entry
+order, since ``np.add.at`` is unbuffered and adds the positions one by one
+in that order: ((out[e] + p1) + p2) + ...
 
 ``save_dh2`` writes the stacks as they are into a DH2v3 container, and
 ``load_dh2`` checks them and hands them to the loaded matrix in place.
@@ -48,6 +57,8 @@ from __future__ import annotations
 import ctypes
 import json
 import os
+import queue
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,6 +85,11 @@ __all__ = [
 
 
 DENSE_EXPANSION_CAP = 4096  # rows of the largest matrix expand_dense assembles
+# apply_groups runs a phase of fewer matrix entries in one part.  Handing
+# half a phase to the worker thread costs 25-30 us: a phase of 17-48 k
+# entries took 26-36 us in one part and 53-65 us in two, one of 213-330 k
+# entries 350-470 us in one part and 290-340 us in two (n = 2048, 2 cores).
+TWO_PART_MIN_ENTRIES = 1 << 17
 
 
 # -- stacked storage and the phase plans --------------------------------------
@@ -151,7 +167,7 @@ class Phase:
     maps the input entries at its place in ``cols`` to the output entries
     at its place in ``rows``.  Each side is one 1-D ``np.intp`` array, the
     vector entry of every product position joined in stack, slot and entry
-    order, the order in which ``apply_groups`` forms the products; A adds
+    order, the order of the products in ``apply_groups``'s buffer; A adds
     into ``rows`` and A^H into ``cols``."""
 
     stacks: list[np.ndarray]
@@ -174,38 +190,129 @@ def stack_groups(d: dict, rows, cols) -> Phase:
     return Phase([stack for _, stack in pairs], side(rows, 1), side(cols, 2))
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS and Windows
+        return os.cpu_count() or 1
+
+
+class _Worker:
+    """One daemon thread that runs the tasks put to it one at a time and
+    puts each task's exception, or None, on the queue that came with it."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, name="dirh2-apply", daemon=True).start()
+
+    def _serve(self) -> None:
+        while True:
+            task, done = self.tasks.get()
+            try:
+                task()
+            except BaseException as exc:  # any: its caller waits on ``done``
+                done.put(exc)
+            else:
+                done.put(None)
+            del task, done  # free the task's buffers now, not at the next task
+
+
+_worker: _Worker | None = None
+
+
+def _start(task) -> queue.SimpleQueue:
+    """Run ``task`` on the worker thread; its outcome arrives on the queue
+    returned.  The thread is started on first use, and again in a child
+    process made by ``os.fork``, which has no copy of it."""
+    global _worker
+    if _worker is None or _worker.pid != os.getpid():
+        _worker = _Worker()
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    _worker.tasks.put((task, done))
+    return done
+
+
+def _halves(stacks: list) -> tuple[list, list]:
+    """``stacks`` in two parts, cut at the slot boundary nearest the midpoint
+    of their entry count; the stack that straddles it is cut between two
+    slots.  The second part may be empty, as when there are fewer than two
+    slots."""
+    total, before = sum(stack.size for stack in stacks), 0
+    for n, stack in enumerate(stacks):
+        if stack.size and 2 * (before + stack.size) >= total:
+            per_slot = stack.size // len(stack)
+            cut = (total // 2 - before + per_slot // 2) // per_slot
+            first, second = stacks[:n] + [stack[:cut]], [stack[cut:]] + stacks[n + 1 :]
+            first, second = [s for s in first if len(s)], [s for s in second if len(s)]
+            return (first, second) if first else (second, [])
+        before += stack.size
+    return stacks, []
+
+
+def _width(stacks: list, axis: int) -> int:
+    """The vector entries ``stacks`` read or write: slots times the side on ``axis``."""
+    return sum(len(stack) * stack.shape[axis] for stack in stacks)
+
+
 def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
     """out[rows] += M @ inp[cols] for every stacked matrix M of ``phase``,
-    or out[cols] += M^H @ inp[rows] when ``hermitian``.  The input is
-    gathered once, before any output is written; each stack forms its
-    products into its part of one buffer; and one ``np.add.at`` adds the
-    buffer into ``out``.  It is unbuffered and walks the positions in order,
-    so every output entry sums its terms in stack, slot and entry order.
-    M^H v is formed as (v^H M)^H, which reads M in place.  ``DH2Matrix``
-    applies every stored matrix through one call of this function per phase
-    and level, so the matrices a matvec applies are the stacks of the phases
-    passed here."""
+    or out[cols] += M^H @ inp[rows] when ``hermitian``.  The stacks are cut
+    in two parts of about equal entry count (``_halves``); the caller runs
+    the first and one worker thread the second, since numpy releases the
+    GIL in the products.  Each part gathers its slice of the input, forms
+    its stacks' products into its range of one buffer, and for A^H
+    conjugates that range; no output is written until both are done.  Then
+    one ``np.add.at`` adds the buffer into ``out``.  It is unbuffered and
+    walks the positions in order, so every output entry sums its terms in
+    stack, slot and entry order, and the result has the same bits with one
+    part or two.  M^H v is formed as (v^H M)^H, which reads M in place.
+
+    One part runs alone when the phase holds fewer than two matrices or
+    fewer than ``TWO_PART_MIN_ENTRIES`` matrix entries, or when the process
+    may use only one CPU.  An exception in either part reaches the caller
+    once both have ended.  ``DH2Matrix`` applies every stored matrix through
+    one call of this function per phase and level, so the matrices a matvec
+    applies are the stacks of the phases passed here."""
     src, dst = (phase.rows, phase.cols) if hermitian else (phase.cols, phase.rows)
+    read, write = (1, 2) if hermitian else (2, 1)  # stack axes of the entries read and written per slot
     # One buffer holds the gathered input and the products: with two buffers
     # of about one size, glibc's malloc returns its heap top to the system
     # after each call and faults it in again on the next.
     work = np.empty(len(src) + len(dst), dtype=np.complex128)
     gather, prod = work[: len(src)], work[len(src) :]
-    gather[:] = inp[src]
-    if hermitian:
-        np.conjugate(gather, out=gather)
-    i = j = 0
-    for stack in phase.stacks:
-        g, r, c = stack.shape
-        k, m = (r, c) if hermitian else (c, r)  # entries read and written per slot
-        v, p = gather[i : i + g * k].reshape(g, k), prod[j : j + g * m]
+
+    def run(stacks: list, i: int, j: int) -> None:
+        """The part of ``stacks`` whose input starts at gather[i] and whose
+        products start at prod[j]."""
+        v, p = gather[i : i + _width(stacks, read)], prod[j : j + _width(stacks, write)]
+        v[:] = inp[src[i : i + len(v)]]
         if hermitian:
-            np.matmul(v[:, None, :], stack, out=p.reshape(g, 1, m))
-        else:
-            np.matmul(stack, v[:, :, None], out=p.reshape(g, m, 1))
-        i, j = i + g * k, j + g * m
-    if hermitian:
-        np.conjugate(prod, out=prod)
+            np.conjugate(v, out=v)
+        i = j = 0
+        for stack in stacks:
+            g, k, m = stack.shape[0], stack.shape[read], stack.shape[write]
+            if hermitian:
+                np.matmul(v[i : i + g * k].reshape(g, 1, k), stack, out=p[j : j + g * m].reshape(g, 1, m))
+            else:
+                np.matmul(stack, v[i : i + g * k].reshape(g, k, 1), out=p[j : j + g * m].reshape(g, m, 1))
+            i, j = i + g * k, j + g * m
+        if hermitian:
+            np.conjugate(p, out=p)
+
+    two = _cpus() > 1 and sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES
+    first, second = _halves(phase.stacks) if two else (phase.stacks, [])
+    if second:
+        done = _start(lambda: run(second, _width(first, read), _width(first, write)))
+        try:
+            run(first, 0, 0)
+        finally:
+            error = done.get()
+        if error is not None:
+            raise error
+    else:
+        run(first, 0, 0)
     # numpy >= 1.25 runs this on its fast path: a 1-D intp index and complex
     # values into a complex vector, with no cast
     np.add.at(out, dst, prod)
@@ -520,20 +627,20 @@ def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
     """The leaf blocks tile n x n when every cluster holds its sons' indices
     and every pair of leaf clusters lies below exactly one leaf block.
     Leaves are numbered depth first, so those below a cluster are a range."""
-    spans: dict[int, tuple[int, int]] = {}
-    order: list[int] = []
-
-    def number(cid: int) -> None:
-        c, lo = tree[cid], len(order)
-        if c.is_leaf:
-            order.append(cid)
-        elif not np.array_equal(np.sort(c.index_set), np.sort(np.concatenate([tree[s].index_set for s in c.sons]))):
-            raise ValueError(f"cluster {cid}'s index set is not its sons' together")
-        for son in c.sons:
-            number(son)
-        spans[cid] = (lo, len(order))
-
-    number(tree.root)
+    preorder, todo = [], [tree.root]
+    while todo:
+        preorder.append(todo.pop())
+        todo.extend(reversed(tree[preorder[-1]].sons))
+        if len(preorder) > len(tree):
+            raise ValueError("the clusters' son lists do not form a tree")
+    order = [cid for cid in preorder if tree[cid].is_leaf]
+    spans = {cid: (k, k + 1) for k, cid in enumerate(order)}
+    for cid in reversed(preorder):  # sons before their parent
+        c = tree[cid]
+        if c.sons:
+            if not np.array_equal(np.sort(c.index_set), np.sort(np.concatenate([tree[s].index_set for s in c.sons]))):
+                raise ValueError(f"cluster {cid}'s index set is not its sons' together")
+            spans[cid] = (spans[c.sons[0]][0], spans[c.sons[-1]][1])
     bids = np.concatenate([bt.admissible_leaves, bt.inadmissible_leaves])
     t0, t1 = np.array([spans[t] for t in bt.t[bids].tolist()], dtype=np.int64).reshape(-1, 2).T
     s0, s1 = np.array([spans[s] for s in bt.s[bids].tolist()], dtype=np.int64).reshape(-1, 2).T

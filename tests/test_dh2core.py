@@ -1,5 +1,12 @@
 import dataclasses
+import gc
 import json
+import os
+import signal
+import sys
+import threading
+import time
+import traceback
 
 import numpy as np
 import pytest
@@ -154,6 +161,185 @@ class TestPhasePlans:
         assert want[0] != ((out[0] + p3) + p2) + p1
         dh2core.apply_groups(out, x, phase, hermitian)
         assert np.array_equal(out.view(np.uint64), want.view(np.uint64))
+
+
+def random_phase(rng, shapes, rows, cols):
+    """A hand-built phase with one random stack per (G, r, c) of ``shapes``;
+    its sides are drawn with repeats from vectors of ``rows`` and ``cols``
+    entries, so outputs sum several products."""
+    stacks = [rng.standard_normal(shape) + 1j * rng.standard_normal(shape) for shape in shapes]
+    sides = [(rows, sum(g * r for g, r, _ in shapes)), (cols, sum(g * c for g, _, c in shapes))]
+    return dh2core.Phase(stacks, *(rng.integers(0, n, size, dtype=np.intp) for n, size in sides))
+
+
+def equal_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
+
+
+PHASE_SHAPES = {
+    "no-stack": [],
+    "one-slot": [(1, 3, 4)],
+    "one-stack": [(5, 3, 4)],
+    "two-stacks": [(3, 2, 5), (4, 6, 1)],
+    "empty-sides": [(2, 0, 3), (3, 4, 0), (2, 2, 2)],
+    "many-stacks": [(int(g), int(r), int(c)) for g, r, c in np.random.default_rng(4).integers(1, 9, (14, 3))],
+}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count ``apply_groups`` sees, and count the parts it hands
+    to the worker thread; phases of any size run in two parts."""
+    monkeypatch.setattr(dh2core, "TWO_PART_MIN_ENTRIES", 0)
+    started = []
+    inner = dh2core._start
+
+    def counting(task):
+        started.append(task)
+        return inner(task)
+
+    monkeypatch.setattr(dh2core, "_start", counting)
+
+    def use(count):
+        monkeypatch.setattr(dh2core, "_cpus", lambda: count)
+        return started
+
+    return use
+
+
+class TestTwoParts:
+    """``apply_groups`` in two parts, one on the worker thread, against the
+    same call in one part."""
+
+    @pytest.mark.parametrize("shapes", PHASE_SHAPES.values(), ids=PHASE_SHAPES.keys())
+    @pytest.mark.parametrize("hermitian", [False, True], ids=["A", "AH"])
+    @pytest.mark.parametrize("same_vector", [False, True], ids=["two-vectors", "out-is-inp"])
+    def test_same_bits_as_one_part(self, shapes, hermitian, same_vector, cpus):
+        rng = np.random.default_rng(len(shapes))
+        rows, cols = (40, 40) if same_vector else (40, 30)
+        phase = random_phase(rng, shapes, rows, cols)
+        sizes = (cols, rows) if hermitian else (rows, cols)  # out, inp
+        results = []
+        for count in (1, 2):
+            started = cpus(count)
+            out = rand_vec(np.random.default_rng(1), sizes[0])
+            inp = out if same_vector else rand_vec(np.random.default_rng(2), sizes[1])
+            dh2core.apply_groups(out, inp, phase, hermitian)
+            results.append(out)
+        assert equal_bits(*results)
+        assert len(started) == (sum(len(stack) for stack in phase.stacks) >= 2)
+
+    @pytest.mark.parametrize("shapes", PHASE_SHAPES.values(), ids=PHASE_SHAPES.keys())
+    def test_halves_cut_the_slots_in_order_at_the_midpoint(self, shapes):
+        stacks = random_phase(np.random.default_rng(0), shapes, 1, 1).stacks
+        first, second = dh2core._halves(stacks)
+        slots = lambda part: [m for stack in part for m in stack]
+        assert all(len(stack) for stack in first + second)
+        assert [m.__array_interface__["data"] for m in slots(first) + slots(second)] == [
+            m.__array_interface__["data"] for m in slots(stacks)
+        ]
+        assert bool(second) == (len(slots(stacks)) >= 2)
+        if second:
+            # the cut is the slot boundary nearest the midpoint
+            gap = sum(stack.size for stack in first) - sum(stack.size for stack in second)
+            assert abs(gap) <= max(first[-1][0].size, second[0][0].size) + 1
+
+    def test_matrices_apply_as_in_one_part(self, matrix, cpus):
+        x = rand_vec(np.random.default_rng(3), matrix.n)
+        cpus(1)
+        want = matrix.matvec(x), matrix.matvec_adjoint(x)
+        started = cpus(2)
+        assert equal_bits(matrix.matvec(x), want[0]) and equal_bits(matrix.matvec_adjoint(x), want[1])
+        assert started
+
+    def test_small_phases_run_in_one_part(self, cpus, monkeypatch):
+        started = cpus(2)
+        phase = random_phase(np.random.default_rng(8), [(3, 2, 5), (4, 6, 1)], 20, 20)
+        entries = sum(stack.size for stack in phase.stacks)
+        for least, parts in ((entries + 1, 1), (entries, 2)):
+            monkeypatch.setattr(dh2core, "TWO_PART_MIN_ENTRIES", least)
+            dh2core.apply_groups(np.zeros(20, dtype=complex), np.ones(20, dtype=complex), phase)
+            assert len(started) == parts - 1
+
+    def test_one_cpu_runs_one_part(self, matrix, cpus):
+        started = cpus(1)
+        x = rand_vec(np.random.default_rng(3), matrix.n)
+        matrix.matvec(x)
+        matrix.matvec_adjoint(x)
+        assert not started
+
+    @pytest.mark.parametrize("part", ["caller", "worker"])
+    def test_error_in_a_part_reaches_the_caller(self, part, cpus):
+        # two equal stacks: the caller runs the first, the worker the second;
+        # an input index out of range fails the gather of one of them
+        started = cpus(2)
+        phase = random_phase(np.random.default_rng(5), [(4, 3, 3), (4, 3, 3)], 12, 12)
+        cols = phase.cols.copy()
+        cols[0 if part == "caller" else -1] = 12
+        out = rand_vec(np.random.default_rng(6), 12)
+        before = out.copy()
+        with pytest.raises(IndexError) as info:
+            dh2core.apply_groups(out, out, dh2core.Phase(phase.stacks, phase.rows, cols))
+        assert ("_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]) == (part == "worker")
+        assert equal_bits(out, before)  # nothing is added when a part fails
+        assert len(started) == 1
+        want = out.copy()
+        cpus(1)
+        dh2core.apply_groups(want, want, phase)
+        cpus(2)
+        dh2core.apply_groups(out, out, phase)
+        assert equal_bits(out, want)
+
+    def test_concurrent_applies_give_the_same_bits(self, compressed_line, cpus):
+        # more threads than cores share the one worker; each must get its
+        # own parts back, so a mixed-up result changes the bits
+        a = compressed_line[0]
+        cpus(2)
+        xs = [rand_vec(np.random.default_rng(seed), a.n) for seed in range(4)]
+        want = [(a.matvec(x), a.matvec_adjoint(x)) for x in xs]
+        got = [None] * len(xs)
+
+        def apply(k):
+            got[k] = [(a.matvec(xs[k]), a.matvec_adjoint(xs[k])) for _ in range(5)]
+
+        threads = [threading.Thread(target=apply, args=(k,)) for k in range(len(xs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for results, (y, z) in zip(got, want):
+            assert all(equal_bits(y1, y) and equal_bits(z1, z) for y1, z1 in results)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_applies_with_the_same_bits(self, compressed_line, cpus):
+        # the child has no copy of the parent's worker thread and must start
+        # its own, not wait for the parent's forever
+        a = compressed_line[0]
+        cpus(2)
+        x = rand_vec(np.random.default_rng(7), a.n)
+        want = a.matvec(x), a.matvec_adjoint(x)
+        assert dh2core._worker is not None and dh2core._worker.pid == os.getpid()
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if equal_bits(a.matvec(x), want[0]) and equal_bits(a.matvec_adjoint(x), want[1]) else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not finish its applies within 60 s")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 class TestMatvec:
@@ -410,6 +596,18 @@ class TestContainer:
         for name in files1:
             assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
+    def test_load_leaves_no_reference_cycles(self, assembled, tmp_path):
+        # the tiling check numbered the clusters with a recursive closure,
+        # which kept its span dict and leaf list until the next collection
+        save_dh2(assembled, tmp_path / "a")
+        gc.collect()
+        gc.disable()
+        try:
+            load_dh2(tmp_path / "a")
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
     @pytest.mark.parametrize("manifest", [[], "DH2v3", 3])
     def test_manifest_must_be_an_object(self, assembled, tmp_path, manifest):
         where = tmp_path / "a"
@@ -570,6 +768,15 @@ class TestContainerChecks:
 
         edit_manifest(saved, move_index)
         assert_rejected(saved, "is not its sons' together")
+
+    def test_cluster_sons_must_form_a_tree(self, saved):
+        # a cluster that is its own only son holds its sons' indices
+        def own_son(manifest):
+            inner = next(c for c in manifest["tree"]["clusters"] if c["sons"] and c["parent"] >= 0)
+            inner["sons"] = [inner["id"]]
+
+        edit_manifest(saved, own_son)
+        assert_rejected(saved, "do not form a tree")
 
     def test_leaf_blocks_must_not_overlap(self, saved):
         def duplicate_son(manifest):
