@@ -24,10 +24,9 @@ tree = build_cluster_tree(mesh.midpoints, 16)
 print("== cluster tree (n = 2048, leaf size 16) ==")
 print(f"{len(tree)} clusters, depth {tree.depth}")
 for level in range(tree.depth + 1):
-    ids = tree.level_ids(level)
-    sizes = [tree[c].size for c in ids]
+    sizes = np.diff(tree.set_ptr)[tree.level == level]
     print(
-        f"level {level}: {len(ids):4d} clusters, sizes {min(sizes)}..{max(sizes)}, "
+        f"level {level}: {len(sizes):4d} clusters, sizes {sizes.min()}..{sizes.max()}, "
         f"largest support-box diameter {level_diameter(tree, level):.3f}"
     )
 

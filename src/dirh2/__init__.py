@@ -20,7 +20,6 @@ from .blocktree import (
     build_block_tree,
     is_admissible,
     sparsity_stats,
-    used_directions,
 )
 from .clustering import ClusterTree, build_cluster_tree, level_diameter
 from .compression import (
@@ -30,6 +29,7 @@ from .compression import (
     aca_compress,
     compress,
     farfield_sets,
+    used_directions,
 )
 from .dh2core import (
     DH2Matrix,

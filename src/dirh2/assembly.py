@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .blocktree import BlockTree, used_directions
+from .blocktree import BlockTree
 from .clustering import ClusterTree
+from .compression import used_directions
 from .dh2core import DH2Matrix, DirectionalClusterBasis
 from .directions import DirectionHierarchy
 from .geometry import KernelSpec, SurfaceMesh, dense_block
@@ -80,27 +81,26 @@ def _plane_wave(kappa: float, points: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def _leaf_matrix(mesh, tree, dirs, kappa, cid, c_idx, m):
-    cluster = tree[cid]
-    bmin, bmax = tree.support_box(cid)
-    pts = mesh.midpoints[cluster.index_set]
-    basis = lagrange_tensor(bmin, bmax, m, pts).astype(np.complex128)
-    c = dirs.levels[cluster.level][c_idx]
-    return basis * (_plane_wave(kappa, pts, c) * mesh.areas[cluster.index_set])[:, None]
+    rows = tree.index_set(cid)
+    pts = mesh.midpoints[rows]
+    basis = lagrange_tensor(tree.bmin[cid], tree.bmax[cid], m, pts).astype(np.complex128)
+    c = dirs.levels[tree.level[cid]][c_idx]
+    return basis * (_plane_wave(kappa, pts, c) * mesh.areas[rows])[:, None]
 
 
 def _transfer_matrix(tree, dirs, kappa, son_id, parent_id, c_idx, m):
-    parent = tree[parent_id]
-    c = dirs.levels[parent.level][c_idx]
-    c2 = dirs.levels[parent.level + 1][dirs.son_index(parent.level, c_idx)]
-    son_pts = tensor_points(*tree.support_box(son_id), m)
-    basis = lagrange_tensor(*tree.support_box(parent_id), m, son_pts).astype(np.complex128)
+    level = tree.level[parent_id]
+    c = dirs.levels[level][c_idx]
+    c2 = dirs.levels[level + 1][dirs.son_index(level, c_idx)]
+    son_pts = tensor_points(tree.bmin[son_id], tree.bmax[son_id], m)
+    basis = lagrange_tensor(tree.bmin[parent_id], tree.bmax[parent_id], m, son_pts).astype(np.complex128)
     return basis * _plane_wave(kappa, son_pts, c - c2)[:, None]
 
 
 def _coupling_matrix(tree, dirs, kappa, t, s, c_idx, m):
-    c = dirs.levels[tree[t].level][c_idx]
-    xt = tensor_points(*tree.support_box(t), m)
-    ys = tensor_points(*tree.support_box(s), m)
+    c = dirs.levels[tree.level[t]][c_idx]
+    xt = tensor_points(tree.bmin[t], tree.bmax[t], m)
+    ys = tensor_points(tree.bmin[s], tree.bmax[s], m)
     d = xt[:, None, :] - ys[None, :, :]
     r = np.linalg.norm(d, axis=2)
     if not (r > 0.0).all():
@@ -135,13 +135,13 @@ def assemble_dh2_by_interpolation(
         for cid in range(len(tree)):
             for c_idx in used.get(cid, ()):
                 basis.rank[(cid, c_idx)] = k
-                cluster = tree[cid]
-                if cluster.is_leaf:
+                sons = tree.sons_of(cid)
+                if not sons:
                     basis.leaf[(cid, c_idx)] = _leaf_matrix(
                         mesh, tree, dirs, kappa, cid, c_idx, m
                     )
                 else:
-                    for son in cluster.sons:
+                    for son in sons:
                         basis.transfer[(son, c_idx)] = _transfer_matrix(
                             tree, dirs, kappa, son, cid, c_idx, m
                         )
@@ -151,7 +151,7 @@ def assemble_dh2_by_interpolation(
         bid: _coupling_matrix(tree, dirs, kappa, t, s, c, m) for bid, t, s, c in bt.entries(bt.admissible_leaves)
     }
     nearfield = {
-        bid: dense_block(mesh, spec, tree[t].index_set, tree[s].index_set)
+        bid: dense_block(mesh, spec, tree.index_set(t), tree.index_set(s))
         for bid, t, s, _ in bt.entries(bt.inadmissible_leaves)
     }
     return DH2Matrix(

@@ -48,7 +48,6 @@ __all__ = [
     "box_diameter",
     "is_admissible",
     "build_block_tree",
-    "used_directions",
     "sparsity_stats",
     "SparsityStats",
     "blocks_to_csv",
@@ -146,12 +145,6 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.repeat(starts - ends + counts, counts) + np.arange(ends[-1] if ends.size else 0)
 
 
-def _cluster_sons(tree: ClusterTree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each cluster's son count and first son's place, and the son lists side by side."""
-    n_sons = np.array([len(c.sons) for c in tree.clusters])
-    return n_sons, np.cumsum(n_sons) - n_sons, np.array([s for c in tree.clusters for s in c.sons], dtype=np.int64)
-
-
 def build_block_tree(
     tree: ClusterTree,
     dirs: DirectionHierarchy,
@@ -171,10 +164,7 @@ def build_block_tree(
     if not (np.isfinite(kappa) and kappa >= 0.0):
         raise ValueError("kappa must be finite and >= 0")
 
-    bmin = np.array([c.support_min for c in tree.clusters])
-    bmax = np.array([c.support_max for c in tree.clusters])
-    center = 0.5 * (bmin + bmax)
-    n_sons, first_son, sons = _cluster_sons(tree)
+    bmin, bmax, center, n_sons = tree.bmin, tree.bmax, 0.5 * (tree.bmin + tree.bmax), np.diff(tree.son_ptr)
 
     # per level: the pairs (t, s), their status code and direction index, and
     # how many son pairs each has in the next level, where they lie side by side
@@ -195,7 +185,7 @@ def build_block_tree(
         parent = np.repeat(np.arange(t.size), count)
         k = _ranges(np.zeros(t.size, dtype=np.int64), count)
         n_s = n_sons[s[parent]]
-        t, s = sons[first_son[t[parent]] + k // n_s], sons[first_son[s[parent]] + k % n_s]
+        t, s = tree.sons[tree.son_ptr[t[parent]] + k // n_s], tree.sons[tree.son_ptr[s[parent]] + k % n_s]
 
     # below[l][i]: blocks in the subtrees of level l's pairs before pair i; a
     # son pair's id is its parent's + 1 + the subtrees of the son pairs before it
@@ -219,30 +209,6 @@ def build_block_tree(
     return BlockTree(t, s, status, c_index, level, son_ptr, son_ids, kappa, eta1, eta2, parabolic)
 
 
-def used_directions(
-    tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str = "row"
-) -> dict[int, list[int]]:
-    """Direction indices each cluster actually needs: those of its own
-    admissible blocks plus the chained-down directions of its ancestors'."""
-    if side not in ("row", "col"):
-        raise ValueError("side must be 'row' or 'col'")
-    adm = bt.admissible_leaves
-    owner, c, level = (bt.t if side == "row" else bt.s)[adm], bt.c_index[adm], bt.level[adm]
-    n_sons, first_son, sons = _cluster_sons(tree)
-    used: dict[int, list[int]] = {}
-    cid = cc = np.zeros(0, dtype=np.int64)
-    for l in range(tree.depth + 1):
-        if l:  # every son of a pair's cluster, with the chained direction
-            cc = np.repeat(dirs.son_maps[l - 1][cc], n_sons[cid])
-            cid = sons[_ranges(first_son[cid], n_sons[cid])]
-        width = dirs.count(l)
-        keys = np.unique(np.concatenate([cid * width + cc, owner[level == l] * width + c[level == l]]))
-        cid, cc = keys // width, keys % width
-        for i, k in zip(cid.tolist(), cc.tolist()):
-            used.setdefault(i, []).append(k)
-    return used
-
-
 @dataclass
 class SparsityStats:
     row_counts: np.ndarray  # blocks (t, s) in the tree, per cluster t
@@ -259,8 +225,8 @@ def sparsity_stats(tree: ClusterTree, bt: BlockTree) -> SparsityStats:
     def directions(cid: np.ndarray) -> np.ndarray:  # distinct directions per cluster
         return np.bincount(np.unique(cid[adm] * width + bt.c_index[adm]) // width, minlength=n)
 
-    row, level = np.bincount(bt.t, minlength=n), np.array([c.level for c in tree.clusters])
-    per_level = [row[level == l] for l in range(tree.depth + 1)]
+    row = np.bincount(bt.t, minlength=n)
+    per_level = [row[tree.level == l] for l in range(tree.depth + 1)]
     return SparsityStats(
         row_counts=row,
         col_counts=np.bincount(bt.s, minlength=n),

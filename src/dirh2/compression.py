@@ -7,7 +7,7 @@ kernels and expanded nested representations all compress the same way.
 
 Every admissible block is weighted by its exact spectral norm, read once
 into a stack per block shape.  A basis serves the (cluster, direction)
-pairs of ``blocktree.used_directions``: pair (t, c) captures the farfield
+pairs of ``used_directions``: pair (t, c) captures the farfield
 columns of every admissible block on t or an ancestor of t whose direction
 chains down to c, each column divided by its block's weight.  A pass keeps
 this bookkeeping in index arrays, built once per side and level by level
@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blocktree import BlockTree, _cluster_sons, _ranges
+from .blocktree import BlockTree, _ranges
 from .clustering import ClusterTree
 from .dh2core import (
     DH2Matrix,
@@ -62,6 +62,7 @@ from .linalg import power_iteration_norm, svd, truncation_rank  # noqa: F401
 __all__ = [
     "CompressionConfig",
     "CompressionState",
+    "used_directions",
     "farfield_sets",
     "compute_block_weights",
     "build_basis",
@@ -135,10 +136,7 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
     position in the parent's list."""
     if side not in ("row", "col"):
         raise ValueError("side must be 'row' or 'col'")
-    n_sons, first_son, sons = _cluster_sons(tree)
-    set_ptr = np.cumsum([0] + [x.size for x in tree.clusters])
-    sets = np.concatenate([x.index_set for x in tree.clusters])
-    bid, n = bt.admissible_leaves, tree[tree.root].size
+    bid, n = bt.admissible_leaves, tree.index_set(tree.root).size
     owner, src = (bt.t[bid], bt.s[bid]) if side == "row" else (bt.s[bid], bt.t[bid])
     c = bt.c_index[bid]
     levels, where = [], {}
@@ -149,9 +147,9 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
         if levels:
             up = levels[-1]
             parent = np.repeat(np.arange(up.cid.size), np.diff(up.item_ptr))  # each parent item's pair
-            copies = n_sons[up.cid[parent]]
+            copies = np.diff(tree.son_ptr)[up.cid[parent]]
             k = np.repeat(np.arange(parent.size), copies)  # the parent item of each inherited one
-            cid = np.concatenate([cid, sons[_ranges(first_son[up.cid[parent]], copies)]])
+            cid = np.concatenate([cid, tree.sons[_ranges(tree.son_ptr[up.cid[parent]], copies)]])
             cc = np.concatenate([cc, dirs.son_maps[l - 1][up.c[parent[k]]]])
             b, sr = np.concatenate([b, up.bid[k]]), np.concatenate([sr, up.src[k]])
             via, rank = np.concatenate([via, up.c[parent[k]]]), np.concatenate([rank, k - up.item_ptr[parent[k]]])
@@ -160,8 +158,8 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
         order = np.lexsort((rank, via, pair))
         pair, b, sr, via = pair[order], b[order], sr[order], via[order]
         item_ptr = np.searchsorted(pair, np.arange(pairs.size + 1))
-        sizes = np.diff(set_ptr)[sr]
-        column = sets[_ranges(set_ptr[sr], sizes)]
+        sizes = np.diff(tree.set_ptr)[sr]
+        column = tree.sets[_ranges(tree.set_ptr[sr], sizes)]
         order = np.argsort(np.repeat(pair, sizes) * n + column, kind="stable")
         pos = np.empty(order.size, dtype=np.int32)
         pos[order] = np.arange(order.size)
@@ -174,12 +172,25 @@ def _farfield(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: 
     return levels, where
 
 
+def used_directions(
+    tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str = "row"
+) -> dict[int, list[int]]:
+    """Direction indices each cluster actually needs: those of its own
+    admissible blocks plus the chained-down directions of its ancestors',
+    the pairs of ``_farfield`` in ascending (level, cluster, direction)."""
+    used: dict[int, list[int]] = {}
+    for lv in _farfield(tree, dirs, bt, side)[0]:
+        for cid, c in zip(lv.cid.tolist(), lv.c.tolist()):
+            used.setdefault(cid, []).append(c)
+    return used
+
+
 def farfield_sets(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, side: str = "row") -> tuple[dict, dict]:
     """Farfield block lists and column index sets per (cluster, direction).
 
     A source cluster s belongs to (t, c) when some ancestor-or-self of t has
     an admissible block against s whose direction chains down to c at t's
-    level.  The keys are the pairs of ``blocktree.used_directions``.  Returns
+    level.  The keys are the pairs of ``used_directions``.  Returns
     (groups, cols); groups values are (source id, block id) pairs, the
     pair's own blocks first, cols values are sorted arrays of matrix column
     indices.
@@ -202,11 +213,10 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
     batched singular-value computation without singular vectors (a zero
     block gets the weight 1; for blocks of a few dozen rows and columns, a
     batched QR first costs more than it saves)."""
-    sizes = np.array([c.size for c in tree.clusters])
-    sets = np.concatenate([c.index_set for c in tree.clusters])
+    sizes = np.diff(tree.set_ptr)
     t = bt.t[bt.admissible_leaves]
     bid = bt.admissible_leaves[np.lexsort((t, sizes[t]))]  # a target's blocks stay in id order
-    t, width, start = bt.t[bid], sizes[bt.s[bid]], (np.cumsum(sizes) - sizes)[bt.s[bid]]
+    t, width, start = bt.t[bid], sizes[bt.s[bid]], tree.set_ptr[bt.s[bid]]
     column = np.concatenate([[0], np.cumsum(width)])  # each block's first column, counted over all blocks
     cut = [*np.flatnonzero(np.diff(sizes[t], prepend=-1)).tolist(), bid.size]  # each row count's first block
     weights: dict[int, float] = {}
@@ -214,7 +224,7 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
         read = None
         first = [*(b0 + np.flatnonzero(np.diff(t[b0:b1], prepend=-1))).tolist(), b1]  # each target's first block
         for i, j in zip(first, first[1:]):
-            strip = access(tree[t[i]].index_set, sets[_ranges(start[i:j], width[i:j])])
+            strip = access(tree.index_set(t[i]), tree.sets[_ranges(start[i:j], width[i:j])])
             if read is None:
                 read = np.empty((len(strip), column[b1] - column[b0]), dtype=strip.dtype)
             read[:, column[i] - column[b0] : column[j] - column[b0]] = strip
@@ -255,13 +265,13 @@ def build_basis(
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
-    max_sons = max((len(c.sons) for c in tree.clusters if c.sons), default=1)
+    max_sons = max(int(np.diff(tree.son_ptr).max()), 1)
     cfg.validate(max_sons)
     if block_weights is None:
         matrix = access if side == "row" else _adjoint_access(access)  # the weights are norms of A[t, s]
         block_weights = compute_block_weights(matrix, tree, bt)
     levels, where = _farfield(tree, dirs, bt, side)
-    n, inverse = tree[tree.root].size, np.ones(len(bt))  # 1/weight per block
+    n, inverse = tree.index_set(tree.root).size, np.ones(len(bt))  # 1/weight per block
     inverse[bt.admissible_leaves] = [1.0 / block_weights[bid] for bid in bt.admissible_leaves.tolist()]
     state = CompressionState(block_weights=block_weights)
     if keep_reduced:
@@ -279,17 +289,17 @@ def build_basis(
         state.target_eps.update(zip(zip(lv.cid.tolist(), lv.c.tolist()), tolerance[lv.below].tolist()))
 
     for cid in sorted(where, reverse=True):  # sons before parents
-        cluster, (l, p0, p1) = tree[cid], where[cid]
-        lv, sons, cs = levels[l], cluster.sons, levels[l].c[p0:p1].tolist()
+        (l, p0, p1), sons = where[cid], tree.sons_of(cid)
+        lv, cs = levels[l], levels[l].c[p0:p1].tolist()
         i0, i1 = lv.item_ptr[p0], lv.item_ptr[p1]
         span = lv.cols[lv.item_ptr[p0 : p1 + 1]]
         cols = lv.columns[span[0] : span[-1]].astype(np.intp)
         bounds = (span - span[0]).tolist()
         at = lv.pos[span[0] : span[-1]] - span[0]  # each item's columns in the cluster's run
-        if cluster.is_leaf:
+        if not sons:
             w = np.empty(cols.size)  # 1/weight of each column's block
             w[at] = np.repeat(inverse[lv.bid[i0:i1]], np.diff(lv.cols[i0 : i1 + 1]))
-            read = access(cluster.index_set, cols)
+            read = access(tree.index_set(cid), cols)
             # scaled pair by pair: BLAS may round q^H g differently for a strided g
             strips = [read[:, a:b] * w[a:b] for a, b in zip(bounds, bounds[1:])]
         else:
@@ -344,7 +354,7 @@ def build_basis(
             reduced.append(r)
             if keep_reduced or read_by_parent[i]:
                 state.r[key] = r
-            if cluster.is_leaf:
+            if not sons:
                 basis.leaf[key] = q
             else:
                 off, c2 = 0, dirs.son_index(l, c)
@@ -371,11 +381,8 @@ def subtree_tolerance_sq(
     """Sum of squared realized truncation errors over the cluster's subtree,
     following the direction chain."""
     total = state.realized_eps.get((cid, c), 0.0) ** 2
-    cluster = tree[cid]
-    if not cluster.is_leaf:
-        c2 = dirs.son_index(cluster.level, c)
-        for son in cluster.sons:
-            total += subtree_tolerance_sq(state, tree, dirs, son, c2)
+    for son in tree.sons_of(cid):
+        total += subtree_tolerance_sq(state, tree, dirs, son, dirs.son_index(tree.level[cid], c))
     return total
 
 
@@ -414,10 +421,10 @@ def compress(
     row_basis, row_state = build_basis(access, tree, dirs, bt, cfg, side="row", col_basis=col_basis, **kwargs)
     coupling, row_state = row_state.coupling, row_state if return_state else None
     t2 = time.perf_counter()
-    near = [(bid, tree[t], tree[s]) for bid, t, s, _ in bt.entries(bt.inadmissible_leaves)]
+    near = [(bid, tree.index_set(t), tree.index_set(s)) for bid, t, s, _ in bt.entries(bt.inadmissible_leaves)]
     nearfield = stack_slots({bid: (t.size, s.size) for bid, t, s in near})
     for bid, t, s in near:
-        nearfield[bid][...] = access(t.index_set, s.index_set)
+        nearfield[bid][...] = access(t, s)
     t3 = time.perf_counter()
     if timings is not None:
         timings.update(weights=t0 - start, row=t2 - t1, col=t1 - t0, projection=t3 - t2)
@@ -486,10 +493,10 @@ class AcaMatrix:
         right = {bid: b for bid, (_, b) in self.factors.items()}
         offsets, rank_total = run_offsets({bid: a.shape[1] for bid, a in left.items()})
         coefficients = lambda bid: offsets[bid]
-        left_groups = stack_groups(left, lambda bid: tree[t[bid]].index_set, coefficients)
-        right_groups = stack_groups(right, lambda bid: tree[s[bid]].index_set, coefficients)
+        left_groups = stack_groups(left, lambda bid: tree.index_set(t[bid]), coefficients)
+        right_groups = stack_groups(right, lambda bid: tree.index_set(s[bid]), coefficients)
         self.factors.update((bid, (left[bid], right[bid])) for bid in left)
-        nearfield = stack_groups(self.nearfield, lambda bid: tree[t[bid]].index_set, lambda bid: tree[s[bid]].index_set)
+        nearfield = stack_groups(self.nearfield, lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
         # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_rank_total", rank_total)
         object.__setattr__(self, "_left", left_groups)
@@ -498,7 +505,7 @@ class AcaMatrix:
 
     @property
     def n(self) -> int:
-        return self.tree[self.tree.root].size
+        return self.tree.index_set(self.tree.root).size
 
     def _apply(self, x: np.ndarray, hermitian: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
@@ -526,7 +533,7 @@ class AcaMatrix:
 
 def aca_compress(access, tree: ClusterTree, bt: BlockTree, tolerance: float) -> AcaMatrix:
     t, s = bt.t.tolist(), bt.s.tolist()
-    read = lambda bid: access(tree[t[bid]].index_set, tree[s[bid]].index_set)
+    read = lambda bid: access(tree.index_set(t[bid]), tree.index_set(s[bid]))
     factors = {bid: aca_approximate(read(bid), tolerance) for bid in bt.admissible_leaves.tolist()}
     nearfield = {bid: read(bid) for bid in bt.inadmissible_leaves.tolist()}
     return AcaMatrix(tree=tree, blocks=bt, factors=factors, nearfield=nearfield)

@@ -65,7 +65,7 @@ from pathlib import Path
 import numpy as np
 
 from .blocktree import STATUSES, BlockTree
-from .clustering import Cluster, ClusterTree
+from .clustering import ClusterTree
 from .directions import DirectionHierarchy
 
 __all__ = [
@@ -156,8 +156,9 @@ def _levels(tree: ClusterTree, transfer: dict) -> list[dict]:
     """The transfer matrices split by the level of their son cluster, the
     parts that are stacked (and applied) one after another."""
     by_level: list[dict] = [{} for _ in range(tree.depth + 1)]
+    level = tree.level.tolist()
     for key, m in transfer.items():
-        by_level[tree[key[0]].level][key] = m
+        by_level[level[key[0]]][key] = m
     return by_level
 
 
@@ -365,7 +366,7 @@ class DH2Matrix:
         coupling = stack_groups(
             self.coupling, lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
         )
-        nearfield = stack_groups(self.nearfield, lambda bid: tree[t[bid]].index_set, lambda bid: tree[s[bid]].index_set)
+        nearfield = stack_groups(self.nearfield, lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
         # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_col", col)
@@ -374,24 +375,23 @@ class DH2Matrix:
 
     def _basis_plan(self, basis: DirectionalClusterBasis) -> _BasisPlan:
         tree, dirs = self.tree, self.directions
+        parent, level = tree.parent.tolist(), tree.level.tolist()
         offsets, size = run_offsets(basis.rank)
-        leaf = stack_groups(basis.leaf, lambda key: tree[key[0]].index_set, lambda key: offsets[key])
+        leaf = stack_groups(basis.leaf, lambda key: tree.index_set(key[0]), lambda key: offsets[key])
 
         def son_coefficients(key):
             son, c = key
-            return offsets[(son, dirs.son_index(tree[tree[son].parent].level, c))]
+            return offsets[(son, dirs.son_index(level[parent[son]], c))]
 
         transfer = []
         for part in _levels(tree, basis.transfer):
-            transfer.append(
-                stack_groups(part, son_coefficients, lambda key: offsets[(tree[key[0]].parent, key[1])])
-            )
+            transfer.append(stack_groups(part, son_coefficients, lambda key: offsets[(parent[key[0]], key[1])]))
             basis.transfer.update(part)  # the slots of any part stacked anew
         return _BasisPlan(size, offsets, leaf, transfer)
 
     @property
     def n(self) -> int:
-        return self.tree[self.tree.root].size
+        return self.tree.index_set(self.tree.root).size
 
     def _apply(self, x: np.ndarray, hermitian: bool) -> np.ndarray:
         """A x, or A^H x when ``hermitian``: the forward pass runs through the
@@ -444,16 +444,15 @@ def expand_factor(
     every (cluster, direction) expansion so that later calls share them."""
     if memo is not None and (cid, c) in memo:
         return memo[(cid, c)]
-    cluster = tree[cid]
-    if cluster.is_leaf:
+    rows, sons = tree.index_set(cid), tree.sons_of(cid)
+    if not sons:
         out = basis.leaf[(cid, c)]
     else:
-        out = np.zeros((cluster.size, basis.rank[(cid, c)]), dtype=np.complex128)
-        c2 = dirs.son_index(cluster.level, c)
-        for son in cluster.sons:
+        out = np.zeros((rows.size, basis.rank[(cid, c)]), dtype=np.complex128)
+        c2 = dirs.son_index(tree.level[cid], c)
+        for son in sons:
             sub = expand_factor(basis, tree, dirs, son, c2, memo)
-            pos = np.searchsorted(cluster.index_set, tree[son].index_set)
-            out[pos] = sub @ basis.transfer[(son, c)]
+            out[np.searchsorted(rows, tree.index_set(son))] = sub @ basis.transfer[(son, c)]
     if memo is not None:
         memo[(cid, c)] = out
     return out
@@ -471,9 +470,9 @@ def expand_dense(a: DH2Matrix) -> np.ndarray:
     for bid, t, s, c in a.blocks.entries(a.blocks.admissible_leaves):
         v = expand_factor(a.row_basis, a.tree, a.directions, t, c, row_memo)
         w = expand_factor(a.col_basis, a.tree, a.directions, s, c, col_memo)
-        out[np.ix_(a.tree[t].index_set, a.tree[s].index_set)] = v @ a.coupling[bid] @ w.conj().T
+        out[np.ix_(a.tree.index_set(t), a.tree.index_set(s))] = v @ a.coupling[bid] @ w.conj().T
     for bid, t, s, _ in a.blocks.entries(a.blocks.inadmissible_leaves):
-        out[np.ix_(a.tree[t].index_set, a.tree[s].index_set)] = a.nearfield[bid]
+        out[np.ix_(a.tree.index_set(t), a.tree.index_set(s))] = a.nearfield[bid]
     return out
 
 
@@ -511,7 +510,7 @@ def storage_report(a: DH2Matrix) -> StorageReport:
 
 _C16 = np.dtype("<c16")
 _CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
-_BOXES = ("support_min", "support_max")
+_CLUSTER_FIELDS = ("id", "index_set", "level", "parent", "sons", "support_max", "support_min")  # a cluster's keys
 _BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
 _NODE_FIELDS = ("c_index", "id", "s", "sons", "status", "t")  # a manifest block node's keys
 
@@ -525,6 +524,32 @@ def _nodes(bt: BlockTree) -> list[dict]:
     ]
 
 
+def _clusters(tree: ClusterTree) -> list[dict]:
+    """The manifest's clusters, one dict of Python values per cluster."""
+    columns = zip(tree.level.tolist(), tree.parent.tolist(), tree.bmax.tolist(), tree.bmin.tolist())
+    return [
+        dict(zip(_CLUSTER_FIELDS, (i, tree.index_set(i).tolist(), level, parent, list(tree.sons_of(i)), hi, lo)))
+        for i, (level, parent, hi, lo) in enumerate(columns)
+    ]
+
+
+def _cluster_tree(tm: dict) -> ClusterTree:
+    """The cluster tree of the manifest's "tree" entry, as ``_clusters``
+    wrote it; a missing field is a KeyError.  The clusters' parents and
+    levels and the tree's depth and root must be those of the son lists."""
+    ids, sets, level, parent, sons, bmax, bmin = ([c[k] for c in tm["clusters"]] for k in _CLUSTER_FIELDS)
+    unknown = sorted({k for c in tm["clusters"] for k in c} - set(_CLUSTER_FIELDS))
+    if ids != list(range(len(ids))) or unknown:
+        raise ValueError(f"the container is malformed: clusters are not numbered 0, 1, ... or have fields {unknown}")
+    boxes = (np.array(x, dtype=float).reshape(len(ids), 3) for x in (bmin, bmax))
+    tree = ClusterTree.from_sons(sons, [np.array(x, dtype=np.int64) for x in sets], *boxes)
+    given = {"parent": parent, "level": level, "depth": tm["depth"], "root": tm["root"]}
+    wrong = [k for k, v in given.items() if not np.array_equal(v, getattr(tree, k))]
+    if wrong:
+        raise ValueError(f"the tree's {' and '.join(wrong)} fields disagree with its son lists")
+    return tree
+
+
 def _block_tree(tree: ClusterTree, bm: dict) -> BlockTree:
     """The block tree of the manifest's "blocks" entry, as ``_nodes`` wrote
     it; a missing field or an unknown status is a KeyError."""
@@ -533,7 +558,9 @@ def _block_tree(tree: ClusterTree, bm: dict) -> BlockTree:
         raise ValueError("the block nodes are not numbered 0, 1, ... in order, or have unknown fields")
     code = {name: k for k, name in enumerate(STATUSES)}
     t, s, c_index = (np.array(x, dtype=np.int64) for x in (t, s, c_index))
-    status, level = np.array([code[x] for x in status], dtype=np.int8), np.array([c.level for c in tree.clusters])[t]
+    if not np.isin(np.concatenate([t, s]), np.arange(len(tree))).all():
+        raise ValueError("a block node names a cluster the tree lacks")
+    status, level = np.array([code[x] for x in status], dtype=np.int8), tree.level[t]
     son_ptr, sons = np.cumsum([0] + [len(x) for x in sons]), np.array([i for x in sons for i in x], dtype=np.int64)
     parameters = {k: bm[k] for k in _BLOCK_PARAMETERS}
     return BlockTree(t, s, status, c_index, level, son_ptr, sons, root=bm["root"], **parameters)
@@ -577,10 +604,7 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
         "tree": {
             "root": a.tree.root,
             "depth": a.tree.depth,
-            "clusters": [
-                {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(c).items()}
-                for c in a.tree.clusters
-            ],
+            "clusters": _clusters(a.tree),
         },
         "directions": {
             "levels": [lv.tolist() for lv in a.directions.levels],
@@ -628,22 +652,21 @@ def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
     and every pair of leaf clusters lies below exactly one leaf block.
     Leaves are numbered depth first, so those below a cluster are a range."""
     preorder, todo = [], [tree.root]
-    while todo:
+    while todo:  # ends: the son lists form a tree (``ClusterTree.from_sons``)
         preorder.append(todo.pop())
-        todo.extend(reversed(tree[preorder[-1]].sons))
-        if len(preorder) > len(tree):
-            raise ValueError("the clusters' son lists do not form a tree")
-    order = [cid for cid in preorder if tree[cid].is_leaf]
-    spans = {cid: (k, k + 1) for k, cid in enumerate(order)}
+        todo.extend(reversed(tree.sons_of(preorder[-1])))
+    order = [cid for cid in preorder if not tree.sons_of(cid)]
+    spans = np.zeros((len(tree), 2), dtype=np.int64)
+    spans[order] = np.arange(len(order))[:, None] + [0, 1]
     for cid in reversed(preorder):  # sons before their parent
-        c = tree[cid]
-        if c.sons:
-            if not np.array_equal(np.sort(c.index_set), np.sort(np.concatenate([tree[s].index_set for s in c.sons]))):
+        sons = tree.sons_of(cid)
+        if sons:
+            held = np.concatenate([tree.index_set(s) for s in sons])
+            if not np.array_equal(np.sort(tree.index_set(cid)), np.sort(held)):
                 raise ValueError(f"cluster {cid}'s index set is not its sons' together")
-            spans[cid] = (spans[c.sons[0]][0], spans[c.sons[-1]][1])
+            spans[cid] = spans[sons[0], 0], spans[sons[-1], 1]
     bids = np.concatenate([bt.admissible_leaves, bt.inadmissible_leaves])
-    t0, t1 = np.array([spans[t] for t in bt.t[bids].tolist()], dtype=np.int64).reshape(-1, 2).T
-    s0, s1 = np.array([spans[s] for s in bt.s[bids].tolist()], dtype=np.int64).reshape(-1, 2).T
+    (t0, t1), (s0, s1) = spans[bt.t[bids]].T, spans[bt.s[bids]].T
     # a block adds one on its rectangle: +1 and -1 at its corners, summed up
     corners = np.zeros((len(order) + 1, len(order) + 1), dtype=np.int64)
     for rows, cols, sign in ((t0, s0, 1), (t0, s1, -1), (t1, s0, -1), (t1, s1, 1)):
@@ -671,21 +694,22 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
     for level, son_map in enumerate(dirs.son_maps):
         if son_map.shape != (dirs.count(level),) or ((son_map < 0) | (son_map >= dirs.count(level + 1))).any():
             raise ValueError(f"the son map of direction level {level} does not map into level {level + 1}")
-    leaves = [c.index_set for c in tree.clusters if c.is_leaf]
-    if not np.array_equal(np.sort(np.concatenate(leaves)), np.arange(tree[tree.root].size)):
+    size, level = np.diff(tree.set_ptr).tolist(), tree.level.tolist()
+    leaves = np.repeat(tree.son_ptr[:-1] == tree.son_ptr[1:], size)  # the entries of the leaves' index sets
+    if not np.array_equal(np.sort(tree.sets[leaves]), np.arange(size[tree.root])):
         raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
     _check_tiling(tree, bt)
     row, col = ranks["row"], ranks["col"]
     shapes = {
         "coupling": {i: (row[(t, c)], col[(s, c)]) for i, t, s, c in bt.entries(bt.admissible_leaves)},
-        "nearfield": {i: (tree[t].size, tree[s].size) for i, t, s, _ in bt.entries(bt.inadmissible_leaves)},
+        "nearfield": {i: (size[t], size[s]) for i, t, s, _ in bt.entries(bt.inadmissible_leaves)},
     }
     for side, rank in ranks.items():
-        shapes[f"{side}_leaf"] = {(cid, c): (tree[cid].size, k) for (cid, c), k in rank.items() if tree[cid].is_leaf}
+        shapes[f"{side}_leaf"] = {(cid, c): (size[cid], k) for (cid, c), k in rank.items() if not tree.sons_of(cid)}
         shapes[f"{side}_transfer"] = {
-            (son, c): (rank[(son, dirs.son_index(tree[cid].level, c))], k)
+            (son, c): (rank[(son, dirs.son_index(level[cid], c))], k)
             for (cid, c), k in rank.items()
-            for son in tree[cid].sons
+            for son in tree.sons_of(cid)
         }
     for category, d in payload.items():
         want = shapes[category]
@@ -699,9 +723,10 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 def load_dh2(directory: str | Path) -> DH2Matrix:
     """Read a DH2v3 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its phase
-    plans are rebuilt.  A container whose manifest fields, depth, payload
-    length, stack table, shapes, block payloads, leaf index sets or block
-    tiling do not fit is rejected with a one-line ValueError."""
+    plans are rebuilt.  A container whose manifest fields, cluster ids,
+    parents and levels, depth, payload length, stack table, shapes, block
+    payloads, leaf index sets or block tiling do not fit is rejected with a
+    one-line ValueError."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if not isinstance(manifest, dict):
@@ -709,11 +734,7 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
     if manifest.get("version") != "DH2v3":
         raise ValueError(f"not a DH2v3 container: its version is {manifest.get('version')!r}")
     try:
-        tm = manifest["tree"]
-        clusters = tm["clusters"]
-        for c in clusters:  # a missing field, such as a support box, is a KeyError
-            c.update({k: np.array(c[k], dtype=float) for k in _BOXES}, index_set=np.array(c["index_set"], np.int64))
-        tree = ClusterTree([Cluster(**c) for c in clusters], tm["root"], tm["depth"])
+        tree = _cluster_tree(manifest["tree"])
         dm = manifest["directions"]
         dirs = DirectionHierarchy(
             levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],

@@ -1,6 +1,6 @@
 import numpy as np
 
-from dirh2.blocktree import ADMISSIBLE, INADMISSIBLE, SUBDIVIDED, build_block_tree, used_directions
+from dirh2.blocktree import ADMISSIBLE, INADMISSIBLE, SUBDIVIDED, build_block_tree
 from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.directions import build_directions
 from dirh2.geometry import build_sphere_mesh
@@ -144,9 +144,11 @@ def reference_block_tree(tree, dirs, kappa, eta2, parabolic=True):
         block = [bid, t, s, SUBDIVIDED, -1, []]
         blocks.append(block)
         ct, cs = tree[t], tree[s]
-        if _reference_is_admissible(tree.support_box(t), tree.support_box(s), kappa, eta2, parabolic):
+        box_t, box_s = (ct.support_min, ct.support_max), (cs.support_min, cs.support_max)
+        if _reference_is_admissible(box_t, box_s, kappa, eta2, parabolic):
             block[3] = ADMISSIBLE
-            block[4] = reference_nearest_direction_index(dirs.levels[ct.level], tree.center(t) - tree.center(s))
+            z = 0.5 * (ct.support_min + ct.support_max) - 0.5 * (cs.support_min + cs.support_max)
+            block[4] = reference_nearest_direction_index(dirs.levels[ct.level], z)
         elif ct.is_leaf or cs.is_leaf:
             block[3] = INADMISSIBLE
         else:
@@ -155,6 +157,21 @@ def reference_block_tree(tree, dirs, kappa, eta2, parabolic=True):
 
     descend(tree.root, tree.root)
     return [tuple(b) for b in blocks]
+
+
+def reference_used_directions(tree, dirs, blocks, side):
+    """``used_directions`` from (id, t, s, status, c_index, sons) tuples,
+    such as those of ``reference_block_tree`` or the records of
+    ``BlockTree.blocks``, walking the clusters parent first."""
+    used = {}
+    for _, t, s, status, c, _ in blocks:
+        if status == ADMISSIBLE:
+            used.setdefault(t if side == "row" else s, set()).add(c)
+    for cid in range(len(tree)):
+        for c in used.get(cid, ()) if tree[cid].sons else ():
+            for son in tree[cid].sons:
+                used.setdefault(son, set()).add(dirs.son_index(tree[cid].level, c))
+    return {cid: sorted(cs) for cid, cs in used.items()}
 
 
 def reference_sphere_mesh(level):
@@ -271,7 +288,8 @@ def _reference_sorted_columns(tree, items):
 def reference_farfield_sets(tree, dirs, bt, side="row"):
     """``farfield_sets`` as it was before the index arrays: groups built
     by walking the blocks and the clusters, one sort per pair."""
-    groups, _ = _reference_farfield_groups(tree, dirs, bt, side, used_directions(tree, dirs, bt, side))
+    used = reference_used_directions(tree, dirs, bt.blocks, side)
+    groups, _ = _reference_farfield_groups(tree, dirs, bt, side, used)
     return groups, {key: _reference_sorted_columns(tree, items)[0] for key, items in groups.items()}
 
 
@@ -284,12 +302,12 @@ def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights
     from dirh2.dh2core import DirectionalClusterBasis, expand_factor
     from dirh2.linalg import truncation_rank
 
-    max_sons = max((len(c.sons) for c in tree.clusters if c.sons), default=1)
+    max_sons = max((len(tree[cid].sons) for cid in range(len(tree)) if tree[cid].sons), default=1)
     cfg.validate(max_sons)
     if block_weights is None:
         matrix = access if side == "row" else _adjoint_access(access)
         block_weights = compute_block_weights(matrix, tree, bt)
-    used = used_directions(tree, dirs, bt, side)
+    used = reference_used_directions(tree, dirs, bt.blocks, side)
     groups, shallowest = _reference_farfield_groups(tree, dirs, bt, side, used)
     cols = {}
     state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)

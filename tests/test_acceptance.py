@@ -79,11 +79,11 @@ def scaling_runs(slp_2048):
         k_max = max([*a.row_basis.rank.values(), *a.col_basis.rank.values()], default=0)
         stats = sparsity_stats(tree, bt)
         lowfreq = [
-            int(stats.row_counts[c.id])
-            for c in tree.clusters
-            if kappa * level_diameter(tree, c.level) <= 1.0
+            int(stats.row_counts[cid])
+            for cid, level in enumerate(tree.level.tolist())
+            if kappa * level_diameter(tree, level) <= 1.0
         ]
-        leaf_rows = [int(stats.row_counts[c.id]) for c in tree.clusters if c.is_leaf]
+        leaf_rows = stats.row_counts[np.diff(tree.son_ptr) == 0].tolist()
         return {
             "n": mesh.n_triangles,
             "k_max": k_max,
@@ -96,16 +96,16 @@ def scaling_runs(slp_2048):
     report, a = slp_2048
     stats = sparsity_stats(a.tree, a.blocks)
     lowfreq = [
-        int(stats.row_counts[c.id])
-        for c in a.tree.clusters
-        if 8.0 * level_diameter(a.tree, c.level) <= 1.0
+        int(stats.row_counts[cid])
+        for cid, level in enumerate(a.tree.level.tolist())
+        if 8.0 * level_diameter(a.tree, level) <= 1.0
     ]
     rows[2048] = {
         "n": 2048,
         "k_max": report.k_max,
         "entries": int(report.mem_per_dof_kib * 64 * 2048),
         "lowfreq_rows": lowfreq,
-        "leaf_row_max": max(int(stats.row_counts[c.id]) for c in a.tree.clusters if c.is_leaf),
+        "leaf_row_max": int(stats.row_counts[np.diff(a.tree.son_ptr) == 0].max()),
     }
     rows[8192] = measure(5, 16.0)
     rows["elapsed"] = time.time() - t0
@@ -238,7 +238,7 @@ class TestAcceptance:
 
         # the segment geometry yields a binary tree: two-son clusters at n=512
         dense, tree, dirs, bt = line_system(512, 4.0)
-        assert all(len(c.sons) in (0, 2) for c in tree.clusters)
+        assert set(np.diff(tree.son_ptr).tolist()) <= {0, 2}
         two_son_checked, worst_line = run_split_checks(dense, tree, dirs, bt, True)
         # generalized energy split on a multi-son sphere tree (smaller leaves
         # so blocks appear above the leaf level)

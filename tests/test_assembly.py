@@ -105,7 +105,7 @@ class TestAssembledStructure:
             s = a.coupling[bid]
             assert s.shape == (1, 1)
             expected = kernel_value(
-                KernelSpec("slp", 0.0), tree.center(b.t), tree.center(b.s)
+                KernelSpec("slp", 0.0), 0.5 * (tree.bmin[b.t] + tree.bmax[b.t]), 0.5 * (tree.bmin[b.s] + tree.bmax[b.s])
             )
             assert abs(s[0, 0] - expected) < 1e-14 * abs(expected)
         for (cid, c), v in a.row_basis.leaf.items():
@@ -119,7 +119,7 @@ class TestAssembledStructure:
         for (son, c), e in a.row_basis.transfer.items():
             parent = tree[son].parent
             expected = lagrange_tensor(
-                *tree.support_box(parent), 3, tensor_points(*tree.support_box(son), 3)
+                tree.bmin[parent], tree.bmax[parent], 3, tensor_points(tree.bmin[son], tree.bmax[son], 3)
             )
             assert np.abs(e - expected).max() < 1e-12
             checked += 1
@@ -135,16 +135,16 @@ class TestAssembledStructure:
         c = dirs.levels[tree[b.t].level][b.c_index]
         # direct evaluation: plane-wave-carrying polynomial factors around
         # the sampled smooth kernel
-        xi_t = tensor_points(*tree.support_box(b.t), 3)
-        xi_s = tensor_points(*tree.support_box(b.s), 3)
+        xi_t = tensor_points(tree.bmin[b.t], tree.bmax[b.t], 3)
+        xi_s = tensor_points(tree.bmin[b.s], tree.bmax[b.s], 3)
         s = np.array(
             [
                 [directional_kernel_value(spec, c, x, y) for y in xi_s]
                 for x in xi_t
             ]
         )
-        lt = lagrange_tensor(*tree.support_box(b.t), 3, mesh.midpoints[rows])
-        ls = lagrange_tensor(*tree.support_box(b.s), 3, mesh.midpoints[cols])
+        lt = lagrange_tensor(tree.bmin[b.t], tree.bmax[b.t], 3, mesh.midpoints[rows])
+        ls = lagrange_tensor(tree.bmin[b.s], tree.bmax[b.s], 3, mesh.midpoints[cols])
         vt = lt * (np.exp(4j * mesh.midpoints[rows] @ c) * mesh.areas[rows])[:, None]
         ws = ls * (np.exp(4j * mesh.midpoints[cols] @ c) * mesh.areas[cols])[:, None]
         direct = vt @ s @ ws.conj().T

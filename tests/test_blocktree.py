@@ -3,7 +3,13 @@ import gc
 import numpy as np
 import pytest
 
-from conftest import cube_and_points_system, is_exact_tie, reference_block_tree, sphere_system
+from conftest import (
+    cube_and_points_system,
+    is_exact_tie,
+    reference_block_tree,
+    reference_used_directions,
+    sphere_system,
+)
 
 from dirh2.blocktree import (
     ADMISSIBLE,
@@ -16,9 +22,9 @@ from dirh2.blocktree import (
     build_block_tree,
     is_admissible,
     sparsity_stats,
-    used_directions,
 )
 from dirh2.clustering import build_cluster_tree, level_diameter
+from dirh2.compression import used_directions
 from dirh2.directions import build_directions
 from dirh2.geometry import SurfaceMesh, build_sphere_mesh
 
@@ -32,6 +38,14 @@ def sphere_setup(level, kappa, leaf_size=16, parabolic=True):
     dirs = build_directions(deltas, kappa, ETA1)
     bt = build_block_tree(tree, dirs, kappa, ETA1, ETA2, parabolic=parabolic)
     return mesh, tree, dirs, bt
+
+
+def box(tree, cid):
+    return tree.bmin[cid], tree.bmax[cid]
+
+
+def center(tree, cid):
+    return 0.5 * (tree.bmin[cid] + tree.bmax[cid])
 
 
 UNIT = (np.zeros(3), np.ones(3))
@@ -123,12 +137,12 @@ class TestBuild:
         assert bt.admissible_leaves.size
         for bid in bt.admissible_leaves:
             b = bt[bid]
-            box_t, box_s = tree.support_box(b.t), tree.support_box(b.s)
+            box_t, box_s = box(tree, b.t), box(tree, b.s)
             assert box_distance(*box_t, *box_s) > 0.0
             assert is_admissible(box_t, box_s, bt.kappa, bt.eta2, bt.parabolic)
         for b in bt.blocks:
             if b.status == SUBDIVIDED:
-                box_t, box_s = tree.support_box(b.t), tree.support_box(b.s)
+                box_t, box_s = box(tree, b.t), box(tree, b.s)
                 assert not is_admissible(box_t, box_s, bt.kappa, bt.eta2, bt.parabolic)
                 assert b.sons
 
@@ -144,9 +158,9 @@ class TestBuild:
             for bid in bt.admissible_leaves:
                 b = bt[bid]
                 assert b.t != b.s
-                assert box_distance(*tree.support_box(b.t), *tree.support_box(b.s)) > 0.0
+                assert box_distance(*box(tree, b.t), *box(tree, b.s)) > 0.0
             diagonal = [bt[bid] for bid in bt.inadmissible_leaves if bt[bid].t == bt[bid].s]
-            assert sorted(b.t for b in diagonal) == sorted(c.id for c in tree.clusters if c.is_leaf)
+            assert sorted(b.t for b in diagonal) == np.flatnonzero(np.diff(tree.son_ptr) == 0).tolist()
 
     def test_levels_match_in_every_block(self):
         _, tree, dirs, bt = sphere_setup(3, 4.0)
@@ -175,7 +189,7 @@ class TestBuild:
             b = bt[bid]
             level = tree[b.t].level
             diam = level_diameter(tree, level)
-            z = tree.center(b.t) - tree.center(b.s)
+            z = center(tree, b.t) - center(tree, b.s)
             c = dirs.levels[level][b.c_index]
             dist = np.linalg.norm(z / np.linalg.norm(z) - c)
             assert bt.kappa * dist <= ETA1 / diam * (1 + 1e-9)
@@ -188,7 +202,7 @@ class TestBuild:
             b = bt[bid]
             level = tree[b.t].level
             expected = nearest_direction_index(
-                dirs.levels[level], tree.center(b.t) - tree.center(b.s)
+                dirs.levels[level], center(tree, b.t) - center(tree, b.s)
             )
             assert b.c_index == expected
 
@@ -206,13 +220,13 @@ class TestBuild:
                 b
                 for b in bt.blocks
                 if b.status == ADMISSIBLE
-                and is_exact_tie(dirs.levels[tree[b.t].level], tree.center(b.t) - tree.center(b.s))
+                and is_exact_tie(dirs.levels[tree[b.t].level], center(tree, b.t) - center(tree, b.s))
             ]
             assert ties
             plain_argmin = [
                 int(np.argmin(np.linalg.norm(dirs.levels[tree[b.t].level] - z / np.linalg.norm(z), axis=1)))
                 for b in ties
-                for z in [tree.center(b.t) - tree.center(b.s)]
+                for z in [center(tree, b.t) - center(tree, b.s)]
             ]
             assert any(c != b.c_index for c, b in zip(plain_argmin, ties))
 
@@ -251,7 +265,7 @@ class TestStats:
         stats = sparsity_stats(tree, bt)
         assert np.array_equal(np.sort(stats.row_counts), np.sort(stats.col_counts))
         for level in range(tree.depth + 1):
-            ids = tree.level_ids(level)
+            ids = np.flatnonzero(tree.level == level)
             assert stats.row_counts[ids].max() == stats.col_counts[ids].max()
 
     def test_direction_usage_counts(self):
@@ -296,20 +310,6 @@ def ellipsoid_system(kappa, eta1, parabolic):
     tree = build_cluster_tree(mesh.midpoints, 16)
     dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], kappa, eta1)
     return tree, dirs, build_block_tree(tree, dirs, kappa, eta1, ETA2, parabolic=parabolic)
-
-
-def reference_used_directions(tree, dirs, blocks, side):
-    """``used_directions`` from the reference tuples, walking the clusters
-    parent first."""
-    used = {}
-    for _, t, s, status, c, _ in blocks:
-        if status == ADMISSIBLE:
-            used.setdefault(t if side == "row" else s, set()).add(c)
-    for cid in range(len(tree)):
-        for c in used.get(cid, ()) if tree[cid].sons else ():
-            for son in tree[cid].sons:
-                used.setdefault(son, set()).add(dirs.son_index(tree[cid].level, c))
-    return {cid: sorted(cs) for cid, cs in used.items()}
 
 
 class TestArrays:

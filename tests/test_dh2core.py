@@ -11,15 +11,16 @@ import traceback
 import numpy as np
 import pytest
 
-from conftest import assert_applies_as_reference, check_plan
+from conftest import assert_applies_as_reference, check_plan, dense_accessor, reference_cluster_tree
 
 from dirh2.assembly import assemble_dh2_by_interpolation
-from dirh2.blocktree import build_block_tree
-from dirh2.clustering import build_cluster_tree, level_diameter
+from dirh2.blocktree import BlockTree, blocks_to_csv, build_block_tree, sparsity_stats
+from dirh2.clustering import ClusterTree, build_cluster_tree, level_diameter, tree_to_jsonl
 from dirh2 import dh2core
+from dirh2.compression import CompressionConfig, aca_compress, compress, farfield_sets, used_directions
 from dirh2.dh2core import expand_dense, load_dh2, save_dh2, storage_report
 from dirh2.directions import build_directions
-from dirh2.geometry import KernelSpec, build_sphere_mesh
+from dirh2.geometry import KernelSpec, assemble_dense_matrix, build_sphere_mesh
 
 
 @pytest.fixture(scope="module")
@@ -575,9 +576,8 @@ class TestContainer:
         # again from the stored boxes
         save_dh2(assembled, tmp_path / "a")
         loaded = load_dh2(tmp_path / "a")
-        for c, d in zip(assembled.tree.clusters, loaded.tree.clusters):
-            assert np.array_equal(c.support_min, d.support_min)
-            assert np.array_equal(c.support_max, d.support_max)
+        assert np.array_equal(assembled.tree.bmin, loaded.tree.bmin)
+        assert np.array_equal(assembled.tree.bmax, loaded.tree.bmax)
         bt = loaded.blocks
         rebuilt = build_block_tree(
             loaded.tree, loaded.directions, bt.kappa, bt.eta1, bt.eta2, bt.parabolic
@@ -585,6 +585,19 @@ class TestContainer:
         assert [(b.t, b.s, b.status, b.c_index) for b in rebuilt.blocks] == [
             (b.t, b.s, b.status, b.c_index) for b in assembled.blocks.blocks
         ]
+
+    def test_manifest_holds_each_cluster_as_one_dict(self, assembled, tmp_path):
+        # DH2v3's "tree" section: one dict of these seven fields per cluster,
+        # built here from the recursive reference
+        save_dh2(assembled, tmp_path / "a")
+        manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
+        points = build_sphere_mesh(3).midpoints  # those of the fixture
+        fields = ("id", "level", "parent", "index_set", "support_min", "support_max", "sons")
+        want = [
+            dict(zip(fields, (cid, level, parent, index_set.tolist(), bmin.tolist(), bmax.tolist(), sons)))
+            for cid, level, parent, index_set, bmin, bmax, sons in reference_cluster_tree(points, 16)
+        ]
+        assert manifest["tree"] == {"root": 0, "depth": max(c["level"] for c in want), "clusters": want}
 
     def test_save_is_deterministic(self, assembled, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -697,6 +710,20 @@ def edit_manifest(where, edit):
     manifest = json.loads((where / "manifest.json").read_text())
     edit(manifest)
     (where / "manifest.json").write_text(json.dumps(manifest))
+
+
+def shift_depth(manifest, by):
+    manifest["tree"]["depth"] += by
+
+
+def on_level(manifest, level):
+    return next(c for c in manifest["tree"]["clusters"] if c["level"] == level)
+
+
+def other_parent(manifest):
+    """Name another cluster of the parent's level as a cluster's parent."""
+    son = on_level(manifest, 2)
+    son["parent"] = next(c["id"] for c in manifest["tree"]["clusters"] if c["level"] == 1 and c["id"] != son["parent"])
 
 
 class TestContainerChecks:
@@ -829,6 +856,23 @@ class TestContainerChecks:
         edit_manifest(saved, edit)
         assert_rejected(saved, match)
 
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            pytest.param(lambda m: on_level(m, 3).update(parent=-1), "parent fields disagree", id="parent-none"),
+            pytest.param(other_parent, "parent fields disagree", id="parent-same-level"),
+            pytest.param(lambda m: on_level(m, 2).update(level=3), "level fields disagree", id="level"),
+            pytest.param(lambda m: m["tree"]["clusters"][3].update(id=5), "clusters are not numbered 0, 1", id="id"),
+            pytest.param(lambda m: shift_depth(m, 1), "depth fields disagree", id="deeper"),
+            pytest.param(lambda m: shift_depth(m, -1), "depth fields disagree", id="flatter"),
+            pytest.param(lambda m: m["tree"].update(root=1), "root fields disagree", id="root"),
+            pytest.param(lambda m: m["blocks"]["nodes"][-1].update(s=-1), "names a cluster", id="block-cluster"),
+        ],
+    )
+    def test_tree_fields_must_follow_from_the_son_lists(self, saved, edit, match):
+        edit_manifest(saved, edit)
+        assert_rejected(saved, match)
+
     def test_matvec_command_rejects_truncated_payload(self, saved, capsys):
         from dirh2.cli import main
 
@@ -837,3 +881,33 @@ class TestContainerChecks:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: payload.bin holds")
+
+
+def test_the_library_reads_no_records(monkeypatch, tmp_path):
+    # every library path reads the tree arrays: a record is a Python object
+    # made per key, and its cost would be part of the timings
+    def no_record(tree, key):
+        raise AssertionError(f"a record of {type(tree).__name__} was read")
+
+    monkeypatch.setattr(ClusterTree, "__getitem__", no_record)
+    monkeypatch.setattr(BlockTree, "__getitem__", no_record)
+    mesh = build_sphere_mesh(3)
+    spec = KernelSpec("slp", 4.0)
+    tree = build_cluster_tree(mesh.midpoints, 16)
+    dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], spec.kappa, 2.0)
+    bt = build_block_tree(tree, dirs, spec.kappa, 2.0, 5.0)
+    assert dirs.levels[1].any() and bt.admissible_leaves.size
+    dense = assemble_dense_matrix(mesh, spec)
+    a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+    save_dh2(a, tmp_path / "a")
+    loaded = load_dh2(tmp_path / "a")
+    assembled = assemble_dh2_by_interpolation(mesh, spec, tree, dirs, bt, 2)
+    x = np.random.default_rng(5).standard_normal(a.n) + 0j
+    for m in (a, loaded, assembled):
+        assert np.isfinite(m.matvec(x)).all() and np.isfinite(m.matvec_adjoint(x)).all()
+    assert np.array_equal(expand_dense(loaded), expand_dense(a))
+    aca = aca_compress(dense_accessor(dense), tree, bt, 1e-4)
+    assert np.isfinite(aca.matvec(x)).all() and np.isfinite(aca.matvec_adjoint(x)).all()
+    for side in ("row", "col"):
+        assert set(used_directions(tree, dirs, bt, side)) == {cid for cid, _ in farfield_sets(tree, dirs, bt, side)[0]}
+    sparsity_stats(tree, bt), blocks_to_csv(tree, bt), tree_to_jsonl(tree)
