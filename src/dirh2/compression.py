@@ -25,6 +25,9 @@ Each strip g is reduced to its triangular factor L (g = L Q^H, from the QR
 factorization of g^H), which has g's singular values and left singular
 vectors and no more columns than g has rows.  A cluster's factors go
 through one ``svd`` call per factor shape and one ``truncation_rank`` call.
+The subtrees under the root are independent, so where two CPUs may run the
+block weights and both passes run in two parts on two threads, with the
+bits of one part (``compute_block_weights``, ``build_basis``).
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
 requested accuracy relative to its norm.  There is no rank cap.
@@ -57,7 +60,7 @@ from .dh2core import (
 from .directions import DirectionHierarchy
 # power_iteration_norm is not called here; it is imported for callers that
 # look it up in this module, such as the benchmark's trace
-from .linalg import power_iteration_norm, svd, truncation_rank  # noqa: F401
+from .linalg import power_iteration_norm, svd, truncation_rank, two_cpus, two_parts  # noqa: F401
 
 __all__ = [
     "CompressionConfig",
@@ -212,7 +215,14 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
     array and go into one stack per column count, whose norms come from one
     batched singular-value computation without singular vectors (a zero
     block gets the weight 1; for blocks of a few dozen rows and columns, a
-    batched QR first costs more than it saves)."""
+    batched QR first costs more than it saves).
+
+    Where two CPUs may run, each stack's slots are cut in two halves, the
+    first computed on the calling thread and the second on the worker
+    thread (``linalg.two_parts``); the reads stay on the caller.  A batched
+    singular-value computation treats each slot on its own, so a half
+    gives every slot the bits of the whole stack.  Whole row-count groups
+    are not cut, because that would hold two read arrays at once."""
     sizes = np.diff(tree.set_ptr)
     t = bt.t[bt.admissible_leaves]
     bid = bt.admissible_leaves[np.lexsort((t, sizes[t]))]  # a target's blocks stay in id order
@@ -231,9 +241,25 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
         for c in np.unique(width[b0:b1]).tolist():
             mine = b0 + np.flatnonzero(width[b0:b1] == c)
             stack = read[:, _ranges(column[mine] - column[b0], width[mine])].reshape(len(read), mine.size, c)
-            norms = np.linalg.svd(stack.transpose(1, 0, 2), compute_uv=False)[:, 0]
+            norms = _norms(stack.transpose(1, 0, 2))
             weights.update(zip(bid[mine].tolist(), np.where(norms > 0.0, norms, 1.0).tolist()))
     return weights
+
+
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """The spectral norm of each slot of ``stack``, from one batched
+    singular-value computation without singular vectors per half of its
+    slots, the halves on two threads where two CPUs may run."""
+    norms, half = np.empty(len(stack)), len(stack) // 2
+
+    def part(a: int, b: int) -> None:
+        norms[a:b] = np.linalg.svd(stack[a:b], compute_uv=False)[:, 0]
+
+    if half and two_cpus():
+        two_parts(lambda: part(0, half), lambda: part(half, len(stack)))
+    else:
+        part(0, len(stack))
+    return norms
 
 
 def build_basis(
@@ -262,6 +288,15 @@ def build_basis(
     = omega_b R[:, cols of s] W_sc, with the columns of s found through the
     index arrays.  Each product is formed on its own: batching the few
     blocks of one shape cost more than it saved.
+
+    Where two CPUs may run, the clusters are cut in two sets of whole
+    subtrees of about equal index count (``_two_subtree_sets``), visited on
+    the calling thread and on the worker thread (``linalg.two_parts``),
+    each sons first in descending id order, into its own dicts and with its
+    own column memo; the clusters above them follow on the caller.  A
+    cluster reads only its sons' reduced rows and ranks, which its own part
+    made, so every matrix and number has the bits of a pass in one part, and
+    the merged dicts are put back in that pass's order (``_sort_by_cluster``).
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
@@ -288,91 +323,166 @@ def build_basis(
     for lv in levels:
         state.target_eps.update(zip(zip(lv.cid.tolist(), lv.c.tolist()), tolerance[lv.below].tolist()))
 
-    for cid in sorted(where, reverse=True):  # sons before parents
-        (l, p0, p1), sons = where[cid], tree.sons_of(cid)
-        lv, cs = levels[l], levels[l].c[p0:p1].tolist()
-        i0, i1 = lv.item_ptr[p0], lv.item_ptr[p1]
-        span = lv.cols[lv.item_ptr[p0 : p1 + 1]]
-        cols = lv.columns[span[0] : span[-1]].astype(np.intp)
-        bounds = (span - span[0]).tolist()
-        at = lv.pos[span[0] : span[-1]] - span[0]  # each item's columns in the cluster's run
-        if not sons:
-            w = np.empty(cols.size)  # 1/weight of each column's block
-            w[at] = np.repeat(inverse[lv.bid[i0:i1]], np.diff(lv.cols[i0 : i1 + 1]))
-            read = access(tree.index_set(cid), cols)
-            # scaled pair by pair: BLAS may round q^H g differently for a strided g
-            strips = [read[:, a:b] * w[a:b] for a, b in zip(bounds, bounds[1:])]
-        else:
-            # pair i's columns in the pairs of son j with the chained direction,
-            # found among the keys of the sons' pairs, which are one run
-            chained, nxt = dirs.son_maps[l][lv.c[p0:p1]], levels[l + 1]
-            son_pair = np.stack([q0 + np.searchsorted(nxt.c[q0:q1], chained) for _, q0, q1 in map(where.get, sons)], 1)
-            q0, q1 = where[sons[0]][1], where[sons[-1]][2]
-            run = nxt.cols[nxt.item_ptr[q0 : q1 + 1]]
-            keys = np.repeat(np.arange(q0, q1) * n, np.diff(run)) + nxt.columns[run[0] : run[-1]]
-            runs = np.repeat(np.diff(span), len(sons))
-            son_pair = np.repeat(son_pair.ravel(), runs)
-            pos = np.searchsorted(keys, son_pair * n + cols[_ranges(np.repeat(span[:-1] - span[0], len(sons)), runs)])
-            pos -= run[son_pair - q0] - run[0]
-            ends = np.cumsum(runs).tolist()
-            parts = [pos[a:b] for a, b in zip([0] + ends, ends)]
-            strips = [
-                np.concatenate([state.r[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
-                for i, c2 in enumerate(chained.tolist())
-            ]
-
-        # g = L Q^H: L has g's singular values and left singular vectors, and
-        # at most as many columns as g has rows.  Each pair's singular values
-        # are padded with zeros: a pair without rows has rank 0, and one
-        # that keeps all m values discards sigma[m] = 0.
-        by_shape: dict[tuple[int, int], list[int]] = {}
-        for i, g in enumerate(strips):
-            if g.shape[0]:
-                by_shape.setdefault((g.shape[0], min(g.shape)), []).append(i)
-        u = [np.zeros((0, 0), dtype=np.complex128)] * len(strips)
-        sigma = np.zeros((len(strips), max((m for _, m in by_shape), default=0) + 1))
-        for (rows, m), idx in by_shape.items():
-            factors, lower = np.zeros((len(idx), rows, m), dtype=np.complex128), np.tri(rows, m, dtype=bool)
-            for factor, i in zip(factors, idx):
-                h, _ = np.linalg.qr(strips[i].conj().T, mode="raw")  # R is the upper triangle of h^T
-                np.conjugate(h[:, :m], out=factor, where=lower)
-            res = svd(factors)
-            sigma[idx, :m] = res.sigma
-            for i, ui in zip(idx, res.u):
-                u[i] = ui
-        floor = sigma[:, 0] * np.array([max(g.shape) for g in strips]) * _EPS
-        ranks = truncation_rank(sigma, np.maximum(tolerance[lv.below[p0:p1]], floor))
-        realized = sigma[np.arange(len(strips)), ranks].tolist()
-
-        reduced = []
-        read_by_parent = (lv.via[lv.item_ptr[p0 + 1 : p1 + 1] - 1] >= 0).tolist()  # an inherited block comes last
-        for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
-            key = (cid, c)
-            state.realized_eps[key], basis.rank[key] = realized[i], k
-            q = state.q[key] = u[i][:, :k].copy()  # a view would keep the whole stack alive
-            r = q.conj().T @ g
-            reduced.append(r)
-            if keep_reduced or read_by_parent[i]:
-                state.r[key] = r
+    def visit(cids: list, basis: DirectionalClusterBasis, state: CompressionState, col_memo: dict) -> None:
+        """Build the pairs of ``cids``, sons before parents, into ``basis``
+        and ``state``."""
+        for cid in cids:
+            (l, p0, p1), sons = where[cid], tree.sons_of(cid)
+            lv, cs = levels[l], levels[l].c[p0:p1].tolist()
+            i0, i1 = lv.item_ptr[p0], lv.item_ptr[p1]
+            span = lv.cols[lv.item_ptr[p0 : p1 + 1]]
+            cols = lv.columns[span[0] : span[-1]].astype(np.intp)
+            bounds = (span - span[0]).tolist()
+            at = lv.pos[span[0] : span[-1]] - span[0]  # each item's columns in the cluster's run
             if not sons:
-                basis.leaf[key] = q
+                w = np.empty(cols.size)  # 1/weight of each column's block
+                w[at] = np.repeat(inverse[lv.bid[i0:i1]], np.diff(lv.cols[i0 : i1 + 1]))
+                read = access(tree.index_set(cid), cols)
+                # scaled pair by pair: BLAS may round q^H g differently for a strided g
+                strips = [read[:, a:b] * w[a:b] for a, b in zip(bounds, bounds[1:])]
+                # freed before the factorizations, as is each QR's output below: the
+                # worker thread's heap keeps the high-water mark of its part resident
+                del read
             else:
-                off, c2 = 0, dirs.son_index(l, c)
-                for son in sons:
-                    ks = basis.rank[(son, c2)]
-                    basis.transfer[(son, c)] = q[off : off + ks]
-                    off += ks
-        if col_basis is not None:  # the cluster's own blocks lead each pair's items
-            own = i0 + np.nonzero(lv.via[i0:i1] < 0)[0]
-            pair = np.searchsorted(lv.item_ptr, own, side="right") - 1 - p0
-            starts, ends = (lv.cols[own] - span[0]).tolist(), (lv.cols[own + 1] - span[0]).tolist()
-            for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
-                w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
-                state.coupling[bid] = block_weights[bid] * (reduced[i][:, at[a:b] - bounds[i]] @ w)
-        if not keep_reduced and sons:  # the sons' reduced rows have been read
-            for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
-                state.r.pop(key)
+                # pair i's columns in the pairs of son j with the chained direction,
+                # found among the keys of the sons' pairs, which are one run
+                chained, nxt = dirs.son_maps[l][lv.c[p0:p1]], levels[l + 1]
+                son_pair = np.stack(
+                    [q0 + np.searchsorted(nxt.c[q0:q1], chained) for _, q0, q1 in map(where.get, sons)], 1
+                )
+                q0, q1 = where[sons[0]][1], where[sons[-1]][2]
+                run = nxt.cols[nxt.item_ptr[q0 : q1 + 1]]
+                keys = np.repeat(np.arange(q0, q1) * n, np.diff(run)) + nxt.columns[run[0] : run[-1]]
+                runs = np.repeat(np.diff(span), len(sons))
+                son_pair = np.repeat(son_pair.ravel(), runs)
+                at_son = _ranges(np.repeat(span[:-1] - span[0], len(sons)), runs)
+                pos = np.searchsorted(keys, son_pair * n + cols[at_son])
+                pos -= run[son_pair - q0] - run[0]
+                ends = np.cumsum(runs).tolist()
+                parts = [pos[a:b] for a, b in zip([0] + ends, ends)]
+                strips = [
+                    np.concatenate([state.r[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
+                    for i, c2 in enumerate(chained.tolist())
+                ]
+
+            # g = L Q^H: L has g's singular values and left singular vectors, and
+            # at most as many columns as g has rows.  Each pair's singular values
+            # are padded with zeros: a pair without rows has rank 0, and one
+            # that keeps all m values discards sigma[m] = 0.
+            by_shape: dict[tuple[int, int], list[int]] = {}
+            for i, g in enumerate(strips):
+                if g.shape[0]:
+                    by_shape.setdefault((g.shape[0], min(g.shape)), []).append(i)
+            u = [np.zeros((0, 0), dtype=np.complex128)] * len(strips)
+            sigma = np.zeros((len(strips), max((m for _, m in by_shape), default=0) + 1))
+            for (rows, m), idx in by_shape.items():
+                factors, lower = np.zeros((len(idx), rows, m), dtype=np.complex128), np.tri(rows, m, dtype=bool)
+                for factor, i in zip(factors, idx):
+                    h, _ = np.linalg.qr(strips[i].conj().T, mode="raw")  # R is the upper triangle of h^T
+                    np.conjugate(h[:, :m], out=factor, where=lower)
+                del h
+                res = svd(factors)
+                sigma[idx, :m] = res.sigma
+                for i, ui in zip(idx, res.u):
+                    u[i] = ui
+            floor = sigma[:, 0] * np.array([max(g.shape) for g in strips]) * _EPS
+            ranks = truncation_rank(sigma, np.maximum(tolerance[lv.below[p0:p1]], floor))
+            realized = sigma[np.arange(len(strips)), ranks].tolist()
+
+            reduced = []
+            read_by_parent = (lv.via[lv.item_ptr[p0 + 1 : p1 + 1] - 1] >= 0).tolist()  # an inherited block comes last
+            for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
+                key = (cid, c)
+                state.realized_eps[key], basis.rank[key] = realized[i], k
+                q = state.q[key] = u[i][:, :k].copy()  # a view would keep the whole stack alive
+                r = q.conj().T @ g
+                reduced.append(r)
+                if keep_reduced or read_by_parent[i]:
+                    state.r[key] = r
+                if not sons:
+                    basis.leaf[key] = q
+                else:
+                    off, c2 = 0, dirs.son_index(l, c)
+                    for son in sons:
+                        ks = basis.rank[(son, c2)]
+                        basis.transfer[(son, c)] = q[off : off + ks]
+                        off += ks
+            if col_basis is not None:  # the cluster's own blocks lead each pair's items
+                own = i0 + np.nonzero(lv.via[i0:i1] < 0)[0]
+                pair = np.searchsorted(lv.item_ptr, own, side="right") - 1 - p0
+                starts, ends = (lv.cols[own] - span[0]).tolist(), (lv.cols[own + 1] - span[0]).tolist()
+                for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
+                    w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
+                    state.coupling[bid] = block_weights[bid] * (reduced[i][:, at[a:b] - bounds[i]] @ w)
+            if not keep_reduced and sons:  # the sons' reduced rows have been read
+                for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
+                    state.r.pop(key)
+
+    order = sorted(where, reverse=True)  # sons before parents
+    part = _two_subtree_sets(tree) if two_cpus() else None
+    if part is None:
+        visit(order, basis, state, col_memo)
+        return basis, state
+    halves = [(DirectionalClusterBasis(), CompressionState(), {}) for _ in range(2)]
+    first, second = ([c for c in order if part[c] == k] for k in (0, 1))
+    two_parts(lambda: visit(first, *halves[0]), lambda: visit(second, *halves[1]))
+    for half_basis, half_state, memo in halves:
+        for holder, half, names in ((basis, half_basis, _BASIS_DICTS), (state, half_state, _STATE_DICTS)):
+            for name in names:
+                getattr(holder, name).update(getattr(half, name))
+        col_memo.update(memo)
+    del halves  # so that the reduced rows the clusters above pop are freed
+    visit([c for c in order if part[c] < 0], basis, state, col_memo)
+    _sort_by_cluster(basis, state, tree, bt)
     return basis, state
+
+
+_BASIS_DICTS = ("leaf", "transfer", "rank")
+_STATE_DICTS = ("q", "r", "realized_eps", "coupling")
+
+
+def _two_subtree_sets(tree: ClusterTree) -> list | None:
+    """Each cluster's part in a basis pass cut in two: 0 or 1 in two sets of
+    whole subtrees of about equal index count, -1 above them; None if there
+    are no two such sets.  The subtrees' roots start as the root's sons,
+    split largest first onto the lighter set.  While the heavier set holds
+    more than 55 % of the indices, the largest of them with sons is
+    replaced by its sons."""
+    size = np.diff(tree.set_ptr).tolist()
+    roots = list(tree.sons_of(tree.root))
+    while True:
+        sets, load = ([], []), [0, 0]
+        for c in sorted(roots, key=lambda c: -size[c]):
+            k = int(load[1] < load[0])
+            sets[k].append(c)
+            load[k] += size[c]
+        inner = [c for c in roots if tree.sons_of(c)]
+        if max(load) <= 0.55 * sum(load) or not inner:
+            break
+        big = max(inner, key=lambda c: size[c])
+        roots = [c for c in roots if c != big] + list(tree.sons_of(big))
+    if not sets[1]:
+        return None
+    part = [-1] * len(tree)
+    for k, below in enumerate(sets):
+        while below:
+            c = below.pop()
+            part[c] = k
+            below.extend(tree.sons_of(c))
+    return part
+
+
+def _sort_by_cluster(basis: DirectionalClusterBasis, state: CompressionState, tree: ClusterTree, bt: BlockTree):
+    """Put the dicts that a basis pass fills in the order a pass in one part
+    gives them: by descending cluster, each cluster's entries in the order
+    they were made, which a stable sort keeps.  A transfer matrix belongs to
+    its son's parent, a coupling to its block's row cluster."""
+    parent, t = tree.parent.tolist(), bt.t.tolist()
+    owners = {"transfer": lambda key: parent[key[0]], "coupling": lambda bid: t[bid]}
+    for holder, names in ((basis, _BASIS_DICTS), (state, _STATE_DICTS)):
+        for name in names:
+            owner = owners.get(name, lambda key: key[0])
+            setattr(holder, name, dict(sorted(getattr(holder, name).items(), key=lambda item: -owner(item[0]))))
 
 
 def subtree_tolerance_sq(

@@ -29,19 +29,16 @@ one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run that call on
 a fast loop; older numpy gives the same result more slowly.
 
 A phase of at least ``TWO_PART_MIN_ENTRIES`` matrix entries is cut in two
-parts of about equal entry count.  The caller gathers and multiplies the
-first, and a worker thread the second, on a second CPU, since numpy
-releases the GIL in those calls.  The one ``np.add.at`` runs after both, so
-a matvec has the same bits in one part or two.  The worker is one daemon
-thread, started on first use and again in a child made by ``os.fork``.  A
-process that may use only one CPU runs every phase in one part.
+parts of about equal entry count, which gather and multiply on two threads
+(``linalg.two_parts``).  The one ``np.add.at`` runs after both, so a matvec
+has the same bits in one part or two.
 
 The container is a frozen dataclass: construction stacks the payload, and
 its attributes cannot be reassigned afterwards.  A container with another
 payload is made with ``dataclasses.replace``, which stacks it anew; the
 dicts hold views of the stacks and must not be rebound key by key.  Matvecs
 keep all scratch per call, and each waits for its own parts, so concurrent
-matvecs are safe; the worker runs their second parts one after another.
+matvecs are safe.
 Sums run in a fixed order, which fixes the floating-point result: phase by
 phase, and within a phase each output entry adds its products in stack
 order (ascending level and shape), slot order (ascending key) and entry
@@ -57,8 +54,6 @@ from __future__ import annotations
 import ctypes
 import json
 import os
-import queue
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,6 +62,7 @@ import numpy as np
 from .blocktree import STATUSES, BlockTree
 from .clustering import ClusterTree
 from .directions import DirectionHierarchy
+from .linalg import two_cpus, two_parts
 
 __all__ = [
     "DirectionalClusterBasis",
@@ -191,50 +187,6 @@ def stack_groups(d: dict, rows, cols) -> Phase:
     return Phase([stack for _, stack in pairs], side(rows, 1), side(cols, 2))
 
 
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no sched_getaffinity, as on macOS and Windows
-        return os.cpu_count() or 1
-
-
-class _Worker:
-    """One daemon thread that runs the tasks put to it one at a time and
-    puts each task's exception, or None, on the queue that came with it."""
-
-    def __init__(self):
-        self.pid = os.getpid()
-        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
-        threading.Thread(target=self._serve, name="dirh2-apply", daemon=True).start()
-
-    def _serve(self) -> None:
-        while True:
-            task, done = self.tasks.get()
-            try:
-                task()
-            except BaseException as exc:  # any: its caller waits on ``done``
-                done.put(exc)
-            else:
-                done.put(None)
-            del task, done  # free the task's buffers now, not at the next task
-
-
-_worker: _Worker | None = None
-
-
-def _start(task) -> queue.SimpleQueue:
-    """Run ``task`` on the worker thread; its outcome arrives on the queue
-    returned.  The thread is started on first use, and again in a child
-    process made by ``os.fork``, which has no copy of it."""
-    global _worker
-    if _worker is None or _worker.pid != os.getpid():
-        _worker = _Worker()
-    done: queue.SimpleQueue = queue.SimpleQueue()
-    _worker.tasks.put((task, done))
-    return done
-
-
 def _halves(stacks: list) -> tuple[list, list]:
     """``stacks`` in two parts, cut at the slot boundary nearest the midpoint
     of their entry count; the stack that straddles it is cut between two
@@ -260,11 +212,10 @@ def _width(stacks: list, axis: int) -> int:
 def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
     """out[rows] += M @ inp[cols] for every stacked matrix M of ``phase``,
     or out[cols] += M^H @ inp[rows] when ``hermitian``.  The stacks are cut
-    in two parts of about equal entry count (``_halves``); the caller runs
-    the first and one worker thread the second, since numpy releases the
-    GIL in the products.  Each part gathers its slice of the input, forms
-    its stacks' products into its range of one buffer, and for A^H
-    conjugates that range; no output is written until both are done.  Then
+    in two parts of about equal entry count (``_halves``), which run on two
+    threads (``linalg.two_parts``).  Each part gathers its slice of the
+    input, forms its stacks' products into its range of one buffer, and for
+    A^H conjugates that range; no output is written until both are done.  Then
     one ``np.add.at`` adds the buffer into ``out``.  It is unbuffered and
     walks the positions in order, so every output entry sums its terms in
     stack, slot and entry order, and the result has the same bits with one
@@ -302,16 +253,10 @@ def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
         if hermitian:
             np.conjugate(p, out=p)
 
-    two = _cpus() > 1 and sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES
+    two = two_cpus() and sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES
     first, second = _halves(phase.stacks) if two else (phase.stacks, [])
     if second:
-        done = _start(lambda: run(second, _width(first, read), _width(first, write)))
-        try:
-            run(first, 0, 0)
-        finally:
-            error = done.get()
-        if error is not None:
-            raise error
+        two_parts(lambda: run(first, 0, 0), lambda: run(second, _width(first, read), _width(first, write)))
     else:
         run(first, 0, 0)
     # numpy >= 1.25 runs this on its fast path: a 1-D intp index and complex

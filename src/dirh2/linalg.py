@@ -1,13 +1,36 @@
-"""Dense complex linear algebra primitives shared by assembly and compression.
+"""Dense complex linear algebra primitives shared by assembly and compression,
+and the worker thread that runs half of a job on a second CPU.
 
 All matrices are numpy ``complex128`` arrays.  The on-disk format ("CMX1")
 is fixed little-endian column-major so files are portable between runs and
 tools; in memory we use whatever layout numpy gives us.
+
+``two_parts(first, second)`` runs first() on the calling thread and
+second() on one worker thread, and returns once both have ended.  numpy
+releases the GIL inside its matrix products, large ufunc loops and LAPACK
+calls on stacks of matrices, so that work runs on two CPUs at once.  Python
+code does not, nor, with numpy 2.4, a QR or a singular-value computation
+without vectors on one matrix or on a stack of a few.  Its callers
+(the apply phases, the block weights, the basis passes and the dense
+assembly) cut their work so that the parts write disjoint outputs and each
+output is computed as in one part, so the result has the same bits in one
+part or two.  A process that may use only one CPU (``two_cpus``) is never
+cut by them.
+
+The worker is one daemon thread, ``dirh2-worker``, started on first use and
+again in a child made by ``os.fork``, which has no copy of it.  It runs the
+second parts of concurrent callers one after another.  A call of
+``two_parts`` made on the worker thread itself, as by an accessor that
+applies a ``DH2Matrix`` inside a basis pass, runs both parts there, since a
+task queued behind the running one would never start.
 """
 
 from __future__ import annotations
 
+import os
+import queue
 import struct
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -18,6 +41,8 @@ __all__ = [
     "svd",
     "truncation_rank",
     "power_iteration_norm",
+    "two_cpus",
+    "two_parts",
     "write_cmx",
     "read_cmx",
 ]
@@ -108,6 +133,76 @@ def power_iteration_norm(apply_a, apply_ah, dim: int, iterations: int, seed: int
         if not dead:
             return float(np.linalg.norm(apply_a(v)))
     return 0.0
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity, as on macOS and Windows
+        return os.cpu_count() or 1
+
+
+def two_cpus() -> bool:
+    """Whether this process may run on two CPUs or more, so that work cut by
+    ``two_parts`` can run on two at once."""
+    return _cpus() > 1
+
+
+def _outcome(task) -> BaseException | None:
+    """Run ``task``; its exception, or None."""
+    try:
+        task()
+    except BaseException as exc:  # any: the caller of two_parts raises it
+        return exc
+    return None
+
+
+class _Worker:
+    """One daemon thread that runs the tasks put to it one at a time and
+    puts each task's outcome on the queue that came with it."""
+
+    def __init__(self):
+        self.pid = os.getpid()
+        self.tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self.thread = threading.Thread(target=self._serve, name="dirh2-worker", daemon=True)
+        self.thread.start()
+
+    def _serve(self) -> None:
+        while True:
+            task, done = self.tasks.get()
+            done.put(_outcome(task))
+            del task, done  # free the task's buffers now, not at the next task
+
+
+_worker: _Worker | None = None
+
+
+def _start(task) -> queue.SimpleQueue:
+    """Run ``task`` on the worker thread; its outcome arrives on the queue
+    returned.  The thread is started on first use, and again in a child
+    process made by ``os.fork``."""
+    global _worker
+    if _worker is None or _worker.pid != os.getpid():
+        _worker = _Worker()
+    done: queue.SimpleQueue = queue.SimpleQueue()
+    _worker.tasks.put((task, done))
+    return done
+
+
+def two_parts(first, second) -> None:
+    """Run ``first()`` on the calling thread and ``second()`` on the worker
+    thread, and return once both have ended.  An exception raised in either
+    part reaches the caller then, the first part's if both raise.  On the
+    worker thread itself both parts run there, one after the other."""
+    here = _worker is not None and _worker.pid == os.getpid() and threading.current_thread() is _worker.thread
+    done = None if here else _start(second)
+    try:
+        first()
+    finally:
+        error = _outcome(second) if here else done.get()
+    if error is not None:
+        raise error
 
 
 def write_cmx(path: str | Path, a: np.ndarray) -> None:

@@ -1,9 +1,15 @@
-import numpy as np
+import os
+import signal
+import time
 
+import numpy as np
+import pytest
+
+from dirh2 import linalg
 from dirh2.blocktree import ADMISSIBLE, INADMISSIBLE, SUBDIVIDED, build_block_tree
 from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.directions import build_directions
-from dirh2.geometry import build_sphere_mesh
+from dirh2.geometry import SurfaceMesh, build_sphere_mesh
 
 ETA1, ETA2 = 20.0, 5.0
 
@@ -52,8 +58,66 @@ def cube_and_points_system():
     return dense, tree, dirs, bt
 
 
+def ellipsoid_mesh(level):
+    """The sphere mesh scaled to a 4:1:1 ellipsoid."""
+    mesh = build_sphere_mesh(level)
+    return SurfaceMesh(mesh.vertices * np.array([4.0, 1.0, 1.0]), mesh.triangles)
+
+
 def dense_accessor(dense):
     return lambda rows, cols: dense[np.ix_(rows, cols)]
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """Set the CPU count that the two-part callers see (``linalg._cpus``),
+    and count the parts they hand to the worker thread: ``cpus(count)``
+    returns the list of those parts."""
+    started = []
+    inner = linalg._start
+
+    def counting(task):
+        started.append(task)
+        return inner(task)
+
+    monkeypatch.setattr(linalg, "_start", counting)
+
+    def use(count):
+        monkeypatch.setattr(linalg, "_cpus", lambda: count)
+        return started
+
+    return use
+
+
+def equal_bits(a, b) -> bool:
+    """The same dtype, shape and bytes; lists (of Python values) compare equal."""
+    if isinstance(b, list):
+        return a == b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes()
+
+
+def exit_code_in_child(run, timeout: float = 60.0) -> int:
+    """Call ``run`` in a child made by ``os.fork`` and return the child's
+    exit code: 0 when ``run`` returns a true value, 3 when it returns a
+    false one, 1 when it raises.  The test fails if the child has not
+    ended within ``timeout`` seconds, so a call that would hang forever
+    hangs only the child."""
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 0 if run() else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + timeout
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail(f"the forked child did not end within {timeout:g} s")
+        time.sleep(0.01)
+    return os.waitstatus_to_exitcode(status[1])
 
 
 def reference_apply(out, inp, phase, hermitian=False):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     cube_and_points_system,
+    ellipsoid_mesh,
     is_exact_tie,
     reference_block_tree,
     reference_used_directions,
@@ -26,7 +27,7 @@ from dirh2.blocktree import (
 from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.compression import used_directions
 from dirh2.directions import build_directions
-from dirh2.geometry import SurfaceMesh, build_sphere_mesh
+from dirh2.geometry import build_sphere_mesh
 
 ETA1, ETA2 = 20.0, 5.0
 
@@ -305,9 +306,7 @@ class TestStats:
 def ellipsoid_system(kappa, eta1, parabolic):
     """The n = 2048 sphere mesh stretched to a 4:1:1 ellipsoid along x,
     whose cluster tree has seven levels below the root."""
-    sphere = build_sphere_mesh(4)
-    mesh = SurfaceMesh(sphere.vertices * [4.0, 1.0, 1.0], sphere.triangles)
-    tree = build_cluster_tree(mesh.midpoints, 16)
+    tree = build_cluster_tree(ellipsoid_mesh(4).midpoints, 16)
     dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], kappa, eta1)
     return tree, dirs, build_block_tree(tree, dirs, kappa, eta1, ETA2, parabolic=parabolic)
 

@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,9 @@ from conftest import (
     check_plan,
     cube_and_points_system,
     dense_accessor,
+    ellipsoid_mesh,
+    equal_bits,
+    exit_code_in_child,
     line_system,
     reference_build_basis,
     reference_farfield_sets,
@@ -15,7 +21,10 @@ from conftest import (
 )
 
 import dirh2.compression
+from dirh2 import dh2core
 from dirh2.assembly import assemble_dh2_by_interpolation
+from dirh2.blocktree import build_block_tree
+from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.compression import (
     CompressionConfig,
     aca_approximate,
@@ -28,7 +37,8 @@ from dirh2.compression import (
     used_directions,
 )
 from dirh2.dh2core import expand_dense, expand_factor, storage_report
-from dirh2.geometry import KernelSpec, assemble_dense_matrix
+from dirh2.directions import build_directions
+from dirh2.geometry import KernelSpec, assemble_dense_matrix, build_sphere_mesh
 from dirh2.linalg import svd, truncation_rank
 
 
@@ -125,6 +135,204 @@ def sphere512():
     mesh, tree, dirs, bt = sphere_system(3, 4.0)
     dense = assemble_dense_matrix(mesh, KernelSpec("slp", 4.0))
     return dense, tree, dirs, bt
+
+
+def point_system(pts, kappa, eta1, dense=None):
+    """Cluster tree (leaf size 16), directions and block tree of ``pts``,
+    with the single layer kernel matrix on them unless ``dense`` is given."""
+    if dense is None:
+        d = np.linalg.norm(pts[:, None, :] - pts[None, :, :], axis=2)
+        np.fill_diagonal(d, 1.0)
+        dense = np.exp(1j * kappa * d) / (4 * np.pi * d)
+        np.fill_diagonal(dense, 1.0 / len(pts))
+    tree = build_cluster_tree(pts, 16)
+    dirs = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], kappa, eta1)
+    return dense, tree, dirs, build_block_tree(tree, dirs, kappa, eta1, 5.0)
+
+
+@pytest.fixture(scope="module")
+def root_leaf():
+    """Ten points: the root is a leaf, and no block is admissible."""
+    return point_system(build_sphere_mesh(1).midpoints[:10], 4.0, 20.0)
+
+
+@pytest.fixture(scope="module")
+def ellipsoid512():
+    """An uneven tree, deeper along the long axis, with directions: M/2 + DLP
+    on the 4:1:1 ellipsoid, kappa = 8, eta1 = 2."""
+    mesh = ellipsoid_mesh(3)
+    return point_system(mesh.midpoints, 8.0, 2.0, assemble_dense_matrix(mesh, KernelSpec("dlp", 8.0)))
+
+
+@pytest.fixture(scope="module")
+def lopsided():
+    """A segment of 256 points and three points far from it: the root's sons
+    hold 256, 1, 1 and 1 indices, so a pass in two parts cuts the segment's
+    cluster into its sons, and that cluster, which has admissible blocks of
+    its own, is built above the two parts."""
+    pts = np.zeros((259, 3))
+    pts[:256, 0] = np.linspace(0.0, 1.0, 256)
+    pts[256:] = [[10.0, 0.0, 0.5], [0.0, 10.0, 0.5], [10.0, 10.0, 0.5]]
+    return point_system(pts, 6.0, 20.0)
+
+
+TWO_PART_SYSTEMS = ["sphere512", "root_leaf", "ellipsoid512", "lopsided"]
+
+
+def assert_same_fields(got, want, names=None) -> None:
+    """Every dict of two dataclasses (a basis or a state), or those named,
+    holds the same keys in the same order, each value with the same bits."""
+    for name in names or [f.name for f in dataclasses.fields(want)]:
+        a, b = getattr(got, name), getattr(want, name)
+        assert list(a) == list(b), name
+        assert all(equal_bits(a[key], b[key]) for key in b), name
+
+
+def assert_same_payload(a, want) -> None:
+    assert_same_fields(a.row_basis, want.row_basis)
+    assert_same_fields(a.col_basis, want.col_basis)
+    assert_same_fields(a, want, ["coupling", "nearfield"])
+
+
+class TestTwoParts:
+    """The block weights and the basis passes in two parts, one on the
+    worker thread, against the same calls in one part."""
+
+    @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
+    def test_block_weights_same_bits(self, system, cpus, request):
+        dense, tree, _, bt = request.getfixturevalue(system)
+        got = {}
+        for count in (1, 2):
+            started = cpus(count)
+            started.clear()
+            got[count] = compute_block_weights(dense_accessor(dense), tree, bt)
+            assert bool(started) == (count == 2 and bt.admissible_leaves.size > 1)
+        assert list(got[1]) == list(got[2])
+        assert equal_bits(np.array(list(got[2].values())), np.array(list(got[1].values())))
+
+    @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
+    @pytest.mark.parametrize("side, with_col_basis", [("col", False), ("row", False), ("row", True)])
+    @pytest.mark.parametrize("keep_reduced", [True, False])
+    def test_basis_same_bits(self, system, side, with_col_basis, keep_reduced, cpus, request):
+        dense, tree, dirs, bt = request.getfixturevalue(system)
+        cfg = CompressionConfig(eps=1e-4)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
+        access = dense_accessor(dense if side == "row" else dense.conj().T)
+        runs = []
+        for count in (1, 2):
+            cpus(count)
+            col_basis = None
+            if with_col_basis:
+                col_basis, _ = build_basis(
+                    dense_accessor(dense.conj().T), tree, dirs, bt, cfg, side="col", block_weights=weights
+                )
+            runs.append(
+                build_basis(
+                    access, tree, dirs, bt, cfg, side, weights, keep_reduced=keep_reduced, col_basis=col_basis
+                )
+            )
+        (basis, state), (want, want_state) = runs[1], runs[0]
+        assert_same_fields(basis, want)
+        assert_same_fields(state, want_state)
+        assert bool(state.coupling) == (with_col_basis and bt.admissible_leaves.size > 0)
+
+    @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
+    def test_compress_same_bits(self, system, cpus, request):
+        dense, tree, dirs, bt = request.getfixturevalue(system)
+        runs = []
+        for count in (1, 2):
+            started = cpus(count)
+            started.clear()
+            runs.append(compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4), return_state=True))
+            assert bool(started) == (count == 2 and system != "root_leaf")
+        (a, row_state, col_state), (want, want_row, want_col) = runs[1], runs[0]
+        assert_same_fields(row_state, want_row)
+        assert_same_fields(col_state, want_col)
+        assert_same_payload(a, want)
+
+    def test_concurrent_compressions_give_the_same_bits(self, lopsided, cpus):
+        # more threads than cores hand their second parts to the one worker;
+        # each must get its own parts back, so a mixed-up result changes the bits
+        dense, tree, dirs, bt = lopsided
+        cfg = CompressionConfig(eps=1e-4)
+        cpus(2)
+        want = compress(dense_accessor(dense), tree, dirs, bt, cfg)
+        got = [None] * 4
+
+        def run(k):
+            got[k] = compress(dense_accessor(dense), tree, dirs, bt, cfg)
+
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(len(got))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for a in got:
+            assert_same_payload(a, want)
+
+    @pytest.mark.parametrize("part", [0, 1])
+    def test_error_in_a_part_reaches_the_caller(self, part, lopsided, cpus):
+        # a read of one leaf fails: the caller's part reads the leaves of set
+        # 0 and the worker's those of set 1
+        dense, tree, dirs, bt = lopsided
+        cfg = CompressionConfig(eps=1e-4)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
+        cpus(2)
+        where = dirh2.compression._farfield(tree, dirs, bt, "row")[1]
+        sets = dirh2.compression._two_subtree_sets(tree)
+        leaf = next(c for c in sorted(where) if sets[c] == part and not tree.sons_of(c))
+        threads = []
+
+        def failing(rows, cols):
+            if rows is tree.index_set(leaf):
+                threads.append(threading.current_thread().name)
+                raise RuntimeError("failed read")
+            return dense[np.ix_(rows, cols)]
+
+        with pytest.raises(RuntimeError, match="failed read"):
+            build_basis(failing, tree, dirs, bt, cfg, block_weights=weights)
+        assert threads == ["dirh2-worker" if part else threading.current_thread().name]
+        got = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, block_weights=weights)
+        cpus(1)
+        want = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, block_weights=weights)
+        for built, ref in zip(got, want):
+            assert_same_fields(built, ref)
+
+    def test_one_cpu_hands_nothing_to_the_worker(self, sphere512, cpus):
+        dense, tree, dirs, bt = sphere512
+        started = cpus(1)
+        started.clear()
+        compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        assert not started
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_accessor_that_applies_a_matrix(self, lopsided, cpus, monkeypatch):
+        # the worker's part of a basis pass reads through an accessor whose
+        # matvec cuts its phases in two parts as well; they must run on the
+        # worker thread itself, not wait behind the part that waits for them
+        dense, tree, dirs, bt = lopsided
+        cfg = CompressionConfig(eps=1e-4)
+        b = compress(dense_accessor(dense), tree, dirs, bt, cfg)
+        unit = np.eye(b.n, dtype=complex)
+        cpus(2)
+        monkeypatch.setattr(dh2core, "TWO_PART_MIN_ENTRIES", 0)
+        threads = set()
+
+        def through_matvec(rows, cols):
+            threads.add(threading.current_thread().name)
+            return np.stack([b.matvec(unit[j])[rows] for j in cols], axis=1)
+
+        def compress_through_matvec():
+            a = compress(through_matvec, tree, dirs, bt, cfg)
+            return "dirh2-worker" in threads and np.linalg.norm(expand_dense(a) - dense) <= 1e-3 * np.linalg.norm(dense)
+
+        assert exit_code_in_child(compress_through_matvec) == 0
 
 
 class TestFarfieldSets:

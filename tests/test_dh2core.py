@@ -2,21 +2,26 @@ import dataclasses
 import gc
 import json
 import os
-import signal
 import sys
 import threading
-import time
 import traceback
 
 import numpy as np
 import pytest
 
-from conftest import assert_applies_as_reference, check_plan, dense_accessor, reference_cluster_tree
+from conftest import (
+    assert_applies_as_reference,
+    check_plan,
+    dense_accessor,
+    equal_bits,
+    exit_code_in_child,
+    reference_cluster_tree,
+)
 
 from dirh2.assembly import assemble_dh2_by_interpolation
 from dirh2.blocktree import BlockTree, blocks_to_csv, build_block_tree, sparsity_stats
 from dirh2.clustering import ClusterTree, build_cluster_tree, level_diameter, tree_to_jsonl
-from dirh2 import dh2core
+from dirh2 import dh2core, linalg
 from dirh2.compression import CompressionConfig, aca_compress, compress, farfield_sets, used_directions
 from dirh2.dh2core import expand_dense, load_dh2, save_dh2, storage_report
 from dirh2.directions import build_directions
@@ -173,10 +178,6 @@ def random_phase(rng, shapes, rows, cols):
     return dh2core.Phase(stacks, *(rng.integers(0, n, size, dtype=np.intp) for n, size in sides))
 
 
-def equal_bits(a, b):
-    return np.array_equal(np.asarray(a).view(np.uint64), np.asarray(b).view(np.uint64))
-
-
 PHASE_SHAPES = {
     "no-stack": [],
     "one-slot": [(1, 3, 4)],
@@ -188,24 +189,10 @@ PHASE_SHAPES = {
 
 
 @pytest.fixture
-def cpus(monkeypatch):
-    """Set the CPU count ``apply_groups`` sees, and count the parts it hands
-    to the worker thread; phases of any size run in two parts."""
+def cpus(cpus, monkeypatch):
+    """conftest's ``cpus``, with phases of any size run in two parts."""
     monkeypatch.setattr(dh2core, "TWO_PART_MIN_ENTRIES", 0)
-    started = []
-    inner = dh2core._start
-
-    def counting(task):
-        started.append(task)
-        return inner(task)
-
-    monkeypatch.setattr(dh2core, "_start", counting)
-
-    def use(count):
-        monkeypatch.setattr(dh2core, "_cpus", lambda: count)
-        return started
-
-    return use
+    return cpus
 
 
 class TestTwoParts:
@@ -281,7 +268,7 @@ class TestTwoParts:
         before = out.copy()
         with pytest.raises(IndexError) as info:
             dh2core.apply_groups(out, out, dh2core.Phase(phase.stacks, phase.rows, cols))
-        assert ("_serve" in [frame.name for frame in traceback.extract_tb(info.tb)]) == (part == "worker")
+        assert ("_outcome" in [frame.name for frame in traceback.extract_tb(info.tb)]) == (part == "worker")
         assert equal_bits(out, before)  # nothing is added when a part fails
         assert len(started) == 1
         want = out.copy()
@@ -325,22 +312,8 @@ class TestTwoParts:
         cpus(2)
         x = rand_vec(np.random.default_rng(7), a.n)
         want = a.matvec(x), a.matvec_adjoint(x)
-        assert dh2core._worker is not None and dh2core._worker.pid == os.getpid()
-        pid = os.fork()
-        if pid == 0:
-            code = 1
-            try:
-                code = 0 if equal_bits(a.matvec(x), want[0]) and equal_bits(a.matvec_adjoint(x), want[1]) else 3
-            finally:
-                os._exit(code)
-        deadline = time.monotonic() + 60
-        while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
-            if time.monotonic() > deadline:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-                pytest.fail("the forked child did not finish its applies within 60 s")
-            time.sleep(0.01)
-        assert os.waitstatus_to_exitcode(status[1]) == 0
+        assert linalg._worker is not None and linalg._worker.pid == os.getpid()
+        assert exit_code_in_child(lambda: equal_bits(a.matvec(x), want[0]) and equal_bits(a.matvec_adjoint(x), want[1])) == 0
 
 
 class TestMatvec:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import reference_dense_block, reference_sphere_mesh
+from conftest import ellipsoid_mesh, equal_bits, reference_dense_block, reference_sphere_mesh
 
 from dirh2.geometry import (
     KernelSpec,
@@ -213,7 +213,7 @@ class TestDenseMatrix:
     def test_chunked_assembly_identical(self, monkeypatch):
         # the assembly has dense_block's bits, signed zeros included; tiles of
         # 7 and 96 indices mirror off-diagonal tiles and leave ragged edges,
-        # and at the default side of 512 the matrix is a single tile
+        # and at the default side of 128 the matrix is 4 x 4 tiles
         import dirh2.geometry
 
         mesh = build_sphere_mesh(3)
@@ -300,3 +300,28 @@ class TestDenseBlockArithmetic:
                 part = dense_block(mesh, spec, rows[k : k + 7], cols[::-1])
                 same = np.ascontiguousarray(whole[k : k + 7, ::-1])
                 assert np.array_equal(part.view(np.uint64), same.view(np.uint64))
+
+    @pytest.mark.parametrize("surface", ["sphere", "ellipsoid"])
+    @pytest.mark.parametrize("kind", ["slp", "dlp"])
+    @pytest.mark.parametrize("chunk", [7, 96, None], ids=["7", "96", "default"])
+    def test_assembly_in_two_parts_same_bits(self, surface, kind, chunk, cpus, monkeypatch):
+        # the tile rows in two runs, the second on the worker thread, against
+        # all of them on the caller
+        import dirh2.geometry
+
+        mesh = ellipsoid_mesh(3) if surface == "ellipsoid" else build_sphere_mesh(3)
+        if chunk is not None:
+            monkeypatch.setattr(dirh2.geometry, "ASSEMBLY_CHUNK", chunk)
+        got = []
+        for count in (1, 2):
+            started = cpus(count)
+            started.clear()
+            got.append(assemble_dense_matrix(mesh, KernelSpec(kind, 8.0)))
+            assert len(started) == count - 1
+        assert equal_bits(got[1], got[0])
+
+    def test_a_single_tile_runs_in_one_part(self, cpus):
+        started = cpus(2)
+        started.clear()
+        assemble_dense_matrix(build_sphere_mesh(2), KernelSpec("slp", 8.0))  # 128 indices, one tile
+        assert not started

@@ -1,12 +1,18 @@
+import os
+import threading
+import time
+
 import numpy as np
 import pytest
 
-from conftest import reference_svd
+from conftest import exit_code_in_child, reference_svd
 from dirh2.linalg import (
     power_iteration_norm,
     read_cmx,
     svd,
     truncation_rank,
+    two_cpus,
+    two_parts,
     write_cmx,
 )
 
@@ -239,3 +245,69 @@ class TestCmx:
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             read_cmx(path)
+
+
+class TestTwoParts:
+    def test_first_part_on_the_caller_second_on_the_worker(self):
+        names = {}
+        two_parts(
+            lambda: names.setdefault("first", threading.current_thread().name),
+            lambda: names.setdefault("second", threading.current_thread().name),
+        )
+        assert names == {"first": threading.current_thread().name, "second": "dirh2-worker"}
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_an_exception_reaches_the_caller_once_both_parts_ended(self, failing):
+        ended = []
+
+        def part(name, seconds):
+            def run():
+                time.sleep(seconds)
+                ended.append(name)
+                if failing in (name, "both"):
+                    raise ValueError(name)
+
+            return run
+
+        # the part that does not fail first ends last
+        waits = (0.05, 0.0) if failing == "second" else (0.0, 0.05)
+        with pytest.raises(ValueError) as info:
+            two_parts(part("first", waits[0]), part("second", waits[1]))
+        assert sorted(ended) == ["first", "second"]
+        assert str(info.value) == ("second" if failing == "second" else "first")
+        done = []
+        two_parts(lambda: done.append(1), lambda: done.append(2))
+        assert sorted(done) == [1, 2]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_call_on_the_worker_runs_both_parts_there(self):
+        # a task queued behind the running one would never start, so a call
+        # that waited for the worker from the worker would hang: run it in a
+        # child that is killed if it does not end
+        def nested() -> bool:
+            names, errors = [], []
+
+            def part():
+                names.append(threading.current_thread().name)
+
+            def failing():
+                part()
+                raise ValueError("first")
+
+            def on_worker():
+                two_parts(part, part)
+                try:
+                    two_parts(failing, part)
+                except ValueError as exc:
+                    errors.append(str(exc))
+
+            two_parts(lambda: None, on_worker)
+            return names == ["dirh2-worker"] * 4 and errors == ["first"]
+
+        assert exit_code_in_child(nested) == 0
+
+    def test_two_cpus_follows_the_cpus_the_process_may_use(self, cpus):
+        cpus(1)
+        assert not two_cpus()
+        cpus(2)
+        assert two_cpus()
