@@ -4,6 +4,9 @@ arbitrary matrix, plus a cross-approximation baseline.
 The input matrix is only touched through an accessor ``access(rows, cols)``
 returning the corresponding sub-block, so dense arrays, lazily evaluated
 kernels and expanded nested representations all compress the same way.
+Where two CPUs may run, the basis passes call ``access`` from two threads
+at once (see below), so it must be thread-safe: an accessor that keeps
+state, such as scratch buffers, file handles or counters, races otherwise.
 
 Every admissible block is weighted by its exact spectral norm, read once
 into a stack per block shape.  A basis serves the (cluster, direction)
@@ -289,14 +292,15 @@ def build_basis(
     index arrays.  Each product is formed on its own: batching the few
     blocks of one shape cost more than it saved.
 
-    Where two CPUs may run, the clusters are cut in two sets of whole
-    subtrees of about equal index count (``_two_subtree_sets``), visited on
-    the calling thread and on the worker thread (``linalg.two_parts``),
-    each sons first in descending id order, into its own dicts and with its
-    own column memo; the clusters above them follow on the caller.  A
-    cluster reads only its sons' reduced rows and ranks, which its own part
-    made, so every matrix and number has the bits of a pass in one part, and
-    the merged dicts are put back in that pass's order (``_sort_by_cluster``).
+    Where two CPUs may run, the subtrees of the root's sons are cut in two
+    sets of about equal index count (``_two_subtree_sets``), visited on the
+    calling thread and on the worker thread (``linalg.two_parts``), each
+    sons first in descending id order, into its own dicts and with its own
+    column memo; the root has no pairs.  ``access`` is then called from both
+    threads at once.  A cluster reads only its sons' reduced rows and ranks,
+    which its own part made, so every matrix and number has the bits of a
+    pass in one part, and the merged dicts are put back in that pass's order
+    (``_sort_by_cluster``).
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
@@ -423,16 +427,15 @@ def build_basis(
     if part is None:
         visit(order, basis, state, col_memo)
         return basis, state
+    # the root holds no pair (its one block, with itself, is not admissible),
+    # so the two parts visit every cluster that has pairs
     halves = [(DirectionalClusterBasis(), CompressionState(), {}) for _ in range(2)]
     first, second = ([c for c in order if part[c] == k] for k in (0, 1))
     two_parts(lambda: visit(first, *halves[0]), lambda: visit(second, *halves[1]))
-    for half_basis, half_state, memo in halves:
+    for half_basis, half_state, _ in halves:
         for holder, half, names in ((basis, half_basis, _BASIS_DICTS), (state, half_state, _STATE_DICTS)):
             for name in names:
                 getattr(holder, name).update(getattr(half, name))
-        col_memo.update(memo)
-    del halves  # so that the reduced rows the clusters above pop are freed
-    visit([c for c in order if part[c] < 0], basis, state, col_memo)
     _sort_by_cluster(basis, state, tree, bt)
     return basis, state
 
@@ -442,25 +445,15 @@ _STATE_DICTS = ("q", "r", "realized_eps", "coupling")
 
 
 def _two_subtree_sets(tree: ClusterTree) -> list | None:
-    """Each cluster's part in a basis pass cut in two: 0 or 1 in two sets of
-    whole subtrees of about equal index count, -1 above them; None if there
-    are no two such sets.  The subtrees' roots start as the root's sons,
-    split largest first onto the lighter set.  While the heavier set holds
-    more than 55 % of the indices, the largest of them with sons is
-    replaced by its sons."""
+    """Each cluster's part in a basis pass cut in two: 0 or 1 for the
+    subtrees of the root's sons, split largest first onto the lighter set,
+    -1 for the root; None if the root has fewer than two sons."""
     size = np.diff(tree.set_ptr).tolist()
-    roots = list(tree.sons_of(tree.root))
-    while True:
-        sets, load = ([], []), [0, 0]
-        for c in sorted(roots, key=lambda c: -size[c]):
-            k = int(load[1] < load[0])
-            sets[k].append(c)
-            load[k] += size[c]
-        inner = [c for c in roots if tree.sons_of(c)]
-        if max(load) <= 0.55 * sum(load) or not inner:
-            break
-        big = max(inner, key=lambda c: size[c])
-        roots = [c for c in roots if c != big] + list(tree.sons_of(big))
+    sets, load = ([], []), [0, 0]
+    for c in sorted(tree.sons_of(tree.root), key=lambda c: -size[c]):
+        k = int(load[1] < load[0])
+        sets[k].append(c)
+        load[k] += size[c]
     if not sets[1]:
         return None
     part = [-1] * len(tree)
@@ -514,7 +507,8 @@ def compress(
     the adjoint, then the row basis from the matrix, whose pass forms the
     best-approximation coupling matrices from its reduced rows, and the
     verbatim nearfield.  Each admissible block is read three times and each
-    nearfield block once.
+    nearfield block once.  Where two CPUs may run, both basis passes call
+    ``access`` from two threads at once, so it must be thread-safe.
 
     The result does not depend on ``seed``, which is kept so that callers
     passing one keep working.  ``timings`` receives the wall time of the

@@ -167,9 +167,8 @@ def ellipsoid512():
 @pytest.fixture(scope="module")
 def lopsided():
     """A segment of 256 points and three points far from it: the root's sons
-    hold 256, 1, 1 and 1 indices, so a pass in two parts cuts the segment's
-    cluster into its sons, and that cluster, which has admissible blocks of
-    its own, is built above the two parts."""
+    hold 256, 1, 1 and 1 indices, so the two parts of a pass are uneven, one
+    the segment's subtree and the other the three single points."""
     pts = np.zeros((259, 3))
     pts[:256, 0] = np.linspace(0.0, 1.0, 256)
     pts[256:] = [[10.0, 0.0, 0.5], [0.0, 10.0, 0.5], [10.0, 10.0, 0.5]]
