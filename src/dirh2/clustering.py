@@ -13,7 +13,12 @@ CSR pairs (``son_ptr`` / ``sons`` and ``set_ptr`` / ``sets``) and the
 (C, 3) box corners ``bmin`` / ``bmax``.  ``sons_of(c)`` gives a cluster's
 sons as Python ints and ``index_set(c)`` a view of its index set, both cut
 once when the tree is made.  ``ClusterTree.from_sons`` derives the parents,
-levels and depth of a built or a loaded tree from its son lists.
+levels and depth of a built or a loaded tree from its son lists.  The basis
+passes visit sons before parents in descending id, and read a cluster's
+sons as one ascending run, so below the root every son has a larger id than
+its parent and every son list is ascending; ``build_cluster_tree`` numbers
+depth first, a cluster before its sons, and ``from_sons`` rejects any other
+numbering.
 ``tree[cid]`` makes a read-only ``Cluster`` record when it is read; the
 library reads the arrays.
 """
@@ -98,7 +103,8 @@ class ClusterTree:
     def from_sons(cls, sons: list, sets: list, bmin: np.ndarray, bmax: np.ndarray) -> ClusterTree:
         """The tree of each cluster's son list, index set and support box; its
         root is the one cluster that is no son.  A one-line ValueError unless
-        every other cluster is named by one son list and reached from the root."""
+        every other cluster is named by one son list and reached from the
+        root, and the numbering is one the module docstring allows."""
         count, son_ptr = len(sons), np.cumsum([0] + [len(x) for x in sons])
         son_ids = np.array([s for x in sons for s in x], dtype=np.int64)
         parent, level = np.full(count, -1, dtype=np.int64), np.full(count, -1, dtype=np.int64)
@@ -112,6 +118,13 @@ class ClusterTree:
         if not count or (level < 0).any():  # a cycle of sons stays unreached
             raise ValueError("the clusters' son lists do not form a tree")
         set_ptr, root = np.cumsum([0] + [len(x) for x in sets]), int(np.flatnonzero(parent < 0)[0])
+        owner = parent[son_ids]
+        early = son_ids[(son_ids < owner) & (owner != root)]
+        if early.size:
+            raise ValueError(f"cluster {early[0]} has a smaller id than its parent {parent[early[0]]}")
+        unsorted = owner[1:][(np.diff(son_ids) < 0) & (np.diff(owner) == 0)]
+        if unsorted.size:
+            raise ValueError(f"the sons of cluster {unsorted[0]} are not in ascending id order")
         return cls(level, parent, son_ptr, son_ids, set_ptr, np.concatenate(sets), bmin, bmax, depth, root)
 
 

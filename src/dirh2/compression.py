@@ -4,9 +4,9 @@ arbitrary matrix, plus a cross-approximation baseline.
 The input matrix is only touched through an accessor ``access(rows, cols)``
 returning the corresponding sub-block, so dense arrays, lazily evaluated
 kernels and expanded nested representations all compress the same way.
-Where two CPUs may run, the basis passes call ``access`` from two threads
-at once (see below), so it must be thread-safe: an accessor that keeps
-state, such as scratch buffers, file handles or counters, races otherwise.
+The basis passes may call ``access`` from two threads at once (see below),
+so it must be thread-safe: an accessor that keeps state, such as scratch
+buffers, file handles or counters, races otherwise.
 
 Every admissible block is weighted by its exact spectral norm, read once
 into a stack per block shape.  A basis serves the (cluster, direction)
@@ -28,9 +28,8 @@ Each strip g is reduced to its triangular factor L (g = L Q^H, from the QR
 factorization of g^H), which has g's singular values and left singular
 vectors and no more columns than g has rows.  A cluster's factors go
 through one ``svd`` call per factor shape and one ``truncation_rank`` call.
-The subtrees under the root are independent, so where two CPUs may run the
-block weights and both passes run in two parts on two threads, with the
-bits of one part (``compute_block_weights``, ``build_basis``).
+The subtrees under the root are independent, so the block weights and
+both passes run in two parts (``linalg.cut_in_two``).
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
 requested accuracy relative to its norm.  There is no rank cap.
@@ -63,7 +62,7 @@ from .dh2core import (
 from .directions import DirectionHierarchy
 # power_iteration_norm is not called here; it is imported for callers that
 # look it up in this module, such as the benchmark's trace
-from .linalg import power_iteration_norm, svd, truncation_rank, two_cpus, two_parts  # noqa: F401
+from .linalg import cut_in_two, power_iteration_norm, svd, truncation_rank  # noqa: F401
 
 __all__ = [
     "CompressionConfig",
@@ -220,12 +219,9 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
     block gets the weight 1; for blocks of a few dozen rows and columns, a
     batched QR first costs more than it saves).
 
-    Where two CPUs may run, each stack's slots are cut in two halves, the
-    first computed on the calling thread and the second on the worker
-    thread (``linalg.two_parts``); the reads stay on the caller.  A batched
-    singular-value computation treats each slot on its own, so a half
-    gives every slot the bits of the whole stack.  Whole row-count groups
-    are not cut, because that would hold two read arrays at once."""
+    Each stack's slots are cut in two halves (``linalg.cut_in_two``), which
+    a batched singular-value computation treats slot by slot; the reads stay
+    on the caller, as two row-count groups at once would hold two reads."""
     sizes = np.diff(tree.set_ptr)
     t = bt.t[bt.admissible_leaves]
     bid = bt.admissible_leaves[np.lexsort((t, sizes[t]))]  # a target's blocks stay in id order
@@ -252,16 +248,13 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
 def _norms(stack: np.ndarray) -> np.ndarray:
     """The spectral norm of each slot of ``stack``, from one batched
     singular-value computation without singular vectors per half of its
-    slots, the halves on two threads where two CPUs may run."""
-    norms, half = np.empty(len(stack)), len(stack) // 2
+    slots."""
+    norms = np.empty(len(stack))
 
     def part(a: int, b: int) -> None:
         norms[a:b] = np.linalg.svd(stack[a:b], compute_uv=False)[:, 0]
 
-    if half and two_cpus():
-        two_parts(lambda: part(0, half), lambda: part(half, len(stack)))
-    else:
-        part(0, len(stack))
+    cut_in_two(part, np.ones(len(stack)))
     return norms
 
 
@@ -292,15 +285,14 @@ def build_basis(
     index arrays.  Each product is formed on its own: batching the few
     blocks of one shape cost more than it saved.
 
-    Where two CPUs may run, the subtrees of the root's sons are cut in two
-    sets of about equal index count (``_two_subtree_sets``), visited on the
-    calling thread and on the worker thread (``linalg.two_parts``), each
-    sons first in descending id order, into its own dicts and with its own
-    column memo; the root has no pairs.  ``access`` is then called from both
-    threads at once.  A cluster reads only its sons' reduced rows and ranks,
-    which its own part made, so every matrix and number has the bits of a
-    pass in one part, and the merged dicts are put back in that pass's order
-    (``_sort_by_cluster``).
+    The root has no pairs, and the subtrees of its sons are cut in two runs
+    by index count (``linalg.cut_in_two``), each visited sons first in
+    descending id order; ``access`` may then be called from two threads at
+    once.  A cluster reads only its sons' reduced rows and ranks, which its
+    own part made.  The first part fills the returned dicts and the second
+    fresh ones, merged after it, so the dicts' order does not depend on
+    where the parts ran.  Both share one column memo, whose entries do not
+    depend on which part made them.
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
@@ -316,6 +308,8 @@ def build_basis(
     if keep_reduced:
         state.groups, state.cols = farfield_sets(tree, dirs, bt, side)
     basis = DirectionalClusterBasis()
+    # shared by both parts: an entry has the same bits whichever part makes
+    # it and none is removed, so a race between the parts only repeats work
     col_memo: dict = {}
 
     # Per-pair truncation target: a block rooted at level l_t collects the
@@ -327,7 +321,7 @@ def build_basis(
     for lv in levels:
         state.target_eps.update(zip(zip(lv.cid.tolist(), lv.c.tolist()), tolerance[lv.below].tolist()))
 
-    def visit(cids: list, basis: DirectionalClusterBasis, state: CompressionState, col_memo: dict) -> None:
+    def visit(cids: list, basis: DirectionalClusterBasis, state: CompressionState) -> None:
         """Build the pairs of ``cids``, sons before parents, into ``basis``
         and ``state``."""
         for cid in cids:
@@ -422,60 +416,24 @@ def build_basis(
                 for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
                     state.r.pop(key)
 
-    order = sorted(where, reverse=True)  # sons before parents
-    part = _two_subtree_sets(tree) if two_cpus() else None
-    if part is None:
-        visit(order, basis, state, col_memo)
-        return basis, state
-    # the root holds no pair (its one block, with itself, is not admissible),
-    # so the two parts visit every cluster that has pairs
-    halves = [(DirectionalClusterBasis(), CompressionState(), {}) for _ in range(2)]
-    first, second = ([c for c in order if part[c] == k] for k in (0, 1))
-    two_parts(lambda: visit(first, *halves[0]), lambda: visit(second, *halves[1]))
-    for half_basis, half_state, _ in halves:
-        for holder, half, names in ((basis, half_basis, _BASIS_DICTS), (state, half_state, _STATE_DICTS)):
-            for name in names:
-                getattr(holder, name).update(getattr(half, name))
-    _sort_by_cluster(basis, state, tree, bt)
+    # the root holds no pair (its one block, with itself, is not admissible);
+    # every other cluster lies below the son of the root at position head[cid]
+    heads = tree.sons_of(tree.root)
+    head = np.full(len(tree), -1)
+    head[list(heads)] = np.arange(len(heads))
+    for l in range(2, tree.depth + 1):
+        head[tree.level == l] = head[tree.parent[tree.level == l]]
+    head, order = head.tolist(), sorted(where, reverse=True)  # sons before parents
+    fresh = DirectionalClusterBasis(), CompressionState()
+
+    def part(a: int, b: int) -> None:
+        visit([cid for cid in order if a <= head[cid] < b], *((basis, state) if a == 0 else fresh))
+
+    cut_in_two(part, np.diff(tree.set_ptr)[list(heads)])
+    for holder, half in zip((basis, state), fresh):
+        for name, entries in vars(half).items():
+            getattr(holder, name).update(entries)
     return basis, state
-
-
-_BASIS_DICTS = ("leaf", "transfer", "rank")
-_STATE_DICTS = ("q", "r", "realized_eps", "coupling")
-
-
-def _two_subtree_sets(tree: ClusterTree) -> list | None:
-    """Each cluster's part in a basis pass cut in two: 0 or 1 for the
-    subtrees of the root's sons, split largest first onto the lighter set,
-    -1 for the root; None if the root has fewer than two sons."""
-    size = np.diff(tree.set_ptr).tolist()
-    sets, load = ([], []), [0, 0]
-    for c in sorted(tree.sons_of(tree.root), key=lambda c: -size[c]):
-        k = int(load[1] < load[0])
-        sets[k].append(c)
-        load[k] += size[c]
-    if not sets[1]:
-        return None
-    part = [-1] * len(tree)
-    for k, below in enumerate(sets):
-        while below:
-            c = below.pop()
-            part[c] = k
-            below.extend(tree.sons_of(c))
-    return part
-
-
-def _sort_by_cluster(basis: DirectionalClusterBasis, state: CompressionState, tree: ClusterTree, bt: BlockTree):
-    """Put the dicts that a basis pass fills in the order a pass in one part
-    gives them: by descending cluster, each cluster's entries in the order
-    they were made, which a stable sort keeps.  A transfer matrix belongs to
-    its son's parent, a coupling to its block's row cluster."""
-    parent, t = tree.parent.tolist(), bt.t.tolist()
-    owners = {"transfer": lambda key: parent[key[0]], "coupling": lambda bid: t[bid]}
-    for holder, names in ((basis, _BASIS_DICTS), (state, _STATE_DICTS)):
-        for name in names:
-            owner = owners.get(name, lambda key: key[0])
-            setattr(holder, name, dict(sorted(getattr(holder, name).items(), key=lambda item: -owner(item[0]))))
 
 
 def subtree_tolerance_sq(
@@ -507,8 +465,8 @@ def compress(
     the adjoint, then the row basis from the matrix, whose pass forms the
     best-approximation coupling matrices from its reduced rows, and the
     verbatim nearfield.  Each admissible block is read three times and each
-    nearfield block once.  Where two CPUs may run, both basis passes call
-    ``access`` from two threads at once, so it must be thread-safe.
+    nearfield block once.  Both basis passes may call ``access`` from two
+    threads at once, so it must be thread-safe.
 
     The result does not depend on ``seed``, which is kept so that callers
     passing one keep working.  ``timings`` receives the wall time of the
@@ -613,6 +571,8 @@ class AcaMatrix:
 
     def _apply(self, x: np.ndarray, hermitian: bool) -> np.ndarray:
         x = np.asarray(x, dtype=np.complex128)
+        if x.shape != (self.n,):
+            raise ValueError(f"expected a vector of length {self.n}")
         src, dst = (self._left, self._right) if hermitian else (self._right, self._left)
         coefficients = np.zeros(self._rank_total, dtype=np.complex128)
         apply_groups(coefficients, x, src, True)

@@ -28,10 +28,10 @@ product per stack into one buffer, and adds the buffer into its output with
 one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run that call on
 a fast loop; older numpy gives the same result more slowly.
 
-A phase of at least ``TWO_PART_MIN_ENTRIES`` matrix entries is cut in two
-parts of about equal entry count, which gather and multiply on two threads
-(``linalg.two_parts``).  The one ``np.add.at`` runs after both, so a matvec
-has the same bits in one part or two.
+A phase of at least ``TWO_PART_MIN_ENTRIES`` matrix entries gathers and
+multiplies in two parts of about equal entry count (``linalg.two_parts``).
+The one ``np.add.at`` runs after both, so a matvec has the same bits in
+one part or two.
 
 The container is a frozen dataclass: construction stacks the payload, and
 its attributes cannot be reassigned afterwards.  A container with another
@@ -62,7 +62,7 @@ import numpy as np
 from .blocktree import STATUSES, BlockTree
 from .clustering import ClusterTree
 from .directions import DirectionHierarchy
-from .linalg import two_cpus, two_parts
+from .linalg import two_parts
 
 __all__ = [
     "DirectionalClusterBasis",
@@ -212,21 +212,21 @@ def _width(stacks: list, axis: int) -> int:
 def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
     """out[rows] += M @ inp[cols] for every stacked matrix M of ``phase``,
     or out[cols] += M^H @ inp[rows] when ``hermitian``.  The stacks are cut
-    in two parts of about equal entry count (``_halves``), which run on two
-    threads (``linalg.two_parts``).  Each part gathers its slice of the
-    input, forms its stacks' products into its range of one buffer, and for
-    A^H conjugates that range; no output is written until both are done.  Then
+    in two parts of about equal entry count (``_halves``), run by
+    ``linalg.two_parts``.  Each part gathers its slice of the input, forms
+    its stacks' products into its range of one buffer, and for A^H
+    conjugates that range; no output is written until both are done.  Then
     one ``np.add.at`` adds the buffer into ``out``.  It is unbuffered and
     walks the positions in order, so every output entry sums its terms in
     stack, slot and entry order, and the result has the same bits with one
     part or two.  M^H v is formed as (v^H M)^H, which reads M in place.
 
     One part runs alone when the phase holds fewer than two matrices or
-    fewer than ``TWO_PART_MIN_ENTRIES`` matrix entries, or when the process
-    may use only one CPU.  An exception in either part reaches the caller
-    once both have ended.  ``DH2Matrix`` applies every stored matrix through
-    one call of this function per phase and level, so the matrices a matvec
-    applies are the stacks of the phases passed here."""
+    fewer than ``TWO_PART_MIN_ENTRIES`` matrix entries.  An exception in
+    either part reaches the caller once both have ended.  ``DH2Matrix``
+    applies every stored matrix through one call of this function per phase
+    and level, so the matrices a matvec applies are the stacks of the phases
+    passed here."""
     src, dst = (phase.rows, phase.cols) if hermitian else (phase.cols, phase.rows)
     read, write = (1, 2) if hermitian else (2, 1)  # stack axes of the entries read and written per slot
     # One buffer holds the gathered input and the products: with two buffers
@@ -253,7 +253,7 @@ def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
         if hermitian:
             np.conjugate(p, out=p)
 
-    two = two_cpus() and sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES
+    two = sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES
     first, second = _halves(phase.stacks) if two else (phase.stacks, [])
     if second:
         two_parts(lambda: run(first, 0, 0), lambda: run(second, _width(first, read), _width(first, write)))

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import two_cpus, two_parts
+from .linalg import cut_in_two
 
 __all__ = [
     "SurfaceMesh",
@@ -278,17 +278,15 @@ def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec) -> np.ndarray:
     tile's dn, with the normal at x_i, is -((x_i - y_j) . n_i) transposed,
     as a negation is exact.  Only the area products are formed per tile.
 
-    Where two CPUs may run, the tile rows I are cut in two runs of about
-    equal pair counts, the first run's pairs on the calling thread and the
-    second's on the worker thread (``linalg.two_parts``).  A pair writes only
-    its own two tiles, and computes them as in one part, so the two runs
-    write disjoint parts of the matrix and its bits do not change."""
+    The tile rows I are cut in two runs by pair count (``linalg.cut_in_two``).
+    A pair writes only its own two tiles, so the runs write disjoint parts
+    of the matrix."""
     n = mesh.n_triangles
     out = np.empty((n, n), dtype=np.complex128)
     starts = list(range(0, n, ASSEMBLY_CHUNK))
 
-    def tile_rows(part: list) -> None:
-        for i0 in part:
+    def tile_rows(a: int, b: int) -> None:
+        for i0 in starts[a:b]:
             i1 = min(i0 + ASSEMBLY_CHUNK, n)
             rows = np.arange(i0, i1)
             for j0 in range(i0, n, ASSEMBLY_CHUNK):
@@ -299,12 +297,7 @@ def assemble_dense_matrix(mesh: SurfaceMesh, spec: KernelSpec) -> np.ndarray:
                 if j0 != i0:
                     _finish(mesh, spec, g.transpose(0, 2, 1), dn_back, cols, rows, diagonal[::-1], out[j0:j1, i0:i1])
 
-    if len(starts) > 1 and two_cpus():
-        pairs = np.cumsum(np.arange(len(starts), 0, -1))  # tile pairs up to each tile row
-        cut = int(np.abs(2 * pairs - pairs[-1]).argmin()) + 1
-        two_parts(lambda: tile_rows(starts[:cut]), lambda: tile_rows(starts[cut:]))
-    else:
-        tile_rows(starts)
+    cut_in_two(tile_rows, np.arange(len(starts), 0, -1))  # tile row k has len(starts) - k pairs
     return out
 
 

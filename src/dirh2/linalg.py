@@ -6,16 +6,20 @@ is fixed little-endian column-major so files are portable between runs and
 tools; in memory we use whatever layout numpy gives us.
 
 ``two_parts(first, second)`` runs first() on the calling thread and
-second() on one worker thread, and returns once both have ended.  numpy
-releases the GIL inside its matrix products, large ufunc loops and LAPACK
-calls on stacks of matrices, so that work runs on two CPUs at once.  Python
-code does not, nor, with numpy 2.4, a QR or a singular-value computation
-without vectors on one matrix or on a stack of a few.  Its callers
-(the apply phases, the block weights, the basis passes and the dense
-assembly) cut their work so that the parts write disjoint outputs and each
-output is computed as in one part, so the result has the same bits in one
-part or two.  A process that may use only one CPU (``two_cpus``) is never
-cut by them.
+second() on one worker thread, and returns once both have ended; when the
+process may use only one CPU, both run on the calling thread, one after the
+other.  numpy releases the GIL inside its matrix products, large ufunc
+loops and LAPACK calls on stacks of matrices, so that work runs on two CPUs
+at once.  Python code does not, nor, with numpy 2.4, a QR or a
+singular-value computation without vectors on one matrix or on a stack of a
+few.  ``cut_in_two(part, weights)`` cuts a run of items where the leading
+items' weight is nearest half the total and hands the two runs to
+``two_parts``.  The block weights, the basis passes and the dense assembly
+cut their work with it, and the apply phases cut their stacks between two
+slots (``dh2core._halves``).  Each caller takes one code path on one CPU or
+two: its parts write disjoint outputs and each output is computed as in one
+part, so the result has the same bits however the work is cut and wherever
+its parts run.
 
 The worker is one daemon thread, ``dirh2-worker``, started on first use and
 again in a child made by ``os.fork``, which has no copy of it.  It runs the
@@ -41,8 +45,8 @@ __all__ = [
     "svd",
     "truncation_rank",
     "power_iteration_norm",
-    "two_cpus",
     "two_parts",
+    "cut_in_two",
     "write_cmx",
     "read_cmx",
 ]
@@ -143,12 +147,6 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-def two_cpus() -> bool:
-    """Whether this process may run on two CPUs or more, so that work cut by
-    ``two_parts`` can run on two at once."""
-    return _cpus() > 1
-
-
 def _outcome(task) -> BaseException | None:
     """Run ``task``; its exception, or None."""
     try:
@@ -193,9 +191,12 @@ def _start(task) -> queue.SimpleQueue:
 def two_parts(first, second) -> None:
     """Run ``first()`` on the calling thread and ``second()`` on the worker
     thread, and return once both have ended.  An exception raised in either
-    part reaches the caller then, the first part's if both raise.  On the
-    worker thread itself both parts run there, one after the other."""
-    here = _worker is not None and _worker.pid == os.getpid() and threading.current_thread() is _worker.thread
+    part reaches the caller then, the first part's if both raise.  When the
+    process may use only one CPU, or on the worker thread itself, both parts
+    run on the calling thread, one after the other."""
+    here = _cpus() < 2 or (
+        _worker is not None and _worker.pid == os.getpid() and threading.current_thread() is _worker.thread
+    )
     done = None if here else _start(second)
     try:
         first()
@@ -203,6 +204,20 @@ def two_parts(first, second) -> None:
         error = _outcome(second) if here else done.get()
     if error is not None:
         raise error
+
+
+def cut_in_two(part, weights) -> None:
+    """Run ``part(0, k)`` and ``part(k, n)`` through ``two_parts``, where n is
+    the number of ``weights`` and k the first cut at which the leading items'
+    weight is nearest half the total; ``part(0, n)`` alone when k = n, as for
+    fewer than two items."""
+    edges = np.cumsum(weights)
+    n = len(edges)
+    k = int(np.abs(2 * edges - edges[-1]).argmin()) + 1 if n else 0
+    if k < n:
+        two_parts(lambda: part(0, k), lambda: part(k, n))
+    else:
+        part(0, n)
 
 
 def write_cmx(path: str | Path, a: np.ndarray) -> None:
@@ -223,10 +238,13 @@ def read_cmx(path: str | Path) -> np.ndarray:
         magic = fh.read(4)
         if magic != _CMX_MAGIC:
             raise ValueError(f"not a CMX1 file: bad magic {magic!r}")
-        rows, cols = struct.unpack("<QQ", fh.read(16))
+        header = fh.read(16)
+        if len(header) < 16:
+            raise ValueError("truncated CMX1 file")
+        rows, cols = struct.unpack("<QQ", header)
+        if os.fstat(fh.fileno()).st_size < 20 + 16 * rows * cols:  # before a read of that size
+            raise ValueError("truncated CMX1 file")
         payload = fh.read(16 * rows * cols)
-    if len(payload) != 16 * rows * cols:
-        raise ValueError("truncated CMX1 file")
     flat = np.frombuffer(payload, dtype="<c16")
     # C-contiguous result so reloaded matrices multiply bit-identically
     return np.ascontiguousarray(flat.reshape(cols, rows).T.astype(np.complex128))

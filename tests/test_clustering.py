@@ -100,6 +100,34 @@ class TestBuild:
         with pytest.raises(ValueError, match="^the clusters' son lists do not form a tree$"):
             ClusterTree.from_sons(sons, sets, *np.zeros((2, len(sons), 3)))
 
+    @pytest.mark.parametrize(
+        "sons, match",
+        [
+            pytest.param([[2, 3], [], [], [1]], "^cluster 1 has a smaller id than its parent 3$", id="son-below-parent"),
+            pytest.param([[1], [3, 2], [], []], "^the sons of cluster 1 are not in ascending id order$", id="sons-falling"),
+        ],
+    )
+    def test_numberings_the_basis_passes_cannot_visit_rejected(self, sons, match):
+        # each tree breaks one of the two conditions and keeps the other
+        sets = [np.arange(1)] * len(sons)
+        with pytest.raises(ValueError, match=match):
+            ClusterTree.from_sons(sons, sets, *np.zeros((2, len(sons), 3)))
+
+    def test_sphere_tree_with_reversed_ids_rejected(self):
+        # every cluster below the root renumbered c -> count - c, so that sons
+        # come before their parents and son lists fall
+        tree = build_cluster_tree(build_sphere_mesh(3).midpoints, 8)
+        count = len(tree)
+        old = [0] + [count - c for c in range(1, count)]  # each new id's old id, and back
+        sons = [[old[s] for s in tree.sons_of(old[c])] for c in range(count)]
+        sets = [tree.index_set(old[c]) for c in range(count)]
+        boxes = tree.bmin[old], tree.bmax[old]
+        with pytest.raises(ValueError, match="has a smaller id than its parent"):
+            ClusterTree.from_sons(sons, sets, *boxes)
+        same = [list(tree.sons_of(c)) for c in range(count)]
+        kept = ClusterTree.from_sons(same, [tree.index_set(c) for c in range(count)], tree.bmin, tree.bmax)
+        assert np.array_equal(kept.parent, tree.parent)
+
     def test_sphere_partition_exhaustive(self):
         mesh = build_sphere_mesh(4)
         tree = build_cluster_tree(mesh.midpoints, 16)

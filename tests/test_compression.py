@@ -277,15 +277,23 @@ class TestTwoParts:
 
     @pytest.mark.parametrize("part", [0, 1])
     def test_error_in_a_part_reaches_the_caller(self, part, lopsided, cpus):
-        # a read of one leaf fails: the caller's part reads the leaves of set
-        # 0 and the worker's those of set 1
+        # a read of one leaf fails: the root's sons hold 256, 1, 1 and 1
+        # indices, so the caller's part reads the leaves below the first son
+        # and the worker's those below the other three
         dense, tree, dirs, bt = lopsided
         cfg = CompressionConfig(eps=1e-4)
         weights = compute_block_weights(dense_accessor(dense), tree, bt)
         cpus(2)
         where = dirh2.compression._farfield(tree, dirs, bt, "row")[1]
-        sets = dirh2.compression._two_subtree_sets(tree)
-        leaf = next(c for c in sorted(where) if sets[c] == part and not tree.sons_of(c))
+        heads = tree.sons_of(tree.root)
+        assert [tree.index_set(c).size for c in heads] == [256, 1, 1, 1]
+
+        def head(c):
+            while tree.parent[c] != tree.root:
+                c = tree.parent[c]
+            return heads.index(c)
+
+        leaf = next(c for c in sorted(where) if min(head(c), 1) == part and not tree.sons_of(c))
         threads = []
 
         def failing(rows, cols):
@@ -951,6 +959,14 @@ class TestAca:
         assert np.linalg.norm(aca.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
         refh = blockwise.conj().T @ x
         assert np.linalg.norm(aca.matvec_adjoint(x) - refh) <= 1e-12 * np.linalg.norm(refh)
+
+    @pytest.mark.parametrize("length", [251, 261])
+    def test_aca_apply_rejects_a_vector_of_another_length(self, line256, length):
+        dense, tree, _, bt = line256
+        aca = aca_compress(dense_accessor(dense), tree, bt, 1e-8)
+        for apply in (aca.matvec, aca.matvec_adjoint):
+            with pytest.raises(ValueError, match="^expected a vector of length 256$"):
+                apply(np.ones(length, dtype=complex))
 
     def test_aca_apply_bitwise_as_reference(self, line256, monkeypatch):
         dense, tree, _, bt = line256

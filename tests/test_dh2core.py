@@ -778,6 +778,15 @@ class TestContainerChecks:
         edit_manifest(saved, own_son)
         assert_rejected(saved, "do not form a tree")
 
+    def test_cluster_sons_must_be_in_ascending_order(self, saved):
+        # the basis passes read a cluster's sons as one ascending run
+        def reverse_sons(manifest):
+            inner = next(c for c in manifest["tree"]["clusters"] if len(c["sons"]) > 1)
+            inner["sons"].reverse()
+
+        edit_manifest(saved, reverse_sons)
+        assert_rejected(saved, "^the sons of cluster 0 are not in ascending id order$")
+
     def test_leaf_blocks_must_not_overlap(self, saved):
         def duplicate_son(manifest):
             nodes = manifest["blocks"]["nodes"]

@@ -1,4 +1,5 @@
 import os
+import struct
 import threading
 import time
 
@@ -7,11 +8,11 @@ import pytest
 
 from conftest import exit_code_in_child, reference_svd
 from dirh2.linalg import (
+    cut_in_two,
     power_iteration_norm,
     read_cmx,
     svd,
     truncation_rank,
-    two_cpus,
     two_parts,
     write_cmx,
 )
@@ -242,13 +243,23 @@ class TestCmx:
         a = random_complex(rng, 4, 4)
         path = tmp_path / "m.cmx"
         write_cmx(path, a)
-        path.write_bytes(path.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            read_cmx(path)
+        whole = path.read_bytes()
+        # a cut payload, a cut header, and headers whose size overflows a C
+        # integer or would be a 512 GiB read, each checked against the file's size
+        for data in (
+            whole[:-8],
+            whole[:12],
+            b"CMX1" + struct.pack("<QQ", 2**40, 2**20) + whole[20:],
+            b"CMX1" + struct.pack("<QQ", 2**33, 4) + whole[20:],
+        ):
+            path.write_bytes(data)
+            with pytest.raises(ValueError, match="^truncated CMX1 file$"):
+                read_cmx(path)
 
 
 class TestTwoParts:
-    def test_first_part_on_the_caller_second_on_the_worker(self):
+    def test_first_part_on_the_caller_second_on_the_worker(self, cpus):
+        cpus(2)
         names = {}
         two_parts(
             lambda: names.setdefault("first", threading.current_thread().name),
@@ -280,10 +291,12 @@ class TestTwoParts:
         assert sorted(done) == [1, 2]
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-    def test_a_call_on_the_worker_runs_both_parts_there(self):
+    def test_a_call_on_the_worker_runs_both_parts_there(self, cpus):
         # a task queued behind the running one would never start, so a call
         # that waited for the worker from the worker would hang: run it in a
         # child that is killed if it does not end
+        cpus(2)
+
         def nested() -> bool:
             names, errors = [], []
 
@@ -306,8 +319,52 @@ class TestTwoParts:
 
         assert exit_code_in_child(nested) == 0
 
-    def test_two_cpus_follows_the_cpus_the_process_may_use(self, cpus):
+    def test_one_cpu_runs_both_parts_on_the_caller_in_order(self, cpus):
+        started = cpus(1)
+        names = []
+        two_parts(
+            lambda: names.append(("first", threading.current_thread().name)),
+            lambda: names.append(("second", threading.current_thread().name)),
+        )
+        here = threading.current_thread().name
+        assert names == [("first", here), ("second", here)]
+        assert not started
+
+    @pytest.mark.parametrize("failing", ["first", "second", "both"])
+    def test_one_cpu_raises_once_both_parts_ran(self, failing, cpus):
         cpus(1)
-        assert not two_cpus()
-        cpus(2)
-        assert two_cpus()
+        ran = []
+
+        def part(name):
+            def run():
+                ran.append(name)
+                if failing in (name, "both"):
+                    raise ValueError(name)
+
+            return run
+
+        with pytest.raises(ValueError) as info:
+            two_parts(part("first"), part("second"))
+        assert ran == ["first", "second"]
+        assert str(info.value) == ("second" if failing == "second" else "first")
+
+    @pytest.mark.parametrize(
+        "weights, runs",
+        [
+            pytest.param([], [(0, 0)], id="no-item"),
+            pytest.param([5], [(0, 1)], id="one-item"),
+            pytest.param([1, 1, 1, 1], [(0, 2), (2, 4)], id="even"),
+            pytest.param([1, 1, 1], [(0, 1), (1, 3)], id="tie-to-the-first"),
+            pytest.param([256, 1, 1, 1], [(0, 1), (1, 4)], id="lopsided"),
+            pytest.param([1, 1, 1, 256], [(0, 3), (3, 4)], id="heavy-last"),
+            pytest.param([3, 2, 1], [(0, 1), (1, 3)], id="falling"),
+            pytest.param([0, 0], [(0, 1), (1, 2)], id="weightless"),
+        ],
+    )
+    @pytest.mark.parametrize("count", [1, 2])
+    def test_cut_in_two_at_the_weight_nearest_half(self, weights, runs, count, cpus):
+        started = cpus(count)
+        got = []
+        cut_in_two(lambda a, b: got.append((a, b)), np.array(weights, dtype=float))
+        assert sorted(got) == runs
+        assert len(started) == (count == 2 and len(runs) == 2)
