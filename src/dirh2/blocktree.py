@@ -25,10 +25,10 @@ A ``BlockTree`` holds per-block arrays (clusters t and s, status code,
 direction index or -1, level), the son lists as one CSR pair (block b's
 sons are ``sons[son_ptr[b]:son_ptr[b + 1]]``) and the ascending ids of the
 admissible and inadmissible leaves.  Blocks are numbered depth first (a
-block, then the blocks of its first son pair, then of the next) without
-recursion: subtree sizes bottom-up, then ids top-down.  ``bt[bid]`` and
-``bt.blocks`` make read-only ``Block`` records of Python values when they
-are read; the library reads the arrays.
+block, then the blocks of its first son pair, then of the next), so the
+root pair is block 0, and without recursion: subtree sizes bottom-up, then
+ids top-down.  ``bt[bid]`` and ``bt.blocks`` make read-only ``Block``
+records of Python values when they are read; the library reads the arrays.
 """
 
 from __future__ import annotations
@@ -86,7 +86,6 @@ class BlockTree:
     eta1: float
     eta2: float
     parabolic: bool
-    root: int = 0
     admissible_leaves: np.ndarray = field(init=False)
     inadmissible_leaves: np.ndarray = field(init=False)
 

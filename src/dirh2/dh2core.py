@@ -45,7 +45,7 @@ order (ascending level and shape), slot order (ascending key) and entry
 order, since ``np.add.at`` is unbuffered and adds the positions one by one
 in that order: ((out[e] + p1) + p2) + ...
 
-``save_dh2`` writes the stacks as they are into a DH2v3 container, and
+``save_dh2`` writes the stacks as they are into a DH2v4 container, and
 ``load_dh2`` checks them and hands them to the loaded matrix in place.
 """
 
@@ -451,64 +451,54 @@ def storage_report(a: DH2Matrix) -> StorageReport:
     return StorageReport(leaf, transfer, coupling, nearfield)
 
 
-# -- DH2v3 container --------------------------------------------------------
+# -- DH2v4 container --------------------------------------------------------
 
 _C16 = np.dtype("<c16")
 _CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
-_CLUSTER_FIELDS = ("id", "index_set", "level", "parent", "sons", "support_max", "support_min")  # a cluster's keys
+_TREE_LISTS = ("sons", "index_sets", "support_min", "support_max")  # per cluster id
+_BLOCK_LISTS = ("t", "s", "status", "c_index", "sons")  # per block id
 _BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
-_NODE_FIELDS = ("c_index", "id", "s", "sons", "status", "t")  # a manifest block node's keys
 
 
-def _nodes(bt: BlockTree) -> list[dict]:
-    """The manifest's block nodes, one dict of Python values per block."""
-    sons = bt.sons.tolist()
-    columns = zip(*(x.tolist() for x in (bt.c_index, bt.s, bt.son_ptr, bt.son_ptr[1:], bt.status, bt.t)))
-    return [
-        dict(zip(_NODE_FIELDS, (c, i, s, sons[a:b], STATUSES[k], t))) for i, (c, s, a, b, k, t) in enumerate(columns)
-    ]
+def _runs(values: np.ndarray, ptr: np.ndarray) -> list[list]:
+    """The CSR runs values[ptr[i]:ptr[i + 1]] as lists of Python values."""
+    values, ptr = values.tolist(), ptr.tolist()
+    return [values[a:b] for a, b in zip(ptr, ptr[1:])]
 
 
-def _clusters(tree: ClusterTree) -> list[dict]:
-    """The manifest's clusters, one dict of Python values per cluster."""
-    columns = zip(tree.level.tolist(), tree.parent.tolist(), tree.bmax.tolist(), tree.bmin.tolist())
-    return [
-        dict(zip(_CLUSTER_FIELDS, (i, tree.index_set(i).tolist(), level, parent, list(tree.sons_of(i)), hi, lo)))
-        for i, (level, parent, hi, lo) in enumerate(columns)
-    ]
+def _section(manifest: dict, name: str, lists: tuple, others: tuple = ()) -> dict:
+    """The manifest's section ``name``: a one-line ValueError unless its
+    fields are ``lists`` and ``others``, and the ``lists`` have one length."""
+    part = manifest[name]
+    missing, unknown = sorted({*lists, *others} - set(part)), sorted(set(part) - {*lists, *others})
+    if missing or unknown:
+        wrong = f"lacks the field {missing[0]!r}" if missing else f"has the unknown field {unknown[0]!r}"
+        raise ValueError(f"the {name!r} section {wrong}")
+    if len({len(part[k]) for k in lists}) > 1:
+        raise ValueError(f"the {name!r} lists {', '.join(lists)} are not of one length")
+    return part
 
 
-def _cluster_tree(tm: dict) -> ClusterTree:
-    """The cluster tree of the manifest's "tree" entry, as ``_clusters``
-    wrote it; a missing field is a KeyError.  The clusters' parents and
-    levels and the tree's depth and root must be those of the son lists."""
-    ids, sets, level, parent, sons, bmax, bmin = ([c[k] for c in tm["clusters"]] for k in _CLUSTER_FIELDS)
-    unknown = sorted({k for c in tm["clusters"] for k in c} - set(_CLUSTER_FIELDS))
-    if ids != list(range(len(ids))) or unknown:
-        raise ValueError(f"the container is malformed: clusters are not numbered 0, 1, ... or have fields {unknown}")
-    boxes = (np.array(x, dtype=float).reshape(len(ids), 3) for x in (bmin, bmax))
-    tree = ClusterTree.from_sons(sons, [np.array(x, dtype=np.int64) for x in sets], *boxes)
-    given = {"parent": parent, "level": level, "depth": tm["depth"], "root": tm["root"]}
-    wrong = [k for k, v in given.items() if not np.array_equal(v, getattr(tree, k))]
-    if wrong:
-        raise ValueError(f"the tree's {' and '.join(wrong)} fields disagree with its son lists")
-    return tree
+def _cluster_tree(manifest: dict) -> ClusterTree:
+    """The cluster tree of the manifest's "tree" section; ``from_sons``
+    derives the parents, levels, depth and root from the son lists."""
+    tm = _section(manifest, "tree", _TREE_LISTS)
+    boxes = (np.array(tm[k], dtype=float).reshape(len(tm["sons"]), 3) for k in ("support_min", "support_max"))
+    return ClusterTree.from_sons(tm["sons"], [np.array(x, dtype=np.int64) for x in tm["index_sets"]], *boxes)
 
 
-def _block_tree(tree: ClusterTree, bm: dict) -> BlockTree:
-    """The block tree of the manifest's "blocks" entry, as ``_nodes`` wrote
-    it; a missing field or an unknown status is a KeyError."""
-    c_index, ids, s, sons, status, t = ([node[k] for node in bm["nodes"]] for k in _NODE_FIELDS)
-    if ids != list(range(len(ids))) or sum(map(len, bm["nodes"])) != len(_NODE_FIELDS) * len(ids):
-        raise ValueError("the block nodes are not numbered 0, 1, ... in order, or have unknown fields")
-    code = {name: k for k, name in enumerate(STATUSES)}
-    t, s, c_index = (np.array(x, dtype=np.int64) for x in (t, s, c_index))
+def _block_tree(tree: ClusterTree, manifest: dict) -> BlockTree:
+    """The block tree of the manifest's "blocks" section; an unknown status
+    is a KeyError."""
+    bm = _section(manifest, "blocks", _BLOCK_LISTS, _BLOCK_PARAMETERS)
+    t, s, c_index = (np.array(bm[k], dtype=np.int64) for k in ("t", "s", "c_index"))
     if not np.isin(np.concatenate([t, s]), np.arange(len(tree))).all():
-        raise ValueError("a block node names a cluster the tree lacks")
-    status, level = np.array([code[x] for x in status], dtype=np.int8), tree.level[t]
-    son_ptr, sons = np.cumsum([0] + [len(x) for x in sons]), np.array([i for x in sons for i in x], dtype=np.int64)
-    parameters = {k: bm[k] for k in _BLOCK_PARAMETERS}
-    return BlockTree(t, s, status, c_index, level, son_ptr, sons, root=bm["root"], **parameters)
+        raise ValueError("a block names a cluster the tree lacks")
+    code = {name: k for k, name in enumerate(STATUSES)}
+    status = np.array([code[x] for x in bm["status"]], dtype=np.int8)
+    son_ptr = np.cumsum([0] + [len(x) for x in bm["sons"]])
+    sons = np.array([i for x in bm["sons"] for i in x], dtype=np.int64)
+    return BlockTree(t, s, status, c_index, tree.level[t], son_ptr, sons, **{k: bm[k] for k in _BLOCK_PARAMETERS})
 
 
 def _payload(a: DH2Matrix):
@@ -526,10 +516,13 @@ def _payload(a: DH2Matrix):
 
 
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
-    """Write the DH2v3 container: a directory holding ``manifest.json`` (tree
-    with support boxes, directions, block structure, ranks, and a
-    table with one ``[category, [G, r, c], keys]`` entry per stack) and
-    ``payload.bin`` (every stack in table order, in C order, as ``<c16``).
+    """Write the DH2v4 container: a directory holding ``manifest.json`` (the
+    cluster tree as the lists ``_TREE_LISTS`` by cluster id, the directions,
+    the block tree as ``_BLOCK_PARAMETERS`` and the lists ``_BLOCK_LISTS`` by
+    block id, the ranks, and a table with one ``[category, [G, r, c], keys]``
+    entry per stack) and ``payload.bin`` (every stack in table order, in C
+    order, as ``<c16``).  No id, parent, level, depth or root is stored: the
+    son lists give them.
 
     The old manifest is deleted first, then the payload and the manifest are
     each written to a temporary file and renamed, the manifest last, so an
@@ -544,21 +537,24 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
             fh.write(np.ascontiguousarray(stack, dtype=_C16))
             table.append([category, list(stack.shape), keys])
     os.replace(outdir / "payload.bin.tmp", outdir / "payload.bin")
+    tree, bt = a.tree, a.blocks
     manifest = {
-        "version": "DH2v3",
+        "version": "DH2v4",
         "tree": {
-            "root": a.tree.root,
-            "depth": a.tree.depth,
-            "clusters": _clusters(a.tree),
+            "sons": _runs(tree.sons, tree.son_ptr),
+            "index_sets": _runs(tree.sets, tree.set_ptr),
+            "support_min": tree.bmin.tolist(),
+            "support_max": tree.bmax.tolist(),
         },
         "directions": {
             "levels": [lv.tolist() for lv in a.directions.levels],
             "son_maps": [sm.tolist() for sm in a.directions.son_maps],
         },
         "blocks": {
-            "root": a.blocks.root,
-            **{k: getattr(a.blocks, k) for k in _BLOCK_PARAMETERS},
-            "nodes": _nodes(a.blocks),
+            **{k: getattr(bt, k) for k in _BLOCK_PARAMETERS},
+            **{k: getattr(bt, k).tolist() for k in ("t", "s", "c_index")},
+            "status": [STATUSES[k] for k in bt.status.tolist()],
+            "sons": _runs(bt.sons, bt.son_ptr),
         },
         "rank": {
             side: [[cid, c, int(k)] for (cid, c), k in sorted(basis.rank.items())]
@@ -666,26 +662,30 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 
 
 def load_dh2(directory: str | Path) -> DH2Matrix:
-    """Read a DH2v3 container (see ``save_dh2``).  The matrices are the slots
+    """Read a DH2v4 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its phase
-    plans are rebuilt.  A container whose manifest fields, cluster ids,
-    parents and levels, depth, payload length, stack table, shapes, block
-    payloads, leaf index sets or block tiling do not fit is rejected with a
-    one-line ValueError."""
+    plans are rebuilt, and the trees' parents, levels, depth and roots are
+    derived from the son lists.  A container is rejected with a one-line
+    ValueError when its version is another, a section lacks a field or has
+    an unknown one, a section's lists differ in length, the son lists do not
+    form a tree numbered as ``ClusterTree.from_sons`` requires, or the
+    direction levels, leaf index sets, block clusters and statuses, block
+    tiling, stack table, payload length, shapes or block payloads do not
+    fit."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if not isinstance(manifest, dict):
-        raise ValueError("not a DH2v3 container: manifest.json holds no JSON object")
-    if manifest.get("version") != "DH2v3":
-        raise ValueError(f"not a DH2v3 container: its version is {manifest.get('version')!r}")
+        raise ValueError("not a DH2v4 container: manifest.json holds no JSON object")
+    if manifest.get("version") != "DH2v4":
+        raise ValueError(f"not a DH2v4 container: its version is {manifest.get('version')!r}")
     try:
-        tree = _cluster_tree(manifest["tree"])
+        tree = _cluster_tree(manifest)
         dm = manifest["directions"]
         dirs = DirectionHierarchy(
             levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
             son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
         )
-        bt = _block_tree(tree, manifest["blocks"])
+        bt = _block_tree(tree, manifest)
         ranks = {side: {(cid, c): k for cid, c, k in manifest["rank"][side]} for side in ("row", "col")}
         payload = _read_payload(directory / "payload.bin", manifest["stacks"])
         _check(tree, dirs, bt, ranks, payload)

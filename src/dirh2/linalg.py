@@ -113,30 +113,25 @@ def truncation_rank(singular_values: np.ndarray, tolerance):
 def power_iteration_norm(apply_a, apply_ah, dim: int, iterations: int, seed: int) -> float:
     """Estimate the spectral norm of an operator given by matvec callbacks.
 
-    Runs power iteration on A^H A started from a seeded random vector and
-    returns the Rayleigh-quotient estimate ||A v||.  If the iterate
-    collapses to zero the start vector is redrawn (three attempts) before
-    concluding the operator is numerically zero.
+    Runs power iteration on A^H A started from a seeded random complex
+    vector and returns the Rayleigh-quotient estimate ||A v||.  An iterate
+    of exactly zero gives 0.0: from a random start it occurs with
+    probability 0 unless the operator is zero.
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    for attempt in range(4):
-        rng = np.random.default_rng(seed + attempt)
-        v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-        v /= np.linalg.norm(v)
-        dead = False
-        for _ in range(iterations):
-            z = apply_ah(apply_a(v))
-            nz = np.linalg.norm(z)
-            if nz == 0.0:
-                dead = True
-                break
-            v = z / nz
-        if not dead:
-            return float(np.linalg.norm(apply_a(v)))
-    return 0.0
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    for _ in range(iterations):
+        z = apply_ah(apply_a(v))
+        nz = np.linalg.norm(z)
+        if nz == 0.0:
+            return 0.0
+        v = z / nz
+    return float(np.linalg.norm(apply_a(v)))
 
 
 def _cpus() -> int:

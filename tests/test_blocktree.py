@@ -110,7 +110,7 @@ class TestBuild:
         dirs = build_directions([level_diameter(tree, 0)], 0.0, ETA1)
         bt = build_block_tree(tree, dirs, 0.0, ETA1, ETA2)
         assert len(bt) == 1
-        assert bt[bt.root].status == INADMISSIBLE
+        assert bt[0].status == INADMISSIBLE
         assert bt.admissible_leaves.size == 0
 
     @pytest.mark.parametrize("kappa", [0.0, 4.0])
@@ -212,7 +212,6 @@ class TestBuild:
         _, tree, dirs, bt = sphere_system(level, kappa, eta1=eta1)
         want = reference_block_tree(tree, dirs, kappa, ETA2)
         assert [(b.id, b.t, b.s, b.status, b.c_index, b.sons) for b in bt.blocks] == want
-        assert bt.root == 0
         assert bt.admissible_leaves.tolist() == [b[0] for b in want if b[3] == ADMISSIBLE]
         assert bt.inadmissible_leaves.tolist() == [b[0] for b in want if b[3] == INADMISSIBLE]
         if eta1 == 2.0:

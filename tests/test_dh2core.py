@@ -19,7 +19,7 @@ from conftest import (
 )
 
 from dirh2.assembly import assemble_dh2_by_interpolation
-from dirh2.blocktree import BlockTree, blocks_to_csv, build_block_tree, sparsity_stats
+from dirh2.blocktree import STATUSES, BlockTree, blocks_to_csv, build_block_tree, sparsity_stats
 from dirh2.clustering import ClusterTree, build_cluster_tree, level_diameter, tree_to_jsonl
 from dirh2 import dh2core, linalg
 from dirh2.compression import CompressionConfig, aca_compress, compress, farfield_sets, used_directions
@@ -484,8 +484,8 @@ class TestExpandDense:
         a = assemble_dh2_by_interpolation(
             mesh, KernelSpec("slp", 0.0), tree, dirs, bt, 2
         )
-        assert list(a.nearfield) == [bt.root]
-        assert np.array_equal(expand_dense(a), a.nearfield[bt.root])
+        assert list(a.nearfield) == [0]
+        assert np.array_equal(expand_dense(a), a.nearfield[0])
 
     def test_zeroed_payload_expands_to_zero(self, assembled):
         z = dataclasses.replace(
@@ -559,18 +559,42 @@ class TestContainer:
             (b.t, b.s, b.status, b.c_index) for b in assembled.blocks.blocks
         ]
 
-    def test_manifest_holds_each_cluster_as_one_dict(self, assembled, tmp_path):
-        # DH2v3's "tree" section: one dict of these seven fields per cluster,
-        # built here from the recursive reference
+    def test_manifest_holds_the_tree_arrays(self, assembled, tmp_path):
+        # DH2v4's "tree" and "blocks" sections: lists indexed by cluster and
+        # block id, the clusters built here from the recursive reference, and
+        # nothing the son lists give
         save_dh2(assembled, tmp_path / "a")
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         points = build_sphere_mesh(3).midpoints  # those of the fixture
-        fields = ("id", "level", "parent", "index_set", "support_min", "support_max", "sons")
-        want = [
-            dict(zip(fields, (cid, level, parent, index_set.tolist(), bmin.tolist(), bmax.tolist(), sons)))
-            for cid, level, parent, index_set, bmin, bmax, sons in reference_cluster_tree(points, 16)
-        ]
-        assert manifest["tree"] == {"root": 0, "depth": max(c["level"] for c in want), "clusters": want}
+        _, _, _, sets, bmin, bmax, sons = zip(*reference_cluster_tree(points, 16))
+        assert manifest["tree"] == {
+            "sons": list(sons),
+            "index_sets": [x.tolist() for x in sets],
+            "support_min": [x.tolist() for x in bmin],
+            "support_max": [x.tolist() for x in bmax],
+        }
+        bt = assembled.blocks
+        assert manifest["blocks"] == {
+            "kappa": bt.kappa,
+            "eta1": bt.eta1,
+            "eta2": bt.eta2,
+            "parabolic": bt.parabolic,
+            "t": bt.t.tolist(),
+            "s": bt.s.tolist(),
+            "status": [STATUSES[k] for k in bt.status.tolist()],
+            "c_index": bt.c_index.tolist(),
+            "sons": [bt.sons[a:b].tolist() for a, b in zip(bt.son_ptr[:-1], bt.son_ptr[1:])],
+        }
+
+    def test_load_derives_what_the_manifest_leaves_out(self, assembled, tmp_path):
+        # the parents, levels, depth and root of the clusters, and the levels
+        # of the blocks, follow from the son lists and the cluster levels
+        save_dh2(assembled, tmp_path / "a")
+        loaded = load_dh2(tmp_path / "a")
+        for saved, read in ((assembled.tree, loaded.tree), (assembled.blocks, loaded.blocks)):
+            for f in dataclasses.fields(saved):
+                if f.compare:
+                    assert np.array_equal(getattr(read, f.name), getattr(saved, f.name)), f.name
 
     def test_save_is_deterministic(self, assembled, tmp_path):
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -599,16 +623,40 @@ class TestContainer:
         where = tmp_path / "a"
         save_dh2(assembled, where)
         (where / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"^not a DH2v3 container: manifest.json holds no JSON object$"):
+        with pytest.raises(ValueError, match=r"^not a DH2v4 container: manifest.json holds no JSON object$"):
             load_dh2(where)
 
     def test_version_check(self, assembled, tmp_path):
         where = tmp_path / "a"
         save_dh2(assembled, where)
         manifest = where / "manifest.json"
-        manifest.write_text(manifest.read_text().replace("DH2v3", "DH2v2", 1))
-        with pytest.raises(ValueError, match=r"^not a DH2v3 container: its version is 'DH2v2'$"):
+        manifest.write_text(manifest.read_text().replace("DH2v4", "DH2v2", 1))
+        with pytest.raises(ValueError, match=r"^not a DH2v4 container: its version is 'DH2v2'$"):
             load_dh2(where)
+
+    def test_dh2v3_manifest_rejected(self, assembled, tmp_path):
+        # DH2v3 held the same payload, and one dict per cluster and per block
+        # with the ids, parents, levels, depth and roots; no reader of it is kept
+        where = tmp_path / "a"
+        save_dh2(assembled, where)
+        tree = assembled.tree
+
+        def as_dh2v3(manifest):
+            tm, bm = manifest["tree"], manifest["blocks"]
+            keys = ("id", "level", "parent", "sons", "index_set", "support_min", "support_max")
+            lists = (tm[k] for k in ("sons", "index_sets", "support_min", "support_max"))
+            columns = (range(len(tree)), tree.level.tolist(), tree.parent.tolist(), *lists)
+            clusters = [dict(zip(keys, c)) for c in zip(*columns)]
+            columns = [bm.pop(k) for k in BLOCK_LISTS]
+            nodes = [dict(zip(("id", *BLOCK_LISTS), b)) for b in zip(range(len(columns[0])), *columns)]
+            manifest.update(
+                version="DH2v3",
+                tree={"root": 0, "depth": tree.depth, "clusters": clusters},
+                blocks={**bm, "root": 0, "nodes": nodes},
+            )
+
+        edit_manifest(where, as_dh2v3)
+        assert_rejected(where, r"^not a DH2v4 container: its version is 'DH2v3'$")
 
     def test_resave_leaves_no_stale_payload(self, assembled, tmp_path):
         where = tmp_path / "a"
@@ -620,7 +668,7 @@ class TestContainer:
         small = assemble_dh2_by_interpolation(mesh, KernelSpec("slp", 0.0), tree, dirs, bt, 2)
         save_dh2(small, where)
         assert sorted(p.name for p in where.iterdir()) == ["manifest.json", "payload.bin"]
-        assert np.array_equal(load_dh2(where).nearfield[bt.root], small.nearfield[bt.root])
+        assert np.array_equal(load_dh2(where).nearfield[0], small.nearfield[0])
 
     def test_interrupted_save_leaves_nothing_that_loads(self, assembled, tmp_path, monkeypatch):
         where = tmp_path / "a"
@@ -643,12 +691,8 @@ class TestContainer:
     def test_manifest_without_support_boxes_rejected(self, assembled, tmp_path, missing):
         where = tmp_path / "a"
         save_dh2(assembled, where)
-        manifest = json.loads((where / "manifest.json").read_text())
-        for cluster in manifest["tree"]["clusters"]:
-            del cluster[missing]
-        (where / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=missing):
-            load_dh2(where)
+        edit_manifest(where, lambda m: m["tree"].pop(missing))
+        assert_rejected(where, f"^the 'tree' section lacks the field '{missing}'$")
 
     def test_loaded_stacks_are_used_in_place(self, compressed_line, tmp_path, monkeypatch):
         a, _ = compressed_line
@@ -685,18 +729,13 @@ def edit_manifest(where, edit):
     (where / "manifest.json").write_text(json.dumps(manifest))
 
 
-def shift_depth(manifest, by):
-    manifest["tree"]["depth"] += by
+BLOCK_LISTS = ("t", "s", "status", "c_index", "sons")  # the lists of a manifest's "blocks" section
+LACKS = "^the '{}' section lacks the field '{}'$"
 
 
-def on_level(manifest, level):
-    return next(c for c in manifest["tree"]["clusters"] if c["level"] == level)
-
-
-def other_parent(manifest):
-    """Name another cluster of the parent's level as a cluster's parent."""
-    son = on_level(manifest, 2)
-    son["parent"] = next(c["id"] for c in manifest["tree"]["clusters"] if c["level"] == 1 and c["id"] != son["parent"])
+def inner_cluster(manifest):
+    """The id of the first cluster below the root (cluster 0) that has sons."""
+    return next(cid for cid, sons in enumerate(manifest["tree"]["sons"]) if sons and cid)
 
 
 class TestContainerChecks:
@@ -753,18 +792,17 @@ class TestContainerChecks:
 
     def test_leaf_index_sets_must_partition(self, saved):
         def duplicate_index(manifest):
-            leaf = next(c for c in manifest["tree"]["clusters"] if not c["sons"])
-            leaf["index_set"][0] = leaf["index_set"][1]
+            leaf = manifest["tree"]["index_sets"][manifest["tree"]["sons"].index([])]
+            leaf[0] = leaf[1]
 
         edit_manifest(saved, duplicate_index)
         assert_rejected(saved, "do not partition")
 
     def test_cluster_must_hold_its_sons_indices(self, saved):
         def move_index(manifest):
-            clusters = manifest["tree"]["clusters"]
-            n = len(clusters[manifest["tree"]["root"]]["index_set"])
-            inner = next(c for c in clusters if c["sons"] and c["parent"] >= 0)
-            inner["index_set"][0] = next(i for i in range(n) if i not in inner["index_set"])
+            sets = manifest["tree"]["index_sets"]
+            inner = sets[inner_cluster(manifest)]
+            inner[0] = next(i for i in range(len(sets[0])) if i not in inner)
 
         edit_manifest(saved, move_index)
         assert_rejected(saved, "is not its sons' together")
@@ -772,8 +810,8 @@ class TestContainerChecks:
     def test_cluster_sons_must_form_a_tree(self, saved):
         # a cluster that is its own only son holds its sons' indices
         def own_son(manifest):
-            inner = next(c for c in manifest["tree"]["clusters"] if c["sons"] and c["parent"] >= 0)
-            inner["sons"] = [inner["id"]]
+            inner = inner_cluster(manifest)
+            manifest["tree"]["sons"][inner] = [inner]
 
         edit_manifest(saved, own_son)
         assert_rejected(saved, "do not form a tree")
@@ -781,28 +819,30 @@ class TestContainerChecks:
     def test_cluster_sons_must_be_in_ascending_order(self, saved):
         # the basis passes read a cluster's sons as one ascending run
         def reverse_sons(manifest):
-            inner = next(c for c in manifest["tree"]["clusters"] if len(c["sons"]) > 1)
-            inner["sons"].reverse()
+            next(sons for sons in manifest["tree"]["sons"] if len(sons) > 1).reverse()
 
         edit_manifest(saved, reverse_sons)
         assert_rejected(saved, "^the sons of cluster 0 are not in ascending id order$")
 
     def test_leaf_blocks_must_not_overlap(self, saved):
         def duplicate_son(manifest):
-            nodes = manifest["blocks"]["nodes"]
-            parent, son = next((b, i) for b in nodes for i in b["sons"] if not nodes[i]["sons"])
-            nodes.append({**nodes[son], "id": len(nodes)})
-            parent["sons"].append(len(nodes) - 1)
+            blocks = manifest["blocks"]
+            parent, son = next((b, i) for b, sons in enumerate(blocks["sons"]) for i in sons if not blocks["sons"][i])
+            for name in BLOCK_LISTS:
+                blocks[name].append(blocks[name][son])
+            blocks["sons"][parent].append(len(blocks["t"]) - 1)
 
         edit_manifest(saved, duplicate_son)
         assert_rejected(saved, r"do not tile n x n: .* 2 times")
 
     def test_leaf_blocks_must_leave_no_gap(self, saved):
         def drop_son(manifest):
-            nodes = manifest["blocks"]["nodes"]
-            last = nodes.pop()  # created after its parent, so a leaf
-            assert not last["sons"]
-            next(b for b in nodes if last["id"] in b["sons"])["sons"].remove(last["id"])
+            blocks = manifest["blocks"]
+            last = len(blocks["t"]) - 1  # numbered after its parent, so a leaf
+            assert not blocks["sons"][last]
+            for name in BLOCK_LISTS:
+                blocks[name].pop()
+            next(sons for sons in blocks["sons"] if last in sons).remove(last)
 
         edit_manifest(saved, drop_son)
         assert_rejected(saved, r"do not tile n x n: .* 0 times")
@@ -813,18 +853,23 @@ class TestContainerChecks:
             pytest.param(lambda m: m.pop("tree"), "malformed.*'tree'", id="no-tree"),
             pytest.param(lambda m: m.pop("blocks"), "malformed.*'blocks'", id="no-blocks"),
             pytest.param(lambda m: m.pop("rank"), "malformed.*'rank'", id="no-rank"),
-            pytest.param(lambda m: m["tree"]["clusters"][0].pop("level"), "malformed.*'level'", id="cluster-no-level"),
+            pytest.param(lambda m: m["tree"].pop("sons"), LACKS.format("tree", "sons"), id="cluster-no-sons"),
             pytest.param(
-                lambda m: m["tree"]["clusters"][0].update(bogus=1), "malformed.*'bogus'", id="cluster-unknown-field"
+                lambda m: m["tree"].update(bogus=1),
+                "^the 'tree' section has the unknown field 'bogus'$",
+                id="cluster-unknown-field",
             ),
-            pytest.param(lambda m: m["blocks"]["nodes"][0].pop("sons"), "malformed.*'sons'", id="block-no-sons"),
-            pytest.param(lambda m: m["blocks"]["nodes"][1].update(bogus=1), "unknown fields", id="block-unknown-field"),
-            pytest.param(lambda m: m["blocks"]["nodes"][1].update(id=2), "not numbered", id="block-misnumbered"),
+            pytest.param(lambda m: m["blocks"].pop("sons"), LACKS.format("blocks", "sons"), id="block-no-sons"),
+            pytest.param(lambda m: m["blocks"].pop("kappa"), LACKS.format("blocks", "kappa"), id="block-no-kappa"),
             pytest.param(
-                lambda m: m["blocks"]["nodes"][0].update(status="split"),
-                "malformed.*'split'",
-                id="block-unknown-status",
+                lambda m: m["blocks"].update(bogus=1),
+                "^the 'blocks' section has the unknown field 'bogus'$",
+                id="block-unknown-field",
             ),
+            pytest.param(
+                lambda m: m["blocks"]["status"].__setitem__(0, "split"), "malformed.*'split'", id="block-unknown-status"
+            ),
+            pytest.param(lambda m: m["blocks"]["s"].__setitem__(-1, -1), "names a cluster", id="block-cluster"),
             pytest.param(lambda m: m["directions"]["levels"].pop(), "direction levels", id="directions-short"),
             pytest.param(lambda m: m["directions"]["son_maps"].pop(), "son maps", id="son-maps-short"),
             pytest.param(
@@ -839,21 +884,11 @@ class TestContainerChecks:
         assert_rejected(saved, match)
 
     @pytest.mark.parametrize(
-        "edit, match",
-        [
-            pytest.param(lambda m: on_level(m, 3).update(parent=-1), "parent fields disagree", id="parent-none"),
-            pytest.param(other_parent, "parent fields disagree", id="parent-same-level"),
-            pytest.param(lambda m: on_level(m, 2).update(level=3), "level fields disagree", id="level"),
-            pytest.param(lambda m: m["tree"]["clusters"][3].update(id=5), "clusters are not numbered 0, 1", id="id"),
-            pytest.param(lambda m: shift_depth(m, 1), "depth fields disagree", id="deeper"),
-            pytest.param(lambda m: shift_depth(m, -1), "depth fields disagree", id="flatter"),
-            pytest.param(lambda m: m["tree"].update(root=1), "root fields disagree", id="root"),
-            pytest.param(lambda m: m["blocks"]["nodes"][-1].update(s=-1), "names a cluster", id="block-cluster"),
-        ],
+        "section, name", [("tree", "index_sets"), ("tree", "support_max"), ("blocks", "status"), ("blocks", "sons")]
     )
-    def test_tree_fields_must_follow_from_the_son_lists(self, saved, edit, match):
-        edit_manifest(saved, edit)
-        assert_rejected(saved, match)
+    def test_lists_of_unequal_length_rejected(self, saved, section, name):
+        edit_manifest(saved, lambda m: m[section][name].pop())
+        assert_rejected(saved, rf"^the '{section}' lists .* are not of one length$")
 
     def test_matvec_command_rejects_truncated_payload(self, saved, capsys):
         from dirh2.cli import main

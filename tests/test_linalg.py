@@ -190,6 +190,18 @@ class TestPowerIteration:
         )
         assert est == 0.0
 
+    def test_a_zero_iterate_ends_the_iteration(self):
+        # from a random complex start, an iterate of exactly zero means the
+        # operator is zero, so no other start is drawn
+        calls = []
+
+        def zero(v):
+            calls.append(v)
+            return np.zeros_like(v)
+
+        assert power_iteration_norm(zero, zero, 4, 10, seed=0) == 0.0
+        assert len(calls) == 2  # one A and one A^H product
+
     def test_well_separated_spectrum(self):
         rng = np.random.default_rng(31)
         for trial in range(5):
