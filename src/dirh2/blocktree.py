@@ -22,13 +22,15 @@ diameters are the norms of ``directions.vector_norms``, which are those
 of ``np.linalg.norm`` on each single vector.
 
 A ``BlockTree`` holds per-block arrays (clusters t and s, status code,
-direction index or -1, level), the son lists as one CSR pair (block b's
-sons are ``sons[son_ptr[b]:son_ptr[b + 1]]``) and the ascending ids of the
-admissible and inadmissible leaves.  Blocks are numbered depth first (a
-block, then the blocks of its first son pair, then of the next), so the
-root pair is block 0, and without recursion: subtree sizes bottom-up, then
-ids top-down.  ``bt[bid]`` and ``bt.blocks`` make read-only ``Block``
-records of Python values when they are read; the library reads the arrays.
+direction index or -1, level) and the ascending ids of the admissible and
+inadmissible leaves.  Blocks are numbered depth first (a block, then the
+blocks of its first son pair, then of the next), so the root pair is block
+0, and without recursion: subtree sizes bottom-up, then ids top-down.  No
+son lists are stored: a subdivided block's sons are the blocks that follow
+it in depth-first order, the pairs (sons of t) x (sons of s) in turn, each
+followed by its own subtree.  ``bt[bid]`` and ``bt.blocks`` make read-only
+``Block`` records of Python values when they are read; the library reads
+the arrays.
 """
 
 from __future__ import annotations
@@ -68,7 +70,6 @@ class Block(NamedTuple):
     s: int
     status: str
     c_index: int  # direction index at the block's level; -1 unless admissible
-    sons: list[int]
 
 
 @dataclass(frozen=True)
@@ -80,8 +81,6 @@ class BlockTree:
     status: np.ndarray
     c_index: np.ndarray
     level: np.ndarray
-    son_ptr: np.ndarray
-    sons: np.ndarray
     kappa: float
     eta1: float
     eta2: float
@@ -98,8 +97,7 @@ class BlockTree:
 
     def __getitem__(self, bid: int) -> Block:
         bid = range(len(self))[bid]
-        sons = self.sons[self.son_ptr[bid] : self.son_ptr[bid + 1]].tolist()
-        return Block(bid, int(self.t[bid]), int(self.s[bid]), STATUSES[self.status[bid]], int(self.c_index[bid]), sons)
+        return Block(bid, int(self.t[bid]), int(self.s[bid]), STATUSES[self.status[bid]], int(self.c_index[bid]))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -196,16 +194,11 @@ def build_block_tree(
     for (*_, count), before in zip(levels, below[1:]):
         ids.append(np.repeat(ids[-1] + 1 - before[np.cumsum(count) - count], count) + before[:-1])
 
-    arrays = [np.empty(below[0][-1], dtype=x.dtype) for x in (*levels[0], below[0])]  # and int64 levels
-    for l, (bid, pairs) in enumerate(zip(ids, levels)):
+    arrays = [np.empty(below[0][-1], dtype=x.dtype) for x in (*levels[0][:4], below[0])]  # and int64 levels
+    for l, (bid, (*pairs, _)) in enumerate(zip(ids, levels)):
         for out, values in zip(arrays, (*pairs, l)):
             out[bid] = values
-    t, s, status, c_index, count, level = arrays
-    son_ptr = np.concatenate([[0], np.cumsum(count)])
-    son_ids = np.empty(son_ptr[-1], dtype=np.int64)
-    for bid, son, (*_, count) in zip(ids, ids[1:], levels):
-        son_ids[_ranges(son_ptr[bid], count)] = son
-    return BlockTree(t, s, status, c_index, level, son_ptr, son_ids, kappa, eta1, eta2, parabolic)
+    return BlockTree(*arrays, kappa, eta1, eta2, parabolic)
 
 
 @dataclass

@@ -45,8 +45,10 @@ order (ascending level and shape), slot order (ascending key) and entry
 order, since ``np.add.at`` is unbuffered and adds the positions one by one
 in that order: ((out[e] + p1) + p2) + ...
 
-``save_dh2`` writes the stacks as they are into a DH2v4 container, and
-``load_dh2`` checks them and hands them to the loaded matrix in place.
+``save_dh2`` writes the stacks as they are into a DH2v5 container, with
+both trees as the arrays they are held in, and ``load_dh2`` checks them and
+hands them to the loaded matrix in place.  The block tree is stored without
+son lists; the load walks it against its depth-first numbering.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .blocktree import STATUSES, BlockTree
+from .blocktree import STATUSES, SUBDIVIDED, BlockTree
 from .clustering import ClusterTree
 from .directions import DirectionHierarchy
 from .linalg import two_parts
@@ -451,12 +453,12 @@ def storage_report(a: DH2Matrix) -> StorageReport:
     return StorageReport(leaf, transfer, coupling, nearfield)
 
 
-# -- DH2v4 container --------------------------------------------------------
+# -- DH2v5 container --------------------------------------------------------
 
 _C16 = np.dtype("<c16")
 _CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
 _TREE_LISTS = ("sons", "index_sets", "support_min", "support_max")  # per cluster id
-_BLOCK_LISTS = ("t", "s", "status", "c_index", "sons")  # per block id
+_BLOCK_LISTS = ("t", "s", "status", "c_index")  # per block id
 _BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
 
 
@@ -496,9 +498,7 @@ def _block_tree(tree: ClusterTree, manifest: dict) -> BlockTree:
         raise ValueError("a block names a cluster the tree lacks")
     code = {name: k for k, name in enumerate(STATUSES)}
     status = np.array([code[x] for x in bm["status"]], dtype=np.int8)
-    son_ptr = np.cumsum([0] + [len(x) for x in bm["sons"]])
-    sons = np.array([i for x in bm["sons"] for i in x], dtype=np.int64)
-    return BlockTree(t, s, status, c_index, tree.level[t], son_ptr, sons, **{k: bm[k] for k in _BLOCK_PARAMETERS})
+    return BlockTree(t, s, status, c_index, tree.level[t], **{k: bm[k] for k in _BLOCK_PARAMETERS})
 
 
 def _payload(a: DH2Matrix):
@@ -516,13 +516,14 @@ def _payload(a: DH2Matrix):
 
 
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
-    """Write the DH2v4 container: a directory holding ``manifest.json`` (the
+    """Write the DH2v5 container: a directory holding ``manifest.json`` (the
     cluster tree as the lists ``_TREE_LISTS`` by cluster id, the directions,
     the block tree as ``_BLOCK_PARAMETERS`` and the lists ``_BLOCK_LISTS`` by
     block id, the ranks, and a table with one ``[category, [G, r, c], keys]``
     entry per stack) and ``payload.bin`` (every stack in table order, in C
     order, as ``<c16``).  No id, parent, level, depth or root is stored: the
-    son lists give them.
+    clusters' son lists give them.  No block son list is stored: the blocks
+    are numbered depth first, which gives every block's sons.
 
     The old manifest is deleted first, then the payload and the manifest are
     each written to a temporary file and renamed, the manifest last, so an
@@ -539,7 +540,7 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
     os.replace(outdir / "payload.bin.tmp", outdir / "payload.bin")
     tree, bt = a.tree, a.blocks
     manifest = {
-        "version": "DH2v4",
+        "version": "DH2v5",
         "tree": {
             "sons": _runs(tree.sons, tree.son_ptr),
             "index_sets": _runs(tree.sets, tree.set_ptr),
@@ -554,7 +555,6 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
             **{k: getattr(bt, k) for k in _BLOCK_PARAMETERS},
             **{k: getattr(bt, k).tolist() for k in ("t", "s", "c_index")},
             "status": [STATUSES[k] for k in bt.status.tolist()],
-            "sons": _runs(bt.sons, bt.son_ptr),
         },
         "rank": {
             side: [[cid, c, int(k)] for (cid, c), k in sorted(basis.rank.items())]
@@ -588,43 +588,42 @@ def _read_payload(path: Path, table: list) -> dict:
     return payload
 
 
-def _check_tiling(tree: ClusterTree, bt: BlockTree) -> None:
-    """The leaf blocks tile n x n when every cluster holds its sons' indices
-    and every pair of leaf clusters lies below exactly one leaf block.
-    Leaves are numbered depth first, so those below a cluster are a range."""
-    preorder, todo = [], [tree.root]
-    while todo:  # ends: the son lists form a tree (``ClusterTree.from_sons``)
-        preorder.append(todo.pop())
-        todo.extend(reversed(tree.sons_of(preorder[-1])))
-    order = [cid for cid in preorder if not tree.sons_of(cid)]
-    spans = np.zeros((len(tree), 2), dtype=np.int64)
-    spans[order] = np.arange(len(order))[:, None] + [0, 1]
-    for cid in reversed(preorder):  # sons before their parent
-        sons = tree.sons_of(cid)
-        if sons:
-            held = np.concatenate([tree.index_set(s) for s in sons])
-            if not np.array_equal(np.sort(tree.index_set(cid)), np.sort(held)):
-                raise ValueError(f"cluster {cid}'s index set is not its sons' together")
-            spans[cid] = spans[sons[0], 0], spans[sons[-1], 1]
-    bids = np.concatenate([bt.admissible_leaves, bt.inadmissible_leaves])
-    (t0, t1), (s0, s1) = spans[bt.t[bids]].T, spans[bt.s[bids]].T
-    # a block adds one on its rectangle: +1 and -1 at its corners, summed up
-    corners = np.zeros((len(order) + 1, len(order) + 1), dtype=np.int64)
-    for rows, cols, sign in ((t0, s0, 1), (t0, s1, -1), (t1, s0, -1), (t1, s1, 1)):
-        np.add.at(corners, (rows, cols), sign)
-    cover = corners.cumsum(axis=0).cumsum(axis=1)[:-1, :-1]
-    if (cover != 1).any():
-        i, j = np.argwhere(cover != 1)[0]
-        raise ValueError(
-            f"the leaf blocks do not tile n x n: they cover leaf clusters ({order[i]}, {order[j]}) {cover[i, j]} times"
-        )
+def _check_trees(tree: ClusterTree, bt: BlockTree) -> None:
+    """Raise a one-line ValueError unless every cluster holds its sons'
+    indices and the blocks in id order are the depth-first expansion of the
+    root pair: block 0 is (root, root), a subdivided block (t, s) has son
+    pairs and is followed by them, (sons of t) x (sons of s) in turn, each
+    with its own subtree, and the expansion ends at the last block.  With
+    the leaf partition that ``_check`` tests, the leaf blocks then tile
+    n x n: the root's index set is 0..n-1 and each cluster's is the disjoint
+    union of its sons', so a subdivided block's rectangle is the disjoint
+    union of its son pairs', and the walk meets each block of the expansion
+    once."""
+    for cid in range(len(tree)):
+        held = [tree.index_set(son) for son in tree.sons_of(cid)]
+        if held and not np.array_equal(np.sort(tree.index_set(cid)), np.sort(np.concatenate(held))):
+            raise ValueError(f"cluster {cid}'s index set is not its sons' together")
+    subdivided, todo = STATUSES.index(SUBDIVIDED), [(tree.root, tree.root)]  # the pairs to come, next last
+    for bid, (t, s, status) in enumerate(zip(bt.t.tolist(), bt.s.tolist(), bt.status.tolist())):
+        if not todo:
+            raise ValueError(f"block {bid} follows the end of the depth-first expansion of the root pair")
+        want = todo.pop()
+        if (t, s) != want:
+            raise ValueError(f"block {bid} pairs clusters ({t}, {s}), the depth-first numbering gives {want}")
+        if status == subdivided:
+            pairs = [(t2, s2) for t2 in tree.sons_of(t) for s2 in tree.sons_of(s)]
+            if not pairs:
+                raise ValueError(f"block {bid} is subdivided, but clusters ({t}, {s}) have no son pairs")
+            todo.extend(reversed(pairs))
+    if todo:
+        raise ValueError(f"the blocks end before the pair {todo[-1]} of the depth-first expansion")
 
 
 def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
     """Raise a one-line ValueError unless the tree's depth fits the
-    direction levels and son maps, the leaf clusters partition 0..n-1,
-    every cluster holds its sons' indices, the leaf blocks tile n x n, and
-    the payload holds a matrix for every admissible block, inadmissible
+    direction levels and son maps, the leaf clusters partition 0..n-1, the
+    trees pass ``_check_trees`` (so the leaf blocks tile n x n), and the
+    payload holds a matrix for every admissible block, inadmissible
     block, leaf pair and transfer, each of the shape that the ranks and
     cluster sizes give.  A matrix with no such place raises KeyError."""
     depth = tree.depth
@@ -639,7 +638,7 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
     leaves = np.repeat(tree.son_ptr[:-1] == tree.son_ptr[1:], size)  # the entries of the leaves' index sets
     if not np.array_equal(np.sort(tree.sets[leaves]), np.arange(size[tree.root])):
         raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
-    _check_tiling(tree, bt)
+    _check_trees(tree, bt)
     row, col = ranks["row"], ranks["col"]
     shapes = {
         "coupling": {i: (row[(t, c)], col[(s, c)]) for i, t, s, c in bt.entries(bt.admissible_leaves)},
@@ -662,31 +661,37 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 
 
 def load_dh2(directory: str | Path) -> DH2Matrix:
-    """Read a DH2v4 container (see ``save_dh2``).  The matrices are the slots
+    """Read a DH2v5 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its phase
-    plans are rebuilt, and the trees' parents, levels, depth and roots are
-    derived from the son lists.  A container is rejected with a one-line
-    ValueError when its version is another, a section lacks a field or has
-    an unknown one, a section's lists differ in length, the son lists do not
-    form a tree numbered as ``ClusterTree.from_sons`` requires, or the
-    direction levels, leaf index sets, block clusters and statuses, block
-    tiling, stack table, payload length, shapes or block payloads do not
-    fit."""
+    plans are rebuilt.  The clusters' parents, levels, depth and root are
+    derived from their son lists, and the blocks' levels from their
+    clusters.  A container is rejected with a one-line ValueError when its
+    version is another (DH2v4 and older included), the manifest or one of
+    its sections lacks a field or has an unknown one, a section's lists
+    differ in length, the son lists do not form a tree numbered as
+    ``ClusterTree.from_sons`` requires, the blocks are not the depth-first
+    expansion of the root pair (``_check_trees``), or the direction levels,
+    leaf index sets, block clusters and statuses, stack table, payload
+    length, shapes or block payloads do not fit."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if not isinstance(manifest, dict):
-        raise ValueError("not a DH2v4 container: manifest.json holds no JSON object")
-    if manifest.get("version") != "DH2v4":
-        raise ValueError(f"not a DH2v4 container: its version is {manifest.get('version')!r}")
+        raise ValueError("not a DH2v5 container: manifest.json holds no JSON object")
+    if manifest.get("version") != "DH2v5":
+        raise ValueError(f"not a DH2v5 container: its version is {manifest.get('version')!r}")
+    unknown = sorted(set(manifest) - {"version", "tree", "directions", "blocks", "rank", "stacks"})
+    if unknown:
+        raise ValueError(f"the manifest has the unknown field {unknown[0]!r}")
     try:
         tree = _cluster_tree(manifest)
-        dm = manifest["directions"]
+        dm = _section(manifest, "directions", (), ("levels", "son_maps"))
         dirs = DirectionHierarchy(
             levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
             son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
         )
         bt = _block_tree(tree, manifest)
-        ranks = {side: {(cid, c): k for cid, c, k in manifest["rank"][side]} for side in ("row", "col")}
+        rm = _section(manifest, "rank", (), ("row", "col"))
+        ranks = {side: {(cid, c): k for cid, c, k in rm[side]} for side in ("row", "col")}
         payload = _read_payload(directory / "payload.bin", manifest["stacks"])
         _check(tree, dirs, bt, ranks, payload)
     except (IndexError, KeyError, TypeError) as exc:

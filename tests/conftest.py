@@ -200,12 +200,11 @@ def _reference_is_admissible(box_t, box_s, kappa, eta2, parabolic):
 def reference_block_tree(tree, dirs, kappa, eta2, parabolic=True):
     """The block tree as ``build_block_tree`` built it before it decided a
     level at once: a recursive descent that decides one pair at a time.
-    Returns (id, t, s, status, c_index, sons) per block."""
+    Returns (id, t, s, status, c_index) per block."""
     blocks = []
 
     def descend(t, s):
-        bid = len(blocks)
-        block = [bid, t, s, SUBDIVIDED, -1, []]
+        block = [len(blocks), t, s, SUBDIVIDED, -1]
         blocks.append(block)
         ct, cs = tree[t], tree[s]
         box_t, box_s = (ct.support_min, ct.support_max), (cs.support_min, cs.support_max)
@@ -216,19 +215,20 @@ def reference_block_tree(tree, dirs, kappa, eta2, parabolic=True):
         elif ct.is_leaf or cs.is_leaf:
             block[3] = INADMISSIBLE
         else:
-            block[5] = [descend(t2, s2) for t2 in ct.sons for s2 in cs.sons]
-        return bid
+            for t2 in ct.sons:
+                for s2 in cs.sons:
+                    descend(t2, s2)
 
     descend(tree.root, tree.root)
     return [tuple(b) for b in blocks]
 
 
 def reference_used_directions(tree, dirs, blocks, side):
-    """``used_directions`` from (id, t, s, status, c_index, sons) tuples,
+    """``used_directions`` from (id, t, s, status, c_index) tuples,
     such as those of ``reference_block_tree`` or the records of
     ``BlockTree.blocks``, walking the clusters parent first."""
     used = {}
-    for _, t, s, status, c, _ in blocks:
+    for _, t, s, status, c in blocks:
         if status == ADMISSIBLE:
             used.setdefault(t if side == "row" else s, set()).add(c)
     for cid in range(len(tree)):

@@ -145,7 +145,7 @@ class TestBuild:
             if b.status == SUBDIVIDED:
                 box_t, box_s = box(tree, b.t), box(tree, b.s)
                 assert not is_admissible(box_t, box_s, bt.kappa, bt.eta2, bt.parabolic)
-                assert b.sons
+                assert tree[b.t].sons and tree[b.s].sons
 
     def test_one_index_clusters_never_admitted_against_themselves(self):
         # leaf size 1: every leaf holds one point and has a point-sized
@@ -211,7 +211,7 @@ class TestBuild:
     def test_blocks_equal_the_recursive_reference(self, level, kappa, eta1):
         _, tree, dirs, bt = sphere_system(level, kappa, eta1=eta1)
         want = reference_block_tree(tree, dirs, kappa, ETA2)
-        assert [(b.id, b.t, b.s, b.status, b.c_index, b.sons) for b in bt.blocks] == want
+        assert [tuple(b) for b in bt.blocks] == want
         assert bt.admissible_leaves.tolist() == [b[0] for b in want if b[3] == ADMISSIBLE]
         assert bt.inadmissible_leaves.tolist() == [b[0] for b in want if b[3] == INADMISSIBLE]
         if eta1 == 2.0:
@@ -317,11 +317,10 @@ class TestArrays:
     @staticmethod
     def assert_equals_reference(tree, dirs, bt, kappa, parabolic=True):
         want = reference_block_tree(tree, dirs, kappa, ETA2, parabolic)
-        assert [(b.id, b.t, b.s, b.status, b.c_index, b.sons) for b in bt.blocks] == want
+        assert [tuple(b) for b in bt.blocks] == want
         assert np.array_equal(bt.level, [tree[t].level for _, t, *_ in want])
         assert bt.admissible_leaves.tolist() == [b[0] for b in want if b[3] == ADMISSIBLE]
         assert bt.inadmissible_leaves.tolist() == [b[0] for b in want if b[3] == INADMISSIBLE]
-        assert bt.son_ptr.tolist() == np.cumsum([0] + [len(b[5]) for b in want]).tolist()
 
     def test_cube_and_points(self):
         _, tree, dirs, bt = cube_and_points_system()
@@ -353,7 +352,7 @@ class TestArrays:
             assert directions.tolist() == [
                 len({b[4] for b in blocks if b[k] == cid and b[3] == ADMISSIBLE}) for cid in range(len(tree))
             ]
-        lines = [f"{tree[t].level},{t},{s},{status},{c}" for _, t, s, status, c, _ in blocks if status != SUBDIVIDED]
+        lines = [f"{tree[t].level},{t},{s},{status},{c}" for _, t, s, status, c in blocks if status != SUBDIVIDED]
         assert blocks_to_csv(tree, bt) == "\n".join(["tLevel,tId,sId,status,directionIndex", *lines]) + "\n"
 
     def test_records_are_python_values_and_arrays_read_only(self):
@@ -361,13 +360,13 @@ class TestArrays:
         b = bt[bt.admissible_leaves[0]]
         assert isinstance(b, Block)
         assert all(type(getattr(b, f)) is int for f in ("id", "t", "s", "c_index"))
-        assert type(b.status) is str and type(b.sons) is list
+        assert type(b.status) is str
         assert bt[-1] == bt.blocks[-1] == bt[len(bt) - 1]
         with pytest.raises(IndexError):
             bt[len(bt)]
         with pytest.raises(AttributeError):
             b.t = 0
-        for a in (bt.t, bt.s, bt.status, bt.c_index, bt.level, bt.son_ptr, bt.sons, bt.admissible_leaves):
+        for a in (bt.t, bt.s, bt.status, bt.c_index, bt.level, bt.admissible_leaves, bt.inadmissible_leaves):
             with pytest.raises(ValueError):
                 a[0] = a[0]
 

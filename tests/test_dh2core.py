@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import json
 import os
+import re
 import sys
 import threading
 import traceback
@@ -19,7 +20,15 @@ from conftest import (
 )
 
 from dirh2.assembly import assemble_dh2_by_interpolation
-from dirh2.blocktree import STATUSES, BlockTree, blocks_to_csv, build_block_tree, sparsity_stats
+from dirh2.blocktree import (
+    INADMISSIBLE,
+    STATUSES,
+    SUBDIVIDED,
+    BlockTree,
+    blocks_to_csv,
+    build_block_tree,
+    sparsity_stats,
+)
 from dirh2.clustering import ClusterTree, build_cluster_tree, level_diameter, tree_to_jsonl
 from dirh2 import dh2core, linalg
 from dirh2.compression import CompressionConfig, aca_compress, compress, farfield_sets, used_directions
@@ -560,9 +569,9 @@ class TestContainer:
         ]
 
     def test_manifest_holds_the_tree_arrays(self, assembled, tmp_path):
-        # DH2v4's "tree" and "blocks" sections: lists indexed by cluster and
+        # DH2v5's "tree" and "blocks" sections: lists indexed by cluster and
         # block id, the clusters built here from the recursive reference, and
-        # nothing the son lists give
+        # nothing the clusters' son lists or the blocks' depth-first numbering give
         save_dh2(assembled, tmp_path / "a")
         manifest = json.loads((tmp_path / "a" / "manifest.json").read_text())
         points = build_sphere_mesh(3).midpoints  # those of the fixture
@@ -583,12 +592,11 @@ class TestContainer:
             "s": bt.s.tolist(),
             "status": [STATUSES[k] for k in bt.status.tolist()],
             "c_index": bt.c_index.tolist(),
-            "sons": [bt.sons[a:b].tolist() for a, b in zip(bt.son_ptr[:-1], bt.son_ptr[1:])],
         }
 
     def test_load_derives_what_the_manifest_leaves_out(self, assembled, tmp_path):
-        # the parents, levels, depth and root of the clusters, and the levels
-        # of the blocks, follow from the son lists and the cluster levels
+        # the parents, levels, depth and root of the clusters follow from their
+        # son lists, and the levels of the blocks from the cluster levels
         save_dh2(assembled, tmp_path / "a")
         loaded = load_dh2(tmp_path / "a")
         for saved, read in ((assembled.tree, loaded.tree), (assembled.blocks, loaded.blocks)):
@@ -623,15 +631,15 @@ class TestContainer:
         where = tmp_path / "a"
         save_dh2(assembled, where)
         (where / "manifest.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match=r"^not a DH2v4 container: manifest.json holds no JSON object$"):
+        with pytest.raises(ValueError, match=r"^not a DH2v5 container: manifest.json holds no JSON object$"):
             load_dh2(where)
 
     def test_version_check(self, assembled, tmp_path):
         where = tmp_path / "a"
         save_dh2(assembled, where)
         manifest = where / "manifest.json"
-        manifest.write_text(manifest.read_text().replace("DH2v4", "DH2v2", 1))
-        with pytest.raises(ValueError, match=r"^not a DH2v4 container: its version is 'DH2v2'$"):
+        manifest.write_text(manifest.read_text().replace("DH2v5", "DH2v2", 1))
+        with pytest.raises(ValueError, match=r"^not a DH2v5 container: its version is 'DH2v2'$"):
             load_dh2(where)
 
     def test_dh2v3_manifest_rejected(self, assembled, tmp_path):
@@ -647,8 +655,8 @@ class TestContainer:
             lists = (tm[k] for k in ("sons", "index_sets", "support_min", "support_max"))
             columns = (range(len(tree)), tree.level.tolist(), tree.parent.tolist(), *lists)
             clusters = [dict(zip(keys, c)) for c in zip(*columns)]
-            columns = [bm.pop(k) for k in BLOCK_LISTS]
-            nodes = [dict(zip(("id", *BLOCK_LISTS), b)) for b in zip(range(len(columns[0])), *columns)]
+            columns = [bm.pop(k) for k in BLOCK_LISTS] + [dh2v4_block_sons(assembled.tree, assembled.blocks)]
+            nodes = [dict(zip(("id", *BLOCK_LISTS, "sons"), b)) for b in zip(range(len(columns[0])), *columns)]
             manifest.update(
                 version="DH2v3",
                 tree={"root": 0, "depth": tree.depth, "clusters": clusters},
@@ -656,7 +664,17 @@ class TestContainer:
             )
 
         edit_manifest(where, as_dh2v3)
-        assert_rejected(where, r"^not a DH2v4 container: its version is 'DH2v3'$")
+        assert_rejected(where, r"^not a DH2v5 container: its version is 'DH2v3'$")
+
+    def test_dh2v4_manifest_rejected(self, assembled, tmp_path):
+        # DH2v4 held the same payload and sections, and in "blocks" the son
+        # lists that the depth-first numbering gives; no reader of it is kept
+        where = tmp_path / "a"
+        save_dh2(assembled, where)
+        sons = dh2v4_block_sons(assembled.tree, assembled.blocks)
+        assert sons[0] and not all(sons)
+        edit_manifest(where, lambda m: m.update(version="DH2v4", blocks={**m["blocks"], "sons": sons}))
+        assert_rejected(where, r"^not a DH2v5 container: its version is 'DH2v4'$")
 
     def test_resave_leaves_no_stale_payload(self, assembled, tmp_path):
         where = tmp_path / "a"
@@ -729,8 +747,25 @@ def edit_manifest(where, edit):
     (where / "manifest.json").write_text(json.dumps(manifest))
 
 
-BLOCK_LISTS = ("t", "s", "status", "c_index", "sons")  # the lists of a manifest's "blocks" section
+BLOCK_LISTS = ("t", "s", "status", "c_index")  # the lists of a manifest's "blocks" section
 LACKS = "^the '{}' section lacks the field '{}'$"
+UNKNOWN = "^the '{}' section has the unknown field '{}'$"
+
+
+def dh2v4_block_sons(tree, bt):
+    """The block son lists that DH2v4 stored: a subdivided block (t, s) has
+    (sons of t) x (sons of s) sons, and they follow it in depth-first order,
+    each with its subtree."""
+    sons, open_blocks = [[] for _ in range(len(bt))], []  # the blocks with sons still to come
+    for bid, (t, s, status) in enumerate(zip(bt.t, bt.s, bt.status)):
+        if open_blocks:
+            parent = open_blocks[-1]
+            sons[parent].append(bid)
+            if len(sons[parent]) == len(tree.sons_of(bt.t[parent])) * len(tree.sons_of(bt.s[parent])):
+                open_blocks.pop()
+        if STATUSES[status] == SUBDIVIDED:
+            open_blocks.append(bid)
+    return sons
 
 
 def inner_cluster(manifest):
@@ -824,28 +859,57 @@ class TestContainerChecks:
         edit_manifest(saved, reverse_sons)
         assert_rejected(saved, "^the sons of cluster 0 are not in ascending id order$")
 
-    def test_leaf_blocks_must_not_overlap(self, saved):
-        def duplicate_son(manifest):
-            blocks = manifest["blocks"]
-            parent, son = next((b, i) for b, sons in enumerate(blocks["sons"]) for i in sons if not blocks["sons"][i])
+    def test_leaf_blocks_must_not_overlap(self, compressed_line, saved):
+        # a second copy of the last block, a leaf, covers its rectangle twice
+        def repeat_last(manifest):
             for name in BLOCK_LISTS:
-                blocks[name].append(blocks[name][son])
-            blocks["sons"][parent].append(len(blocks["t"]) - 1)
+                manifest["blocks"][name].append(manifest["blocks"][name][-1])
 
-        edit_manifest(saved, duplicate_son)
-        assert_rejected(saved, r"do not tile n x n: .* 2 times")
+        edit_manifest(saved, repeat_last)
+        count = len(compressed_line[0].blocks)
+        assert_rejected(saved, rf"^block {count} follows the end of the depth-first expansion of the root pair$")
 
-    def test_leaf_blocks_must_leave_no_gap(self, saved):
-        def drop_son(manifest):
-            blocks = manifest["blocks"]
-            last = len(blocks["t"]) - 1  # numbered after its parent, so a leaf
-            assert not blocks["sons"][last]
+    def test_leaf_blocks_must_leave_no_gap(self, compressed_line, saved):
+        def drop_last(manifest):
             for name in BLOCK_LISTS:
-                blocks[name].pop()
-            next(sons for sons in blocks["sons"] if last in sons).remove(last)
+                manifest["blocks"][name].pop()
 
-        edit_manifest(saved, drop_son)
-        assert_rejected(saved, r"do not tile n x n: .* 0 times")
+        edit_manifest(saved, drop_last)
+        bt = compressed_line[0].blocks
+        t, s = bt.t[-1], bt.s[-1]
+        assert_rejected(saved, rf"^the blocks end before the pair \({t}, {s}\) of the depth-first expansion$")
+
+    def test_first_block_must_be_the_root_pair(self, saved):
+        edit_manifest(saved, lambda m: m["blocks"]["t"].__setitem__(0, 5))
+        assert_rejected(saved, r"^block 0 pairs clusters \(5, 0\), the depth-first numbering gives \(0, 0\)$")
+
+    def test_subdivided_block_must_be_followed_by_its_sons(self, compressed_line, saved):
+        # an interior block made a leaf: its first son follows it in place of
+        # the pair that comes after its subtree
+        bt = compressed_line[0].blocks
+        bid = int(np.flatnonzero(bt.status == STATUSES.index(SUBDIVIDED))[1])
+        edit_manifest(saved, lambda m: m["blocks"]["status"].__setitem__(bid, INADMISSIBLE))
+        after = bid + 1 + int(np.flatnonzero(bt.level[bid + 1 :] <= bt.level[bid])[0])  # past its subtree
+        got, want = (re.escape(f"({bt.t[b]}, {bt.s[b]})") for b in (bid + 1, after))
+        assert_rejected(saved, rf"^block {bid + 1} pairs clusters {got}, the depth-first numbering gives {want}$")
+
+    def test_leaf_block_must_not_be_subdivided(self, compressed_line, saved):
+        bt = compressed_line[0].blocks
+        bid = int(bt.inadmissible_leaves[0])
+        edit_manifest(saved, lambda m: m["blocks"]["status"].__setitem__(bid, SUBDIVIDED))
+        t, s = bt.t[bid], bt.s[bid]
+        assert_rejected(saved, rf"^block {bid} is subdivided, but clusters \({t}, {s}\) have no son pairs$")
+
+    def test_block_must_pair_clusters_of_one_level(self, compressed_line, saved):
+        # the column cluster of an admissible block replaced by its parent
+        a = compressed_line[0]
+        bid = int(a.blocks.admissible_leaves[a.blocks.level[a.blocks.admissible_leaves] >= 2][0])
+        t, s = a.blocks.t[bid], a.blocks.s[bid]
+        parent = a.tree.parent[s]
+        edit_manifest(saved, lambda m: m["blocks"]["s"].__setitem__(bid, int(parent)))
+        assert_rejected(
+            saved, rf"^block {bid} pairs clusters \({t}, {parent}\), the depth-first numbering gives \({t}, {s}\)$"
+        )
 
     @pytest.mark.parametrize(
         "edit, match",
@@ -859,7 +923,11 @@ class TestContainerChecks:
                 "^the 'tree' section has the unknown field 'bogus'$",
                 id="cluster-unknown-field",
             ),
-            pytest.param(lambda m: m["blocks"].pop("sons"), LACKS.format("blocks", "sons"), id="block-no-sons"),
+            pytest.param(
+                lambda m: m["blocks"].update(sons=[[]] * len(m["blocks"]["t"])),
+                UNKNOWN.format("blocks", "sons"),
+                id="block-sons",
+            ),
             pytest.param(lambda m: m["blocks"].pop("kappa"), LACKS.format("blocks", "kappa"), id="block-no-kappa"),
             pytest.param(
                 lambda m: m["blocks"].update(bogus=1),
@@ -871,6 +939,21 @@ class TestContainerChecks:
             ),
             pytest.param(lambda m: m["blocks"]["s"].__setitem__(-1, -1), "names a cluster", id="block-cluster"),
             pytest.param(lambda m: m["directions"]["levels"].pop(), "direction levels", id="directions-short"),
+            pytest.param(
+                lambda m: m["directions"].pop("levels"), LACKS.format("directions", "levels"), id="directions-no-levels"
+            ),
+            pytest.param(
+                lambda m: m["directions"].update(bogus=1),
+                UNKNOWN.format("directions", "bogus"),
+                id="directions-unknown-field",
+            ),
+            pytest.param(lambda m: m["rank"].pop("col"), LACKS.format("rank", "col"), id="rank-no-col"),
+            pytest.param(
+                lambda m: m["rank"].update(bogus=1), UNKNOWN.format("rank", "bogus"), id="rank-unknown-field"
+            ),
+            pytest.param(
+                lambda m: m.update(bogus=1), "^the manifest has the unknown field 'bogus'$", id="unknown-field"
+            ),
             pytest.param(lambda m: m["directions"]["son_maps"].pop(), "son maps", id="son-maps-short"),
             pytest.param(
                 lambda m: m["directions"]["son_maps"][0].__setitem__(0, len(m["directions"]["levels"][1])),
@@ -884,7 +967,7 @@ class TestContainerChecks:
         assert_rejected(saved, match)
 
     @pytest.mark.parametrize(
-        "section, name", [("tree", "index_sets"), ("tree", "support_max"), ("blocks", "status"), ("blocks", "sons")]
+        "section, name", [("tree", "index_sets"), ("tree", "support_max"), ("blocks", "status"), ("blocks", "c_index")]
     )
     def test_lists_of_unequal_length_rejected(self, saved, section, name):
         edit_manifest(saved, lambda m: m[section][name].pop())
