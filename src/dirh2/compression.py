@@ -28,8 +28,10 @@ Each strip g is reduced to its triangular factor L (g = L Q^H, from the QR
 factorization of g^H), which has g's singular values and left singular
 vectors and no more columns than g has rows.  A cluster's factors go
 through one ``svd`` call per factor shape and one ``truncation_rank`` call.
-The subtrees under the root are independent, so the block weights and
-both passes run in two parts (``linalg.cut_in_two``).
+The subtrees under the root are independent, so both passes run in two
+parts (``linalg.cut_in_two``); the block weights are cut in two by the
+slots of each stack (``_norms``).  A pair's reduced rows are dropped once
+its parent has read them.
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
 requested accuracy relative to its norm.  There is no rank cap.
@@ -39,6 +41,21 @@ while its pair's reduced rows (the row basis applied to the weighted strip)
 are held: the block's columns of them, times its weight, times the expanded
 column basis.  An admissible block is read three times (weight, row strip,
 column strip) and a nearfield block once.  Results are bitwise reproducible.
+
+The nested bases against the best approximation: let g be the weighted
+strip of a pair (t, c), Q its expanded basis of rank k, and tau(t, c) the
+Frobenius norm of g's singular values past the k-th.  ||g - Q Q^H g||_F^2
+is at most the sum of tau(t', c')^2 over (t, c) and the pairs below it
+along the son maps.  (1) The error splits exactly into the sons' errors on
+their rows of g and the truncation error of the reduced matrix P g, where P
+(the sons' bases, conjugate transposed) has orthonormal rows.  (2) A son's
+rows of g are columns of its own strip, with the same weights, so by
+induction they are within the sum below the son.  (3) P g has singular
+values at most g's, so its truncation error at rank k is at most tau(t, c).
+A leaf meets the bound with equality.  Compare the H^2 case in S. Borm,
+Efficient Numerical Methods for Non-local Operators (EMS, 2010).  Only the
+source paper's abstract is at hand (``PAPER.md``), so its own constant is
+not checked against this one.
 """
 
 from __future__ import annotations
@@ -57,7 +74,6 @@ from .dh2core import (
     expand_factor,
     run_offsets,
     stack_groups,
-    stack_slots,
 )
 from .directions import DirectionHierarchy
 # power_iteration_norm is not called here; it is imported for callers that
@@ -100,15 +116,11 @@ class CompressionConfig:
 
 @dataclass
 class CompressionState:
-    """Per-(cluster, direction) artifacts of one basis construction pass."""
+    """Per-(cluster, direction) truncation errors of one basis construction
+    pass, and the couplings of a row pass."""
 
-    q: dict = field(default_factory=dict)  # leaf factor, or stacked son-rank factor
-    r: dict = field(default_factory=dict)  # reduced rows over the farfield columns
-    cols: dict = field(default_factory=dict)  # sorted global farfield column indices
-    groups: dict = field(default_factory=dict)  # list of (source cluster, block id)
     realized_eps: dict = field(default_factory=dict)  # first discarded singular value
     target_eps: dict = field(default_factory=dict)  # truncation tolerance actually used
-    block_weights: dict = field(default_factory=dict)
     coupling: dict = field(default_factory=dict)  # block id -> coupling, from a row pass given the column basis
 
 
@@ -209,8 +221,9 @@ def farfield_sets(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, si
     return groups, cols
 
 
-def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
-    """Exact spectral norm per admissible block.  The blocks of one target
+def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> np.ndarray:
+    """Exact spectral norm per admissible block, as one float array by block
+    id that holds 1.0 off the admissible leaves.  The blocks of one target
     cluster are read with one accessor call over their column sets side by
     side (disjoint, since the leaf blocks partition the matrix).  Sorted by
     row count and target, the blocks of one row count are read into one
@@ -228,7 +241,7 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
     t, width, start = bt.t[bid], sizes[bt.s[bid]], tree.set_ptr[bt.s[bid]]
     column = np.concatenate([[0], np.cumsum(width)])  # each block's first column, counted over all blocks
     cut = [*np.flatnonzero(np.diff(sizes[t], prepend=-1)).tolist(), bid.size]  # each row count's first block
-    weights: dict[int, float] = {}
+    weights = np.ones(len(bt))
     for b0, b1 in zip(cut, cut[1:]):
         read = None
         first = [*(b0 + np.flatnonzero(np.diff(t[b0:b1], prepend=-1))).tolist(), b1]  # each target's first block
@@ -241,7 +254,7 @@ def compute_block_weights(access, tree: ClusterTree, bt: BlockTree) -> dict:
             mine = b0 + np.flatnonzero(width[b0:b1] == c)
             stack = read[:, _ranges(column[mine] - column[b0], width[mine])].reshape(len(read), mine.size, c)
             norms = _norms(stack.transpose(1, 0, 2))
-            weights.update(zip(bid[mine].tolist(), np.where(norms > 0.0, norms, 1.0).tolist()))
+            weights[bid[mine]] = np.where(norms > 0.0, norms, 1.0)
     return weights
 
 
@@ -264,19 +277,19 @@ def build_basis(
     dirs: DirectionHierarchy,
     bt: BlockTree,
     cfg: CompressionConfig,
+    block_weights: np.ndarray,
     side: str = "row",
-    block_weights: dict | None = None,
-    keep_reduced: bool = True,
     col_basis: DirectionalClusterBasis | None = None,
 ) -> tuple[DirectionalClusterBasis, CompressionState]:
     """Bottom-up construction of one orthogonal directional cluster basis
     from sub-blocks of the matrix whose row space it shall capture (pass an
     adjoint accessor for the column basis), as the module docstring says.
+    ``block_weights`` are those of ``compute_block_weights`` for the matrix
+    itself, so the column pass weights each block by the norm of A[t, s].
     Each strip g is reduced by one ``np.linalg.qr`` of g^H per pair, the
     floor sigma_1 max(g.shape) eps keeps g's shape, and the reduced rows are
-    q^H g.  With ``keep_reduced`` the state holds every pair's reduced rows
-    and the values of ``farfield_sets`` (``groups``, ``cols``); without it
-    these end empty, and reduced rows are dropped once no parent reads them.
+    q^H g.  A pair's reduced rows are kept only until its parent has read
+    them; the state holds the truncation errors and the couplings.
 
     Given the column basis, a row pass also forms the coupling matrix of
     every admissible block b = (t, s, c) into ``state.coupling``: the reduced
@@ -298,16 +311,9 @@ def build_basis(
         raise ValueError("couplings are formed in the row pass")
     max_sons = max(int(np.diff(tree.son_ptr).max()), 1)
     cfg.validate(max_sons)
-    if block_weights is None:
-        matrix = access if side == "row" else _adjoint_access(access)  # the weights are norms of A[t, s]
-        block_weights = compute_block_weights(matrix, tree, bt)
     levels, where = _farfield(tree, dirs, bt, side)
-    n, inverse = tree.index_set(tree.root).size, np.ones(len(bt))  # 1/weight per block
-    inverse[bt.admissible_leaves] = [1.0 / block_weights[bid] for bid in bt.admissible_leaves.tolist()]
-    state = CompressionState(block_weights=block_weights)
-    if keep_reduced:
-        state.groups, state.cols = farfield_sets(tree, dirs, bt, side)
-    basis = DirectionalClusterBasis()
+    n, inverse = tree.index_set(tree.root).size, 1.0 / block_weights
+    state, basis = CompressionState(), DirectionalClusterBasis()
     # shared by both parts: an entry has the same bits whichever part makes
     # it and none is removed, so a race between the parts only repeats work
     col_memo: dict = {}
@@ -323,7 +329,9 @@ def build_basis(
 
     def visit(cids: list, basis: DirectionalClusterBasis, state: CompressionState) -> None:
         """Build the pairs of ``cids``, sons before parents, into ``basis``
-        and ``state``."""
+        and ``state``, holding each pair's reduced rows until its parent has
+        read them."""
+        reduced_rows: dict = {}
         for cid in cids:
             (l, p0, p1), sons = where[cid], tree.sons_of(cid)
             lv, cs = levels[l], levels[l].c[p0:p1].tolist()
@@ -359,7 +367,7 @@ def build_basis(
                 ends = np.cumsum(runs).tolist()
                 parts = [pos[a:b] for a, b in zip([0] + ends, ends)]
                 strips = [
-                    np.concatenate([state.r[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
+                    np.concatenate([reduced_rows[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
                     for i, c2 in enumerate(chained.tolist())
                 ]
 
@@ -392,11 +400,11 @@ def build_basis(
             for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
                 key = (cid, c)
                 state.realized_eps[key], basis.rank[key] = realized[i], k
-                q = state.q[key] = u[i][:, :k].copy()  # a view would keep the whole stack alive
+                q = u[i][:, :k].copy()  # a view would keep the whole stack alive
                 r = q.conj().T @ g
                 reduced.append(r)
-                if keep_reduced or read_by_parent[i]:
-                    state.r[key] = r
+                if read_by_parent[i]:
+                    reduced_rows[key] = r
                 if not sons:
                     basis.leaf[key] = q
                 else:
@@ -412,9 +420,9 @@ def build_basis(
                 for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
                     w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
                     state.coupling[bid] = block_weights[bid] * (reduced[i][:, at[a:b] - bounds[i]] @ w)
-            if not keep_reduced and sons:  # the sons' reduced rows have been read
+            if sons:  # the sons' reduced rows have been read
                 for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
-                    state.r.pop(key)
+                    reduced_rows.pop(key)
 
     # the root holds no pair (its one block, with itself, is not admissible);
     # every other cluster lies below the son of the root at position head[cid]
@@ -447,10 +455,6 @@ def subtree_tolerance_sq(
     return total
 
 
-def _adjoint_access(access):
-    return lambda rows, cols: access(cols, rows).conj().T
-
-
 def compress(
     access,
     tree: ClusterTree,
@@ -464,29 +468,30 @@ def compress(
     """Full compression: exact block norms as weights, the column basis from
     the adjoint, then the row basis from the matrix, whose pass forms the
     best-approximation coupling matrices from its reduced rows, and the
-    verbatim nearfield.  Each admissible block is read three times and each
-    nearfield block once.  Both basis passes may call ``access`` from two
-    threads at once, so it must be thread-safe.
+    verbatim nearfield, read into a plain dict that ``DH2Matrix`` stacks.
+    Each admissible block is read three times and each nearfield block
+    once.  Both basis passes may call ``access`` from two threads at once,
+    so it must be thread-safe.
 
     The result does not depend on ``seed``, which is kept so that callers
-    passing one keep working.  ``timings`` receives the wall time of the
-    block weights ("weights"), of the column pass ("col"), of the row pass
-    with the couplings ("row") and of the nearfield reads ("projection")."""
+    passing one keep working.  With ``return_state`` the row and the column
+    pass's ``CompressionState`` are returned after the matrix.  ``timings``
+    receives the wall time of the block weights ("weights"), of the column
+    pass ("col"), of the row pass with the couplings ("row") and of the
+    nearfield reads ("projection")."""
     start = time.perf_counter()
     weights = compute_block_weights(access, tree, bt)
 
     t0 = time.perf_counter()
-    kwargs = dict(block_weights=weights, keep_reduced=return_state)
-    col_basis, col_state = build_basis(_adjoint_access(access), tree, dirs, bt, cfg, side="col", **kwargs)
-    col_state = col_state if return_state else None  # a state holds several dict entries per pair
+    adjoint = lambda rows, cols: access(cols, rows).conj().T
+    col_basis, col_state = build_basis(adjoint, tree, dirs, bt, cfg, weights, side="col")
+    col_state = col_state if return_state else None  # a state holds two dict entries per pair
     t1 = time.perf_counter()
-    row_basis, row_state = build_basis(access, tree, dirs, bt, cfg, side="row", col_basis=col_basis, **kwargs)
+    row_basis, row_state = build_basis(access, tree, dirs, bt, cfg, weights, side="row", col_basis=col_basis)
     coupling, row_state = row_state.coupling, row_state if return_state else None
     t2 = time.perf_counter()
-    near = [(bid, tree.index_set(t), tree.index_set(s)) for bid, t, s, _ in bt.entries(bt.inadmissible_leaves)]
-    nearfield = stack_slots({bid: (t.size, s.size) for bid, t, s in near})
-    for bid, t, s in near:
-        nearfield[bid][...] = access(t, s)
+    near = bt.entries(bt.inadmissible_leaves)
+    nearfield = {bid: access(tree.index_set(t), tree.index_set(s)) for bid, t, s, _ in near}
     t3 = time.perf_counter()
     if timings is not None:
         timings.update(weights=t0 - start, row=t2 - t1, col=t1 - t0, projection=t3 - t2)

@@ -35,10 +35,13 @@ one part or two.
 
 The container is a frozen dataclass: construction stacks the payload, and
 its attributes cannot be reassigned afterwards.  A container with another
-payload is made with ``dataclasses.replace``, which stacks it anew; the
-dicts hold views of the stacks and must not be rebound key by key.  Matvecs
-keep all scratch per call, and each waits for its own parts, so concurrent
-matvecs are safe.
+payload is made with ``dataclasses.replace``, which shares every unchanged
+stack (and every dict it is not given) with the original: only a shape
+group that holds a new matrix gets a fresh stack.  The dicts hold views of
+the stacks, so a matrix must not be written in place (a write into a shared
+stack changes both containers) or rebound key by key.  Matvecs keep all
+scratch per call, and each waits for its own parts, so concurrent matvecs
+are safe.
 Sums run in a fixed order, which fixes the floating-point result: phase by
 phase, and within a phase each output entry adds its products in stack
 order (ascending level and shape), slot order (ascending key) and entry
@@ -69,7 +72,6 @@ from .linalg import two_parts
 __all__ = [
     "DirectionalClusterBasis",
     "DH2Matrix",
-    "stack_slots",
     "stack_groups",
     "apply_groups",
     "run_offsets",
@@ -100,16 +102,6 @@ def _group_keys(shapes: dict) -> dict:
     return dict(sorted(groups.items()))
 
 
-def stack_slots(shapes: dict) -> dict:
-    """Zeroed storage for one complex matrix per key of ``shapes``: one
-    (G, r, c) stack per shape, slots in ascending key order.  Returns each
-    key's slot, the view stack[g]."""
-    slots = {}
-    for shape, keys in _group_keys(shapes).items():
-        slots.update(zip(keys, np.zeros((len(keys), *shape), dtype=np.complex128)))
-    return slots
-
-
 def _stack_of(arrays: list):
     """The stack whose slots, in order, are exactly ``arrays``, or None.  ctypes
     reads where a writable C-contiguous array's data start several times
@@ -137,8 +129,8 @@ def _index(where: list, width: int) -> np.ndarray:
 def _stacks(d: dict) -> list[tuple[list, np.ndarray]]:
     """``d``'s matrices as (keys, stack) pairs, one stack per shape with
     slots in ascending key order.  Matrices that are already the slots of
-    such a stack (as ``stack_slots`` or ``load_dh2`` lay them out) are used
-    in place; any other group is copied into a new stack and ``d`` is
+    such a stack (as ``load_dh2`` and an earlier container lay them out) are
+    used in place; any other group is copied into a new stack and ``d`` is
     rebound to its slots, so the payload is held once."""
     out = []
     for keys in _group_keys({k: v.shape for k, v in d.items()}).values():

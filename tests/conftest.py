@@ -68,6 +68,22 @@ def dense_accessor(dense):
     return lambda rows, cols: dense[np.ix_(rows, cols)]
 
 
+def weighted_strip(mat, tree, farfield, weights, key):
+    """The weighted farfield strip of one (cluster, direction) pair: the
+    rows of ``mat`` in the cluster's index set and the pair's sorted
+    farfield columns, each column divided by the weight of its block.
+    ``farfield`` is the (groups, cols) of ``farfield_sets`` for the side
+    whose rows ``mat`` holds (the adjoint for the column side), and
+    ``weights`` the array of ``compute_block_weights`` for the matrix."""
+    groups, cols = farfield
+    cid, _ = key
+    strip = mat[np.ix_(tree.index_set(cid), cols[key])].astype(complex)
+    w = np.ones(cols[key].size)
+    for s, bid in groups[key]:
+        w[np.searchsorted(cols[key], tree.index_set(s))] = 1.0 / weights[bid]
+    return strip * w[None, :]
+
+
 @pytest.fixture
 def cpus(monkeypatch):
     """Set the CPU count that the two-part callers see (``linalg._cpus``),
@@ -357,25 +373,22 @@ def reference_farfield_sets(tree, dirs, bt, side="row"):
     return groups, {key: _reference_sorted_columns(tree, items)[0] for key, items in groups.items()}
 
 
-def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights=None, keep_reduced=True, col_basis=None):
+def reference_build_basis(access, tree, dirs, bt, cfg, block_weights, side="row", col_basis=None):
     """``compression.build_basis`` as it was before the index arrays: one
     Python pass per (cluster, direction) pair, one ``_sorted_columns`` sort
     per pair, one ``np.linalg.qr(mode="r")`` per pair, and one coupling
-    product per block, with ``reference_svd``."""
-    from dirh2.compression import CompressionState, _adjoint_access, compute_block_weights
+    product per block, with ``reference_svd``.  A pair's reduced rows and
+    columns are kept until its parent has read them."""
+    from dirh2.compression import CompressionState
     from dirh2.dh2core import DirectionalClusterBasis, expand_factor
     from dirh2.linalg import truncation_rank
 
     max_sons = max((len(tree[cid].sons) for cid in range(len(tree)) if tree[cid].sons), default=1)
     cfg.validate(max_sons)
-    if block_weights is None:
-        matrix = access if side == "row" else _adjoint_access(access)
-        block_weights = compute_block_weights(matrix, tree, bt)
     used = reference_used_directions(tree, dirs, bt.blocks, side)
     groups, shallowest = _reference_farfield_groups(tree, dirs, bt, side, used)
-    cols = {}
-    state = CompressionState(groups=groups, cols=cols, block_weights=block_weights)
-    basis = DirectionalClusterBasis()
+    reduced, cols = {}, {}
+    state, basis = CompressionState(), DirectionalClusterBasis()
     read_by_parent = {
         (son, dirs.son_index(tree[cid].level, c)) for cid, cs in used.items() for c in cs for son in tree[cid].sons
     }
@@ -404,7 +417,7 @@ def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights
                 c2 = dirs.son_index(cluster.level, key[1])
                 parts = []
                 for son in cluster.sons:
-                    rs = state.r[(son, c2)]
+                    rs = reduced[(son, c2)]
                     pos = np.searchsorted(cols[(son, c2)], fcols)
                     parts.append(rs[:, pos])
                 g = np.vstack(parts)
@@ -435,7 +448,6 @@ def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights
                 k = truncation_rank(sigma, tol)
                 q = u[:, :k].copy()
                 state.realized_eps[key] = float(sigma[k]) if k < sigma.size else 0.0
-            state.q[key] = q
             r = q.conj().T @ g
             if col_basis is not None:
                 for i, (s, bid) in enumerate(items):
@@ -443,8 +455,8 @@ def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights
                         w = expand_factor(col_basis, tree, dirs, s, c, col_memo)
                         pos = inverse[offsets[i] : offsets[i + 1]]
                         state.coupling[bid] = block_weights[bid] * (r[:, pos] @ w)
-            if keep_reduced or key in read_by_parent:
-                state.r[key] = r
+            if key in read_by_parent:
+                reduced[key] = r
                 cols[key] = fcols
             basis.rank[key] = k
             if cluster.is_leaf:
@@ -456,9 +468,8 @@ def reference_build_basis(access, tree, dirs, bt, cfg, side="row", block_weights
                     ks = basis.rank[(son, c2)]
                     basis.transfer[(son, c)] = q[off : off + ks]
                     off += ks
-        if not keep_reduced:
-            for son in cluster.sons:
-                for c_son in used.get(son, ()):
-                    state.r.pop((son, c_son), None)
-                    cols.pop((son, c_son), None)
+        for son in cluster.sons:
+            for c_son in used.get(son, ()):
+                reduced.pop((son, c_son), None)
+                cols.pop((son, c_son), None)
     return basis, state

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import ETA1, ETA2, dense_accessor, line_system, sphere_system
+from conftest import ETA1, ETA2, dense_accessor, line_system, sphere_system, weighted_strip
 
 from dirh2.assembly import assemble_dh2_by_interpolation
 from dirh2.blocktree import build_block_tree, is_admissible, sparsity_stats
@@ -22,6 +22,8 @@ from dirh2.compression import (
     CompressionConfig,
     build_basis,
     compress,
+    compute_block_weights,
+    farfield_sets,
     subtree_tolerance_sq,
 )
 from dirh2.dh2core import expand_dense, expand_factor, storage_report
@@ -44,17 +46,6 @@ def spectral(dense, seed=0):
     return power_iteration_norm(
         lambda v: dense @ v, lambda v: dense.conj().T @ v, dense.shape[0], 50, seed
     )
-
-
-def weighted_strip(dense, tree, state, key):
-    cid, _ = key
-    cols = state.cols[key]
-    strip = dense[np.ix_(tree[cid].index_set, cols)].astype(complex)
-    w = np.ones(cols.size)
-    for s, bid in state.groups[key]:
-        pos = np.searchsorted(cols, tree[s].index_set)
-        w[pos] = 1.0 / state.block_weights[bid]
-    return strip * w[None, :]
 
 
 @pytest.fixture(scope="module")
@@ -177,14 +168,16 @@ class TestAcceptance:
             CompressionConfig(eps=EPS),
             return_state=True,
         )
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
         violations = 0
         checked = 0
-        for basis, state, mat in (
-            (a.row_basis, row_state, dense),
-            (a.col_basis, col_state, dense.conj().T),
+        for basis, state, mat, side in (
+            (a.row_basis, row_state, dense, "row"),
+            (a.col_basis, col_state, dense.conj().T, "col"),
         ):
-            for key in state.q:
-                strip = weighted_strip(mat, tree, state, key)
+            farfield = farfield_sets(tree, dirs, bt, side)
+            for key in basis.rank:
+                strip = weighted_strip(mat, tree, farfield, weights, key)
                 q = expand_factor(basis, tree, dirs, *key)
                 err = np.linalg.norm(strip - q @ (q.conj().T @ strip), 2)
                 bound = np.sqrt(subtree_tolerance_sq(state, tree, dirs, *key))
@@ -203,17 +196,19 @@ class TestAcceptance:
     def test_criterion_04_pythagoras_split(self):
         def run_split_checks(dense, tree, dirs, bt, require_two_sons):
             cfg = CompressionConfig(eps=EPS)
-            basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
+            weights = compute_block_weights(dense_accessor(dense), tree, bt)
+            basis, _ = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, weights, side="row")
+            farfield = farfield_sets(tree, dirs, bt, "row")
             checked = 0
             worst = 0.0
-            for key in state.q:
+            for key in basis.rank:
                 cid, c = key
                 cluster = tree[cid]
                 if cluster.is_leaf:
                     continue
                 if require_two_sons and len(cluster.sons) != 2:
                     continue
-                strip = weighted_strip(dense, tree, state, key)
+                strip = weighted_strip(dense, tree, farfield, weights, key)
                 q = expand_factor(basis, tree, dirs, cid, c)
                 lhs = np.linalg.norm(strip - q @ (q.conj().T @ strip), "fro") ** 2
                 c2 = dirs.son_index(cluster.level, c)
@@ -226,7 +221,7 @@ class TestAcceptance:
                     rhs += np.linalg.norm(sub - qs @ (qs.conj().T @ sub), "fro") ** 2
                     hat_rows.append(qs.conj().T @ sub)
                 ghat = np.vstack(hat_rows)
-                qhat = state.q[key]
+                qhat = np.vstack([basis.transfer[(son, c)] for son in cluster.sons])  # the pass's factor
                 rhs += np.linalg.norm(ghat - qhat @ (qhat.conj().T @ ghat), "fro") ** 2
                 # pairs kept at full numerical rank have both sides at
                 # squared-roundoff scale: the identity holds as 0 == 0 there

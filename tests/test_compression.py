@@ -18,6 +18,7 @@ from conftest import (
     reference_build_basis,
     reference_farfield_sets,
     sphere_system,
+    weighted_strip,
 )
 
 import dirh2.compression
@@ -59,16 +60,10 @@ def farfield_oracle(tree, dirs, bt, side):
     return out
 
 
-def weighted_strip(dense, tree, state, key):
-    """Explicit weighted farfield strip of one (cluster, direction) pair."""
-    cid, _ = key
-    cols = state.cols[key]
-    strip = dense[np.ix_(tree[cid].index_set, cols)].astype(complex)
-    w = np.ones(cols.size)
-    for s, bid in state.groups[key]:
-        pos = np.searchsorted(cols, tree[s].index_set)
-        w[pos] = 1.0 / state.block_weights[bid]
-    return strip * w[None, :]
+def ordered_accessor(mat, fortran):
+    """``dense_accessor`` whose reads are in Fortran or in C order."""
+    order = np.asfortranarray if fortran else np.ascontiguousarray
+    return lambda rows, cols: order(mat[np.ix_(rows, cols)])
 
 
 def assert_same_bits(got: dict, want: dict) -> None:
@@ -80,11 +75,19 @@ def assert_same_bits(got: dict, want: dict) -> None:
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64)), key
 
 
-def check_projection_bound(dense, tree, dirs, basis, state, key):
+def row_pass(dense, tree, dirs, bt, cfg):
+    """The row basis and state of ``dense``, weighted by its block norms,
+    with the row side's farfield sets and those weights."""
+    weights = compute_block_weights(dense_accessor(dense), tree, bt)
+    basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, weights, side="row")
+    return basis, state, farfield_sets(tree, dirs, bt, "row"), weights
+
+
+def check_projection_bound(dense, tree, dirs, basis, state, farfield, weights, key):
     """Projection error of one pair against its realized subtree budget,
     with roundoff slack proportional to the strip size."""
     cid, c = key
-    strip = weighted_strip(dense, tree, state, key)
+    strip = weighted_strip(dense, tree, farfield, weights, key)
     q = expand_factor(basis, tree, dirs, cid, c)
     err = np.linalg.norm(strip - q @ (q.conj().T @ strip), 2)
     bound = np.sqrt(subtree_tolerance_sq(state, tree, dirs, cid, c))
@@ -123,6 +126,13 @@ def directional512():
     )
     assert nonzero == len(bt.admissible_leaves) > 0
     return mesh, dense, tree, dirs, bt
+
+
+@pytest.fixture(scope="module")
+def dlp_sphere512():
+    """M/2 + DLP on the sphere, kappa = 4, eta1 = 2: the directional regime."""
+    mesh, tree, dirs, bt = sphere_system(3, 4.0, eta1=2.0)
+    return assemble_dense_matrix(mesh, KernelSpec("dlp", 4.0)), tree, dirs, bt
 
 
 @pytest.fixture(scope="module")
@@ -206,30 +216,24 @@ class TestTwoParts:
             started.clear()
             got[count] = compute_block_weights(dense_accessor(dense), tree, bt)
             assert bool(started) == (count == 2 and bt.admissible_leaves.size > 1)
-        assert list(got[1]) == list(got[2])
-        assert equal_bits(np.array(list(got[2].values())), np.array(list(got[1].values())))
+        assert equal_bits(got[2], got[1])
 
     @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
     @pytest.mark.parametrize("side, with_col_basis", [("col", False), ("row", False), ("row", True)])
-    @pytest.mark.parametrize("keep_reduced", [True, False])
-    def test_basis_same_bits(self, system, side, with_col_basis, keep_reduced, cpus, request):
+    @pytest.mark.parametrize("fortran", [True, False])
+    def test_basis_same_bits(self, system, side, with_col_basis, fortran, cpus, request):
+        # reads in either memory order: a leaf scales its strips from one read
         dense, tree, dirs, bt = request.getfixturevalue(system)
         cfg = CompressionConfig(eps=1e-4)
         weights = compute_block_weights(dense_accessor(dense), tree, bt)
-        access = dense_accessor(dense if side == "row" else dense.conj().T)
+        access = ordered_accessor(dense if side == "row" else dense.conj().T, fortran)
         runs = []
         for count in (1, 2):
             cpus(count)
             col_basis = None
             if with_col_basis:
-                col_basis, _ = build_basis(
-                    dense_accessor(dense.conj().T), tree, dirs, bt, cfg, side="col", block_weights=weights
-                )
-            runs.append(
-                build_basis(
-                    access, tree, dirs, bt, cfg, side, weights, keep_reduced=keep_reduced, col_basis=col_basis
-                )
-            )
+                col_basis, _ = build_basis(dense_accessor(dense.conj().T), tree, dirs, bt, cfg, weights, side="col")
+            runs.append(build_basis(access, tree, dirs, bt, cfg, weights, side, col_basis=col_basis))
         (basis, state), (want, want_state) = runs[1], runs[0]
         assert_same_fields(basis, want)
         assert_same_fields(state, want_state)
@@ -405,23 +409,25 @@ class TestFarfieldSets:
 class TestBuildBasis:
     @pytest.mark.parametrize("system", ["sphere512", "directional512", "cube_and_points"])
     @pytest.mark.parametrize("side", ["row", "col"])
-    @pytest.mark.parametrize("keep_reduced", [True, False])
-    def test_same_bits_as_the_per_pair_reference(self, system, side, keep_reduced, request):
+    @pytest.mark.parametrize("fortran", [True, False])
+    def test_same_bits_as_the_per_pair_reference(self, system, side, fortran, request):
         # ranks, bases, transfers, couplings and the two error dicts, byte
-        # for byte; the row pass forms couplings against one column basis
+        # for byte, with the pass's reads in either memory order; the row
+        # pass forms couplings against one column basis
         *_, dense, tree, dirs, bt = request.getfixturevalue(system)
         dense = dense.astype(complex)
         cfg = CompressionConfig(eps=1e-4)
         weights = compute_block_weights(dense_accessor(dense), tree, bt)
-        access = dense_accessor(dense if side == "row" else dense.conj().T)
+        mat = dense if side == "row" else dense.conj().T
         col_basis = None
         if side == "row":
-            col_basis, _ = build_basis(
-                dense_accessor(dense.conj().T), tree, dirs, bt, cfg, side="col", block_weights=weights
-            )
+            col_basis, _ = build_basis(dense_accessor(dense.conj().T), tree, dirs, bt, cfg, weights, side="col")
         runs = [
-            fn(access, tree, dirs, bt, cfg, side=side, block_weights=weights, keep_reduced=keep_reduced, col_basis=col_basis)
-            for fn in (build_basis, reference_build_basis)
+            fn(access, tree, dirs, bt, cfg, weights, side=side, col_basis=col_basis)
+            for fn, access in (
+                (build_basis, ordered_accessor(mat, fortran)),
+                (reference_build_basis, dense_accessor(mat)),
+            )
         ]
         (basis, state), (want, want_state) = runs
         assert basis.rank == want.rank and basis.rank
@@ -432,19 +438,23 @@ class TestBuildBasis:
         for name in ("realized_eps", "target_eps"):
             got, ref = getattr(state, name), getattr(want_state, name)
             assert_same_bits({k: np.float64(v) for k, v in got.items()}, {k: np.float64(v) for k, v in ref.items()})
-        assert_same_bits(state.q, want_state.q)
-        assert_same_bits(state.r, want_state.r)
 
     def test_orthogonality_and_shapes(self, line256):
+        # each pair's factor as the pass formed it: its leaf matrix, or its
+        # sons' transfers stacked in son order, with a row per son rank
         dense, tree, dirs, bt = line256
-        cfg = CompressionConfig(eps=1e-6)
-        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
-        assert state.q
-        for key, q in state.q.items():
-            k = basis.rank[key]
-            assert q.shape[1] == k
+        basis, *_ = row_pass(dense, tree, dirs, bt, CompressionConfig(eps=1e-6))
+        assert basis.rank
+        for (cid, c), k in basis.rank.items():
+            sons = tree.sons_of(cid)
+            if sons:
+                q = np.vstack([basis.transfer[(son, c)] for son in sons])
+                c2 = dirs.son_index(tree.level[cid], c)
+                assert q.shape == (sum(basis.rank[(son, c2)] for son in sons), k)
+            else:
+                q = basis.leaf[(cid, c)]
+                assert q.shape == (tree.index_set(cid).size, k)
             assert np.linalg.norm(q.conj().T @ q - np.eye(k)) < 1e-12
-            assert state.r[key].shape == (k, state.cols[key].size)
 
     def test_zero_matrix_compresses_to_nothing(self, line256):
         _, tree, dirs, bt = line256
@@ -459,25 +469,23 @@ class TestBuildBasis:
         # projection error of every pair is covered by the realized
         # truncation errors accumulated over its subtree
         dense, tree, dirs, bt = line256
-        cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
-        for key in state.q:
-            check_projection_bound(dense, tree, dirs, basis, state, key)
+        basis, state, farfield, weights = row_pass(dense, tree, dirs, bt, CompressionConfig(eps=1e-4))
+        for key in basis.rank:
+            check_projection_bound(dense, tree, dirs, basis, state, farfield, weights, key)
 
     def test_pythagoras_three_term_split_two_sons(self, line256):
         # exact Frobenius energy identity on the stacked construction; the
         # line tree makes every non-leaf cluster a two-son cluster
         dense, tree, dirs, bt = line256
-        cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
+        basis, _, farfield, weights = row_pass(dense, tree, dirs, bt, CompressionConfig(eps=1e-4))
         checked = 0
-        for key in state.q:
+        for key in basis.rank:
             cid, c = key
             cluster = tree[cid]
             if cluster.is_leaf:
                 continue
             assert len(cluster.sons) == 2
-            strip = weighted_strip(dense, tree, state, key)
+            strip = weighted_strip(dense, tree, farfield, weights, key)
             q = expand_factor(basis, tree, dirs, cid, c)
             lhs = np.linalg.norm(strip - q @ (q.conj().T @ strip), "fro") ** 2
             c2 = dirs.son_index(cluster.level, c)
@@ -490,7 +498,7 @@ class TestBuildBasis:
                 terms.append(np.linalg.norm(sub - qs @ (qs.conj().T @ sub), "fro") ** 2)
                 hat_rows.append(qs.conj().T @ sub)
             ghat = np.vstack(hat_rows)
-            qhat = state.q[key]
+            qhat = np.vstack([basis.transfer[(son, c)] for son in cluster.sons])  # the pass's factor
             terms.append(np.linalg.norm(ghat - qhat @ (qhat.conj().T @ ghat), "fro") ** 2)
             rhs = sum(terms)
             # both sides at squared-roundoff scale count as an exact 0 == 0
@@ -501,41 +509,33 @@ class TestBuildBasis:
 
     @pytest.mark.parametrize("system", ["sphere512", "directional512"])
     @pytest.mark.parametrize("side", ["row", "col"])
-    def test_reduced_rows_dropped_without_keep_reduced(self, system, side, request):
-        *_, dense, tree, dirs, bt = request.getfixturevalue(system)
-        access = dense_accessor(dense if side == "row" else dense.conj().T)
-        basis, state = build_basis(
-            access, tree, dirs, bt, CompressionConfig(eps=1e-4), side=side, keep_reduced=False
-        )
-        assert basis.rank
-        assert state.r == {}
-        assert state.cols == {}
-
-    @pytest.mark.parametrize("system", ["sphere512", "directional512"])
-    @pytest.mark.parametrize("side", ["row", "col"])
     def test_strip_reduction_matches_full_svd(self, system, side, request):
         # every pair truncates its strip g through g's triangular factor;
-        # a full SVD of g itself must give the same ranks and errors
+        # a full SVD of g itself must give the same ranks and errors.  A
+        # non-leaf's g is its weighted strip with each son's rows reduced
+        # by the son's expanded basis.
         *_, dense, tree, dirs, bt = request.getfixturevalue(system)
         mat = dense if side == "row" else dense.conj().T
         cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_basis(dense_accessor(mat), tree, dirs, bt, cfg, side=side)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
+        basis, state = build_basis(dense_accessor(mat), tree, dirs, bt, cfg, weights, side=side)
+        farfield = farfield_sets(tree, dirs, bt, side)
         max_sons = int(np.diff(tree.son_ptr).max())
         eps_base = cfg.eps * np.sqrt((1.0 - max_sons * cfg.zeta**2) / 2.0)
         owner = lambda bid: bt[bid].t if side == "row" else bt[bid].s
         for key, k in basis.rank.items():
             cid, c = key
             cluster = tree[cid]
-            if cluster.is_leaf:
-                g = weighted_strip(mat, tree, state, key)
-            else:
+            g = weighted_strip(mat, tree, farfield, weights, key)
+            if not cluster.is_leaf:
                 c2 = dirs.son_index(cluster.level, c)
                 g = np.vstack([
-                    state.r[(son, c2)][:, np.searchsorted(state.cols[(son, c2)], state.cols[key])]
+                    expand_factor(basis, tree, dirs, son, c2).conj().T
+                    @ g[np.searchsorted(cluster.index_set, tree[son].index_set)]
                     for son in cluster.sons
                 ])
             _, sigma, _ = np.linalg.svd(g, full_matrices=False)
-            shallowest = min(tree[owner(bid)].level for _, bid in state.groups[key])
+            shallowest = min(tree[owner(bid)].level for _, bid in farfield[0][key])
             target = eps_base * cfg.zeta ** (cluster.level - shallowest)
             tol = max(target, sigma[0] * max(g.shape) * np.finfo(float).eps)
             k_ref = truncation_rank(sigma, tol)
@@ -602,21 +602,21 @@ class TestBuildBasis:
         assert all(t > 0.0 for t in timings.values())
 
     def test_column_pass_weights_the_blocks_themselves(self):
-        # the column pass reads the adjoint; without given weights it must
-        # still weight each block by the norm of A[t, s], not of A[s, t]
-        # (the DLP matrix is not symmetric, so the two differ)
+        # the column pass reads the adjoint; compress must still weight each
+        # block by the norm of A[t, s], not of A[s, t] (the DLP matrix is not
+        # symmetric, so the two differ and give other column bases)
         mesh, tree, dirs, bt = sphere_system(3, 4.0)
         dense = assemble_dense_matrix(mesh, KernelSpec("dlp", 4.0))
         access = dense_accessor(dense.conj().T)
         cfg = CompressionConfig(eps=1e-4)
-        weights = compute_block_weights(dense_accessor(dense), tree, bt)
-        default, _ = build_basis(access, tree, dirs, bt, cfg, side="col")
-        given, _ = build_basis(access, tree, dirs, bt, cfg, side="col", block_weights=weights)
-        assert default.rank == given.rank
-        for part in ("leaf", "transfer"):
-            mine, theirs = getattr(default, part), getattr(given, part)
-            assert mine.keys() == theirs.keys()
-            assert all(np.array_equal(mine[key], theirs[key]) for key in theirs), part
+        a = compress(dense_accessor(dense), tree, dirs, bt, cfg)
+        bases = {
+            matrix: build_basis(access, tree, dirs, bt, cfg, compute_block_weights(m, tree, bt), side="col")[0]
+            for matrix, m in (("A", dense_accessor(dense)), ("A^H", access))
+        }
+        assert_same_fields(a.col_basis, bases["A"])
+        mine, theirs = a.col_basis, bases["A^H"]
+        assert mine.rank != theirs.rank or not all(equal_bits(mine.leaf[k], theirs.leaf[k]) for k in theirs.leaf)
 
     def test_config_validation(self, line256):
         dense, tree, dirs, bt = line256
@@ -629,6 +629,39 @@ class TestBuildBasis:
         for eps, zeta in [(np.nan, 0.3), (np.inf, 0.3), (1e-4, np.nan), (1e-4, np.inf)]:
             with pytest.raises(ValueError, match="finite"):
                 compress(access, tree, dirs, bt, CompressionConfig(eps=eps, zeta=zeta))
+
+
+class TestNestedAgainstBestApproximation:
+    """The nested bases against the best approximation at their ranks, the
+    inequality of the ``compression`` module docstring; a guard, not one of
+    the acceptance criteria."""
+
+    @pytest.mark.parametrize("system", ["sphere512", "dlp_sphere512", "ellipsoid512"])
+    def test_error_within_the_tails_below(self, system, request):
+        # ||g - Q Q^H g||_F^2 <= the sum of tau(t', c')^2 over the pair and
+        # every pair below it along the son maps, where tau is the Frobenius
+        # tail of a strip's singular values beyond its pair's rank
+        dense, tree, dirs, bt = request.getfixturevalue(system)
+        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
+        for basis, mat, side in ((a.row_basis, dense, "row"), (a.col_basis, dense.conj().T, "col")):
+            farfield, memo = farfield_sets(tree, dirs, bt, side), {}
+            strips, tail_sq = {}, {}
+            for key, k in basis.rank.items():
+                g = strips[key] = weighted_strip(mat, tree, farfield, weights, key)
+                tail_sq[key] = float(np.sum(np.linalg.svd(g, compute_uv=False)[k:] ** 2))
+
+            def below(cid, c):
+                total = tail_sq[(cid, c)]
+                for son in tree.sons_of(cid):
+                    total += below(son, dirs.son_index(tree.level[cid], c))
+                return total
+
+            for key, g in strips.items():
+                q = expand_factor(basis, tree, dirs, *key, memo)
+                err = np.linalg.norm(g - q @ (q.conj().T @ g), "fro")
+                bound = np.sqrt(below(*key))
+                assert err <= bound * (1 + 1e-9) + 1e-13 * max(1.0, np.linalg.norm(g, 2)), (side, key, err, bound)
 
 
 class TestCompress:
@@ -742,7 +775,8 @@ class TestCompress:
         for system in ("line256", "sphere512"):
             dense, tree, _, bt = request.getfixturevalue(system)
             weights = compute_block_weights(dense_accessor(dense), tree, bt)
-            assert set(weights) == set(bt.admissible_leaves)
+            assert weights.shape == (len(bt),) and weights.dtype == np.float64
+            assert (np.delete(weights, bt.admissible_leaves) == 1.0).all()
             for bid in bt.admissible_leaves:
                 b = bt[bid]
                 blk = dense[np.ix_(tree[b.t].index_set, tree[b.s].index_set)]
@@ -857,11 +891,10 @@ class TestDirectionalRegime:
 
     def test_error_bound_sampled_with_direction_chains(self, directional512):
         _, dense, tree, dirs, bt = directional512
-        cfg = CompressionConfig(eps=1e-4)
-        basis, state = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, side="row")
-        keys = sorted(state.q)[:: max(1, len(state.q) // 150)]
+        basis, state, farfield, weights = row_pass(dense, tree, dirs, bt, CompressionConfig(eps=1e-4))
+        keys = sorted(basis.rank)[:: max(1, len(basis.rank) // 150)]
         for key in keys:
-            check_projection_bound(dense, tree, dirs, basis, state, key)
+            check_projection_bound(dense, tree, dirs, basis, state, farfield, weights, key)
 
 
 class TestAca:

@@ -17,6 +17,7 @@ from conftest import (
     equal_bits,
     exit_code_in_child,
     reference_cluster_tree,
+    sphere_system,
 )
 
 from dirh2.assembly import assemble_dh2_by_interpolation
@@ -471,6 +472,32 @@ class TestStackedStorage:
         # the original container is left as it was
         ref = expand_dense(a) @ x
         assert np.linalg.norm(a.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_replace_stacks_only_the_changed_group(self):
+        # the n = 512 single layer matrix: a replaced coupling gets its shape
+        # group a fresh stack, and every other stack stays the original's
+        mesh, tree, dirs, bt = sphere_system(3, 4.0)
+        dense = assemble_dense_matrix(mesh, KernelSpec("slp", 4.0))
+        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        bid = max(a.coupling, key=lambda b: a.coupling[b].size)
+        b = dataclasses.replace(a, coupling={**a.coupling, bid: 2 * a.coupling[bid]})
+        assert b.nearfield is a.nearfield and b.row_basis is a.row_basis and b.col_basis is a.col_basis
+        shared = [(b._nearfield, a._nearfield)]
+        for mine, theirs in ((b._row, a._row), (b._col, a._col)):
+            shared += [(mine.leaf, theirs.leaf), *zip(mine.transfer, theirs.transfer)]
+        for mine, theirs in shared:
+            assert len(mine.stacks) == len(theirs.stacks)
+            assert all(x is y for x, y in zip(mine.stacks, theirs.stacks))
+        assert len(b._coupling.stacks) == len(a._coupling.stacks) > 1
+        fresh = [x for x, y in zip(b._coupling.stacks, a._coupling.stacks) if x is not y]
+        assert len(fresh) == 1 and b.coupling[bid].base is fresh[0]
+        assert fresh[0].shape[1:] == a.coupling[bid].shape
+        # so a write into a shared stack changes both containers
+        x = rand_vec(np.random.default_rng(3), a.n)
+        y = a.matvec(x)
+        key = next(iter(b.nearfield))
+        b.nearfield[key][0, 0] += 1.0
+        assert not np.array_equal(a.matvec(x), y)
 
     def test_payload_cannot_be_reassigned(self, assembled):
         zero = {k: np.zeros_like(v) for k, v in assembled.coupling.items()}
