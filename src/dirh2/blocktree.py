@@ -11,15 +11,17 @@ an inadmissible leaf when either cluster cannot be subdivided further, and
 is split into all son pairs otherwise.  B_t is the cluster's support box,
 the smallest box holding its points.
 Admissible leaves carry the index of the level direction closest to the
-line between the box centers, an exact tie going to the lexicographically
-smallest direction (``directions.nearest_direction_index``).
+unit vector from the center of B_s to that of B_t, an exact tie going to
+the lexicographically smallest direction.
 
 ``build_block_tree`` decides all pairs of one level at once: the box
 functions and ``is_admissible`` take arrays of boxes as well as single
 boxes, with one rule for both, and the directions of a level's admissible
-blocks come from one ``nearest_direction_index`` call.  Distances and
-diameters are the norms of ``directions.vector_norms``, which are those
-of ``np.linalg.norm`` on each single vector.
+blocks come from one ``directions.nearest_direction_index`` call, which
+compares at most 27 grid cells per block (the whole level when it holds
+at most 54 directions).  Distances and diameters are the norms of
+``directions.vector_norms``, which are those of ``np.linalg.norm`` on each
+single vector.
 
 A ``BlockTree`` holds per-block arrays (clusters t and s, status code,
 direction index or -1, level) and the ascending ids of the admissible and

@@ -66,7 +66,7 @@ import numpy as np
 
 from .blocktree import STATUSES, SUBDIVIDED, BlockTree
 from .clustering import ClusterTree
-from .directions import DirectionHierarchy
+from .directions import DirectionHierarchy, grid_size, nearest_direction_index
 from .linalg import two_parts
 
 __all__ = [
@@ -613,7 +613,9 @@ def _check_trees(tree: ClusterTree, bt: BlockTree) -> None:
 
 def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
     """Raise a one-line ValueError unless the tree's depth fits the
-    direction levels and son maps, the leaf clusters partition 0..n-1, the
+    direction levels and son maps, each level is a cube-face grid or the
+    zero set (``grid_size``), each son map is the one that
+    ``nearest_direction_index`` gives, the leaf clusters partition 0..n-1, the
     trees pass ``_check_trees`` (so the leaf blocks tile n x n), and the
     payload holds a matrix for every admissible block, inadmissible
     block, leaf pair and transfer, each of the shape that the ranks and
@@ -623,9 +625,14 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
         raise ValueError(
             f"the tree has depth {depth} but {len(dirs.levels)} direction levels and {len(dirs.son_maps)} son maps"
         )
+    for level, directions in enumerate(dirs.levels):
+        if grid_size(directions) is None:
+            raise ValueError(f"direction level {level} is neither a cube-face grid nor the zero set")
     for level, son_map in enumerate(dirs.son_maps):
         if son_map.shape != (dirs.count(level),) or ((son_map < 0) | (son_map >= dirs.count(level + 1))).any():
             raise ValueError(f"the son map of direction level {level} does not map into level {level + 1}")
+        if not np.array_equal(son_map, nearest_direction_index(dirs.levels[level + 1], dirs.levels[level])):
+            raise ValueError(f"the son map of direction level {level} is not the nearest-direction map")
     size, level = np.diff(tree.set_ptr).tolist(), tree.level.tolist()
     leaves = np.repeat(tree.son_ptr[:-1] == tree.son_ptr[1:], size)  # the entries of the leaves' index sets
     if not np.array_equal(np.sort(tree.sets[leaves]), np.arange(size[tree.root])):
@@ -662,9 +669,12 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
     its sections lacks a field or has an unknown one, a section's lists
     differ in length, the son lists do not form a tree numbered as
     ``ClusterTree.from_sons`` requires, the blocks are not the depth-first
-    expansion of the root pair (``_check_trees``), or the direction levels,
-    leaf index sets, block clusters and statuses, stack table, payload
-    length, shapes or block payloads do not fit."""
+    expansion of the root pair (``_check_trees``), a direction level is not
+    ``cube_surface_directions(m)`` for its count 6m² (equal as floats) nor the
+    zero set, a son map is not the one that ``nearest_direction_index``
+    gives, or the direction levels, leaf index sets, block clusters and
+    statuses, stack table, payload length, shapes or block payloads do not
+    fit."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if not isinstance(manifest, dict):

@@ -6,13 +6,16 @@ support-box diameter on the level.  Coarse levels (large boxes) get many
 directions, deep levels degenerate to the single zero direction, which
 recovers the standard non-directional structure.
 
-Each direction of level l maps to its nearest direction of level l + 1
-(its son).  Nearest means the smallest Euclidean distance to z/||z||, and
-an exact tie goes to the lexicographically smallest direction; ties are
-common, because the grids are symmetric.  ``nearest_direction_index``
-takes all vectors of a level at once, a son map or the admissible blocks
-of one block-tree level, and gives each the index a search of that one
-vector gives.
+Each direction of level l maps to its nearest direction of level l + 1 (its
+son): the smallest Euclidean distance to z/||z||, an exact tie (common on
+the symmetric grids) going to the lexicographically smallest direction.
+``nearest_direction_index`` compares only, for each axis a, the 3 x 3 cells
+around z_free / |z_a| (clipped to the face, the cells moved inward at its
+edge) on the face of the sign of z_a, or the whole level when m <= 3.  That
+these hold every nearest direction is not proved, though it holds locally
+(a direction outside them is 1.5 cells or more from that point, the cell's
+own at most 0.71, at a projection scale anisotropic by at most sqrt(3));
+the tests compare the search with a scan on every son map to n = 32768.
 """
 
 from __future__ import annotations
@@ -26,11 +29,13 @@ __all__ = [
     "build_directions",
     "cube_surface_directions",
     "project_to_sphere",
+    "grid_size",
     "nearest_direction_index",
     "vector_norms",
 ]
 
-NEAREST_CHUNK = 1 << 18  # distances per array in nearest_direction_index
+NEAREST_CHUNK = 1 << 15  # distances per array in nearest_direction_index
+_FREE = np.array([[1, 2], [0, 2], [0, 1]])  # the free axes of the faces of each axis, in increasing order
 
 
 @dataclass
@@ -73,20 +78,10 @@ def cube_surface_directions(m: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
     ticks = -1.0 + (2.0 * np.arange(m) + 1.0) / m
-    faces = []
-    # faces: x=+1, x=-1, y=+1, y=-1, z=+1, z=-1; free axes in increasing order
-    for axis, sign in ((0, 1.0), (0, -1.0), (1, 1.0), (1, -1.0), (2, 1.0), (2, -1.0)):
-        free = [a for a in range(3) if a != axis]
-        p = np.empty((m * m, 3))
-        p[:, axis] = sign
-        p[:, free[0]] = np.repeat(ticks, m)
-        p[:, free[1]] = np.tile(ticks, m)
-        faces.append(p)
-    return project_to_sphere(np.concatenate(faces))
-
-
-def _zero_set() -> np.ndarray:
-    return np.zeros((1, 3))
+    p = np.empty((3, 2, m, m, 3))  # faces x=+1, x=-1, y=+1, y=-1, z=+1, z=-1, then rows, columns
+    for axis, (row, col) in enumerate(_FREE):
+        p[axis, ..., axis], p[axis, ..., row], p[axis, ..., col] = [[[1.0]], [[-1.0]]], ticks[:, None], ticks
+    return project_to_sphere(p.reshape(-1, 3))
 
 
 def build_directions(level_diameters, kappa: float, eta1: float) -> DirectionHierarchy:
@@ -105,32 +100,41 @@ def build_directions(level_diameters, kappa: float, eta1: float) -> DirectionHie
     if not np.isfinite(deltas).all() or (deltas < 0.0).any():
         raise ValueError("level diameters must be finite and >= 0")
 
-    levels = []
-    for delta in deltas:
-        if kappa * delta == 0.0 or 2.0 * eta1 / (kappa * delta) >= 2.0 * np.sqrt(2.0):
-            levels.append(_zero_set())
-        else:
-            m = int(np.ceil(np.sqrt(2.0) * kappa * delta / eta1))
-            levels.append(cube_surface_directions(m))
-
+    levels = [
+        np.zeros((1, 3))
+        if kappa * delta == 0.0 or 2.0 * eta1 / (kappa * delta) >= 2.0 * np.sqrt(2.0)
+        else cube_surface_directions(int(np.ceil(np.sqrt(2.0) * kappa * delta / eta1)))
+        for delta in deltas
+    ]
     son_maps = [nearest_direction_index(levels[l + 1], levels[l]) for l in range(len(levels) - 1)]
     return DirectionHierarchy(levels=levels, son_maps=son_maps)
 
 
-def nearest_direction_index(dirs: np.ndarray, z):
-    """Index of the direction closest to z/||z||, for one vector z (an int)
-    or for each row of a (k, 3) array (an int64 array).
+def grid_size(dirs) -> int | None:
+    """m if dirs equals ``cube_surface_directions(m)`` as floats, 0 if it is the zero set, else None."""
+    dirs, m = np.asarray(dirs, dtype=float), int(np.sqrt(np.size(dirs) / 18))
+    if dirs.shape == (1, 3) and not dirs.any():
+        return 0
+    return m if m and np.array_equal(dirs, cube_surface_directions(m)) else None
 
-    ||z|| is taken by ``vector_norms``, and the distances are those of
-    ``np.linalg.norm(dirs - z / ||z||, axis=1)``: sqrt((dx*dx + dy*dy) +
-    dz*dz).  Ties break to the lexicographically smallest direction, and
-    among equal directions to the first.  Rows are taken in chunks of
-    ``NEAREST_CHUNK`` distances, so no temporary grows with len(z) *
-    len(dirs).
-    """
-    dirs = np.asarray(dirs, dtype=float)
-    if dirs.size == 0:
-        raise ValueError("empty direction set")
+
+def _grid_cells(u: np.ndarray, m: int) -> np.ndarray:
+    """(27, k) indices into ``cube_surface_directions(m)``: the candidates of the (3, k) unit columns u."""
+    a = np.abs(u)[:, None]
+    x = np.clip(u[_FREE], -a, a) / np.where(a > 0.0, a, 1.0)
+    i = np.clip(np.floor((x + 1.0) * (m / 2)), 1, m - 2).astype(np.int64)[:, :, None] + np.array([-1, 0, 1])[:, None]
+    face = (2 * np.arange(3)[:, None] + (u < 0.0)) * m * m
+    return (face[:, None, None] + i[:, 0, :, None] * m + i[:, 1, None, :]).reshape(27, -1)
+
+
+def nearest_direction_index(dirs: np.ndarray, z):
+    """Index of the direction of dirs, a cube grid or the zero set, closest to
+    z/||z|| (||z|| by ``vector_norms``, the distances those of
+    ``np.linalg.norm(dirs - z / ||z||, axis=1)``), for one vector z (an int)
+    or each row of a (k, 3) array (int64), in chunks of ``NEAREST_CHUNK``."""
+    m = grid_size(dirs)
+    if m is None:
+        raise ValueError(f"the {len(dirs)} directions are neither a cube-face grid nor the zero set")
     z = np.asarray(z, dtype=float)
     if z.ndim not in (1, 2) or z.shape[-1] != 3:
         raise ValueError("z must be a 3-vector or a (k, 3) array")
@@ -138,21 +142,17 @@ def nearest_direction_index(dirs: np.ndarray, z):
         raise ValueError("a non-finite vector has no direction")
     rows = z.reshape(-1, 3)
     index = np.zeros(len(rows), dtype=np.int64)
-    if not (dirs.shape[0] == 1 and not dirs[0].any()):
+    if m:
         nz = vector_norms(rows)
         if (nz == 0.0).any():
             raise ValueError("zero vector has no direction")
-        unit = rows / nz[:, None]
-        lex = np.lexsort((dirs[:, 2], dirs[:, 1], dirs[:, 0]))
-        rank = np.empty(len(dirs), dtype=np.int64)
-        rank[lex] = np.arange(len(dirs))
-        step = max(1, NEAREST_CHUNK // len(dirs))
+        unit, cols = (rows / nz[:, None]).T.copy(), np.asarray(dirs, dtype=float).T.copy()
+        lex = np.lexsort(cols[::-1])
+        rank = np.argsort(lex)
+        step = max(1, NEAREST_CHUNK // (len(lex) if m <= 3 else 27))
         for start in range(0, len(rows), step):
-            u = unit[start : start + step]
-            dist = np.square(dirs[:, 0] - u[:, 0, None])
-            dist += np.square(dirs[:, 1] - u[:, 1, None])
-            dist += np.square(dirs[:, 2] - u[:, 2, None])
-            np.sqrt(dist, out=dist)
-            tied = dist == dist.min(axis=1, keepdims=True)
-            index[start : start + step] = np.where(tied, rank, len(dirs)).argmin(axis=1)
+            u = unit[:, start : start + step]
+            c = np.arange(len(lex))[:, None] if m <= 3 else _grid_cells(u, m)
+            dist = np.sqrt(sum(np.square(cols[a][c] - u[a]) for a in range(3)))
+            index[start : start + step] = lex[np.where(dist == dist.min(axis=0), rank[c], len(lex)).min(axis=0)]
     return int(index[0]) if z.ndim == 1 else index

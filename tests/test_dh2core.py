@@ -3,6 +3,7 @@ import gc
 import json
 import os
 import re
+import shutil
 import sys
 import threading
 import traceback
@@ -1008,6 +1009,46 @@ class TestContainerChecks:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error: payload.bin holds")
+
+
+class TestDirectionChecks:
+    """The direction levels and son maps of an eta1 = 2 container, the
+    n = 512 one of ``dirh2 compress --level 3 --kappa 4 --eta1 2 --save``,
+    whose levels hold 600, 150 and 24 directions."""
+
+    @pytest.fixture(scope="class")
+    def directional(self, tmp_path_factory):
+        from dirh2.cli import main
+
+        where = tmp_path_factory.mktemp("directional")
+        args = ["compress", "--level", "3", "--kappa", "4", "--eta1", "2"]
+        assert main(args + ["--out", str(where / "r.csv"), "--save", str(where / "c")]) == 0
+        return where / "c"
+
+    @pytest.fixture
+    def saved(self, directional, tmp_path):
+        shutil.copytree(directional, tmp_path / "c")
+        return tmp_path / "c"
+
+    def test_loads(self, saved):
+        levels = load_dh2(saved).directions.levels
+        assert [len(level) for level in levels] == [600, 150, 24]
+
+    def test_nudged_direction_rejected(self, saved):
+        def nudge(m):
+            direction = m["directions"]["levels"][0][7]
+            direction[1] = float(np.nextafter(direction[1], 2.0))
+
+        edit_manifest(saved, nudge)
+        assert_rejected(saved, "^direction level 0 is neither a cube-face grid nor the zero set$")
+
+    def test_changed_son_map_entry_rejected(self, saved):
+        def change(m):
+            son_map = m["directions"]["son_maps"][0]
+            son_map[3] = (son_map[3] + 1) % len(m["directions"]["levels"][1])
+
+        edit_manifest(saved, change)
+        assert_rejected(saved, "^the son map of direction level 0 is not the nearest-direction map$")
 
 
 def test_the_library_reads_no_records(monkeypatch, tmp_path):

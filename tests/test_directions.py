@@ -1,16 +1,31 @@
+import itertools
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import is_exact_tie, reference_nearest_direction_index, sphere_system
+from conftest import ellipsoid_mesh, is_exact_tie, reference_nearest_direction_index, sphere_system
 
 import dirh2.directions
+from dirh2.clustering import build_cluster_tree, level_diameter
 from dirh2.directions import (
     build_directions,
     cube_surface_directions,
+    grid_size,
     nearest_direction_index,
     project_to_sphere,
     vector_norms,
 )
+
+# the grid size m of each level of the eta1 = 2 sphere hierarchies (level
+# 3 to 6 of the mesh, kappa = 4, 8, 16 and 32), by number of triangles
+SPHERE_GRID_SIZES = {
+    512: [10, 5, 2],
+    2048: [20, 10, 5, 3, 2],
+    8192: [40, 20, 9, 7, 5, 4, 2],
+    32768: [79, 39, 18, 13, 8, 6, 4, 3, 2],
+}
+REFERENCE_DISTANCES = 3e7  # per son map; past it a seeded sample of rows is checked
 
 
 def random_unit(rng, count):
@@ -211,5 +226,124 @@ class TestNearestDirection:
             )
 
     def test_tie_breaks_lexicographically(self):
-        dirs = np.array([[1.0, 0, 0], [-1.0, 0, 0]])
-        assert nearest_direction_index(dirs, [0.0, 1.0, 0.0]) == 1  # (-1,0,0) smaller
+        # the face centers; each vector is as near to two of them
+        dirs = cube_surface_directions(1)
+        assert nearest_direction_index(dirs, [1.0, 1.0, 0.0]) == 2  # (0,1,0) before (1,0,0)
+        assert nearest_direction_index(dirs, [0.0, 1.0, 1.0]) == 4  # (0,0,1) before (0,1,0)
+        assert nearest_direction_index(dirs, [-1.0, 1.0, 0.0]) == 1  # (-1,0,0) before (0,1,0)
+        for z in ([1.0, 1.0, 0.0], [0.0, 1.0, 1.0], [-1.0, 1.0, 0.0]):
+            assert is_exact_tie(dirs, np.array(z))
+
+
+def grid_hierarchy(sizes):
+    """``build_directions`` on level diameters chosen so that level l is
+    the grid of size sizes[l]; no mesh is needed."""
+    hier = build_directions([(m - 0.5) * np.sqrt(2.0) for m in sizes], 1.0, 2.0)
+    assert [grid_size(level) for level in hier.levels] == sizes
+    return hier
+
+
+def son_map_ties(hier, rng) -> int:
+    """Assert that every son map equals the reference scan on its rows, or
+    on a seeded sample of them where the scan is slow; the exact ties met."""
+    ties = 0
+    for l, son_map in enumerate(hier.son_maps):
+        coarse, fine = hier.levels[l], hier.levels[l + 1]
+        rows = np.arange(len(coarse))
+        if len(coarse) * len(fine) > REFERENCE_DISTANCES:
+            rows = np.sort(rng.choice(rows, int(REFERENCE_DISTANCES // len(fine)), replace=False))
+        assert son_map[rows].tolist() == [reference_nearest_direction_index(fine, coarse[i]) for i in rows]
+        ties += sum(is_exact_tie(fine, coarse[i]) for i in rows)
+    return ties
+
+
+def nudged(dirs):
+    """dirs with one entry moved to the next float."""
+    dirs = dirs.copy()
+    dirs[5, 1] = np.nextafter(dirs[5, 1], 2.0)
+    return dirs
+
+
+class TestGridSearch:
+    """The grid search gives the index of a scan of the whole level."""
+
+    @pytest.mark.parametrize("n", sorted(SPHERE_GRID_SIZES))
+    def test_sphere_son_maps_equal_the_reference(self, n):
+        assert son_map_ties(grid_hierarchy(SPHERE_GRID_SIZES[n]), np.random.default_rng(n))
+
+    def test_ellipsoid_son_maps_equal_the_reference(self):
+        tree = build_cluster_tree(ellipsoid_mesh(4).midpoints, 16)
+        hier = build_directions([level_diameter(tree, l) for l in range(tree.depth + 1)], 8.0, 2.0)
+        assert hier.count(0) == 6 * 48**2
+        son_map_ties(hier, np.random.default_rng(4))
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 7, 10, 20, 40, 79])
+    def test_special_vectors_equal_the_reference(self, m):
+        dirs, finer = cube_surface_directions(m), cube_surface_directions(m + 1)
+        rng = np.random.default_rng(m)
+        count = 150 if m <= 20 else 40  # vectors of each kind
+        i, j = rng.integers(0, len(dirs), (2, count))
+        z = np.concatenate(
+            [
+                list(itertools.product((-1.0, -0.0, 0.0, 1.0), repeat=3)),  # axes, edges, corners, signed zeros
+                dirs[i] + dirs[j],  # halfway between two directions
+                dirs[i] * [1.0, 1.0, 0.0],  # the symmetry planes z = 0, x = y and x = -y
+                dirs[i][:, [0, 0, 2]],
+                dirs[i][:, [0, 0, 2]] * [1.0, -1.0, 1.0],
+                dirs[rng.integers(0, len(dirs), count)],
+                finer[rng.integers(0, len(finer), count)],
+                rng.standard_normal((count, 3)),
+            ]
+        )
+        z = z[vector_norms(z) > 0.0]
+        want = [reference_nearest_direction_index(dirs, v) for v in z]
+        assert sum(is_exact_tie(dirs, v) for v in z) > 10
+        assert nearest_direction_index(dirs, z).tolist() == want
+        assert [nearest_direction_index(dirs, v) for v in z[::7]] == want[::7]
+
+    def test_random_vectors_equal_the_reference(self):
+        rng = np.random.default_rng(9)
+        for m in (4, 5, 7, 10, 20, 40, 79):
+            dirs = cube_surface_directions(m)
+            z = rng.standard_normal((int(REFERENCE_DISTANCES // 30 // len(dirs)), 3))
+            assert nearest_direction_index(dirs, z).tolist() == [reference_nearest_direction_index(dirs, v) for v in z]
+
+    def test_no_warning_on_tiny_and_signed_zero_components(self):
+        dirs = cube_surface_directions(7)
+        z = np.array(
+            [
+                [1.0, 5e-324, -0.0],
+                [-0.0, -0.0, 2.0],
+                [1e-300, 1.0, -1e-300],
+                [1e150, -1e-150, 0.0],
+                [-5e-324, -1.0, 1.0],
+                [1.0, 1.0 + 2e-16, -1.0],
+            ]
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = nearest_direction_index(dirs, z)
+            singles = [nearest_direction_index(dirs, v) for v in z]
+        assert got.tolist() == singles == [reference_nearest_direction_index(dirs, v) for v in z]
+        assert nearest_direction_index(dirs, z[:1]).tolist() == singles[:1]
+
+    @pytest.mark.parametrize(
+        "dirs",
+        [
+            np.eye(3),
+            np.zeros((2, 3)),
+            np.empty((0, 3)),
+            cube_surface_directions(4)[:-1],
+            cube_surface_directions(4)[::-1],
+            nudged(cube_surface_directions(4)),
+        ],
+        ids=["axes", "two-zeros", "empty", "short", "reversed", "nudged"],
+    )
+    def test_other_sets_rejected(self, dirs):
+        assert grid_size(dirs) is None
+        with pytest.raises(ValueError, match=r"^the \d+ directions are neither a cube-face grid nor the zero set$"):
+            nearest_direction_index(dirs, [1.0, 0.0, 0.0])
+
+    def test_grid_sizes(self):
+        assert grid_size(np.zeros((1, 3))) == grid_size([[-0.0, 0.0, 0.0]]) == 0
+        assert [grid_size(cube_surface_directions(m)) for m in (1, 2, 3, 79)] == [1, 2, 3, 79]
