@@ -68,12 +68,15 @@ import numpy as np
 from .blocktree import BlockTree, _ranges
 from .clustering import ClusterTree
 from .dh2core import (
-    DH2Matrix,
     DirectionalClusterBasis,
+    StackBuffer,
     apply_groups,
+    empty_stacks,
     expand_factor,
+    join_buffers,
     run_offsets,
     stack_groups,
+    stacked_matrix,
 )
 from .directions import DirectionHierarchy
 # power_iteration_norm is not called here; it is imported for callers that
@@ -302,10 +305,15 @@ def build_basis(
     by index count (``linalg.cut_in_two``), each visited sons first in
     descending id order; ``access`` may then be called from two threads at
     once.  A cluster reads only its sons' reduced rows and ranks, which its
-    own part made.  The first part fills the returned dicts and the second
-    fresh ones, merged after it, so the dicts' order does not depend on
-    where the parts ran.  Both share one column memo, whose entries do not
-    depend on which part made them.
+    own part made.  Each part writes its leaf bases, transfers and couplings
+    into slots of its own buffers (``dh2core.StackBuffer``) as it forms
+    them; at the end of the pass ``dh2core.join_buffers`` lays them out as
+    one stack per shape (the transfers per son level and shape), slots in
+    ascending key order, which ``compress`` hands to the matrix as they are.
+    The first part fills the returned rank and error dicts and the second
+    fresh ones, merged after it.  So neither the stacks nor the dicts' order
+    depend on where the parts ran.  Both share one column memo, whose
+    entries do not depend on which part made them.
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
@@ -327,10 +335,11 @@ def build_basis(
     for lv in levels:
         state.target_eps.update(zip(zip(lv.cid.tolist(), lv.c.tolist()), tolerance[lv.below].tolist()))
 
-    def visit(cids: list, basis: DirectionalClusterBasis, state: CompressionState) -> None:
-        """Build the pairs of ``cids``, sons before parents, into ``basis``
-        and ``state``, holding each pair's reduced rows until its parent has
-        read them."""
+    def visit(cids: list, rank: dict, state: CompressionState, buffers: tuple) -> None:
+        """Build the pairs of ``cids``, sons before parents, into ``rank``,
+        ``state`` and the leaf, transfer and coupling ``buffers``, holding
+        each pair's reduced rows until its parent has read them."""
+        leaf, transfer, coupling = buffers
         reduced_rows: dict = {}
         for cid in cids:
             (l, p0, p1), sons = where[cid], tree.sons_of(cid)
@@ -399,19 +408,19 @@ def build_basis(
             read_by_parent = (lv.via[lv.item_ptr[p0 + 1 : p1 + 1] - 1] >= 0).tolist()  # an inherited block comes last
             for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
                 key = (cid, c)
-                state.realized_eps[key], basis.rank[key] = realized[i], k
-                q = u[i][:, :k].copy()  # a view would keep the whole stack alive
+                state.realized_eps[key], rank[key] = realized[i], k
+                q = u[i][:, :k].copy()  # contiguous, for the products below
                 r = q.conj().T @ g
                 reduced.append(r)
                 if read_by_parent[i]:
                     reduced_rows[key] = r
                 if not sons:
-                    basis.leaf[key] = q
+                    leaf.slot(key, q.shape)[...] = q
                 else:
                     off, c2 = 0, dirs.son_index(l, c)
                     for son in sons:
-                        ks = basis.rank[(son, c2)]
-                        basis.transfer[(son, c)] = q[off : off + ks]
+                        ks = rank[(son, c2)]
+                        transfer.slot((son, c), (ks, k), l + 1)[...] = q[off : off + ks]
                         off += ks
             if col_basis is not None:  # the cluster's own blocks lead each pair's items
                 own = i0 + np.nonzero(lv.via[i0:i1] < 0)[0]
@@ -419,7 +428,9 @@ def build_basis(
                 starts, ends = (lv.cols[own] - span[0]).tolist(), (lv.cols[own + 1] - span[0]).tolist()
                 for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
                     w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
-                    state.coupling[bid] = block_weights[bid] * (reduced[i][:, at[a:b] - bounds[i]] @ w)
+                    slot = coupling.slot(bid, (len(reduced[i]), w.shape[1]))
+                    np.matmul(reduced[i][:, at[a:b] - bounds[i]], w, out=slot)
+                    slot *= block_weights[bid]
             if sons:  # the sons' reduced rows have been read
                 for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
                     reduced_rows.pop(key)
@@ -432,15 +443,17 @@ def build_basis(
     for l in range(2, tree.depth + 1):
         head[tree.level == l] = head[tree.parent[tree.level == l]]
     head, order = head.tolist(), sorted(where, reverse=True)  # sons before parents
-    fresh = DirectionalClusterBasis(), CompressionState()
+    fresh = {}, CompressionState()
+    buffers = [(StackBuffer(), StackBuffer(), StackBuffer()) for _ in range(2)]  # per part
 
     def part(a: int, b: int) -> None:
-        visit([cid for cid in order if a <= head[cid] < b], *((basis, state) if a == 0 else fresh))
+        visit([cid for cid in order if a <= head[cid] < b], *((basis.rank, state) if a == 0 else fresh), buffers[a > 0])
 
     cut_in_two(part, np.diff(tree.set_ptr)[list(heads)])
-    for holder, half in zip((basis, state), fresh):
-        for name, entries in vars(half).items():
-            getattr(holder, name).update(entries)
+    basis.rank.update(fresh[0])
+    for name, entries in vars(fresh[1]).items():
+        getattr(state, name).update(entries)
+    basis.leaf, basis.transfer, state.coupling = (join_buffers(list(b)) for b in zip(*buffers))
     return basis, state
 
 
@@ -468,10 +481,12 @@ def compress(
     """Full compression: exact block norms as weights, the column basis from
     the adjoint, then the row basis from the matrix, whose pass forms the
     best-approximation coupling matrices from its reduced rows, and the
-    verbatim nearfield, read into a plain dict that ``DH2Matrix`` stacks.
-    Each admissible block is read three times and each nearfield block
-    once.  Both basis passes may call ``access`` from two threads at once,
-    so it must be thread-safe.
+    verbatim nearfield, read straight into one stack per shape
+    (``dh2core.empty_stacks``).  The passes hand over their matrices
+    stacked, so ``dh2core.stacked_matrix`` makes the matrix of the stacks as
+    they are and no stored matrix is copied.  Each admissible block is read
+    three times and each nearfield block once.  Both basis passes may call
+    ``access`` from two threads at once, so it must be thread-safe.
 
     The result does not depend on ``seed``, which is kept so that callers
     passing one keep working.  With ``return_state`` the row and the column
@@ -490,13 +505,15 @@ def compress(
     row_basis, row_state = build_basis(access, tree, dirs, bt, cfg, weights, side="row", col_basis=col_basis)
     coupling, row_state = row_state.coupling, row_state if return_state else None
     t2 = time.perf_counter()
-    near = bt.entries(bt.inadmissible_leaves)
-    nearfield = {bid: access(tree.index_set(t), tree.index_set(s)) for bid, t, s, _ in near}
+    near, size = list(bt.entries(bt.inadmissible_leaves)), np.diff(tree.set_ptr).tolist()
+    nearfield = empty_stacks({bid: (size[t], size[s]) for bid, t, s, _ in near})
+    for bid, t, s, _ in near:
+        nearfield[bid][...] = access(tree.index_set(t), tree.index_set(s))
     t3 = time.perf_counter()
     if timings is not None:
         timings.update(weights=t0 - start, row=t2 - t1, col=t1 - t0, projection=t3 - t2)
 
-    a = DH2Matrix(tree, dirs, bt, row_basis, col_basis, coupling, nearfield)
+    a = stacked_matrix(tree, dirs, bt, row_basis, col_basis, coupling, nearfield)
     if return_state:
         return a, row_state, col_state
     return a

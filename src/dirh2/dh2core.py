@@ -10,7 +10,12 @@ The matrix is stored as
 Each category is held in stacks: one (G, r, c) complex array per shape (per
 level and shape for the transfer matrices), slots in ascending key order.
 The container's dicts keep their keys and hold the views ``stack[g]``, so
-the payload is held once.
+the payload is held once.  A producer that makes its matrices one by one
+writes them into the slots of a ``StackBuffer`` as it makes them, and
+``join_buffers`` lays the buffers out as stacks; one that knows every shape
+beforehand writes into the slots of ``empty_stacks``.  Stacks and buffers
+of ``OWN_PAGES_MIN`` bytes or more are on memory pages of their own, which
+go back to the system when they are freed (``_own_pages``).
 
 A matvec runs in phases: a bottom-up forward transformation of the input
 through the column basis (the leaf matrices, then the transfer matrices
@@ -29,12 +34,17 @@ one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run that call on
 a fast loop; older numpy gives the same result more slowly.
 
 A phase of at least ``TWO_PART_MIN_ENTRIES`` matrix entries gathers and
-multiplies in two parts of about equal entry count (``linalg.two_parts``).
-The one ``np.add.at`` runs after both, so a matvec has the same bits in
-one part or two.
+multiplies in two parts of about equal entry count (``linalg.two_parts``)
+when ``linalg.two_at_once()``; on one CPU it runs in one part.  The one
+``np.add.at`` runs after both, so a matvec has the same bits in one part or
+two.
 
-The container is a frozen dataclass: construction stacks the payload, and
-its attributes cannot be reassigned afterwards.  A container with another
+The container is a frozen dataclass: construction groups the payload into
+stacks, uses matrices that are a stack's slots already in place and copies
+the others, and its attributes cannot be reassigned afterwards.
+``stacked_matrix`` makes a container of payload dicts that are laid out as
+stacks already (by ``compress`` and ``load_dh2``) without regrouping them.
+A container with another
 payload is made with ``dataclasses.replace``, which shares every unchanged
 stack (and every dict it is not given) with the original: only a shape
 group that holds a new matrix gets a fresh stack.  The dicts hold views of
@@ -50,16 +60,19 @@ in that order: ((out[e] + p1) + p2) + ...
 
 ``save_dh2`` writes the stacks as they are into a DH2v5 container, with
 both trees as the arrays they are held in, and ``load_dh2`` checks them and
-hands them to the loaded matrix in place.  The block tree is stored without
-son lists; the load walks it against its depth-first numbering.
+their table and hands them to the loaded matrix in place.  The block tree is
+stored without son lists; the load walks it against its depth-first
+numbering.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
+import math
+import mmap
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,11 +80,15 @@ import numpy as np
 from .blocktree import STATUSES, SUBDIVIDED, BlockTree
 from .clustering import ClusterTree
 from .directions import DirectionHierarchy, grid_size, nearest_direction_index
-from .linalg import two_parts
+from .linalg import two_at_once, two_parts
 
 __all__ = [
     "DirectionalClusterBasis",
     "DH2Matrix",
+    "stacked_matrix",
+    "StackBuffer",
+    "join_buffers",
+    "empty_stacks",
     "stack_groups",
     "apply_groups",
     "run_offsets",
@@ -85,6 +102,7 @@ __all__ = [
 
 
 DENSE_EXPANSION_CAP = 4096  # rows of the largest matrix expand_dense assembles
+OWN_PAGES_MIN = 1 << 17  # bytes; glibc's first mmap threshold
 # apply_groups runs a phase of fewer matrix entries in one part.  Handing
 # half a phase to the worker thread costs 25-30 us: a phase of 17-48 k
 # entries took 26-36 us in one part and 53-65 us in two, one of 213-330 k
@@ -126,14 +144,18 @@ def _index(where: list, width: int) -> np.ndarray:
     return np.array(where, dtype=np.intp)
 
 
-def _stacks(d: dict) -> list[tuple[list, np.ndarray]]:
-    """``d``'s matrices as (keys, stack) pairs, one stack per shape with
-    slots in ascending key order.  Matrices that are already the slots of
-    such a stack (as ``load_dh2`` and an earlier container lay them out) are
-    used in place; any other group is copied into a new stack and ``d`` is
-    rebound to its slots, so the payload is held once."""
+def _stacks(d: dict, level=None) -> list[tuple[list, np.ndarray]]:
+    """``d``'s matrices as (keys, stack) pairs, one stack per shape (per
+    ``level(key)`` and shape, when given) with slots in ascending key order.
+    Matrices that are already the slots of such a stack, as ``join_buffers``,
+    ``empty_stacks``, ``load_dh2`` and an earlier container lay them out,
+    are used in place.  Any other group, as from ``aca_compress``, the
+    interpolation assembly or a ``dataclasses.replace`` with new matrices,
+    is copied into a new stack and ``d`` is rebound to its slots, so the
+    payload is held once."""
+    shapes = {k: v.shape if level is None else (level(k), *v.shape) for k, v in d.items()}
     out = []
-    for keys in _group_keys({k: v.shape for k, v in d.items()}).values():
+    for keys in _group_keys(shapes).values():
         stack = _stack_of([d[k] for k in keys])
         if stack is None:
             stack = np.array([d[k] for k in keys], dtype=np.complex128)
@@ -142,14 +164,84 @@ def _stacks(d: dict) -> list[tuple[list, np.ndarray]]:
     return out
 
 
-def _levels(tree: ClusterTree, transfer: dict) -> list[dict]:
-    """The transfer matrices split by the level of their son cluster, the
-    parts that are stacked (and applied) one after another."""
-    by_level: list[dict] = [{} for _ in range(tree.depth + 1)]
-    level = tree.level.tolist()
-    for key, m in transfer.items():
-        by_level[level[key[0]]][key] = m
-    return by_level
+def _own_pages(shape: tuple, filled: bool) -> np.ndarray:
+    """An uninitialised complex array, on memory pages of its own from
+    ``OWN_PAGES_MIN`` bytes on, which go back to the system when the array
+    is freed.  glibc serves an array below its mmap threshold from the heap,
+    whose freed memory stays resident, and raises that threshold to the
+    largest array freed so far (up to 32 MiB): buffers and stacks made there
+    would leave the payload's size behind them.  An array that the caller
+    fills at once (``filled``) has its pages mapped in one call, which is
+    faster than a fault per page."""
+    size = 16 * math.prod(shape)
+    if size < OWN_PAGES_MIN or not hasattr(mmap, "MAP_PRIVATE"):  # small, or not a POSIX system
+        return np.empty(shape, dtype=np.complex128)
+    populate = mmap.MAP_POPULATE if filled and hasattr(mmap, "MAP_POPULATE") else 0
+    return np.ndarray(shape, dtype=np.complex128, buffer=mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | populate))
+
+
+def empty_stacks(shapes: dict) -> dict:
+    """A slot of a new (G, r, c) stack for every key of ``shapes`` (key ->
+    (r, c)), one stack per shape with slots in ascending key order (the
+    layout that ``stacked_matrix`` takes), for a producer that knows every
+    shape beforehand and writes each slot."""
+    out = {}
+    for shape, keys in _group_keys(shapes).items():
+        out.update(zip(keys, _own_pages((len(keys), *shape), filled=True)))
+    return out
+
+
+class StackBuffer:
+    """Slots that a producer writes its matrices into as it makes them, one
+    buffer per group and shape; ``join_buffers`` makes the stacks.  A
+    buffer is a list of chunks, each as long as all before it together (at
+    least ``FIRST_CAPACITY`` slots), so a full buffer grows without copying
+    and is at most half empty.  Not thread-safe: each thread writes a
+    buffer of its own."""
+
+    FIRST_CAPACITY = 8
+
+    def __init__(self):
+        self.groups: dict = {}  # (group, shape) -> [chunks, keys, free slots in the last chunk]
+
+    def slot(self, key, shape: tuple, group: int = 0) -> np.ndarray:
+        """An uninitialised (r, c) slot for the matrix of ``key``, which the
+        caller writes before ``join_buffers``."""
+        entry = self.groups.get((group, shape))
+        if entry is None:
+            entry = self.groups[(group, shape)] = [[], [], 0]
+        chunks, keys, room = entry
+        if not room:
+            room = max(self.FIRST_CAPACITY, len(keys))
+            chunks.append(_own_pages((room, *shape), filled=False))
+        entry[2] = room - 1
+        keys.append(key)
+        return chunks[-1][-room]
+
+
+def join_buffers(buffers: list[StackBuffer]) -> dict:
+    """Key -> matrix for every matrix of ``buffers``, each a slot of one
+    stack per group and shape (the groups in ascending order) with slots in
+    ascending key order: the layout that ``stacked_matrix`` takes.  Which
+    buffer each matrix was put in does not change the result.  Each group's
+    chunks are freed once copied."""
+    out = {}
+    for group in sorted(set().union(*(b.groups for b in buffers))):
+        pieces = [b.groups.pop(group) for b in buffers if group in b.groups]
+        keys = [key for _, piece, _ in pieces for key in piece]
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        slot = np.empty(len(keys), dtype=np.intp)
+        slot[order] = np.arange(len(keys))
+        stack, start = _own_pages((len(keys), *group[1]), filled=True), 0
+        for chunks, _, room in pieces:
+            chunks[-1] = chunks[-1][: len(chunks[-1]) - room]
+            while chunks:
+                chunk = chunks.pop(0)
+                stack[slot[start : start + len(chunk)]] = chunk
+                start += len(chunk)
+        del chunk
+        out.update(zip([keys[i] for i in order], stack))
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,7 +264,12 @@ def stack_groups(d: dict, rows, cols) -> Phase:
     entries rows(key), each given as an index array or as the int offset of
     a run as long as the matrix side.  Nothing is checked against ranks or
     cluster sizes."""
-    pairs = _stacks(d)
+    return _phase(_stacks(d), rows, cols)
+
+
+def _phase(pairs: list, rows, cols) -> Phase:
+    """The phase plan of the (keys, stack) ``pairs`` in their order, with
+    ``rows`` and ``cols`` as in ``stack_groups``."""
 
     def side(where, axis: int) -> np.ndarray:
         parts = [_index([where(k) for k in keys], stack.shape[axis]).ravel() for keys, stack in pairs]
@@ -216,8 +313,10 @@ def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
     part or two.  M^H v is formed as (v^H M)^H, which reads M in place.
 
     One part runs alone when the phase holds fewer than two matrices or
-    fewer than ``TWO_PART_MIN_ENTRIES`` matrix entries.  An exception in
-    either part reaches the caller once both have ended.  ``DH2Matrix``
+    fewer than ``TWO_PART_MIN_ENTRIES`` matrix entries, or when
+    ``linalg.two_at_once`` says that two parts would run one after the other
+    (on one CPU, or on the worker thread).  An exception in either part
+    reaches the caller once both have ended.  ``DH2Matrix``
     applies every stored matrix through one call of this function per phase
     and level, so the matrices a matvec applies are the stacks of the phases
     passed here."""
@@ -247,7 +346,7 @@ def apply_groups(out, inp, phase: Phase, hermitian: bool = False) -> None:
         if hermitian:
             np.conjugate(p, out=p)
 
-    two = sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES
+    two = sum(stack.size for stack in phase.stacks) >= TWO_PART_MIN_ENTRIES and two_at_once()
     first, second = _halves(phase.stacks) if two else (phase.stacks, [])
     if second:
         two_parts(lambda: run(first, 0, 0), lambda: run(second, _width(first, read), _width(first, write)))
@@ -300,33 +399,45 @@ class DH2Matrix:
     nearfield: dict[int, np.ndarray]
 
     def __post_init__(self):
+        self._plan(_grouped(self))
+
+    def _plan(self, stacks: dict) -> None:
+        """Build the phase plans from ``stacks``, each category's (keys,
+        stack) pairs with the stacks of each category (of each transfer
+        level) in ascending shape order."""
         tree, (t, s, c) = self.tree, (x.tolist() for x in (self.blocks.t, self.blocks.s, self.blocks.c_index))
-        row, col = self._basis_plan(self.row_basis), self._basis_plan(self.col_basis)
-        coupling = stack_groups(
-            self.coupling, lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
+        row = self._basis_plan(self.row_basis, stacks["row_leaf"], stacks["row_transfer"])
+        col = self._basis_plan(self.col_basis, stacks["col_leaf"], stacks["col_transfer"])
+        coupling = _phase(
+            stacks["coupling"], lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
         )
-        nearfield = stack_groups(self.nearfield, lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
+        nearfield = _phase(stacks["nearfield"], lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
         # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_col", col)
         object.__setattr__(self, "_coupling", coupling)
         object.__setattr__(self, "_nearfield", nearfield)
 
-    def _basis_plan(self, basis: DirectionalClusterBasis) -> _BasisPlan:
+    def _basis_plan(self, basis: DirectionalClusterBasis, leaf: list, transfer: list) -> _BasisPlan:
+        """The plans of one basis from its leaf and its transfer (keys, stack)
+        pairs; the transfer phases run by the level of their son clusters."""
         tree, dirs = self.tree, self.directions
         parent, level = tree.parent.tolist(), tree.level.tolist()
         offsets, size = run_offsets(basis.rank)
-        leaf = stack_groups(basis.leaf, lambda key: tree.index_set(key[0]), lambda key: offsets[key])
 
         def son_coefficients(key):
             son, c = key
             return offsets[(son, dirs.son_index(level[parent[son]], c))]
 
-        transfer = []
-        for part in _levels(tree, basis.transfer):
-            transfer.append(stack_groups(part, son_coefficients, lambda key: offsets[(parent[key[0]], key[1])]))
-            basis.transfer.update(part)  # the slots of any part stacked anew
-        return _BasisPlan(size, offsets, leaf, transfer)
+        by_level: list[list] = [[] for _ in range(tree.depth + 1)]
+        for keys, stack in transfer:
+            by_level[level[keys[0][0]]].append((keys, stack))
+        return _BasisPlan(
+            size,
+            offsets,
+            _phase(leaf, lambda key: tree.index_set(key[0]), lambda key: offsets[key]),
+            [_phase(part, son_coefficients, lambda key: offsets[(parent[key[0]], key[1])]) for part in by_level],
+        )
 
     @property
     def n(self) -> int:
@@ -367,6 +478,50 @@ class DH2Matrix:
             + len(self.coupling)
             + len(self.nearfield)
         )
+
+
+def _categories(a: DH2Matrix) -> dict:
+    """Each payload category's dict of ``a``, in container order."""
+    row, col = a.row_basis, a.col_basis
+    return dict(zip(_CATEGORIES, (row.leaf, row.transfer, col.leaf, col.transfer, a.coupling, a.nearfield)))
+
+
+def _grouped(a: DH2Matrix) -> dict:
+    """Each category's (keys, stack) pairs, grouped by ``_stacks``: one stack
+    per shape, the transfer matrices per son level and shape."""
+    level = a.tree.level.tolist()
+    son_level = lambda key: level[key[0]]
+    return {c: _stacks(d, son_level if c.endswith("_transfer") else None) for c, d in _categories(a).items()}
+
+
+def _slot_runs(d: dict) -> list[tuple[list, np.ndarray]]:
+    """(keys, stack) for each run of ``d``'s values that are the slots of
+    one stack, in order."""
+    runs: list = []
+    for key, m in d.items():
+        if runs and m.base is runs[-1][1]:
+            runs[-1][0].append(key)
+        else:
+            runs.append(([key], m.base))
+    if any(stack is None or len(keys) != len(stack) for keys, stack in runs):
+        raise ValueError("the payload is not laid out in whole stacks")
+    return runs
+
+
+def stacked_matrix(*values) -> DH2Matrix:
+    """``DH2Matrix(*values)`` for payload dicts that are laid out as its
+    stacks already, as ``join_buffers``, ``empty_stacks`` and ``load_dh2``
+    lay them out: each dict's values are the slots of its stacks in slot
+    order, one stack after another, and the stacks of each category (of
+    each transfer level) come in ascending shape order, one per shape.  The
+    plans are built from that layout as it is: only that each run of slots
+    fills its stack is checked, not the rest of the layout that
+    ``DH2Matrix`` would prove or make."""
+    a = object.__new__(DH2Matrix)
+    for f, value in zip(fields(DH2Matrix), values):
+        object.__setattr__(a, f.name, value)
+    a._plan({category: _slot_runs(d) for category, d in _categories(a).items()})
+    return a
 
 
 def expand_factor(
@@ -494,17 +649,10 @@ def _block_tree(tree: ClusterTree, manifest: dict) -> BlockTree:
 
 
 def _payload(a: DH2Matrix):
-    """(category, keys, stack) for every stack of ``a`` in container order,
-    grouped as ``DH2Matrix`` stacks them: one stack per shape, the transfer
-    matrices per son level and shape."""
-    parts = []
-    for side, basis in (("row", a.row_basis), ("col", a.col_basis)):
-        parts.append((f"{side}_leaf", basis.leaf))
-        parts.extend((f"{side}_transfer", part) for part in _levels(a.tree, basis.transfer))
-    parts += [("coupling", a.coupling), ("nearfield", a.nearfield)]
-    for category, d in parts:
-        for keys, stack in _stacks(d):
-            yield category, keys, stack
+    """(category, keys, stack) for every stack of ``a`` in container order
+    (``_grouped``)."""
+    for category, pairs in _grouped(a).items():
+        yield from ((category, keys, stack) for keys, stack in pairs)
 
 
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
@@ -560,24 +708,52 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
 
 
 def _read_payload(path: Path, table: list) -> dict:
-    """Each category's matrices, keyed as in the manifest: every stack is
-    read into an array of its own, whose slots are the matrices."""
+    """Each category's matrices, keyed as in the table: every stack is read
+    into an array of its own, whose slots are the matrices."""
     for i, (category, shape, keys) in enumerate(table):
         if category not in _CATEGORIES:
             raise ValueError(f"stack {i} has the unknown category {category!r}")
         if len(shape) != 3 or not all(isinstance(x, int) and x >= 0 for x in shape) or shape[0] != len(keys):
             raise ValueError(f"stack {i} has shape {shape} but {len(keys)} keys")
+        if not keys:
+            raise ValueError(f"stack {i} holds no matrix")
     need = sum(16 * shape[0] * shape[1] * shape[2] for _, shape, _ in table)
     payload: dict = {category: {} for category in _CATEGORIES}
     with open(path, "rb") as fh:
         have = os.fstat(fh.fileno()).st_size
         if have != need:
             raise ValueError(f"payload.bin holds {have} bytes, its stack table needs {need}")
-        for category, shape, keys in table:
-            stack = np.empty(shape, dtype=_C16)
+        for i, (category, shape, keys) in enumerate(table):
+            stack, held = np.empty(shape, dtype=_C16), len(payload[category])
             fh.readinto(stack)
-            payload[category].update(zip((tuple(k) if isinstance(k, list) else k for k in keys), stack))
+            payload[category].update(zip(keys, stack))
+            if len(payload[category]) != held + len(keys):
+                raise ValueError(f"stack {i} repeats a {category} key")
     return payload
+
+
+def _check_table(tree: ClusterTree, table: list) -> None:
+    """Raise a one-line ValueError unless the stack table is laid out as
+    ``save_dh2`` writes it, the layout that ``stacked_matrix`` takes: every
+    stack lists its keys in ascending order, every transfer stack holds the
+    transfers of son clusters of one level, and the stacks of each category
+    (of each transfer level) come in ascending shape order, one per shape."""
+    level, last = tree.level.tolist(), {}
+    for i, (category, shape, keys) in enumerate(table):
+        if any(a >= b for a, b in zip(keys, keys[1:])):
+            raise ValueError(f"stack {i} does not list its keys in ascending order")
+        part = (category,)
+        if category.endswith("_transfer"):
+            levels = sorted({level[son] for son, _ in keys})
+            if len(levels) > 1:
+                raise ValueError(f"stack {i} holds transfers of son clusters of levels {levels}")
+            part += tuple(levels)
+        if part in last and last[part] >= shape[1:]:
+            raise ValueError(
+                f"stack {i} of shape {shape[1:]} follows one of shape {last[part]}:"
+                f" the {category} stacks of a level are not in ascending shape order, one per shape"
+            )
+        last[part] = shape[1:]
 
 
 def _check_trees(tree: ClusterTree, bt: BlockTree) -> None:
@@ -662,14 +838,16 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 def load_dh2(directory: str | Path) -> DH2Matrix:
     """Read a DH2v5 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its phase
-    plans are rebuilt.  The clusters' parents, levels, depth and root are
+    plans are built from the stack table as it is, with no regrouping.  The
+    clusters' parents, levels, depth and root are
     derived from their son lists, and the blocks' levels from their
     clusters.  A container is rejected with a one-line ValueError when its
     version is another (DH2v4 and older included), the manifest or one of
     its sections lacks a field or has an unknown one, a section's lists
     differ in length, the son lists do not form a tree numbered as
     ``ClusterTree.from_sons`` requires, the blocks are not the depth-first
-    expansion of the root pair (``_check_trees``), a direction level is not
+    expansion of the root pair (``_check_trees``), the stacks are not laid
+    out as ``save_dh2`` writes them (``_check_table``), a direction level is not
     ``cube_surface_directions(m)`` for its count 6m² (equal as floats) nor the
     zero set, a son map is not the one that ``nearest_direction_index``
     gives, or the direction levels, leaf index sets, block clusters and
@@ -694,9 +872,14 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
         bt = _block_tree(tree, manifest)
         rm = _section(manifest, "rank", (), ("row", "col"))
         ranks = {side: {(cid, c): k for cid, c, k in rm[side]} for side in ("row", "col")}
-        payload = _read_payload(directory / "payload.bin", manifest["stacks"])
+        table = [
+            (category, shape, [tuple(k) if isinstance(k, list) else k for k in keys])
+            for category, shape, keys in manifest["stacks"]
+        ]
+        payload = _read_payload(directory / "payload.bin", table)
         _check(tree, dirs, bt, ranks, payload)
+        _check_table(tree, table)
     except (IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"the container is malformed or names a cluster, block or rank it lacks: {exc}") from None
     bases = [DirectionalClusterBasis(payload[f"{s}_leaf"], payload[f"{s}_transfer"], ranks[s]) for s in ("row", "col")]
-    return DH2Matrix(tree, dirs, bt, *bases, payload["coupling"], payload["nearfield"])
+    return stacked_matrix(tree, dirs, bt, *bases, payload["coupling"], payload["nearfield"])

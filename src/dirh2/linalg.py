@@ -16,10 +16,11 @@ few.  ``cut_in_two(part, weights)`` cuts a run of items where the leading
 items' weight is nearest half the total and hands the two runs to
 ``two_parts``.  The block weights, the basis passes and the dense assembly
 cut their work with it, and the apply phases cut their stacks between two
-slots (``dh2core._halves``).  Each caller takes one code path on one CPU or
-two: its parts write disjoint outputs and each output is computed as in one
-part, so the result has the same bits however the work is cut and wherever
-its parts run.
+slots (``dh2core._halves``) only when ``two_at_once()``, since two parts run
+one after the other cost more than one.  Each caller takes one code path on
+one CPU or two: its parts write disjoint outputs and each output is computed
+as in one part, so the result has the same bits however the work is cut and
+wherever its parts run.
 
 The worker is one daemon thread, ``dirh2-worker``, started on first use and
 again in a child made by ``os.fork``, which has no copy of it.  It runs the
@@ -45,6 +46,7 @@ __all__ = [
     "svd",
     "truncation_rank",
     "power_iteration_norm",
+    "two_at_once",
     "two_parts",
     "cut_in_two",
     "write_cmx",
@@ -183,15 +185,20 @@ def _start(task) -> queue.SimpleQueue:
     return done
 
 
+def two_at_once() -> bool:
+    """Whether ``two_parts`` called here runs its two parts at once: the
+    process may use two CPUs or more, and this is not the worker thread."""
+    on_worker = _worker is not None and _worker.pid == os.getpid() and threading.current_thread() is _worker.thread
+    return _cpus() >= 2 and not on_worker
+
+
 def two_parts(first, second) -> None:
     """Run ``first()`` on the calling thread and ``second()`` on the worker
     thread, and return once both have ended.  An exception raised in either
-    part reaches the caller then, the first part's if both raise.  When the
-    process may use only one CPU, or on the worker thread itself, both parts
-    run on the calling thread, one after the other."""
-    here = _cpus() < 2 or (
-        _worker is not None and _worker.pid == os.getpid() and threading.current_thread() is _worker.thread
-    )
+    part reaches the caller then, the first part's if both raise.  Unless
+    ``two_at_once()``, both parts run on the calling thread, one after the
+    other."""
+    here = not two_at_once()
     done = None if here else _start(second)
     try:
         first()

@@ -665,6 +665,36 @@ class TestNestedAgainstBestApproximation:
 
 
 class TestCompress:
+    @pytest.mark.parametrize("system", ["sphere512", "dlp_sphere512"])
+    def test_matrix_holds_the_stacks_the_passes_made(self, system, request, monkeypatch):
+        # SLP with eta1 = 20 and M/2 + DLP with eta1 = 2: the passes and the
+        # nearfield read lay their matrices out as stacks, which the matrix
+        # applies as they are; grouping its payload anew finds every group a
+        # stack already, so nothing is copied
+        dense, tree, dirs, bt = request.getfixturevalue(system)
+        made, proved = [], []
+
+        def recording(make):
+            def wrapper(*args):
+                out = make(*args)
+                made.extend({id(m.base): m.base for m in out.values()}.values())
+                return out
+
+            return wrapper
+
+        for name in ("join_buffers", "empty_stacks"):
+            monkeypatch.setattr(dirh2.compression, name, recording(getattr(dh2core, name)))
+        stack_of = dh2core._stack_of
+        monkeypatch.setattr(dh2core, "_stack_of", lambda arrays: proved.append(stack_of(arrays)) or proved[-1])
+        def applied(m):
+            phases = [m._coupling, m._nearfield, m._row.leaf, m._col.leaf, *m._row.transfer, *m._col.transfer]
+            return [id(stack) for phase in phases for stack in phase.stacks]
+
+        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
+        assert sorted(applied(a)) == sorted(map(id, made))
+        assert applied(dataclasses.replace(a)) == applied(a)
+        assert proved and not any(stack is None for stack in proved)
+
     def test_block_relative_error_per_block(self, sphere512):
         dense, tree, dirs, bt = sphere512
         eps = 1e-4

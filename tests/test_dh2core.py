@@ -267,6 +267,20 @@ class TestTwoParts:
         matrix.matvec_adjoint(x)
         assert not started
 
+    def test_one_cpu_cuts_no_stack(self, matrix, cpus, monkeypatch):
+        # on one CPU the two parts would run one after the other, so every
+        # phase runs in one part, its stacks whole
+        cut = []
+        halves = dh2core._halves
+        monkeypatch.setattr(dh2core, "_halves", lambda stacks: cut.append(stacks) or halves(stacks))
+        x = rand_vec(np.random.default_rng(3), matrix.n)
+        for count in (1, 2):
+            cpus(count)
+            cut.clear()
+            matrix.matvec(x)
+            matrix.matvec_adjoint(x)
+            assert bool(cut) == (count == 2)
+
     @pytest.mark.parametrize("part", ["caller", "worker"])
     def test_error_in_a_part_reaches_the_caller(self, part, cpus):
         # two equal stacks: the caller runs the first, the worker the second;
@@ -441,6 +455,27 @@ class TestStackedStorage:
             assert (phase.stacks[0] is stack) == in_place, name
             assert np.array_equal(phase.stacks[0], np.array(arrays)), name
             assert all(d[g].base is phase.stacks[0] for g in d), name
+
+    def test_buffers_join_into_stacks_in_key_order(self):
+        # keys put in scrambled order into two buffers, enough per group and
+        # shape to grow a buffer past its first chunk
+        rng = np.random.default_rng(9)
+        want, buffers = {}, [dh2core.StackBuffer(), dh2core.StackBuffer()]
+        for key in rng.permutation(90).tolist():
+            group, shape = key % 3, [(2, 3), (3, 2)][key % 2]
+            want[key] = group, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            buffers[key % 4 == 0].slot(key, shape, group)[...] = want[key][1]
+        got = dh2core.join_buffers(buffers)
+        assert all(not b.groups for b in buffers)
+        runs = dh2core._slot_runs(got)
+        assert [(want[keys[0]][0], stack.shape[1:]) for keys, stack in runs] == sorted(
+            {(group, m.shape) for group, m in want.values()}
+        )
+        for keys, stack in runs:
+            assert keys == sorted(keys) and {want[k][0] for k in keys} == {want[keys[0]][0]}
+            assert all(equal_bits(stack[g], want[k][1]) for g, k in enumerate(keys))
+        # the stacks are the layout that construction uses in place
+        assert all(dh2core._stack_of([got[k] for k in keys]) is stack for keys, stack in runs)
 
     def test_compressed_payload_is_held_once(self, compressed_line):
         a, _ = compressed_line
@@ -763,6 +798,17 @@ class TestContainer:
         assert all(base.flags.owndata for base in read)
 
 
+def test_load_does_not_regroup(compressed_line, tmp_path, monkeypatch):
+    # the stacks as read, in the order of their table, are the plans' stacks
+    a = compressed_line[0]
+    save_dh2(a, tmp_path / "a")
+    for name in ("_group_keys", "_stack_of", "_stacks"):
+        monkeypatch.setattr(dh2core, name, lambda *args, name=name: pytest.fail(f"load_dh2 called {name}"))
+    loaded = load_dh2(tmp_path / "a")
+    x = rand_vec(np.random.default_rng(4), a.n)
+    assert equal_bits(loaded.matvec(x), a.matvec(x)) and equal_bits(loaded.matvec_adjoint(x), a.matvec_adjoint(x))
+
+
 def assert_rejected(where, match):
     with pytest.raises(ValueError, match=match) as info:
         load_dh2(where)
@@ -824,6 +870,33 @@ class TestContainerChecks:
 
         edit_manifest(saved, drop_key)
         assert_rejected(saved, "keys")
+
+    def test_keys_must_ascend_in_each_stack(self, saved):
+        # two keys of one stack swapped: every key, shape and byte still fits
+        def swap(manifest):
+            keys = next(e for e in manifest["stacks"] if len(e[2]) > 1)[2]
+            keys[0], keys[1] = keys[1], keys[0]
+
+        edit_manifest(saved, swap)
+        assert_rejected(saved, r"^stack \d+ does not list its keys in ascending order$")
+
+    def test_one_stack_per_shape(self, saved):
+        # a stack cut in two of one shape: every key, shape and byte still fits
+        def cut(manifest):
+            i = next(i for i, e in enumerate(manifest["stacks"]) if len(e[2]) > 1)
+            category, (g, r, c), keys = manifest["stacks"][i]
+            manifest["stacks"][i : i + 1] = [[category, [1, r, c], keys[:1]], [category, [g - 1, r, c], keys[1:]]]
+
+        edit_manifest(saved, cut)
+        assert_rejected(saved, r"^stack \d+ of shape .* not in ascending shape order, one per shape$")
+
+    def test_key_in_two_stacks_rejected(self, saved):
+        def repeat(manifest):
+            first, second = [e for e in manifest["stacks"] if e[0] == "coupling"][:2]
+            second[2][0] = first[2][0]
+
+        edit_manifest(saved, repeat)
+        assert_rejected(saved, r"^stack \d+ repeats a coupling key$")
 
     @pytest.mark.parametrize("category", ["row_leaf", "col_transfer", "coupling", "nearfield"])
     def test_shapes_must_match_ranks_and_cluster_sizes(self, saved, category):
