@@ -4,9 +4,7 @@ arbitrary matrix, plus a cross-approximation baseline.
 The input matrix is only touched through an accessor ``access(rows, cols)``
 returning the corresponding sub-block, so dense arrays, lazily evaluated
 kernels and expanded nested representations all compress the same way.
-The basis passes may call ``access`` from two threads at once (see below),
-so it must be thread-safe: an accessor that keeps state, such as scratch
-buffers, file handles or counters, races otherwise.
+``access`` is called on the calling thread only.
 
 Every admissible block is weighted by its exact spectral norm, read once
 into a stack per block shape.  A basis serves the (cluster, direction)
@@ -28,10 +26,12 @@ Each strip g is reduced to its triangular factor L (g = L Q^H, from the QR
 factorization of g^H), which has g's singular values and left singular
 vectors and no more columns than g has rows.  A cluster's factors go
 through one ``svd`` call per factor shape and one ``truncation_rank`` call.
-The subtrees under the root are independent, so both passes run in two
-parts (``linalg.cut_in_two``); the block weights are cut in two by the
-slots of each stack (``_norms``).  A pair's reduced rows are dropped once
-its parent has read them.
+A pass runs in one part on the calling thread: its per-pair QRs and the
+small-array work around them hold the interpreter lock (``linalg``), so a
+second thread would gain little, and its heap would keep its part's
+high-water mark resident.  The block weights' singular values are cut in
+two by the slots of each stack (``_norms``).  A pair's reduced rows are dropped once its
+parent has read them.
 Truncation tolerances decay by zeta per level below the shallowest
 admissible block above each pair, calibrated so no block ever exceeds the
 requested accuracy relative to its norm.  There is no rank cap.
@@ -301,19 +301,13 @@ def build_basis(
     index arrays.  Each product is formed on its own: batching the few
     blocks of one shape cost more than it saved.
 
-    The root has no pairs, and the subtrees of its sons are cut in two runs
-    by index count (``linalg.cut_in_two``), each visited sons first in
-    descending id order; ``access`` may then be called from two threads at
-    once.  A cluster reads only its sons' reduced rows and ranks, which its
-    own part made.  Each part writes its leaf bases, transfers and couplings
-    into slots of its own buffers (``dh2core.StackBuffer``) as it forms
-    them; at the end of the pass ``dh2core.join_buffers`` lays them out as
-    one stack per shape (the transfers per son level and shape), slots in
-    ascending key order, which ``compress`` hands to the matrix as they are.
-    The first part fills the returned rank and error dicts and the second
-    fresh ones, merged after it.  So neither the stacks nor the dicts' order
-    depend on where the parts ran.  Both share one column memo, whose
-    entries do not depend on which part made them.
+    The clusters that hold pairs (the root holds none) are visited sons
+    first in descending id order, on the calling thread.  The pass writes
+    its leaf bases, transfers and couplings into the slots of one buffer per
+    category (``dh2core.StackBuffer``) as it forms them; at its end
+    ``dh2core.join_buffers`` lays each out as one stack per shape (the
+    transfers per son level and shape), slots in ascending key order, which
+    ``compress`` hands to the matrix as they are.
     """
     if col_basis is not None and side != "row":
         raise ValueError("couplings are formed in the row pass")
@@ -322,9 +316,7 @@ def build_basis(
     levels, where = _farfield(tree, dirs, bt, side)
     n, inverse = tree.index_set(tree.root).size, 1.0 / block_weights
     state, basis = CompressionState(), DirectionalClusterBasis()
-    # shared by both parts: an entry has the same bits whichever part makes
-    # it and none is removed, so a race between the parts only repeats work
-    col_memo: dict = {}
+    col_memo: dict = {}  # the column basis's expansions, kept for the whole pass
 
     # Per-pair truncation target: a block rooted at level l_t collects the
     # squared budget sum_{r in desc(t)} eps_r^2, which must stay within
@@ -335,125 +327,104 @@ def build_basis(
     for lv in levels:
         state.target_eps.update(zip(zip(lv.cid.tolist(), lv.c.tolist()), tolerance[lv.below].tolist()))
 
-    def visit(cids: list, rank: dict, state: CompressionState, buffers: tuple) -> None:
-        """Build the pairs of ``cids``, sons before parents, into ``rank``,
-        ``state`` and the leaf, transfer and coupling ``buffers``, holding
-        each pair's reduced rows until its parent has read them."""
-        leaf, transfer, coupling = buffers
-        reduced_rows: dict = {}
-        for cid in cids:
-            (l, p0, p1), sons = where[cid], tree.sons_of(cid)
-            lv, cs = levels[l], levels[l].c[p0:p1].tolist()
-            i0, i1 = lv.item_ptr[p0], lv.item_ptr[p1]
-            span = lv.cols[lv.item_ptr[p0 : p1 + 1]]
-            cols = lv.columns[span[0] : span[-1]].astype(np.intp)
-            bounds = (span - span[0]).tolist()
-            at = lv.pos[span[0] : span[-1]] - span[0]  # each item's columns in the cluster's run
+    # the root holds no pair (its one block, with itself, is not admissible)
+    leaf, transfer, coupling = StackBuffer(), StackBuffer(), StackBuffer()
+    reduced_rows: dict = {}
+    for cid in sorted(where, reverse=True):  # sons before parents
+        (l, p0, p1), sons = where[cid], tree.sons_of(cid)
+        lv, cs = levels[l], levels[l].c[p0:p1].tolist()
+        i0, i1 = lv.item_ptr[p0], lv.item_ptr[p1]
+        span = lv.cols[lv.item_ptr[p0 : p1 + 1]]
+        cols = lv.columns[span[0] : span[-1]].astype(np.intp)
+        bounds = (span - span[0]).tolist()
+        at = lv.pos[span[0] : span[-1]] - span[0]  # each item's columns in the cluster's run
+        if not sons:
+            w = np.empty(cols.size)  # 1/weight of each column's block
+            w[at] = np.repeat(inverse[lv.bid[i0:i1]], np.diff(lv.cols[i0 : i1 + 1]))
+            read = access(tree.index_set(cid), cols)
+            # scaled pair by pair: BLAS may round q^H g differently for a strided g
+            strips = [read[:, a:b] * w[a:b] for a, b in zip(bounds, bounds[1:])]
+            # freed before the factorizations, as is each QR's output below,
+            # so that the pass's peak holds neither
+            del read
+        else:
+            # pair i's columns in the pairs of son j with the chained direction,
+            # found among the keys of the sons' pairs, which are one run
+            chained, nxt = dirs.son_maps[l][lv.c[p0:p1]], levels[l + 1]
+            son_pair = np.stack(
+                [q0 + np.searchsorted(nxt.c[q0:q1], chained) for _, q0, q1 in map(where.get, sons)], 1
+            )
+            q0, q1 = where[sons[0]][1], where[sons[-1]][2]
+            run = nxt.cols[nxt.item_ptr[q0 : q1 + 1]]
+            keys = np.repeat(np.arange(q0, q1) * n, np.diff(run)) + nxt.columns[run[0] : run[-1]]
+            runs = np.repeat(np.diff(span), len(sons))
+            son_pair = np.repeat(son_pair.ravel(), runs)
+            at_son = _ranges(np.repeat(span[:-1] - span[0], len(sons)), runs)
+            pos = np.searchsorted(keys, son_pair * n + cols[at_son])
+            pos -= run[son_pair - q0] - run[0]
+            ends = np.cumsum(runs).tolist()
+            parts = [pos[a:b] for a, b in zip([0] + ends, ends)]
+            strips = [
+                np.concatenate([reduced_rows[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
+                for i, c2 in enumerate(chained.tolist())
+            ]
+
+        # g = L Q^H: L has g's singular values and left singular vectors, and
+        # at most as many columns as g has rows.  Each pair's singular values
+        # are padded with zeros: a pair without rows has rank 0, and one
+        # that keeps all m values discards sigma[m] = 0.
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for i, g in enumerate(strips):
+            if g.shape[0]:
+                by_shape.setdefault((g.shape[0], min(g.shape)), []).append(i)
+        u = [np.zeros((0, 0), dtype=np.complex128)] * len(strips)
+        sigma = np.zeros((len(strips), max((m for _, m in by_shape), default=0) + 1))
+        for (rows, m), idx in by_shape.items():
+            factors, lower = np.zeros((len(idx), rows, m), dtype=np.complex128), np.tri(rows, m, dtype=bool)
+            for factor, i in zip(factors, idx):
+                h, _ = np.linalg.qr(strips[i].conj().T, mode="raw")  # R is the upper triangle of h^T
+                np.conjugate(h[:, :m], out=factor, where=lower)
+            del h
+            res = svd(factors)
+            sigma[idx, :m] = res.sigma
+            for i, ui in zip(idx, res.u):
+                u[i] = ui
+        floor = sigma[:, 0] * np.array([max(g.shape) for g in strips]) * _EPS
+        ranks = truncation_rank(sigma, np.maximum(tolerance[lv.below[p0:p1]], floor))
+        realized = sigma[np.arange(len(strips)), ranks].tolist()
+
+        reduced = []
+        read_by_parent = (lv.via[lv.item_ptr[p0 + 1 : p1 + 1] - 1] >= 0).tolist()  # an inherited block comes last
+        for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
+            key = (cid, c)
+            state.realized_eps[key], basis.rank[key] = realized[i], k
+            q = u[i][:, :k].copy()  # contiguous, for the products below
+            r = q.conj().T @ g
+            reduced.append(r)
+            if read_by_parent[i]:
+                reduced_rows[key] = r
             if not sons:
-                w = np.empty(cols.size)  # 1/weight of each column's block
-                w[at] = np.repeat(inverse[lv.bid[i0:i1]], np.diff(lv.cols[i0 : i1 + 1]))
-                read = access(tree.index_set(cid), cols)
-                # scaled pair by pair: BLAS may round q^H g differently for a strided g
-                strips = [read[:, a:b] * w[a:b] for a, b in zip(bounds, bounds[1:])]
-                # freed before the factorizations, as is each QR's output below: the
-                # worker thread's heap keeps the high-water mark of its part resident
-                del read
+                leaf.slot(key, q.shape)[...] = q
             else:
-                # pair i's columns in the pairs of son j with the chained direction,
-                # found among the keys of the sons' pairs, which are one run
-                chained, nxt = dirs.son_maps[l][lv.c[p0:p1]], levels[l + 1]
-                son_pair = np.stack(
-                    [q0 + np.searchsorted(nxt.c[q0:q1], chained) for _, q0, q1 in map(where.get, sons)], 1
-                )
-                q0, q1 = where[sons[0]][1], where[sons[-1]][2]
-                run = nxt.cols[nxt.item_ptr[q0 : q1 + 1]]
-                keys = np.repeat(np.arange(q0, q1) * n, np.diff(run)) + nxt.columns[run[0] : run[-1]]
-                runs = np.repeat(np.diff(span), len(sons))
-                son_pair = np.repeat(son_pair.ravel(), runs)
-                at_son = _ranges(np.repeat(span[:-1] - span[0], len(sons)), runs)
-                pos = np.searchsorted(keys, son_pair * n + cols[at_son])
-                pos -= run[son_pair - q0] - run[0]
-                ends = np.cumsum(runs).tolist()
-                parts = [pos[a:b] for a, b in zip([0] + ends, ends)]
-                strips = [
-                    np.concatenate([reduced_rows[(son, c2)][:, parts[i * len(sons) + j]] for j, son in enumerate(sons)])
-                    for i, c2 in enumerate(chained.tolist())
-                ]
+                off, c2 = 0, dirs.son_index(l, c)
+                for son in sons:
+                    ks = basis.rank[(son, c2)]
+                    transfer.slot((son, c), (ks, k), l + 1)[...] = q[off : off + ks]
+                    off += ks
+        if col_basis is not None:  # the cluster's own blocks lead each pair's items
+            own = i0 + np.nonzero(lv.via[i0:i1] < 0)[0]
+            pair = np.searchsorted(lv.item_ptr, own, side="right") - 1 - p0
+            starts, ends = (lv.cols[own] - span[0]).tolist(), (lv.cols[own + 1] - span[0]).tolist()
+            for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
+                w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
+                slot = coupling.slot(bid, (len(reduced[i]), w.shape[1]))
+                np.matmul(reduced[i][:, at[a:b] - bounds[i]], w, out=slot)
+                slot *= block_weights[bid]
+        if sons:  # the sons' reduced rows have been read
+            for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
+                reduced_rows.pop(key)
 
-            # g = L Q^H: L has g's singular values and left singular vectors, and
-            # at most as many columns as g has rows.  Each pair's singular values
-            # are padded with zeros: a pair without rows has rank 0, and one
-            # that keeps all m values discards sigma[m] = 0.
-            by_shape: dict[tuple[int, int], list[int]] = {}
-            for i, g in enumerate(strips):
-                if g.shape[0]:
-                    by_shape.setdefault((g.shape[0], min(g.shape)), []).append(i)
-            u = [np.zeros((0, 0), dtype=np.complex128)] * len(strips)
-            sigma = np.zeros((len(strips), max((m for _, m in by_shape), default=0) + 1))
-            for (rows, m), idx in by_shape.items():
-                factors, lower = np.zeros((len(idx), rows, m), dtype=np.complex128), np.tri(rows, m, dtype=bool)
-                for factor, i in zip(factors, idx):
-                    h, _ = np.linalg.qr(strips[i].conj().T, mode="raw")  # R is the upper triangle of h^T
-                    np.conjugate(h[:, :m], out=factor, where=lower)
-                del h
-                res = svd(factors)
-                sigma[idx, :m] = res.sigma
-                for i, ui in zip(idx, res.u):
-                    u[i] = ui
-            floor = sigma[:, 0] * np.array([max(g.shape) for g in strips]) * _EPS
-            ranks = truncation_rank(sigma, np.maximum(tolerance[lv.below[p0:p1]], floor))
-            realized = sigma[np.arange(len(strips)), ranks].tolist()
-
-            reduced = []
-            read_by_parent = (lv.via[lv.item_ptr[p0 + 1 : p1 + 1] - 1] >= 0).tolist()  # an inherited block comes last
-            for i, (c, g, k) in enumerate(zip(cs, strips, ranks.tolist())):
-                key = (cid, c)
-                state.realized_eps[key], rank[key] = realized[i], k
-                q = u[i][:, :k].copy()  # contiguous, for the products below
-                r = q.conj().T @ g
-                reduced.append(r)
-                if read_by_parent[i]:
-                    reduced_rows[key] = r
-                if not sons:
-                    leaf.slot(key, q.shape)[...] = q
-                else:
-                    off, c2 = 0, dirs.son_index(l, c)
-                    for son in sons:
-                        ks = rank[(son, c2)]
-                        transfer.slot((son, c), (ks, k), l + 1)[...] = q[off : off + ks]
-                        off += ks
-            if col_basis is not None:  # the cluster's own blocks lead each pair's items
-                own = i0 + np.nonzero(lv.via[i0:i1] < 0)[0]
-                pair = np.searchsorted(lv.item_ptr, own, side="right") - 1 - p0
-                starts, ends = (lv.cols[own] - span[0]).tolist(), (lv.cols[own + 1] - span[0]).tolist()
-                for i, bid, s, a, b in zip(pair.tolist(), lv.bid[own].tolist(), lv.src[own].tolist(), starts, ends):
-                    w = expand_factor(col_basis, tree, dirs, s, cs[i], col_memo)
-                    slot = coupling.slot(bid, (len(reduced[i]), w.shape[1]))
-                    np.matmul(reduced[i][:, at[a:b] - bounds[i]], w, out=slot)
-                    slot *= block_weights[bid]
-            if sons:  # the sons' reduced rows have been read
-                for key in {(son, c2) for son in sons for c2 in chained.tolist()}:
-                    reduced_rows.pop(key)
-
-    # the root holds no pair (its one block, with itself, is not admissible);
-    # every other cluster lies below the son of the root at position head[cid]
-    heads = tree.sons_of(tree.root)
-    head = np.full(len(tree), -1)
-    head[list(heads)] = np.arange(len(heads))
-    for l in range(2, tree.depth + 1):
-        head[tree.level == l] = head[tree.parent[tree.level == l]]
-    head, order = head.tolist(), sorted(where, reverse=True)  # sons before parents
-    fresh = {}, CompressionState()
-    buffers = [(StackBuffer(), StackBuffer(), StackBuffer()) for _ in range(2)]  # per part
-
-    def part(a: int, b: int) -> None:
-        visit([cid for cid in order if a <= head[cid] < b], *((basis.rank, state) if a == 0 else fresh), buffers[a > 0])
-
-    cut_in_two(part, np.diff(tree.set_ptr)[list(heads)])
-    basis.rank.update(fresh[0])
-    for name, entries in vars(fresh[1]).items():
-        getattr(state, name).update(entries)
-    basis.leaf, basis.transfer, state.coupling = (join_buffers(list(b)) for b in zip(*buffers))
+    basis.leaf, basis.transfer, state.coupling = map(join_buffers, (leaf, transfer, coupling))
     return basis, state
 
 
@@ -485,8 +456,8 @@ def compress(
     (``dh2core.empty_stacks``).  The passes hand over their matrices
     stacked, so ``dh2core.stacked_matrix`` makes the matrix of the stacks as
     they are and no stored matrix is copied.  Each admissible block is read
-    three times and each nearfield block once.  Both basis passes may call
-    ``access`` from two threads at once, so it must be thread-safe.
+    three times and each nearfield block once.  ``access`` is called on the
+    calling thread only.
 
     The result does not depend on ``seed``, which is kept so that callers
     passing one keep working.  With ``return_state`` the row and the column

@@ -12,7 +12,7 @@ level and shape for the transfer matrices), slots in ascending key order.
 The container's dicts keep their keys and hold the views ``stack[g]``, so
 the payload is held once.  A producer that makes its matrices one by one
 writes them into the slots of a ``StackBuffer`` as it makes them, and
-``join_buffers`` lays the buffers out as stacks; one that knows every shape
+``join_buffers`` lays the buffer out as stacks; one that knows every shape
 beforehand writes into the slots of ``empty_stacks``.  Stacks and buffers
 of ``OWN_PAGES_MIN`` bytes or more are on memory pages of their own, which
 go back to the system when they are freed (``_own_pages``).
@@ -196,8 +196,7 @@ class StackBuffer:
     buffer per group and shape; ``join_buffers`` makes the stacks.  A
     buffer is a list of chunks, each as long as all before it together (at
     least ``FIRST_CAPACITY`` slots), so a full buffer grows without copying
-    and is at most half empty.  Not thread-safe: each thread writes a
-    buffer of its own."""
+    and is at most half empty."""
 
     FIRST_CAPACITY = 8
 
@@ -219,26 +218,23 @@ class StackBuffer:
         return chunks[-1][-room]
 
 
-def join_buffers(buffers: list[StackBuffer]) -> dict:
-    """Key -> matrix for every matrix of ``buffers``, each a slot of one
-    stack per group and shape (the groups in ascending order) with slots in
-    ascending key order: the layout that ``stacked_matrix`` takes.  Which
-    buffer each matrix was put in does not change the result.  Each group's
-    chunks are freed once copied."""
+def join_buffers(buffer: StackBuffer) -> dict:
+    """Key -> matrix for every matrix of ``buffer``, each a slot of one stack
+    per group and shape (the groups in ascending order) with slots in
+    ascending key order: the layout that ``stacked_matrix`` takes.  Each
+    group's chunks are freed once copied."""
     out = {}
-    for group in sorted(set().union(*(b.groups for b in buffers))):
-        pieces = [b.groups.pop(group) for b in buffers if group in b.groups]
-        keys = [key for _, piece, _ in pieces for key in piece]
+    for group in sorted(buffer.groups):
+        chunks, keys, room = buffer.groups.pop(group)
         order = sorted(range(len(keys)), key=keys.__getitem__)
         slot = np.empty(len(keys), dtype=np.intp)
         slot[order] = np.arange(len(keys))
         stack, start = _own_pages((len(keys), *group[1]), filled=True), 0
-        for chunks, _, room in pieces:
-            chunks[-1] = chunks[-1][: len(chunks[-1]) - room]
-            while chunks:
-                chunk = chunks.pop(0)
-                stack[slot[start : start + len(chunk)]] = chunk
-                start += len(chunk)
+        chunks[-1] = chunks[-1][: len(chunks[-1]) - room]
+        while chunks:
+            chunk = chunks.pop(0)
+            stack[slot[start : start + len(chunk)]] = chunk
+            start += len(chunk)
         del chunk
         out.update(zip([keys[i] for i in order], stack))
     return out

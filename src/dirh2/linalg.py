@@ -12,22 +12,27 @@ other.  numpy releases the GIL inside its matrix products, large ufunc
 loops and LAPACK calls on stacks of matrices, so that work runs on two CPUs
 at once.  Python code does not, nor, with numpy 2.4, a QR or a
 singular-value computation without vectors on one matrix or on a stack of a
-few.  ``cut_in_two(part, weights)`` cuts a run of items where the leading
-items' weight is nearest half the total and hands the two runs to
-``two_parts``.  The block weights, the basis passes and the dense assembly
-cut their work with it, and the apply phases cut their stacks between two
-slots (``dh2core._halves``) only when ``two_at_once()``, since two parts run
-one after the other cost more than one.  Each caller takes one code path on
-one CPU or two: its parts write disjoint outputs and each output is computed
-as in one part, so the result has the same bits however the work is cut and
+few.  So split only work that sits in numpy calls that release the lock:
+a part that holds it gains little and costs the memory the worker's heap
+keeps.
+
+``cut_in_two(part, weights)`` cuts a run of items where the leading items'
+weight is nearest half the total and hands the two runs to ``two_parts``.
+The block weights' stacked singular values and the dense assembly cut
+their work with it, and the apply phases cut their stacks between two slots
+(``dh2core._halves``) only when ``two_at_once()``, since two parts run one
+after the other cost more than one.  The basis passes, whose per-pair QRs
+hold the lock, run in one part.  Each caller takes one code path on one CPU
+or two: its parts write disjoint outputs and each output is computed as in
+one part, so the result has the same bits however the work is cut and
 wherever its parts run.
 
 The worker is one daemon thread, ``dirh2-worker``, started on first use and
 again in a child made by ``os.fork``, which has no copy of it.  It runs the
 second parts of concurrent callers one after another.  A call of
-``two_parts`` made on the worker thread itself, as by an accessor that
-applies a ``DH2Matrix`` inside a basis pass, runs both parts there, since a
-task queued behind the running one would never start.
+``two_parts`` made on the worker thread itself, from inside a second part,
+runs both parts there, since a task queued behind the running one would
+never start.
 """
 
 from __future__ import annotations

@@ -177,8 +177,8 @@ def ellipsoid512():
 @pytest.fixture(scope="module")
 def lopsided():
     """A segment of 256 points and three points far from it: the root's sons
-    hold 256, 1, 1 and 1 indices, so the two parts of a pass are uneven, one
-    the segment's subtree and the other the three single points."""
+    hold 256, 1, 1 and 1 indices, one the segment's subtree and the others
+    single points."""
     pts = np.zeros((259, 3))
     pts[:256, 0] = np.linspace(0.0, 1.0, 256)
     pts[256:] = [[10.0, 0.0, 0.5], [0.0, 10.0, 0.5], [10.0, 10.0, 0.5]]
@@ -197,6 +197,22 @@ def assert_same_fields(got, want, names=None) -> None:
         assert all(equal_bits(a[key], b[key]) for key in b), name
 
 
+def assert_basis_as_reference(mat, fortran, tree, dirs, bt, cfg, weights, side, col_basis):
+    """``build_basis`` reading ``mat`` in the given memory order against the
+    per-pair reference: ranks, bases, transfers, couplings and the two error
+    dicts, byte for byte.  Returns the pass's basis and state."""
+    basis, state = build_basis(ordered_accessor(mat, fortran), tree, dirs, bt, cfg, weights, side, col_basis)
+    want, want_state = reference_build_basis(dense_accessor(mat), tree, dirs, bt, cfg, weights, side, col_basis)
+    assert basis.rank == want.rank
+    assert_same_bits(basis.leaf, want.leaf)
+    assert_same_bits(basis.transfer, want.transfer)
+    assert_same_bits(state.coupling, want_state.coupling)
+    for name in ("realized_eps", "target_eps"):
+        got, ref = getattr(state, name), getattr(want_state, name)
+        assert_same_bits({k: np.float64(v) for k, v in got.items()}, {k: np.float64(v) for k, v in ref.items()})
+    return basis, state
+
+
 def assert_same_payload(a, want) -> None:
     assert_same_fields(a.row_basis, want.row_basis)
     assert_same_fields(a.col_basis, want.col_basis)
@@ -204,8 +220,9 @@ def assert_same_payload(a, want) -> None:
 
 
 class TestTwoParts:
-    """The block weights and the basis passes in two parts, one on the
-    worker thread, against the same calls in one part."""
+    """The block weights in two parts, one on the worker thread, against the
+    same calls in one part; the basis passes, which stay on the calling
+    thread, on the same uneven trees."""
 
     @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
     def test_block_weights_same_bits(self, system, cpus, request):
@@ -221,23 +238,40 @@ class TestTwoParts:
     @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
     @pytest.mark.parametrize("side, with_col_basis", [("col", False), ("row", False), ("row", True)])
     @pytest.mark.parametrize("fortran", [True, False])
-    def test_basis_same_bits(self, system, side, with_col_basis, fortran, cpus, request):
-        # reads in either memory order: a leaf scales its strips from one read
+    def test_basis_same_bits(self, system, side, with_col_basis, fortran, request):
+        # reads in either memory order: a leaf scales its strips from one
+        # read, and the pass keeps the per-pair reference's bits
         dense, tree, dirs, bt = request.getfixturevalue(system)
         cfg = CompressionConfig(eps=1e-4)
         weights = compute_block_weights(dense_accessor(dense), tree, bt)
-        access = ordered_accessor(dense if side == "row" else dense.conj().T, fortran)
-        runs = []
-        for count in (1, 2):
-            cpus(count)
-            col_basis = None
-            if with_col_basis:
-                col_basis, _ = build_basis(dense_accessor(dense.conj().T), tree, dirs, bt, cfg, weights, side="col")
-            runs.append(build_basis(access, tree, dirs, bt, cfg, weights, side, col_basis=col_basis))
-        (basis, state), (want, want_state) = runs[1], runs[0]
-        assert_same_fields(basis, want)
-        assert_same_fields(state, want_state)
+        mat = dense if side == "row" else dense.conj().T
+        col_basis = None
+        if with_col_basis:
+            col_basis, _ = build_basis(dense_accessor(dense.conj().T), tree, dirs, bt, cfg, weights, side="col")
+        _, state = assert_basis_as_reference(mat, fortran, tree, dirs, bt, cfg, weights, side, col_basis)
         assert bool(state.coupling) == (with_col_basis and bt.admissible_leaves.size > 0)
+
+    @pytest.mark.parametrize("system", ["sphere512", "dlp_sphere512"])
+    def test_accessor_is_called_on_the_calling_thread_only(self, system, cpus, request):
+        # n = 512 SLP (eta1 = 20) and M/2 + DLP (eta1 = 2), with two CPUs
+        dense, tree, dirs, bt = request.getfixturevalue(system)
+        cfg = CompressionConfig(eps=1e-4)
+        cpus(2)
+        threads = set()
+
+        def recording(mat):
+            def access(rows, cols):
+                threads.add(threading.current_thread())
+                return mat[np.ix_(rows, cols)]
+
+            return access
+
+        compress(recording(dense), tree, dirs, bt, cfg)
+        weights = compute_block_weights(dense_accessor(dense), tree, bt)
+        col_basis, _ = build_basis(recording(dense.conj().T), tree, dirs, bt, cfg, weights, side="col")
+        _, state = build_basis(recording(dense), tree, dirs, bt, cfg, weights, side="row", col_basis=col_basis)
+        assert state.coupling
+        assert threads == {threading.current_thread()}
 
     @pytest.mark.parametrize("system", TWO_PART_SYSTEMS)
     def test_compress_same_bits(self, system, cpus, request):
@@ -279,42 +313,6 @@ class TestTwoParts:
         for a in got:
             assert_same_payload(a, want)
 
-    @pytest.mark.parametrize("part", [0, 1])
-    def test_error_in_a_part_reaches_the_caller(self, part, lopsided, cpus):
-        # a read of one leaf fails: the root's sons hold 256, 1, 1 and 1
-        # indices, so the caller's part reads the leaves below the first son
-        # and the worker's those below the other three
-        dense, tree, dirs, bt = lopsided
-        cfg = CompressionConfig(eps=1e-4)
-        weights = compute_block_weights(dense_accessor(dense), tree, bt)
-        cpus(2)
-        where = dirh2.compression._farfield(tree, dirs, bt, "row")[1]
-        heads = tree.sons_of(tree.root)
-        assert [tree.index_set(c).size for c in heads] == [256, 1, 1, 1]
-
-        def head(c):
-            while tree.parent[c] != tree.root:
-                c = tree.parent[c]
-            return heads.index(c)
-
-        leaf = next(c for c in sorted(where) if min(head(c), 1) == part and not tree.sons_of(c))
-        threads = []
-
-        def failing(rows, cols):
-            if rows is tree.index_set(leaf):
-                threads.append(threading.current_thread().name)
-                raise RuntimeError("failed read")
-            return dense[np.ix_(rows, cols)]
-
-        with pytest.raises(RuntimeError, match="failed read"):
-            build_basis(failing, tree, dirs, bt, cfg, block_weights=weights)
-        assert threads == ["dirh2-worker" if part else threading.current_thread().name]
-        got = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, block_weights=weights)
-        cpus(1)
-        want = build_basis(dense_accessor(dense), tree, dirs, bt, cfg, block_weights=weights)
-        for built, ref in zip(got, want):
-            assert_same_fields(built, ref)
-
     def test_one_cpu_hands_nothing_to_the_worker(self, sphere512, cpus):
         dense, tree, dirs, bt = sphere512
         started = cpus(1)
@@ -324,24 +322,22 @@ class TestTwoParts:
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_accessor_that_applies_a_matrix(self, lopsided, cpus, monkeypatch):
-        # the worker's part of a basis pass reads through an accessor whose
-        # matvec cuts its phases in two parts as well; they must run on the
-        # worker thread itself, not wait behind the part that waits for them
+        # compression reads through an accessor whose matvec cuts its phases
+        # in two parts; with two CPUs it must end (in a child, so that a hang
+        # fails the test) and be accurate
         dense, tree, dirs, bt = lopsided
         cfg = CompressionConfig(eps=1e-4)
         b = compress(dense_accessor(dense), tree, dirs, bt, cfg)
         unit = np.eye(b.n, dtype=complex)
         cpus(2)
         monkeypatch.setattr(dh2core, "TWO_PART_MIN_ENTRIES", 0)
-        threads = set()
 
         def through_matvec(rows, cols):
-            threads.add(threading.current_thread().name)
             return np.stack([b.matvec(unit[j])[rows] for j in cols], axis=1)
 
         def compress_through_matvec():
             a = compress(through_matvec, tree, dirs, bt, cfg)
-            return "dirh2-worker" in threads and np.linalg.norm(expand_dense(a) - dense) <= 1e-3 * np.linalg.norm(dense)
+            return np.linalg.norm(expand_dense(a) - dense) <= 1e-3 * np.linalg.norm(dense)
 
         assert exit_code_in_child(compress_through_matvec) == 0
 
@@ -422,22 +418,9 @@ class TestBuildBasis:
         col_basis = None
         if side == "row":
             col_basis, _ = build_basis(dense_accessor(dense.conj().T), tree, dirs, bt, cfg, weights, side="col")
-        runs = [
-            fn(access, tree, dirs, bt, cfg, weights, side=side, col_basis=col_basis)
-            for fn, access in (
-                (build_basis, ordered_accessor(mat, fortran)),
-                (reference_build_basis, dense_accessor(mat)),
-            )
-        ]
-        (basis, state), (want, want_state) = runs
-        assert basis.rank == want.rank and basis.rank
-        assert_same_bits(basis.leaf, want.leaf)
-        assert_same_bits(basis.transfer, want.transfer)
-        assert_same_bits(state.coupling, want_state.coupling)
+        basis, state = assert_basis_as_reference(mat, fortran, tree, dirs, bt, cfg, weights, side, col_basis)
+        assert basis.rank
         assert (side == "row") == bool(state.coupling)
-        for name in ("realized_eps", "target_eps"):
-            got, ref = getattr(state, name), getattr(want_state, name)
-            assert_same_bits({k: np.float64(v) for k, v in got.items()}, {k: np.float64(v) for k, v in ref.items()})
 
     def test_orthogonality_and_shapes(self, line256):
         # each pair's factor as the pass formed it: its leaf matrix, or its

@@ -457,16 +457,16 @@ class TestStackedStorage:
             assert all(d[g].base is phase.stacks[0] for g in d), name
 
     def test_buffers_join_into_stacks_in_key_order(self):
-        # keys put in scrambled order into two buffers, enough per group and
-        # shape to grow a buffer past its first chunk
+        # keys put in scrambled order into one buffer, enough per group and
+        # shape to grow it past its first chunk
         rng = np.random.default_rng(9)
-        want, buffers = {}, [dh2core.StackBuffer(), dh2core.StackBuffer()]
+        want, buffer = {}, dh2core.StackBuffer()
         for key in rng.permutation(90).tolist():
             group, shape = key % 3, [(2, 3), (3, 2)][key % 2]
             want[key] = group, rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            buffers[key % 4 == 0].slot(key, shape, group)[...] = want[key][1]
-        got = dh2core.join_buffers(buffers)
-        assert all(not b.groups for b in buffers)
+            buffer.slot(key, shape, group)[...] = want[key][1]
+        got = dh2core.join_buffers(buffer)
+        assert not buffer.groups
         runs = dh2core._slot_runs(got)
         assert [(want[keys[0]][0], stack.shape[1:]) for keys, stack in runs] == sorted(
             {(group, m.shape) for group, m in want.values()}
