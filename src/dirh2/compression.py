@@ -70,13 +70,14 @@ from .clustering import ClusterTree
 from .dh2core import (
     DirectionalClusterBasis,
     StackBuffer,
+    _phase,
+    _stacked_matrix,
+    _stacks,
     apply_groups,
     empty_stacks,
     expand_factor,
     join_buffers,
     run_offsets,
-    stack_groups,
-    stacked_matrix,
 )
 from .directions import DirectionHierarchy
 # power_iteration_norm is not called here; it is imported for callers that
@@ -454,8 +455,8 @@ def compress(
     best-approximation coupling matrices from its reduced rows, and the
     verbatim nearfield, read straight into one stack per shape
     (``dh2core.empty_stacks``).  The passes hand over their matrices
-    stacked, so ``dh2core.stacked_matrix`` makes the matrix of the stacks as
-    they are and no stored matrix is copied.  Each admissible block is read
+    stacked, so ``dh2core._stacked_matrix`` makes the matrix of the stacks
+    as they are and no stored matrix is copied.  Each admissible block is read
     three times and each nearfield block once.  ``access`` is called on the
     calling thread only.
 
@@ -484,7 +485,7 @@ def compress(
     if timings is not None:
         timings.update(weights=t0 - start, row=t2 - t1, col=t1 - t0, projection=t3 - t2)
 
-    a = stacked_matrix(tree, dirs, bt, row_basis, col_basis, coupling, nearfield)
+    a = _stacked_matrix(tree, dirs, bt, row_basis, col_basis, coupling, nearfield)
     if return_state:
         return a, row_state, col_state
     return a
@@ -534,8 +535,11 @@ class AcaMatrix:
     nearfield; the comparison baseline.
 
     A block a b^H is applied as a (b^H x) through the phase plans of
-    ``dh2core``: the factors are stacked like the nested bases, with one run
-    of coefficients per block between the two factors."""
+    ``dh2core``: construction copies the factors and the nearfield into one
+    new stack per shape, as ``DH2Matrix(...)`` copies its payload, and the
+    container holds new dicts of the slots, so the given dicts and arrays
+    are left as they are.  There is one run of coefficients per block
+    between the two factors."""
 
     tree: ClusterTree
     blocks: BlockTree
@@ -544,19 +548,19 @@ class AcaMatrix:
 
     def __post_init__(self):
         tree, t, s = self.tree, self.blocks.t.tolist(), self.blocks.s.tolist()
-        left = {bid: a for bid, (a, _) in self.factors.items()}
-        right = {bid: b for bid, (_, b) in self.factors.items()}
+        left, left_stacks = _stacks({bid: a for bid, (a, _) in self.factors.items()})
+        right, right_stacks = _stacks({bid: b for bid, (_, b) in self.factors.items()})
+        nearfield, near_stacks = _stacks(self.nearfield)
         offsets, rank_total = run_offsets({bid: a.shape[1] for bid, a in left.items()})
         coefficients = lambda bid: offsets[bid]
-        left_groups = stack_groups(left, lambda bid: tree.index_set(t[bid]), coefficients)
-        right_groups = stack_groups(right, lambda bid: tree.index_set(s[bid]), coefficients)
-        self.factors.update((bid, (left[bid], right[bid])) for bid in left)
-        nearfield = stack_groups(self.nearfield, lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
-        # the dataclass is frozen, so its private plans are set past it
+        rows, cols = lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid])
+        # the dataclass is frozen, so the copies and the private plans are set past it
+        object.__setattr__(self, "factors", {bid: (left[bid], right[bid]) for bid in self.factors})
+        object.__setattr__(self, "nearfield", nearfield)
         object.__setattr__(self, "_rank_total", rank_total)
-        object.__setattr__(self, "_left", left_groups)
-        object.__setattr__(self, "_right", right_groups)
-        object.__setattr__(self, "_nearfield", nearfield)
+        object.__setattr__(self, "_left", _phase(left_stacks, rows, coefficients))
+        object.__setattr__(self, "_right", _phase(right_stacks, cols, coefficients))
+        object.__setattr__(self, "_nearfield", _phase(near_stacks, rows, cols))
 
     @property
     def n(self) -> int:

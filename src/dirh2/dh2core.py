@@ -26,12 +26,13 @@ Every stored matrix is applied exactly once.  The adjoint runs the same
 phases with the roles of the two bases swapped and reads every block in
 place as (x^H M)^H.
 
-Each phase has a plan, built once with the container by ``stack_groups``:
-its row and its column indices, each one 1-D ``np.intp`` array joined in
-stack, slot and entry order.  A phase gathers its input, runs one batched
-product per stack into one buffer, and adds the buffer into its output with
-one ``np.add.at`` (``apply_groups``).  numpy 1.25 and later run that call on
-a fast loop; older numpy gives the same result more slowly.
+Each phase has a plan, built once with the container by ``_phase`` in
+``DH2Matrix._plan``: its row and its column indices, each one 1-D
+``np.intp`` array joined in stack, slot and entry order.  A phase gathers
+its input, runs one batched product per stack into one buffer, and adds the
+buffer into its output with one ``np.add.at`` (``apply_groups``).  numpy
+1.25 and later run that call on a fast loop; older numpy gives the same
+result more slowly.
 
 A phase of at least ``TWO_PART_MIN_ENTRIES`` matrix entries gathers and
 multiplies in two parts of about equal entry count (``linalg.two_parts``)
@@ -39,35 +40,33 @@ when ``linalg.two_at_once()``; on one CPU it runs in one part.  The one
 ``np.add.at`` runs after both, so a matvec has the same bits in one part or
 two.
 
-The container is a frozen dataclass: construction groups the payload into
-stacks, uses matrices that are a stack's slots already in place and copies
-the others, and its attributes cannot be reassigned afterwards.
-``stacked_matrix`` makes a container of payload dicts that are laid out as
-stacks already (by ``compress`` and ``load_dh2``) without regrouping them.
-A container with another
-payload is made with ``dataclasses.replace``, which shares every unchanged
-stack (and every dict it is not given) with the original: only a shape
-group that holds a new matrix gets a fresh stack.  The dicts hold views of
-the stacks, so a matrix must not be written in place (a write into a shared
-stack changes both containers) or rebound key by key.  Matvecs keep all
-scratch per call, and each waits for its own parts, so concurrent matvecs
-are safe.
+The container is a frozen dataclass whose attributes cannot be reassigned.
+It keeps one stack table: each category's (keys, stack) pairs in container
+order, from which its phase plans are built and which ``save_dh2`` writes.
+``DH2Matrix(...)`` copies each shape group of the dicts it is given into a
+new stack and holds new dicts of the slots, so the caller's dicts and arrays
+are neither rebound nor shared; ``dataclasses.replace`` builds this way too,
+so a replaced container holds copies of every stack, changed or not.
+``compress`` and ``load_dh2`` make their payload laid out as stacks already
+and build their container with ``_stacked_matrix``, which takes the dicts
+and stacks as they are.  The dicts hold views of the stacks that the plans
+read, so a matrix must not be rebound key by key.  Matvecs keep all scratch
+per call, and each waits for its own parts, so concurrent matvecs are safe.
 Sums run in a fixed order, which fixes the floating-point result: phase by
 phase, and within a phase each output entry adds its products in stack
 order (ascending level and shape), slot order (ascending key) and entry
 order, since ``np.add.at`` is unbuffered and adds the positions one by one
 in that order: ((out[e] + p1) + p2) + ...
 
-``save_dh2`` writes the stacks as they are into a DH2v5 container, with
-both trees as the arrays they are held in, and ``load_dh2`` checks them and
-their table and hands them to the loaded matrix in place.  The block tree is
-stored without son lists; the load walks it against its depth-first
-numbering.
+``save_dh2`` writes the stack table as it is into a DH2v5 container, with
+both trees as the arrays they are held in, and ``load_dh2`` checks the
+stacks and their table and hands them to the loaded matrix in place.  The
+block tree is stored without son lists; the load walks it against its
+depth-first numbering.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import mmap
@@ -85,11 +84,9 @@ from .linalg import two_at_once, two_parts
 __all__ = [
     "DirectionalClusterBasis",
     "DH2Matrix",
-    "stacked_matrix",
     "StackBuffer",
     "join_buffers",
     "empty_stacks",
-    "stack_groups",
     "apply_groups",
     "run_offsets",
     "expand_factor",
@@ -120,23 +117,6 @@ def _group_keys(shapes: dict) -> dict:
     return dict(sorted(groups.items()))
 
 
-def _stack_of(arrays: list):
-    """The stack whose slots, in order, are exactly ``arrays``, or None.  ctypes
-    reads where a writable C-contiguous array's data start several times
-    faster than ``__array_interface__``, which serves any other array."""
-    stack = arrays[0].base
-    if stack is None or stack.dtype != np.complex128 or stack.shape != (len(arrays), *arrays[0].shape):
-        return None
-    if any(v.base is not stack for v in arrays) or {v.strides for v in arrays} != {stack.strides[1:]}:
-        return None
-    try:
-        starts = [ctypes.addressof(ctypes.c_char.from_buffer(v)) for v in arrays]
-    except (TypeError, ValueError):  # read-only, not C-contiguous or empty
-        starts = [v.__array_interface__["data"][0] for v in arrays]
-    start, step = stack.__array_interface__["data"][0], stack.strides[0]
-    return stack if starts == [start + g * step for g in range(len(arrays))] else None
-
-
 def _index(where: list, width: int) -> np.ndarray:
     """(G, width) entries from G index arrays or G run offsets."""
     if isinstance(where[0], int):
@@ -144,24 +124,14 @@ def _index(where: list, width: int) -> np.ndarray:
     return np.array(where, dtype=np.intp)
 
 
-def _stacks(d: dict, level=None) -> list[tuple[list, np.ndarray]]:
-    """``d``'s matrices as (keys, stack) pairs, one stack per shape (per
-    ``level(key)`` and shape, when given) with slots in ascending key order.
-    Matrices that are already the slots of such a stack, as ``join_buffers``,
-    ``empty_stacks``, ``load_dh2`` and an earlier container lay them out,
-    are used in place.  Any other group, as from ``aca_compress``, the
-    interpolation assembly or a ``dataclasses.replace`` with new matrices,
-    is copied into a new stack and ``d`` is rebound to its slots, so the
-    payload is held once."""
+def _stacks(d: dict, level=None) -> tuple[dict, list]:
+    """A copy of ``d``'s matrices, one new stack per shape (per ``level(key)``
+    and shape, when given) with slots in ascending key order: the dict of
+    the slots, key by key in stack and slot order, and the (keys, stack)
+    pairs.  ``d`` and its arrays are left as they are."""
     shapes = {k: v.shape if level is None else (level(k), *v.shape) for k, v in d.items()}
-    out = []
-    for keys in _group_keys(shapes).values():
-        stack = _stack_of([d[k] for k in keys])
-        if stack is None:
-            stack = np.array([d[k] for k in keys], dtype=np.complex128)
-            d.update(zip(keys, stack))
-        out.append((keys, stack))
-    return out
+    pairs = [(keys, np.array([d[k] for k in keys], dtype=np.complex128)) for keys in _group_keys(shapes).values()]
+    return {k: m for keys, stack in pairs for k, m in zip(keys, stack)}, pairs
 
 
 def _own_pages(shape: tuple, filled: bool) -> np.ndarray:
@@ -183,7 +153,7 @@ def _own_pages(shape: tuple, filled: bool) -> np.ndarray:
 def empty_stacks(shapes: dict) -> dict:
     """A slot of a new (G, r, c) stack for every key of ``shapes`` (key ->
     (r, c)), one stack per shape with slots in ascending key order (the
-    layout that ``stacked_matrix`` takes), for a producer that knows every
+    layout that ``_stacked_matrix`` takes), for a producer that knows every
     shape beforehand and writes each slot."""
     out = {}
     for shape, keys in _group_keys(shapes).items():
@@ -221,7 +191,7 @@ class StackBuffer:
 def join_buffers(buffer: StackBuffer) -> dict:
     """Key -> matrix for every matrix of ``buffer``, each a slot of one stack
     per group and shape (the groups in ascending order) with slots in
-    ascending key order: the layout that ``stacked_matrix`` takes.  Each
+    ascending key order: the layout that ``_stacked_matrix`` takes.  Each
     group's chunks are freed once copied."""
     out = {}
     for group in sorted(buffer.groups):
@@ -254,18 +224,12 @@ class Phase:
     cols: np.ndarray
 
 
-def stack_groups(d: dict, rows, cols) -> Phase:
-    """The phase plan of ``d``'s matrices, one stack per shape (see
-    ``_stacks``): d[key] maps the input entries cols(key) to the output
-    entries rows(key), each given as an index array or as the int offset of
-    a run as long as the matrix side.  Nothing is checked against ranks or
-    cluster sizes."""
-    return _phase(_stacks(d), rows, cols)
-
-
 def _phase(pairs: list, rows, cols) -> Phase:
-    """The phase plan of the (keys, stack) ``pairs`` in their order, with
-    ``rows`` and ``cols`` as in ``stack_groups``."""
+    """The phase plan of the (keys, stack) ``pairs`` in their order: the
+    matrix of ``key`` maps the input entries cols(key) to the output entries
+    rows(key), each given as an index array or as the int offset of a run as
+    long as the matrix side.  Nothing is checked against ranks or cluster
+    sizes."""
 
     def side(where, axis: int) -> np.ndarray:
         parts = [_index([where(k) for k in keys], stack.shape[axis]).ravel() for keys, stack in pairs]
@@ -395,24 +359,42 @@ class DH2Matrix:
     nearfield: dict[int, np.ndarray]
 
     def __post_init__(self):
-        self._plan(_grouped(self))
+        """Copy each shape group of the given payload (each son level and
+        shape group, for the transfer matrices) into a new stack.  The
+        container holds new dicts of the slots and new bases, so the given
+        dicts and arrays are neither rebound nor shared."""
+        level = self.tree.level.tolist()
+        son_level = lambda key: level[key[0]]
+        held, table = {}, {}
+        for category, d in _categories(self).items():
+            held[category], table[category] = _stacks(d, son_level if category.endswith("_transfer") else None)
+        # the dataclass is frozen, so the copies are set past it
+        for side in ("row", "col"):
+            rank = dict(getattr(self, f"{side}_basis").rank)
+            basis = DirectionalClusterBasis(held[f"{side}_leaf"], held[f"{side}_transfer"], rank)
+            object.__setattr__(self, f"{side}_basis", basis)
+        object.__setattr__(self, "coupling", held["coupling"])
+        object.__setattr__(self, "nearfield", held["nearfield"])
+        self._plan(table)
 
-    def _plan(self, stacks: dict) -> None:
-        """Build the phase plans from ``stacks``, each category's (keys,
+    def _plan(self, table: dict) -> None:
+        """Build the phase plans from ``table``, each category's (keys,
         stack) pairs with the stacks of each category (of each transfer
-        level) in ascending shape order."""
+        level) in ascending shape order, and keep ``table`` as the stack
+        table that ``save_dh2`` writes."""
         tree, (t, s, c) = self.tree, (x.tolist() for x in (self.blocks.t, self.blocks.s, self.blocks.c_index))
-        row = self._basis_plan(self.row_basis, stacks["row_leaf"], stacks["row_transfer"])
-        col = self._basis_plan(self.col_basis, stacks["col_leaf"], stacks["col_transfer"])
+        row = self._basis_plan(self.row_basis, table["row_leaf"], table["row_transfer"])
+        col = self._basis_plan(self.col_basis, table["col_leaf"], table["col_transfer"])
         coupling = _phase(
-            stacks["coupling"], lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
+            table["coupling"], lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
         )
-        nearfield = _phase(stacks["nearfield"], lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
+        nearfield = _phase(table["nearfield"], lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
         # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_col", col)
         object.__setattr__(self, "_coupling", coupling)
         object.__setattr__(self, "_nearfield", nearfield)
+        object.__setattr__(self, "_table", table)
 
     def _basis_plan(self, basis: DirectionalClusterBasis, leaf: list, transfer: list) -> _BasisPlan:
         """The plans of one basis from its leaf and its transfer (keys, stack)
@@ -482,14 +464,6 @@ def _categories(a: DH2Matrix) -> dict:
     return dict(zip(_CATEGORIES, (row.leaf, row.transfer, col.leaf, col.transfer, a.coupling, a.nearfield)))
 
 
-def _grouped(a: DH2Matrix) -> dict:
-    """Each category's (keys, stack) pairs, grouped by ``_stacks``: one stack
-    per shape, the transfer matrices per son level and shape."""
-    level = a.tree.level.tolist()
-    son_level = lambda key: level[key[0]]
-    return {c: _stacks(d, son_level if c.endswith("_transfer") else None) for c, d in _categories(a).items()}
-
-
 def _slot_runs(d: dict) -> list[tuple[list, np.ndarray]]:
     """(keys, stack) for each run of ``d``'s values that are the slots of
     one stack, in order."""
@@ -504,15 +478,16 @@ def _slot_runs(d: dict) -> list[tuple[list, np.ndarray]]:
     return runs
 
 
-def stacked_matrix(*values) -> DH2Matrix:
-    """``DH2Matrix(*values)`` for payload dicts that are laid out as its
-    stacks already, as ``join_buffers``, ``empty_stacks`` and ``load_dh2``
-    lay them out: each dict's values are the slots of its stacks in slot
-    order, one stack after another, and the stacks of each category (of
-    each transfer level) come in ascending shape order, one per shape.  The
-    plans are built from that layout as it is: only that each run of slots
-    fills its stack is checked, not the rest of the layout that
-    ``DH2Matrix`` would prove or make."""
+def _stacked_matrix(*values) -> DH2Matrix:
+    """The ``DH2Matrix`` of ``values`` (its fields in order) whose payload
+    dicts are laid out as its stacks already, as ``join_buffers``,
+    ``empty_stacks`` and ``load_dh2`` lay them out: each dict's values are
+    the slots of its stacks in slot order, one stack after another, and the
+    stacks of each category (of each transfer level) come in ascending shape
+    order, one per shape.  The container holds the dicts and stacks as they
+    are, with no copy, and that layout is its stack table: only that each
+    run of slots fills its stack is checked.  Only the library's own
+    producers (``compress``, ``load_dh2``) call it."""
     a = object.__new__(DH2Matrix)
     for f, value in zip(fields(DH2Matrix), values):
         object.__setattr__(a, f.name, value)
@@ -644,20 +619,14 @@ def _block_tree(tree: ClusterTree, manifest: dict) -> BlockTree:
     return BlockTree(t, s, status, c_index, tree.level[t], **{k: bm[k] for k in _BLOCK_PARAMETERS})
 
 
-def _payload(a: DH2Matrix):
-    """(category, keys, stack) for every stack of ``a`` in container order
-    (``_grouped``)."""
-    for category, pairs in _grouped(a).items():
-        yield from ((category, keys, stack) for keys, stack in pairs)
-
-
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
     """Write the DH2v5 container: a directory holding ``manifest.json`` (the
     cluster tree as the lists ``_TREE_LISTS`` by cluster id, the directions,
     the block tree as ``_BLOCK_PARAMETERS`` and the lists ``_BLOCK_LISTS`` by
     block id, the ranks, and a table with one ``[category, [G, r, c], keys]``
     entry per stack) and ``payload.bin`` (every stack in table order, in C
-    order, as ``<c16``).  No id, parent, level, depth or root is stored: the
+    order, as ``<c16``).  The table is the container's own, written as it
+    is.  No id, parent, level, depth or root is stored: the
     clusters' son lists give them.  No block son list is stored: the blocks
     are numbered depth first, which gives every block's sons.
 
@@ -670,9 +639,10 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
     (outdir / "manifest.json").unlink(missing_ok=True)
     table = []
     with open(outdir / "payload.bin.tmp", "wb") as fh:
-        for category, keys, stack in _payload(a):
-            fh.write(np.ascontiguousarray(stack, dtype=_C16))
-            table.append([category, list(stack.shape), keys])
+        for category, pairs in a._table.items():
+            for keys, stack in pairs:
+                fh.write(np.ascontiguousarray(stack, dtype=_C16))
+                table.append([category, list(stack.shape), keys])
     os.replace(outdir / "payload.bin.tmp", outdir / "payload.bin")
     tree, bt = a.tree, a.blocks
     manifest = {
@@ -729,11 +699,12 @@ def _read_payload(path: Path, table: list) -> dict:
 
 
 def _check_table(tree: ClusterTree, table: list) -> None:
-    """Raise a one-line ValueError unless the stack table is laid out as
-    ``save_dh2`` writes it, the layout that ``stacked_matrix`` takes: every
-    stack lists its keys in ascending order, every transfer stack holds the
-    transfers of son clusters of one level, and the stacks of each category
-    (of each transfer level) come in ascending shape order, one per shape."""
+    """Raise a one-line ValueError unless the stack table is laid out as a
+    container's table is, which ``save_dh2`` writes as it is and
+    ``_stacked_matrix`` takes as it is: every stack lists its keys in
+    ascending order, every transfer stack holds the transfers of son
+    clusters of one level, and the stacks of each category (of each transfer
+    level) come in ascending shape order, one per shape."""
     level, last = tree.level.tolist(), {}
     for i, (category, shape, keys) in enumerate(table):
         if any(a >= b for a, b in zip(keys, keys[1:])):
@@ -878,4 +849,4 @@ def load_dh2(directory: str | Path) -> DH2Matrix:
     except (IndexError, KeyError, TypeError) as exc:
         raise ValueError(f"the container is malformed or names a cluster, block or rank it lacks: {exc}") from None
     bases = [DirectionalClusterBasis(payload[f"{s}_leaf"], payload[f"{s}_transfer"], ranks[s]) for s in ("row", "col")]
-    return stacked_matrix(tree, dirs, bt, *bases, payload["coupling"], payload["nearfield"])
+    return _stacked_matrix(tree, dirs, bt, *bases, payload["coupling"], payload["nearfield"])

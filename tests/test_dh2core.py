@@ -18,7 +18,6 @@ from conftest import (
     equal_bits,
     exit_code_in_child,
     reference_cluster_tree,
-    sphere_system,
 )
 
 from dirh2.assembly import assemble_dh2_by_interpolation
@@ -33,7 +32,7 @@ from dirh2.blocktree import (
 )
 from dirh2.clustering import ClusterTree, build_cluster_tree, level_diameter, tree_to_jsonl
 from dirh2 import dh2core, linalg
-from dirh2.compression import CompressionConfig, aca_compress, compress, farfield_sets, used_directions
+from dirh2.compression import AcaMatrix, CompressionConfig, aca_compress, compress, farfield_sets, used_directions
 from dirh2.dh2core import expand_dense, load_dh2, save_dh2, storage_report
 from dirh2.directions import build_directions
 from dirh2.geometry import KernelSpec, assemble_dense_matrix, build_sphere_mesh
@@ -109,6 +108,17 @@ def applied_per_category(a, apply, monkeypatch):
         m.setattr(dh2core, "apply_groups", counting)
         apply(np.zeros(a.n, dtype=complex))
     return applied
+
+
+def basis_dicts(basis):
+    return [basis.leaf, basis.transfer, basis.rank]
+
+
+def entries(d: dict, copy: bool = False) -> list:
+    """(key, value) for every value of ``d``, a tuple's items one by one,
+    each as an array (a copy, when ``copy``)."""
+    as_array = np.array if copy else np.asarray
+    return [(k, as_array(m)) for k, v in d.items() for m in (v if isinstance(v, tuple) else (v,))]
 
 
 def rand_vec(rng, n):
@@ -434,27 +444,41 @@ class TestStackedStorage:
         assert all(np.shares_memory(v, v.base) for v in arrays.values())
         assert sum(st.size for st in stacks.values()) == sum(v.size for v in arrays.values())
 
-    @pytest.mark.parametrize("shape, writeable", [((2, 3), True), ((2, 3), False), ((2, 0), True)])
-    def test_only_the_slots_of_a_stack_in_order_are_used_in_place(self, shape, writeable):
-        # read-only and empty slots give their start through another way;
-        # empty slots all start at the stack's start, so any order is in place
-        stack = np.zeros((4, *shape), dtype=complex)
-        stack.real = np.arange(stack.size).reshape(stack.shape)
-        stack.flags.writeable = writeable
-        slots, empty = list(stack), stack.size == 0
-        shifted = stack.reshape(-1)[1 : 1 + slots[0].size].reshape(shape)  # base and strides of a slot
-        cases = {
-            "in order": (slots, True),
-            "out of order": ([slots[1], slots[0], *slots[2:]], empty),
-            "one slot copied": ([*slots[:3], slots[3].copy()], False),
-            "one slot shifted": ([*slots[:3], shifted], False),
-        }
-        for name, (arrays, in_place) in cases.items():
-            d = dict(enumerate(arrays))
-            phase = dh2core.stack_groups(d, lambda k: np.arange(shape[0]), lambda k: np.arange(shape[1]))
-            assert (phase.stacks[0] is stack) == in_place, name
-            assert np.array_equal(phase.stacks[0], np.array(arrays)), name
-            assert all(d[g].base is phase.stacks[0] for g in d), name
+    @pytest.mark.parametrize("container", ["dh2", "aca"])
+    def test_given_dicts_are_copied(self, compressed_line, container):
+        # construction holds dicts of its own: the dicts it is given keep
+        # their arrays, and a later edit of them, in place or key by key,
+        # leaves the container as it was
+        a, dense = compressed_line
+        copied = lambda d: {k: v.copy() for k, v in d.items()}
+        if container == "dh2":
+            row, col = (
+                dh2core.DirectionalClusterBasis(copied(b.leaf), copied(b.transfer), dict(b.rank))
+                for b in (a.row_basis, a.col_basis)
+            )
+            coupling, nearfield = copied(a.coupling), copied(a.nearfield)
+            made = dataclasses.replace(a, row_basis=row, col_basis=col, coupling=coupling, nearfield=nearfield)
+            holds = lambda m: [*basis_dicts(m.row_basis), *basis_dicts(m.col_basis), m.coupling, m.nearfield]
+            given = [*basis_dicts(row), *basis_dicts(col), coupling, nearfield]
+        else:
+            aca = aca_compress(dense_accessor(dense), a.tree, a.blocks, 1e-8)
+            given = [dict(aca.factors), copied(aca.nearfield)]
+            made = AcaMatrix(aca.tree, aca.blocks, *given)
+            holds = lambda m: [m.factors, m.nearfield]
+        values, kept = [dict(d) for d in given], [entries(d, copy=True) for d in holds(made)]
+        x = rand_vec(np.random.default_rng(6), a.n)
+        y, yh = made.matvec(x), made.matvec_adjoint(x)
+        for d, v in zip(given, values):
+            assert list(d) == list(v) and all(d[k] is v[k] for k in d)
+        for d in given:
+            for _, m in entries(d):
+                m[...] = 0  # in place; a rank is an int, whose array is a copy
+            d.clear()
+        for d, want in zip(holds(made), kept):
+            got = entries(d)
+            assert [k for k, _ in got] == [k for k, _ in want]
+            assert all(equal_bits(m, w) for (_, m), (_, w) in zip(got, want))
+        assert equal_bits(made.matvec(x), y) and equal_bits(made.matvec_adjoint(x), yh)
 
     def test_buffers_join_into_stacks_in_key_order(self):
         # keys put in scrambled order into one buffer, enough per group and
@@ -474,8 +498,6 @@ class TestStackedStorage:
         for keys, stack in runs:
             assert keys == sorted(keys) and {want[k][0] for k in keys} == {want[keys[0]][0]}
             assert all(equal_bits(stack[g], want[k][1]) for g, k in enumerate(keys))
-        # the stacks are the layout that construction uses in place
-        assert all(dh2core._stack_of([got[k] for k in keys]) is stack for keys, stack in runs)
 
     def test_compressed_payload_is_held_once(self, compressed_line):
         a, _ = compressed_line
@@ -508,32 +530,6 @@ class TestStackedStorage:
         # the original container is left as it was
         ref = expand_dense(a) @ x
         assert np.linalg.norm(a.matvec(x) - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_replace_stacks_only_the_changed_group(self):
-        # the n = 512 single layer matrix: a replaced coupling gets its shape
-        # group a fresh stack, and every other stack stays the original's
-        mesh, tree, dirs, bt = sphere_system(3, 4.0)
-        dense = assemble_dense_matrix(mesh, KernelSpec("slp", 4.0))
-        a = compress(dense_accessor(dense), tree, dirs, bt, CompressionConfig(eps=1e-4))
-        bid = max(a.coupling, key=lambda b: a.coupling[b].size)
-        b = dataclasses.replace(a, coupling={**a.coupling, bid: 2 * a.coupling[bid]})
-        assert b.nearfield is a.nearfield and b.row_basis is a.row_basis and b.col_basis is a.col_basis
-        shared = [(b._nearfield, a._nearfield)]
-        for mine, theirs in ((b._row, a._row), (b._col, a._col)):
-            shared += [(mine.leaf, theirs.leaf), *zip(mine.transfer, theirs.transfer)]
-        for mine, theirs in shared:
-            assert len(mine.stacks) == len(theirs.stacks)
-            assert all(x is y for x, y in zip(mine.stacks, theirs.stacks))
-        assert len(b._coupling.stacks) == len(a._coupling.stacks) > 1
-        fresh = [x for x, y in zip(b._coupling.stacks, a._coupling.stacks) if x is not y]
-        assert len(fresh) == 1 and b.coupling[bid].base is fresh[0]
-        assert fresh[0].shape[1:] == a.coupling[bid].shape
-        # so a write into a shared stack changes both containers
-        x = rand_vec(np.random.default_rng(3), a.n)
-        y = a.matvec(x)
-        key = next(iter(b.nearfield))
-        b.nearfield[key][0, 0] += 1.0
-        assert not np.array_equal(a.matvec(x), y)
 
     def test_payload_cannot_be_reassigned(self, assembled):
         zero = {k: np.zeros_like(v) for k, v in assembled.coupling.items()}
@@ -754,16 +750,27 @@ class TestContainer:
     def test_interrupted_save_leaves_nothing_that_loads(self, assembled, tmp_path, monkeypatch):
         where = tmp_path / "a"
         save_dh2(assembled, where)
-        payload = dh2core._payload
 
-        def failing_payload(a):
-            stacks = payload(a)
-            yield next(stacks)
-            yield next(stacks)
-            raise OSError("disk full")
+        class DiskFull:
+            """A file that takes two writes and fails on the third."""
 
-        monkeypatch.setattr(dh2core, "_payload", failing_payload)
-        with pytest.raises(OSError):
+            def __init__(self, fh):
+                self.fh, self.writes = fh, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.writes += 1
+                if self.writes > 2:
+                    raise OSError("disk full")
+                return self.fh.write(data)
+
+        monkeypatch.setattr(dh2core, "open", lambda *args: DiskFull(open(*args)), raising=False)
+        with pytest.raises(OSError, match="disk full"):
             save_dh2(assembled, where)
         with pytest.raises(FileNotFoundError):
             load_dh2(where)
@@ -802,11 +809,25 @@ def test_load_does_not_regroup(compressed_line, tmp_path, monkeypatch):
     # the stacks as read, in the order of their table, are the plans' stacks
     a = compressed_line[0]
     save_dh2(a, tmp_path / "a")
-    for name in ("_group_keys", "_stack_of", "_stacks"):
+    for name in ("_group_keys", "_stacks"):
         monkeypatch.setattr(dh2core, name, lambda *args, name=name: pytest.fail(f"load_dh2 called {name}"))
     loaded = load_dh2(tmp_path / "a")
     x = rand_vec(np.random.default_rng(4), a.n)
     assert equal_bits(loaded.matvec(x), a.matvec(x)) and equal_bits(loaded.matvec_adjoint(x), a.matvec_adjoint(x))
+
+
+@pytest.mark.parametrize("name", ["compressed_line", "assembled"])
+def test_save_does_not_regroup(name, request, tmp_path, monkeypatch):
+    # a save writes the container's stack table as it is, and a save of the
+    # loaded container is byte-equal to the first
+    a = request.getfixturevalue(name)
+    a = a[0] if isinstance(a, tuple) else a
+    for f in ("_group_keys", "_stacks"):
+        monkeypatch.setattr(dh2core, f, lambda *args, f=f: pytest.fail(f"save_dh2 or load_dh2 called {f}"))
+    save_dh2(a, tmp_path / "a")
+    save_dh2(load_dh2(tmp_path / "a"), tmp_path / "b")
+    for f in ("payload.bin", "manifest.json"):
+        assert (tmp_path / "a" / f).read_bytes() == (tmp_path / "b" / f).read_bytes()
 
 
 def assert_rejected(where, match):
