@@ -30,9 +30,10 @@ blocks of its first son pair, then of the next), so the root pair is block
 0, and without recursion: subtree sizes bottom-up, then ids top-down.  No
 son lists are stored: a subdivided block's sons are the blocks that follow
 it in depth-first order, the pairs (sons of t) x (sons of s) in turn, each
-followed by its own subtree.  ``bt[bid]`` and ``bt.blocks`` make read-only
-``Block`` records of Python values when they are read; the library reads
-the arrays.
+followed by its own subtree.  So the status codes in id order give every
+block's clusters, which ``BlockTree.from_statuses`` derives for a loaded
+tree.  ``bt[bid]`` and ``bt.blocks`` make read-only ``Block`` records of
+Python values when they are read; the library reads the arrays.
 """
 
 from __future__ import annotations
@@ -74,9 +75,10 @@ class Block(NamedTuple):
     c_index: int  # direction index at the block's level; -1 unless admissible
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockTree:
-    """The blocks as read-only arrays in depth-first id order; see the module docstring."""
+    """The blocks as read-only arrays in depth-first id order; see the module
+    docstring.  Two block trees are equal only if they are one object."""
 
     t: np.ndarray
     s: np.ndarray
@@ -96,6 +98,29 @@ class BlockTree:
         for a in vars(self).values():
             if isinstance(a, np.ndarray):
                 a.flags.writeable = False
+
+    @classmethod
+    def from_statuses(cls, tree: ClusterTree, status: np.ndarray, c_index: np.ndarray, *parameters) -> BlockTree:
+        """The blocks of the status codes and direction indices in id order,
+        and of ``kappa, eta1, eta2, parabolic``: the depth-first expansion of
+        the root pair gives each block's clusters.  A one-line ValueError if a
+        subdivided block's clusters have no son pairs, or the expansion ends
+        before the last block or after it."""
+        pairs, todo = [], [(tree.root, tree.root)]  # the pairs to come, next last
+        for bid, code in enumerate(status.tolist()):
+            if not todo:
+                raise ValueError(f"block {bid} follows the end of the depth-first expansion of the root pair")
+            t, s = todo.pop()
+            pairs.append((t, s))
+            if code == _SUBDIVIDED:
+                sons = [(t2, s2) for t2 in tree.sons_of(t) for s2 in tree.sons_of(s)]
+                if not sons:
+                    raise ValueError(f"block {bid} is subdivided, but clusters ({t}, {s}) have no son pairs")
+                todo.extend(reversed(sons))
+        if todo:
+            raise ValueError(f"the blocks end before the pair {todo[-1]} of the depth-first expansion")
+        t, s = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+        return cls(t, s, status, c_index, tree.level[t], *parameters)
 
     def __getitem__(self, bid: int) -> Block:
         bid = range(len(self))[bid]

@@ -3,7 +3,7 @@
 Runs the full pipeline (sphere mesh, dense surrogate, trees and directions,
 compression or interpolation assembly, matvec, error and storage report) and
 emits CSV reports plus the file formats of the library (CMX1 matrices,
-DH2v5 containers, JSON-lines tree dumps, block CSV dumps).
+DH2v6 containers, JSON-lines tree dumps, block CSV dumps).
 
 All numeric report fields except wall-clock timings are deterministic for a
 fixed flag set and seed.
@@ -283,13 +283,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "level", "kappa", "kernel",
     )
     _add_common(
-        sub.add_parser("assemble", help="write the interpolation-based DH2v5 container"),
+        sub.add_parser("assemble", help="write the interpolation-based DH2v6 container"),
         "level", "kappa", "eta", "order", "leaf",
     )
     pc = sub.add_parser("compress", help="compress the dense matrix, write a CSV report")
     _add_common(pc, "level", "kappa", "eps", "eta", "zeta", "leaf", "kernel", "std", "seed")
-    pc.add_argument("--save", type=str, default=None, help="also write the DH2v5 container (a directory) here")
-    pm = sub.add_parser("matvec", help="load and check a DH2v5 container, time one matvec")
+    pc.add_argument("--save", type=str, default=None, help="also write the DH2v6 container (a directory) here")
+    pm = sub.add_parser("matvec", help="load and check a DH2v6 container, time one matvec")
     pm.add_argument("container", type=str)
     pm.add_argument("--seed", type=int, default=1)
     pm.add_argument("--out", type=str, default=None, help="write the result vector as CMX1")

@@ -12,8 +12,11 @@ and parent (-1 for the root), the son lists and the sorted index sets as
 CSR pairs (``son_ptr`` / ``sons`` and ``set_ptr`` / ``sets``) and the
 (C, 3) box corners ``bmin`` / ``bmax``.  ``sons_of(c)`` gives a cluster's
 sons as Python ints and ``index_set(c)`` a view of its index set, both cut
-once when the tree is made.  ``ClusterTree.from_sons`` derives the parents,
-levels and depth of a built or a loaded tree from its son lists.  The basis
+once when the tree is made.  ``ClusterTree.from_sons`` makes a built and a
+loaded tree alike from the son lists and the leaves' index sets and boxes:
+it derives the parents, levels and depth, and each inner cluster's index
+set and box as the sorted union and the hull of its sons', which is the
+sorted index set and the support box of the points below it.  The basis
 passes visit sons before parents in descending id, and read a cluster's
 sons as one ascending run, so below the root every son has a larger id than
 its parent and every son list is ascending; ``build_cluster_tree`` numbers
@@ -56,9 +59,10 @@ class Cluster(NamedTuple):
         return not self.sons
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ClusterTree:
-    """The clusters as read-only arrays in id order; see the module docstring."""
+    """The clusters as read-only arrays in id order; see the module docstring.
+    Two trees are equal only if they are one object."""
 
     level: np.ndarray
     parent: np.ndarray
@@ -100,11 +104,14 @@ class ClusterTree:
         return self._runs[cid][1]
 
     @classmethod
-    def from_sons(cls, sons: list, sets: list, bmin: np.ndarray, bmax: np.ndarray) -> ClusterTree:
-        """The tree of each cluster's son list, index set and support box; its
-        root is the one cluster that is no son.  A one-line ValueError unless
-        every other cluster is named by one son list and reached from the
-        root, and the numbering is one the module docstring allows."""
+    def from_sons(cls, sons: list, leaf_sets: list, leaf_min: np.ndarray, leaf_max: np.ndarray) -> ClusterTree:
+        """The tree of each cluster's son list and of the leaves' index sets
+        and support boxes, in id order; its root is the one cluster that is no
+        son.  Each inner cluster gets the sorted union of its sons' index sets
+        and the hull of their boxes.  A one-line ValueError unless every other
+        cluster is named by one son list and reached from the root, the
+        numbering is one the module docstring allows, and the leaves' lists
+        hold one entry per leaf."""
         count, son_ptr = len(sons), np.cumsum([0] + [len(x) for x in sons])
         son_ids = np.array([s for x in sons for s in x], dtype=np.int64)
         parent, level = np.full(count, -1, dtype=np.int64), np.full(count, -1, dtype=np.int64)
@@ -117,14 +124,26 @@ class ClusterTree:
                 at = np.flatnonzero(np.isin(parent, at))
         if not count or (level < 0).any():  # a cycle of sons stays unreached
             raise ValueError("the clusters' son lists do not form a tree")
-        set_ptr, root = np.cumsum([0] + [len(x) for x in sets]), int(np.flatnonzero(parent < 0)[0])
-        owner = parent[son_ids]
+        root, owner = int(np.flatnonzero(parent < 0)[0]), parent[son_ids]
         early = son_ids[(son_ids < owner) & (owner != root)]
         if early.size:
             raise ValueError(f"cluster {early[0]} has a smaller id than its parent {parent[early[0]]}")
         unsorted = owner[1:][(np.diff(son_ids) < 0) & (np.diff(owner) == 0)]
         if unsorted.size:
             raise ValueError(f"the sons of cluster {unsorted[0]} are not in ascending id order")
+        leaves = np.flatnonzero(np.diff(son_ptr) == 0)
+        if not len(leaf_sets) == len(leaf_min) == len(leaf_max) == leaves.size:
+            raise ValueError(f"the tree has {leaves.size} leaves, but {len(leaf_sets)} leaf index sets and boxes")
+        sets, bmin, bmax = [None] * count, np.empty((count, 3)), np.empty((count, 3))
+        for cid, leaf_set in zip(leaves.tolist(), leaf_sets):
+            sets[cid] = leaf_set
+        bmin[leaves], bmax[leaves] = leaf_min, leaf_max
+        for cid in np.argsort(-level, kind="stable").tolist():  # sons before their parents
+            below = son_ids[son_ptr[cid] : son_ptr[cid + 1]]
+            if below.size:
+                sets[cid] = np.sort(np.concatenate([sets[son] for son in below.tolist()]))
+                bmin[cid], bmax[cid] = bmin[below].min(axis=0), bmax[below].max(axis=0)
+        set_ptr = np.cumsum([0] + [len(x) for x in sets])
         return cls(level, parent, son_ptr, son_ids, set_ptr, np.concatenate(sets), bmin, bmax, depth, root)
 
 
@@ -160,18 +179,22 @@ def build_cluster_tree(points, leaf_size: int) -> ClusterTree:
     if leaf_size < 1:
         raise ValueError("leaf_size must be >= 1")
 
-    clusters: list[tuple] = []  # (sons, index set, support box corners)
+    sons: list[list] = []
+    leaves: list[tuple] = []  # (index set, support box corners) of each leaf, in id order
     todo = [(-1, np.arange(points.shape[0], dtype=np.int64))]  # (parent, indices), next last
     while todo:
         parent, idx = todo.pop()
-        cid, pts = len(clusters), points[idx]
-        clusters.append(([], np.sort(idx), pts.min(axis=0), pts.max(axis=0)))
+        cid = len(sons)
+        sons.append([])
         if parent >= 0:
-            clusters[parent][0].append(cid)
+            sons[parent].append(cid)
         parts = _split_box(points, idx) if idx.size > leaf_size else []
         if len(parts) > 1:  # coinciding points cannot be separated
             todo.extend((cid, sub) for sub in reversed(parts))
-    sons, sets, bmin, bmax = zip(*clusters)
+        else:
+            pts = points[idx]
+            leaves.append((np.sort(idx), pts.min(axis=0), pts.max(axis=0)))
+    sets, bmin, bmax = zip(*leaves)
     return ClusterTree.from_sons(sons, sets, np.array(bmin), np.array(bmax))
 
 

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -529,7 +530,7 @@ def aca_approximate(block: np.ndarray, tolerance: float) -> tuple[np.ndarray, np
     return np.stack(a_parts, axis=1), np.stack(b_parts, axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AcaMatrix:
     """Blockwise low-rank approximation on the admissible leaves plus dense
     nearfield; the comparison baseline.
@@ -537,9 +538,10 @@ class AcaMatrix:
     A block a b^H is applied as a (b^H x) through the phase plans of
     ``dh2core``: construction copies the factors and the nearfield into one
     new stack per shape, as ``DH2Matrix(...)`` copies its payload, and the
-    container holds new dicts of the slots, so the given dicts and arrays
-    are left as they are.  There is one run of coefficients per block
-    between the two factors."""
+    container holds new read-only dicts of the slots, so the given dicts and
+    arrays are left as they are.  There is one run of coefficients per block
+    between the two factors.  Two matrices are equal only if they are one
+    object."""
 
     tree: ClusterTree
     blocks: BlockTree
@@ -555,8 +557,8 @@ class AcaMatrix:
         coefficients = lambda bid: offsets[bid]
         rows, cols = lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid])
         # the dataclass is frozen, so the copies and the private plans are set past it
-        object.__setattr__(self, "factors", {bid: (left[bid], right[bid]) for bid in self.factors})
-        object.__setattr__(self, "nearfield", nearfield)
+        object.__setattr__(self, "factors", MappingProxyType({bid: (left[bid], right[bid]) for bid in self.factors}))
+        object.__setattr__(self, "nearfield", MappingProxyType(nearfield))
         object.__setattr__(self, "_rank_total", rank_total)
         object.__setattr__(self, "_left", _phase(left_stacks, rows, coefficients))
         object.__setattr__(self, "_right", _phase(right_stacks, cols, coefficients))

@@ -27,7 +27,7 @@ phases with the roles of the two bases swapped and reads every block in
 place as (x^H M)^H.
 
 Each phase has a plan, built once with the container by ``_phase`` in
-``DH2Matrix._plan``: its row and its column indices, each one 1-D
+``DH2Matrix._hold``: its row and its column indices, each one 1-D
 ``np.intp`` array joined in stack, slot and entry order.  A phase gathers
 its input, runs one batched product per stack into one buffer, and adds the
 buffer into its output with one ``np.add.at`` (``apply_groups``).  numpy
@@ -49,20 +49,23 @@ are neither rebound nor shared; ``dataclasses.replace`` builds this way too,
 so a replaced container holds copies of every stack, changed or not.
 ``compress`` and ``load_dh2`` make their payload laid out as stacks already
 and build their container with ``_stacked_matrix``, which takes the dicts
-and stacks as they are.  The dicts hold views of the stacks that the plans
-read, so a matrix must not be rebound key by key.  Matvecs keep all scratch
-per call, and each waits for its own parts, so concurrent matvecs are safe.
+and stacks as they are.  The container holds its payload and rank dicts as
+read-only ``types.MappingProxyType`` views, so a matrix cannot be rebound
+key by key away from the stacks that the plans read.  Two containers are
+equal only if they are one object.  Matvecs keep all scratch per call, and
+each waits for its own parts, so concurrent matvecs are safe.
 Sums run in a fixed order, which fixes the floating-point result: phase by
 phase, and within a phase each output entry adds its products in stack
 order (ascending level and shape), slot order (ascending key) and entry
 order, since ``np.add.at`` is unbuffered and adds the positions one by one
 in that order: ((out[e] + p1) + p2) + ...
 
-``save_dh2`` writes the stack table as it is into a DH2v5 container, with
-both trees as the arrays they are held in, and ``load_dh2`` checks the
-stacks and their table and hands them to the loaded matrix in place.  The
-block tree is stored without son lists; the load walks it against its
-depth-first numbering.
+``save_dh2`` writes the stack table as it is into a DH2v6 container, with
+only what the trees and directions cannot derive, and ``load_dh2`` checks
+the stacks and their table and hands them to the loaded matrix in place.
+The load derives the rest through the types that build it:
+``ClusterTree.from_sons`` the inner clusters, ``DirectionHierarchy`` the
+son maps and ``BlockTree.from_statuses`` the blocks' clusters.
 """
 
 from __future__ import annotations
@@ -73,12 +76,13 @@ import mmap
 import os
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
-from .blocktree import STATUSES, SUBDIVIDED, BlockTree
+from .blocktree import STATUSES, BlockTree
 from .clustering import ClusterTree
-from .directions import DirectionHierarchy, grid_size, nearest_direction_index
+from .directions import DirectionHierarchy
 from .linalg import two_at_once, two_parts
 
 __all__ = [
@@ -348,7 +352,7 @@ class _BasisPlan:
     transfer: list[Phase]  # per son level; rows: son, cols: parent coefficients
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DH2Matrix:
     tree: ClusterTree
     directions: DirectionHierarchy
@@ -361,27 +365,29 @@ class DH2Matrix:
     def __post_init__(self):
         """Copy each shape group of the given payload (each son level and
         shape group, for the transfer matrices) into a new stack.  The
-        container holds new dicts of the slots and new bases, so the given
-        dicts and arrays are neither rebound nor shared."""
+        container holds new read-only dicts of the slots and new bases, so
+        the given dicts and arrays are neither rebound nor shared."""
         level = self.tree.level.tolist()
         son_level = lambda key: level[key[0]]
         held, table = {}, {}
         for category, d in _categories(self).items():
             held[category], table[category] = _stacks(d, son_level if category.endswith("_transfer") else None)
-        # the dataclass is frozen, so the copies are set past it
-        for side in ("row", "col"):
-            rank = dict(getattr(self, f"{side}_basis").rank)
-            basis = DirectionalClusterBasis(held[f"{side}_leaf"], held[f"{side}_transfer"], rank)
-            object.__setattr__(self, f"{side}_basis", basis)
-        object.__setattr__(self, "coupling", held["coupling"])
-        object.__setattr__(self, "nearfield", held["nearfield"])
-        self._plan(table)
+        self._hold(held, table)
 
-    def _plan(self, table: dict) -> None:
-        """Build the phase plans from ``table``, each category's (keys,
-        stack) pairs with the stacks of each category (of each transfer
-        level) in ascending shape order, and keep ``table`` as the stack
-        table that ``save_dh2`` writes."""
+    def _hold(self, payload: dict, table: dict) -> None:
+        """Hold read-only views of each category's dict of ``payload`` and of
+        copies of the rank dicts, build the phase plans from ``table``, each
+        category's (keys, stack) pairs with the stacks of each category (of
+        each transfer level) in ascending shape order, and keep ``table`` as
+        the stack table that ``save_dh2`` writes.  The dataclass is frozen,
+        so all of these are set past it."""
+        view = {category: MappingProxyType(d) for category, d in payload.items()}
+        for side in ("row", "col"):
+            rank = MappingProxyType(dict(getattr(self, f"{side}_basis").rank))
+            basis = DirectionalClusterBasis(view[f"{side}_leaf"], view[f"{side}_transfer"], rank)
+            object.__setattr__(self, f"{side}_basis", basis)
+        object.__setattr__(self, "coupling", view["coupling"])
+        object.__setattr__(self, "nearfield", view["nearfield"])
         tree, (t, s, c) = self.tree, (x.tolist() for x in (self.blocks.t, self.blocks.s, self.blocks.c_index))
         row = self._basis_plan(self.row_basis, table["row_leaf"], table["row_transfer"])
         col = self._basis_plan(self.col_basis, table["col_leaf"], table["col_transfer"])
@@ -389,7 +395,6 @@ class DH2Matrix:
             table["coupling"], lambda bid: row.offsets[(t[bid], c[bid])], lambda bid: col.offsets[(s[bid], c[bid])]
         )
         nearfield = _phase(table["nearfield"], lambda bid: tree.index_set(t[bid]), lambda bid: tree.index_set(s[bid]))
-        # the dataclass is frozen, so its private plans are set past it
         object.__setattr__(self, "_row", row)
         object.__setattr__(self, "_col", col)
         object.__setattr__(self, "_coupling", coupling)
@@ -448,14 +453,7 @@ class DH2Matrix:
         return self._apply(x, True)
 
     def stored_matrix_count(self) -> int:
-        return (
-            len(self.row_basis.leaf)
-            + len(self.row_basis.transfer)
-            + len(self.col_basis.leaf)
-            + len(self.col_basis.transfer)
-            + len(self.coupling)
-            + len(self.nearfield)
-        )
+        return sum(len(d) for d in _categories(self).values())
 
 
 def _categories(a: DH2Matrix) -> dict:
@@ -484,14 +482,14 @@ def _stacked_matrix(*values) -> DH2Matrix:
     ``empty_stacks`` and ``load_dh2`` lay them out: each dict's values are
     the slots of its stacks in slot order, one stack after another, and the
     stacks of each category (of each transfer level) come in ascending shape
-    order, one per shape.  The container holds the dicts and stacks as they
-    are, with no copy, and that layout is its stack table: only that each
-    run of slots fills its stack is checked.  Only the library's own
-    producers (``compress``, ``load_dh2``) call it."""
+    order, one per shape.  The container holds read-only views of the dicts
+    and the stacks as they are, with no copy, and that layout is its stack
+    table: only that each run of slots fills its stack is checked.  Only the
+    library's own producers (``compress``, ``load_dh2``) call it."""
     a = object.__new__(DH2Matrix)
     for f, value in zip(fields(DH2Matrix), values):
         object.__setattr__(a, f.name, value)
-    a._plan({category: _slot_runs(d) for category, d in _categories(a).items()})
+    a._hold(_categories(a), {category: _slot_runs(d) for category, d in _categories(a).items()})
     return a
 
 
@@ -530,8 +528,7 @@ def expand_dense(a: DH2Matrix) -> np.ndarray:
     if n > DENSE_EXPANSION_CAP:
         raise ValueError(f"dense expansion capped at {DENSE_EXPANSION_CAP} rows, matrix has {n}")
     out = np.zeros((n, n), dtype=np.complex128)
-    row_memo: dict = {}
-    col_memo: dict = {}
+    row_memo, col_memo = {}, {}
     for bid, t, s, c in a.blocks.entries(a.blocks.admissible_leaves):
         v = expand_factor(a.row_basis, a.tree, a.directions, t, c, row_memo)
         w = expand_factor(a.col_basis, a.tree, a.directions, s, c, col_memo)
@@ -550,33 +547,24 @@ class StorageReport:
 
     @property
     def total(self) -> int:
-        return (
-            self.leaf_entries
-            + self.transfer_entries
-            + self.coupling_entries
-            + self.nearfield_entries
-        )
+        return self.leaf_entries + self.transfer_entries + self.coupling_entries + self.nearfield_entries
 
     def mem_per_dof_kib(self, n: int) -> float:
         return self.total * 16.0 / 1024.0 / n
 
 
 def storage_report(a: DH2Matrix) -> StorageReport:
-    leaf = sum(m.size for m in a.row_basis.leaf.values())
-    leaf += sum(m.size for m in a.col_basis.leaf.values())
-    transfer = sum(m.size for m in a.row_basis.transfer.values())
-    transfer += sum(m.size for m in a.col_basis.transfer.values())
-    coupling = sum(m.size for m in a.coupling.values())
-    nearfield = sum(m.size for m in a.nearfield.values())
-    return StorageReport(leaf, transfer, coupling, nearfield)
+    size = {category: sum(m.size for m in d.values()) for category, d in _categories(a).items()}
+    leaf, transfer = (size[f"row_{part}"] + size[f"col_{part}"] for part in ("leaf", "transfer"))
+    return StorageReport(leaf, transfer, size["coupling"], size["nearfield"])
 
 
-# -- DH2v5 container --------------------------------------------------------
+# -- DH2v6 container --------------------------------------------------------
 
 _C16 = np.dtype("<c16")
 _CATEGORIES = ("row_leaf", "row_transfer", "col_leaf", "col_transfer", "coupling", "nearfield")
-_TREE_LISTS = ("sons", "index_sets", "support_min", "support_max")  # per cluster id
-_BLOCK_LISTS = ("t", "s", "status", "c_index")  # per block id
+_TREE_LISTS = ("index_sets", "support_min", "support_max")  # per leaf, in id order; "sons" is per cluster id
+_BLOCK_LISTS = ("status", "c_index")  # per block id
 _BLOCK_PARAMETERS = ("kappa", "eta1", "eta2", "parabolic")
 
 
@@ -599,36 +587,17 @@ def _section(manifest: dict, name: str, lists: tuple, others: tuple = ()) -> dic
     return part
 
 
-def _cluster_tree(manifest: dict) -> ClusterTree:
-    """The cluster tree of the manifest's "tree" section; ``from_sons``
-    derives the parents, levels, depth and root from the son lists."""
-    tm = _section(manifest, "tree", _TREE_LISTS)
-    boxes = (np.array(tm[k], dtype=float).reshape(len(tm["sons"]), 3) for k in ("support_min", "support_max"))
-    return ClusterTree.from_sons(tm["sons"], [np.array(x, dtype=np.int64) for x in tm["index_sets"]], *boxes)
-
-
-def _block_tree(tree: ClusterTree, manifest: dict) -> BlockTree:
-    """The block tree of the manifest's "blocks" section; an unknown status
-    is a KeyError."""
-    bm = _section(manifest, "blocks", _BLOCK_LISTS, _BLOCK_PARAMETERS)
-    t, s, c_index = (np.array(bm[k], dtype=np.int64) for k in ("t", "s", "c_index"))
-    if not np.isin(np.concatenate([t, s]), np.arange(len(tree))).all():
-        raise ValueError("a block names a cluster the tree lacks")
-    code = {name: k for k, name in enumerate(STATUSES)}
-    status = np.array([code[x] for x in bm["status"]], dtype=np.int8)
-    return BlockTree(t, s, status, c_index, tree.level[t], **{k: bm[k] for k in _BLOCK_PARAMETERS})
-
-
 def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
-    """Write the DH2v5 container: a directory holding ``manifest.json`` (the
-    cluster tree as the lists ``_TREE_LISTS`` by cluster id, the directions,
-    the block tree as ``_BLOCK_PARAMETERS`` and the lists ``_BLOCK_LISTS`` by
-    block id, the ranks, and a table with one ``[category, [G, r, c], keys]``
-    entry per stack) and ``payload.bin`` (every stack in table order, in C
-    order, as ``<c16``).  The table is the container's own, written as it
-    is.  No id, parent, level, depth or root is stored: the
-    clusters' son lists give them.  No block son list is stored: the blocks
-    are numbered depth first, which gives every block's sons.
+    """Write the DH2v6 container: a directory holding ``manifest.json`` (the
+    cluster tree as the son lists by cluster id and the lists
+    ``_TREE_LISTS`` by leaf, the direction levels, the block tree as
+    ``_BLOCK_PARAMETERS`` and the lists ``_BLOCK_LISTS`` by block id, the
+    ranks, and a table with one ``[category, [G, r, c], keys]`` entry per
+    stack) and ``payload.bin`` (every stack in table order, in C order, as
+    ``<c16``).  The table is the container's own, written as it is.  Nothing
+    is stored that the load derives: no cluster id, parent, level, depth or
+    root, no inner cluster's index set or box, no direction son map, and no
+    block's clusters or sons.
 
     The old manifest is deleted first, then the payload and the manifest are
     each written to a temporary file and renamed, the manifest last, so an
@@ -645,22 +614,20 @@ def save_dh2(a: DH2Matrix, directory: str | Path) -> None:
                 table.append([category, list(stack.shape), keys])
     os.replace(outdir / "payload.bin.tmp", outdir / "payload.bin")
     tree, bt = a.tree, a.blocks
+    leaves, sets = np.flatnonzero(np.diff(tree.son_ptr) == 0), _runs(tree.sets, tree.set_ptr)
     manifest = {
-        "version": "DH2v5",
+        "version": "DH2v6",
         "tree": {
             "sons": _runs(tree.sons, tree.son_ptr),
-            "index_sets": _runs(tree.sets, tree.set_ptr),
-            "support_min": tree.bmin.tolist(),
-            "support_max": tree.bmax.tolist(),
+            "index_sets": [sets[cid] for cid in leaves.tolist()],
+            "support_min": tree.bmin[leaves].tolist(),
+            "support_max": tree.bmax[leaves].tolist(),
         },
-        "directions": {
-            "levels": [lv.tolist() for lv in a.directions.levels],
-            "son_maps": [sm.tolist() for sm in a.directions.son_maps],
-        },
+        "directions": {"levels": [lv.tolist() for lv in a.directions.levels]},
         "blocks": {
             **{k: getattr(bt, k) for k in _BLOCK_PARAMETERS},
-            **{k: getattr(bt, k).tolist() for k in ("t", "s", "c_index")},
             "status": [STATUSES[k] for k in bt.status.tolist()],
+            "c_index": bt.c_index.tolist(),
         },
         "rank": {
             side: [[cid, c, int(k)] for (cid, c), k in sorted(basis.rank.items())]
@@ -723,64 +690,24 @@ def _check_table(tree: ClusterTree, table: list) -> None:
         last[part] = shape[1:]
 
 
-def _check_trees(tree: ClusterTree, bt: BlockTree) -> None:
-    """Raise a one-line ValueError unless every cluster holds its sons'
-    indices and the blocks in id order are the depth-first expansion of the
-    root pair: block 0 is (root, root), a subdivided block (t, s) has son
-    pairs and is followed by them, (sons of t) x (sons of s) in turn, each
-    with its own subtree, and the expansion ends at the last block.  With
-    the leaf partition that ``_check`` tests, the leaf blocks then tile
-    n x n: the root's index set is 0..n-1 and each cluster's is the disjoint
-    union of its sons', so a subdivided block's rectangle is the disjoint
-    union of its son pairs', and the walk meets each block of the expansion
-    once."""
-    for cid in range(len(tree)):
-        held = [tree.index_set(son) for son in tree.sons_of(cid)]
-        if held and not np.array_equal(np.sort(tree.index_set(cid)), np.sort(np.concatenate(held))):
-            raise ValueError(f"cluster {cid}'s index set is not its sons' together")
-    subdivided, todo = STATUSES.index(SUBDIVIDED), [(tree.root, tree.root)]  # the pairs to come, next last
-    for bid, (t, s, status) in enumerate(zip(bt.t.tolist(), bt.s.tolist(), bt.status.tolist())):
-        if not todo:
-            raise ValueError(f"block {bid} follows the end of the depth-first expansion of the root pair")
-        want = todo.pop()
-        if (t, s) != want:
-            raise ValueError(f"block {bid} pairs clusters ({t}, {s}), the depth-first numbering gives {want}")
-        if status == subdivided:
-            pairs = [(t2, s2) for t2 in tree.sons_of(t) for s2 in tree.sons_of(s)]
-            if not pairs:
-                raise ValueError(f"block {bid} is subdivided, but clusters ({t}, {s}) have no son pairs")
-            todo.extend(reversed(pairs))
-    if todo:
-        raise ValueError(f"the blocks end before the pair {todo[-1]} of the depth-first expansion")
-
-
 def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: dict, payload: dict) -> None:
-    """Raise a one-line ValueError unless the tree's depth fits the
-    direction levels and son maps, each level is a cube-face grid or the
-    zero set (``grid_size``), each son map is the one that
-    ``nearest_direction_index`` gives, the leaf clusters partition 0..n-1, the
-    trees pass ``_check_trees`` (so the leaf blocks tile n x n), and the
-    payload holds a matrix for every admissible block, inadmissible
-    block, leaf pair and transfer, each of the shape that the ranks and
-    cluster sizes give.  A matrix with no such place raises KeyError."""
-    depth = tree.depth
-    if len(dirs.levels) != depth + 1 or len(dirs.son_maps) != depth:
-        raise ValueError(
-            f"the tree has depth {depth} but {len(dirs.levels)} direction levels and {len(dirs.son_maps)} son maps"
-        )
-    for level, directions in enumerate(dirs.levels):
-        if grid_size(directions) is None:
-            raise ValueError(f"direction level {level} is neither a cube-face grid nor the zero set")
-    for level, son_map in enumerate(dirs.son_maps):
-        if son_map.shape != (dirs.count(level),) or ((son_map < 0) | (son_map >= dirs.count(level + 1))).any():
-            raise ValueError(f"the son map of direction level {level} does not map into level {level + 1}")
-        if not np.array_equal(son_map, nearest_direction_index(dirs.levels[level + 1], dirs.levels[level])):
-            raise ValueError(f"the son map of direction level {level} is not the nearest-direction map")
+    """Raise a one-line ValueError unless the tree's depth fits the direction
+    levels, the leaf clusters partition 0..n-1, and the payload holds a
+    matrix for every admissible block, inadmissible block, leaf pair and
+    transfer, each of the shape that the ranks and cluster sizes give.  A
+    matrix with no such place raises KeyError.  The leaf blocks then tile
+    n x n: each inner cluster's index set is the union of its sons'
+    (``ClusterTree.from_sons``), so with the leaf partition the root's is
+    0..n-1 and each cluster's is the disjoint union of its sons', and the
+    blocks are the depth-first expansion of the root pair
+    (``BlockTree.from_statuses``), so a subdivided block's rectangle is the
+    disjoint union of its son pairs', each met once."""
+    if len(dirs.levels) != tree.depth + 1:
+        raise ValueError(f"the tree has depth {tree.depth} but {len(dirs.levels)} direction levels")
     size, level = np.diff(tree.set_ptr).tolist(), tree.level.tolist()
     leaves = np.repeat(tree.son_ptr[:-1] == tree.son_ptr[1:], size)  # the entries of the leaves' index sets
     if not np.array_equal(np.sort(tree.sets[leaves]), np.arange(size[tree.root])):
         raise ValueError("the leaf clusters' index sets do not partition 0..n-1")
-    _check_trees(tree, bt)
     row, col = ranks["row"], ranks["col"]
     shapes = {
         "coupling": {i: (row[(t, c)], col[(s, c)]) for i, t, s, c in bt.entries(bt.admissible_leaves)},
@@ -803,40 +730,45 @@ def _check(tree: ClusterTree, dirs: DirectionHierarchy, bt: BlockTree, ranks: di
 
 
 def load_dh2(directory: str | Path) -> DH2Matrix:
-    """Read a DH2v5 container (see ``save_dh2``).  The matrices are the slots
+    """Read a DH2v6 container (see ``save_dh2``).  The matrices are the slots
     of the stacks as read, which the returned matrix uses in place; its phase
     plans are built from the stack table as it is, with no regrouping.  The
-    clusters' parents, levels, depth and root are
-    derived from their son lists, and the blocks' levels from their
-    clusters.  A container is rejected with a one-line ValueError when its
-    version is another (DH2v4 and older included), the manifest or one of
-    its sections lacks a field or has an unknown one, a section's lists
-    differ in length, the son lists do not form a tree numbered as
-    ``ClusterTree.from_sons`` requires, the blocks are not the depth-first
-    expansion of the root pair (``_check_trees``), the stacks are not laid
-    out as ``save_dh2`` writes them (``_check_table``), a direction level is not
-    ``cube_surface_directions(m)`` for its count 6m² (equal as floats) nor the
-    zero set, a son map is not the one that ``nearest_direction_index``
-    gives, or the direction levels, leaf index sets, block clusters and
+    clusters' parents, levels, depth and root and the inner clusters' index
+    sets and boxes are derived from the son lists and the leaves' lists
+    (``ClusterTree.from_sons``), the son maps from the direction levels
+    (``DirectionHierarchy``), and the blocks' clusters and levels from their
+    statuses (``BlockTree.from_statuses``).  A container is rejected with a
+    one-line ValueError when its version is another (DH2v5 and older
+    included), the manifest or one of its sections lacks a field or has an
+    unknown one, a section's lists differ in length, the son lists do not
+    form a tree numbered as ``ClusterTree.from_sons`` requires or the leaves'
+    lists do not hold one entry per leaf, a direction level is not
+    ``cube_surface_directions(m)`` for its count 6m² (equal as floats) nor
+    the zero set, the statuses do not fit the depth-first expansion of the
+    root pair (a subdivided block without son pairs, blocks past its end or
+    ending before it), the stacks are not laid out as ``save_dh2`` writes
+    them (``_check_table``), or the direction levels, leaf index sets,
     statuses, stack table, payload length, shapes or block payloads do not
-    fit."""
+    fit (``_check``)."""
     directory = Path(directory)
     manifest = json.loads((directory / "manifest.json").read_text())
     if not isinstance(manifest, dict):
-        raise ValueError("not a DH2v5 container: manifest.json holds no JSON object")
-    if manifest.get("version") != "DH2v5":
-        raise ValueError(f"not a DH2v5 container: its version is {manifest.get('version')!r}")
+        raise ValueError("not a DH2v6 container: manifest.json holds no JSON object")
+    if manifest.get("version") != "DH2v6":
+        raise ValueError(f"not a DH2v6 container: its version is {manifest.get('version')!r}")
     unknown = sorted(set(manifest) - {"version", "tree", "directions", "blocks", "rank", "stacks"})
     if unknown:
         raise ValueError(f"the manifest has the unknown field {unknown[0]!r}")
     try:
-        tree = _cluster_tree(manifest)
-        dm = _section(manifest, "directions", (), ("levels", "son_maps"))
-        dirs = DirectionHierarchy(
-            levels=[np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]],
-            son_maps=[np.array(sm, dtype=np.int64) for sm in dm["son_maps"]],
-        )
-        bt = _block_tree(tree, manifest)
+        tm = _section(manifest, "tree", _TREE_LISTS, ("sons",))
+        boxes = (np.array(tm[k], dtype=float).reshape(len(tm[k]), 3) for k in ("support_min", "support_max"))
+        tree = ClusterTree.from_sons(tm["sons"], [np.array(x, dtype=np.int64) for x in tm["index_sets"]], *boxes)
+        dm = _section(manifest, "directions", (), ("levels",))
+        dirs = DirectionHierarchy([np.array(lv, dtype=float).reshape(-1, 3) for lv in dm["levels"]])
+        bm, code = _section(manifest, "blocks", _BLOCK_LISTS, _BLOCK_PARAMETERS), dict(zip(STATUSES, range(3)))
+        status = np.array([code[x] for x in bm["status"]], dtype=np.int8)  # an unknown status is a KeyError
+        c_index, parameters = np.array(bm["c_index"], dtype=np.int64), (bm[k] for k in _BLOCK_PARAMETERS)
+        bt = BlockTree.from_statuses(tree, status, c_index, *parameters)
         rm = _section(manifest, "rank", (), ("row", "col"))
         ranks = {side: {(cid, c): k for cid, c, k in rm[side]} for side in ("row", "col")}
         table = [

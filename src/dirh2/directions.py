@@ -9,6 +9,8 @@ recovers the standard non-directional structure.
 Each direction of level l maps to its nearest direction of level l + 1 (its
 son): the smallest Euclidean distance to z/||z||, an exact tie (common on
 the symmetric grids) going to the lexicographically smallest direction.
+``DirectionHierarchy`` derives these son maps from its levels, for a built
+and a loaded hierarchy alike.
 ``nearest_direction_index`` compares only, for each axis a, the 3 x 3 cells
 around z_free / |z_a| (clipped to the face, the cells moved inward at its
 edge) on the face of the sign of z_a, or the whole level when m <= 3.  That
@@ -20,7 +22,7 @@ the tests compare the search with a scan on every son map to n = 32768.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -38,10 +40,23 @@ NEAREST_CHUNK = 1 << 15  # distances per array in nearest_direction_index
 _FREE = np.array([[1, 2], [0, 2], [0, 1]])  # the free axes of the faces of each axis, in increasing order
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class DirectionHierarchy:
+    """The direction levels and the son maps they give: son_maps[l] maps
+    each direction of levels[l] to its nearest direction of levels[l + 1]
+    (``nearest_direction_index``).  A one-line ValueError unless each level
+    is a cube-face grid or the zero set (``grid_size``).  Two hierarchies are
+    equal only if they are one object."""
+
     levels: list[np.ndarray]  # levels[l] has shape (m_l, 3); unit rows or a single zero row
-    son_maps: list[np.ndarray]  # son_maps[l] maps indices of levels[l] into levels[l+1]
+    son_maps: list[np.ndarray] = field(init=False)
+
+    def __post_init__(self):
+        for level, directions in enumerate(self.levels):
+            if grid_size(directions) is None:
+                raise ValueError(f"direction level {level} is neither a cube-face grid nor the zero set")
+        son_maps = [nearest_direction_index(fine, coarse) for coarse, fine in zip(self.levels, self.levels[1:])]
+        object.__setattr__(self, "son_maps", son_maps)  # the dataclass is frozen
 
     @property
     def depth(self) -> int:
@@ -85,7 +100,8 @@ def cube_surface_directions(m: int) -> np.ndarray:
 
 
 def build_directions(level_diameters, kappa: float, eta1: float) -> DirectionHierarchy:
-    """Direction sets plus nearest-neighbor son maps for every level.
+    """The direction set of every level, whose ``DirectionHierarchy``
+    derives the nearest-direction son maps.
 
     A level degenerates to {0} once a single grid square of the admissible
     diagonal 2*eta1/(kappa*delta) covers a whole cube face, and so does a
@@ -106,8 +122,7 @@ def build_directions(level_diameters, kappa: float, eta1: float) -> DirectionHie
         else cube_surface_directions(int(np.ceil(np.sqrt(2.0) * kappa * delta / eta1)))
         for delta in deltas
     ]
-    son_maps = [nearest_direction_index(levels[l + 1], levels[l]) for l in range(len(levels) - 1)]
-    return DirectionHierarchy(levels=levels, son_maps=son_maps)
+    return DirectionHierarchy(levels)
 
 
 def grid_size(dirs) -> int | None:

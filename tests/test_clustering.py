@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import reference_cluster_tree
+from conftest import ellipsoid_mesh, reference_cluster_tree
 
 from dirh2.blocktree import box_diameter
 from dirh2.clustering import Cluster, ClusterTree, build_cluster_tree, level_diameter, tree_to_jsonl
@@ -76,12 +76,20 @@ class TestBuild:
             c.level = 0
 
     def test_parents_levels_and_root_follow_from_the_son_lists(self):
-        # cluster 1 is the root, whatever its id
-        sets = [np.arange(1), np.arange(2), np.arange(1, 2)]
-        tree = ClusterTree.from_sons([[], [0, 2], []], sets, *np.zeros((2, 3, 3)))
+        # cluster 1 is the root, whatever its id; its index set and box come
+        # from those of its sons, the leaves 0 and 2
+        leaf_sets, leaf_min, leaf_max = [np.array([2]), np.array([0, 1])], -np.eye(3)[:2], np.eye(3)[1:]
+        tree = ClusterTree.from_sons([[], [0, 2], []], leaf_sets, leaf_min, leaf_max)
         assert (tree.root, tree.depth) == (1, 1)
         assert tree.parent.tolist() == [1, -1, 1] and tree.level.tolist() == [1, 0, 1]
         assert tree.son_ptr.tolist() == [0, 0, 2, 2] and tree.sons.tolist() == [0, 2]
+        assert tree.set_ptr.tolist() == [0, 1, 4, 6] and tree.sets.tolist() == [2, 0, 1, 2, 0, 1]
+        assert tree.bmin.tolist() == [[-1, 0, 0], [-1, -1, 0], [0, -1, 0]]
+        assert tree.bmax.tolist() == [[0, 1, 0], [0, 1, 1], [0, 0, 1]]
+
+    def test_leaf_lists_must_hold_one_entry_per_leaf(self):
+        with pytest.raises(ValueError, match="^the tree has 2 leaves, but 3 leaf index sets and boxes$"):
+            ClusterTree.from_sons([[], [0, 2], []], [np.arange(1)] * 3, *np.zeros((2, 3, 3)))
 
     @pytest.mark.parametrize(
         "sons",
@@ -96,9 +104,9 @@ class TestBuild:
         ],
     )
     def test_son_lists_that_form_no_tree_rejected(self, sons):
-        sets = [np.arange(1)] * len(sons)
+        leaves = sum(not x for x in sons)
         with pytest.raises(ValueError, match="^the clusters' son lists do not form a tree$"):
-            ClusterTree.from_sons(sons, sets, *np.zeros((2, len(sons), 3)))
+            ClusterTree.from_sons(sons, [np.arange(1)] * leaves, *np.zeros((2, leaves, 3)))
 
     @pytest.mark.parametrize(
         "sons, match",
@@ -109,9 +117,9 @@ class TestBuild:
     )
     def test_numberings_the_basis_passes_cannot_visit_rejected(self, sons, match):
         # each tree breaks one of the two conditions and keeps the other
-        sets = [np.arange(1)] * len(sons)
+        leaves = sum(not x for x in sons)
         with pytest.raises(ValueError, match=match):
-            ClusterTree.from_sons(sons, sets, *np.zeros((2, len(sons), 3)))
+            ClusterTree.from_sons(sons, [np.arange(1)] * leaves, *np.zeros((2, leaves, 3)))
 
     def test_sphere_tree_with_reversed_ids_rejected(self):
         # every cluster below the root renumbered c -> count - c, so that sons
@@ -120,13 +128,14 @@ class TestBuild:
         count = len(tree)
         old = [0] + [count - c for c in range(1, count)]  # each new id's old id, and back
         sons = [[old[s] for s in tree.sons_of(old[c])] for c in range(count)]
-        sets = [tree.index_set(old[c]) for c in range(count)]
-        boxes = tree.bmin[old], tree.bmax[old]
+        leaves = [old[c] for c in range(count) if not sons[c]]
         with pytest.raises(ValueError, match="has a smaller id than its parent"):
-            ClusterTree.from_sons(sons, sets, *boxes)
+            ClusterTree.from_sons(sons, [tree.index_set(c) for c in leaves], tree.bmin[leaves], tree.bmax[leaves])
         same = [list(tree.sons_of(c)) for c in range(count)]
-        kept = ClusterTree.from_sons(same, [tree.index_set(c) for c in range(count)], tree.bmin, tree.bmax)
-        assert np.array_equal(kept.parent, tree.parent)
+        leaves = [c for c in range(count) if not same[c]]
+        kept = ClusterTree.from_sons(same, [tree.index_set(c) for c in leaves], tree.bmin[leaves], tree.bmax[leaves])
+        for name in ("parent", "set_ptr", "sets", "bmin", "bmax"):
+            assert getattr(kept, name).tobytes() == getattr(tree, name).tobytes(), name
 
     def test_sphere_partition_exhaustive(self):
         mesh = build_sphere_mesh(4)
@@ -201,6 +210,22 @@ class TestBoxes:
             # tight: every face touches a point
             assert np.array_equal(pts.min(axis=0), tree.bmin[cid])
             assert np.array_equal(pts.max(axis=0), tree.bmax[cid])
+
+    @pytest.mark.parametrize("level", [2, 3, 4, 5])
+    @pytest.mark.parametrize("surface", ["sphere", "ellipsoid"])
+    def test_inner_clusters_hold_the_sorted_indices_and_the_box_of_their_points(self, surface, level):
+        # from_sons derives an inner cluster's index set and box from its
+        # sons'; the reference sorts the indices and takes the box of the
+        # points themselves, without from_sons
+        points = (build_sphere_mesh if surface == "sphere" else ellipsoid_mesh)(level).midpoints
+        tree = build_cluster_tree(points, 16)
+        want = reference_cluster_tree(points, 16)
+        assert len(tree) == len(want)
+        inner = [w for w in want if w[6]]
+        assert inner
+        for cid, _, _, index_set, bmin, bmax, _ in inner:
+            assert tree.index_set(cid).tobytes() == index_set.tobytes()
+            assert tree.bmin[cid].tobytes() == bmin.tobytes() and tree.bmax[cid].tobytes() == bmax.tobytes()
 
 
 class TestLevelDiameter:
